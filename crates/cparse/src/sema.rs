@@ -94,6 +94,21 @@ fn err(span: Span, msg: impl Into<String>) -> CError {
     CError::new(Stage::Sema, span, msg)
 }
 
+/// The diagnostic for a second declaration of `name` at `span`: in the
+/// same scope as the first (`same_scope`), or anywhere else in the
+/// function. The loop-transform gates of `roccc-hlir` predict this error
+/// without building the body copies that would trigger it.
+pub fn redeclaration_error(name: &str, span: Span, same_scope: bool) -> CError {
+    if same_scope {
+        err(span, format!("duplicate declaration of `{name}`"))
+    } else {
+        err(
+            span,
+            format!("`{name}` is already declared elsewhere in this function; the ROCCC subset requires unique local names"),
+        )
+    }
+}
+
 /// Rejects call-graph cycles (including self-recursion).
 fn check_no_recursion(result: &SemaResult, functions: &HashMap<String, &Function>) -> CResult<()> {
     // Depth-first search with colors: 0 = white, 1 = gray, 2 = black.
@@ -162,15 +177,12 @@ impl<'a> Checker<'a> {
     fn declare(&mut self, name: &str, ty: CType, span: Span) -> CResult<()> {
         let scope = self.scopes.last_mut().expect("scope stack never empty");
         if scope.contains_key(name) {
-            return Err(err(span, format!("duplicate declaration of `{name}`")));
+            return Err(redeclaration_error(name, span, true));
         }
         if self.all_vars.contains_key(name) {
             // Sibling-scope reuse would make the flat map ambiguous for
             // later lowering; require unique local names per function.
-            return Err(err(
-                span,
-                format!("`{name}` is already declared elsewhere in this function; the ROCCC subset requires unique local names"),
-            ));
+            return Err(redeclaration_error(name, span, false));
         }
         scope.insert(name.to_string(), ty.clone());
         self.all_vars.insert(name.to_string(), ty);

@@ -23,7 +23,7 @@
 
 use crate::extract::affine;
 use crate::kernel::{AffineIndex, LoopDim, OutputWrite};
-use crate::loops::{recognize, CanonLoop};
+use crate::loops::{contains_loop, recognize, CanonLoop};
 use roccc_cparse::ast::*;
 use roccc_cparse::span::Span;
 use std::collections::HashSet;
@@ -347,19 +347,8 @@ fn walk_stmt(
     }
 }
 
-fn contains_loop(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match &s.kind {
-        StmtKind::For { .. } | StmtKind::While { .. } => true,
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
-        StmtKind::Block(inner) => contains_loop(inner),
-        _ => false,
-    })
-}
-
 /// Induction variables of every nested canonical loop below `b`.
-fn nested_loop_vars(b: &Block, out: &mut Vec<String>) {
+pub(crate) fn nested_loop_vars(b: &Block, out: &mut Vec<String>) {
     for s in &b.stmts {
         match &s.kind {
             StmtKind::For { body, .. } => {

@@ -17,7 +17,7 @@
 use crate::fold::{fold_expr, fold_program};
 use crate::inline::inline_program;
 use crate::kernel::*;
-use crate::loops::{recognize, CanonLoop};
+use crate::loops::{contains_loop, recognize, CanonLoop};
 use crate::subst::{collect_var_reads, map_block_exprs, rename_vars_block};
 use roccc_cparse::ast::intrinsics;
 use roccc_cparse::ast::*;
@@ -65,8 +65,37 @@ pub fn extract_kernel(program: &Program, func_name: &str) -> CResult<Kernel> {
 
     match loop_pos {
         None => extract_straight_line(&program, f, info),
-        Some(pos) => extract_loop_kernel(&program, f, info, pos),
+        Some(pos) => {
+            check_epilogue_shape(&f.body.stmts[pos + 1..])?;
+            extract_loop_kernel(&program, f, info, pos)
+        }
     }
+}
+
+/// The shape half of extract's epilogue rule: only `*p = v` exports and
+/// `return;` may follow the kernel loop. Returns the first statement of
+/// `epilogue` with any other shape. Whether each `*p = v` exports a
+/// feedback variable is checked later, once feedback is known.
+///
+/// The unroll gate applies the same rule to the statements its expansion
+/// would leave after the kernel loop, so it can refuse before expanding.
+///
+/// # Errors
+///
+/// `unsupported statement after the kernel loop`, at that statement.
+pub(crate) fn check_epilogue_shape(epilogue: &[Stmt]) -> CResult<()> {
+    for s in epilogue {
+        match &s.kind {
+            StmtKind::Assign {
+                target: LValue::Deref(_),
+                op: None,
+                ..
+            }
+            | StmtKind::Return(None) => {}
+            _ => return Err(err(s.span, "unsupported statement after the kernel loop")),
+        }
+    }
+    Ok(())
 }
 
 fn scalar_ty(info: &roccc_cparse::sema::FunctionInfo, name: &str) -> Option<IntType> {
@@ -141,7 +170,7 @@ fn extract_straight_line(
 
 /// Splices bare `{ … }` statements into their parent at the top level only
 /// (loop and branch bodies are left alone).
-fn flatten_top_blocks(b: &Block) -> Block {
+pub(crate) fn flatten_top_blocks(b: &Block) -> Block {
     let mut stmts = Vec::new();
     for s in &b.stmts {
         match &s.kind {
@@ -153,17 +182,6 @@ fn flatten_top_blocks(b: &Block) -> Block {
         stmts,
         span: b.span,
     }
-}
-
-fn contains_loop(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match &s.kind {
-        StmtKind::For { .. } | StmtKind::While { .. } => true,
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
-        StmtKind::Block(b) => contains_loop(b),
-        _ => false,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -291,11 +309,6 @@ fn extract_loop_kernel(
         return Err(e);
     }
     let compute = rewriter.compute;
-    if std::env::var("ROCCC_DEBUG_EXTRACT").is_ok() {
-        for s in &compute {
-            eprintln!("compute: {s:?}");
-        }
-    }
     let outputs: Vec<OutputSpec> = rewriter
         .outputs
         .into_iter()
@@ -395,17 +408,13 @@ fn extract_loop_kernel(
     feedback.sort_by(|a, b| a.name.cmp(&b.name));
 
     // -- epilogue: exports of feedback finals ---------------------------------
+    // `check_epilogue_shape` already let through only `*p = v` and `return;`.
     let mut live_out = Vec::new();
     for s in epilogue {
-        match &s.kind {
-            StmtKind::Assign {
-                target: LValue::Deref(out),
-                op: None,
-                value,
-            } => match &value.kind {
+        if let StmtKind::Assign { value, .. } = &s.kind {
+            match &value.kind {
                 ExprKind::Var(v) if feedback.iter().any(|fb| &fb.name == v) => {
                     live_out.push(v.clone());
-                    let _ = out;
                 }
                 _ => {
                     return Err(err(
@@ -413,9 +422,7 @@ fn extract_loop_kernel(
                         "post-loop statements may only export feedback variables",
                     ))
                 }
-            },
-            StmtKind::Return(None) => {}
-            _ => return Err(err(s.span, "unsupported statement after the kernel loop")),
+            }
         }
     }
 

@@ -39,6 +39,7 @@ pub mod fusion;
 pub mod inline;
 pub mod kernel;
 pub mod loops;
+mod precheck;
 pub mod stripmine;
 pub mod subst;
 pub mod unroll;

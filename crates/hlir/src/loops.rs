@@ -208,6 +208,19 @@ pub fn recognize(stmt: &Stmt) -> Option<CanonLoop> {
     })
 }
 
+/// Whether `b` contains a `for` or `while` loop, directly or inside an
+/// `if` or a bare block.
+pub(crate) fn contains_loop(b: &Block) -> bool {
+    b.stmts.iter().any(|s| match &s.kind {
+        StmtKind::For { .. } | StmtKind::While { .. } => true,
+        StmtKind::If {
+            then_blk, else_blk, ..
+        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
+        StmtKind::Block(inner) => contains_loop(inner),
+        _ => false,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! that each outer iteration feeds a wide data-path fed from one smart-buffer
 //! line, matching the strip size to the memory bus width.
 
-use crate::loops::{recognize, CanonLoop};
+use crate::loops::{contains_loop, recognize, CanonLoop};
 use roccc_cparse::ast::*;
 use roccc_cparse::span::Span;
 
@@ -37,6 +37,10 @@ pub fn stripmine_unroll_function(f: &Function, strip: u64) -> Function {
 /// proves an innermost-loop carried dependence at distance below the
 /// strip width — the flattened strip would compute dependent iterations
 /// as one parallel body.
+///
+/// It then refuses, before building any copy, a strip that copies a
+/// body-local declaration, with the error sema reports for the expanded
+/// function, whether or not a partial or full unroll runs after it.
 pub fn stripmine_unroll_function_checked(
     f: &Function,
     strip: u64,
@@ -51,6 +55,9 @@ pub fn stripmine_unroll_function_checked(
             ),
         ));
     }
+    if let Some(e) = crate::precheck::stripmine_refusal(f, strip) {
+        return Err(e);
+    }
     Ok(stripmine_unroll_function(f, strip))
 }
 
@@ -59,17 +66,6 @@ fn smu_block(b: &Block, strip: u64) -> Block {
         stmts: b.stmts.iter().map(|s| smu_stmt(s, strip)).collect(),
         span: b.span,
     }
-}
-
-fn contains_loop(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match &s.kind {
-        StmtKind::For { .. } | StmtKind::While { .. } => true,
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => contains_loop(then_blk) || else_blk.as_ref().is_some_and(contains_loop),
-        StmtKind::Block(inner) => contains_loop(inner),
-        _ => false,
-    })
 }
 
 fn smu_stmt(s: &Stmt, strip: u64) -> Stmt {

@@ -37,6 +37,14 @@ pub fn partially_unroll_function(f: &Function, factor: u64) -> Function {
 /// proves a carried dependence at distance below the factor, because the
 /// duplicated bodies would then touch the same array element inside one
 /// parallel iteration of the generated hardware.
+///
+/// It then refuses, before building any copy, an expansion that sema or
+/// kernel extraction is certain to reject: one that copies a body-local
+/// declaration, or leaves statements after the kernel loop that are not
+/// `*p = v` or `return;` (such as the remainder of a factor that does not
+/// divide the trip count). The error is the one the expanded function
+/// would get from [`crate::fold::fold_function`] and
+/// [`crate::extract::extract_kernel`].
 pub fn partially_unroll_function_checked(
     f: &Function,
     factor: u64,
@@ -50,6 +58,9 @@ pub fn partially_unroll_function_checked(
                 dep.describe()
             ),
         ));
+    }
+    if let Some(e) = crate::precheck::unroll_refusal(f, factor) {
+        return Err(e);
     }
     Ok(partially_unroll_function(f, factor))
 }

@@ -96,6 +96,17 @@ pub fn gen_kernel_source(rng: &mut XorShift64, depth: u32) -> String {
     )
 }
 
+/// A random expression that reads at least one of `vars`: a
+/// constant-only lane gives a loop nothing to stream, so the system
+/// simulation would never fire an iteration.
+fn gen_expr_over(rng: &mut XorShift64, depth: u32, vars: &[&str; 3]) -> String {
+    let mut e = gen_expr(rng, depth);
+    if !has_var(&e) {
+        e = Expr::Bin("+", Box::new(Expr::Var(rng.gen_index(3))), Box::new(e));
+    }
+    e.to_c_with(vars)
+}
+
 fn has_var(e: &Expr) -> bool {
     match e {
         Expr::Var(_) => true,
@@ -131,6 +142,26 @@ pub struct LoopKernel {
     pub b_len: usize,
 }
 
+/// Optional features of a [`gen_loop_kernel`] loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopShape {
+    /// Trip count (16 by default; 20 leaves a remainder for factors 3, 6
+    /// and 8).
+    pub trip: u64,
+    /// Declare a body-local temporary `int t = …;` over the window and
+    /// let the write lanes read it.
+    pub local_temp: bool,
+}
+
+impl Default for LoopShape {
+    fn default() -> Self {
+        LoopShape {
+            trip: 16,
+            local_temp: false,
+        }
+    }
+}
+
 /// Samples a stencil loop with `lanes` writes per iteration over the
 /// window `A[i] .. A[i + 2]`. With `planted = None` the writes land on
 /// distinct residues modulo the step (one lane per residue — legal).
@@ -138,14 +169,17 @@ pub struct LoopKernel {
 /// appended: it collides with lane 0 of the iteration `d` steps later,
 /// a carried output dependence at distance `d` that extraction must
 /// refuse (the parallel write lanes cannot preserve program order).
+/// `shape` sets the trip count and an optional body-local temporary;
+/// the default shape draws exactly what the plain stencil always drew.
 pub fn gen_loop_kernel(
     rng: &mut XorShift64,
     depth: u32,
     lanes: u64,
     planted: Option<u64>,
+    shape: LoopShape,
 ) -> LoopKernel {
     let step = lanes.max(1);
-    let trip = 16u64;
+    let trip = shape.trip;
     let bound = trip * step;
 
     let mut write_offsets: Vec<u64> = (0..step).collect();
@@ -159,21 +193,24 @@ pub fn gen_loop_kernel(
     let b_len = (bound - step + max_off + 1) as usize;
 
     let mut body = String::new();
+    let mut vars_ref = ["A[i]", "A[i + 1]", "A[i + 2]"];
+    if shape.local_temp {
+        body.push_str(&format!(
+            "    int t = {};\n",
+            gen_expr_over(rng, depth, &vars_ref)
+        ));
+        vars_ref[0] = "t";
+    }
     for off in &write_offsets {
-        let vars_ref = ["A[i]", "A[i + 1]", "A[i + 2]"];
         let idx = if *off == 0 {
             "i".to_string()
         } else {
             format!("i + {off}")
         };
-        // Every lane must read the window at least once: a constant-only
-        // lane gives the loop nothing to stream, so the system simulation
-        // would never fire an iteration.
-        let mut e = gen_expr(rng, depth);
-        if !has_var(&e) {
-            e = Expr::Bin("+", Box::new(Expr::Var(rng.gen_index(3))), Box::new(e));
-        }
-        body.push_str(&format!("    B[{idx}] = {};\n", e.to_c_with(&vars_ref)));
+        body.push_str(&format!(
+            "    B[{idx}] = {};\n",
+            gen_expr_over(rng, depth, &vars_ref)
+        ));
     }
     let source = format!(
         "void k(int A[{a_len}], int B[{b_len}]) {{ int i;\n  \
@@ -213,36 +250,44 @@ pub struct RecurrenceKernel {
 /// accumulator this iteration re-enters the data path exactly
 /// `distance` iterations later. The per-iteration update mixes a random
 /// expression over the window `A[i] .. A[i + 2]` into the oldest state.
-pub fn gen_recurrence_kernel(rng: &mut XorShift64, depth: u32, distance: u64) -> RecurrenceKernel {
+///
+/// With `export` the kernel also takes `int* out` and ends in
+/// `*out = s0;`, exporting the newest state, and the temporary `t` is
+/// declared before the loop instead of in its body.
+pub fn gen_recurrence_kernel(
+    rng: &mut XorShift64,
+    depth: u32,
+    distance: u64,
+    export: bool,
+) -> RecurrenceKernel {
     let d = distance.max(1);
     let trip = 16u64;
     let a_len = (trip + 4) as usize;
     let b_len = trip as usize;
 
-    let mut e = gen_expr(rng, depth);
-    if !has_var(&e) {
-        e = Expr::Bin("+", Box::new(Expr::Var(rng.gen_index(3))), Box::new(e));
-    }
-    let window = ["A[i]", "A[i + 1]", "A[i + 2]"];
+    let e = gen_expr_over(rng, depth, &["A[i]", "A[i + 1]", "A[i + 2]"]);
 
     let mut decls = String::new();
     for j in 0..d {
         decls.push_str(&format!("  int s{j} = 0;\n"));
     }
     let mut body = String::new();
-    body.push_str(&format!(
-        "    t = (s{} + {});\n",
-        d - 1,
-        e.to_c_with(&window)
-    ));
+    body.push_str(&format!("    t = (s{} + {e});\n", d - 1));
     for j in (1..d).rev() {
         body.push_str(&format!("    s{j} = s{};\n", j - 1));
     }
     body.push_str("    s0 = t;\n    B[i] = t;\n");
-    let source = format!(
-        "void k(int A[{a_len}], int B[{b_len}]) {{\n{decls}  int i;\n  \
-         for (i = 0; i < {trip}; i = i + 1) {{\n    int t;\n{body}  }}\n}}\n"
-    );
+    let source = if export {
+        format!(
+            "void k(int A[{a_len}], int B[{b_len}], int* out) {{\n{decls}  int t;\n  int i;\n  \
+             for (i = 0; i < {trip}; i = i + 1) {{\n{body}  }}\n  *out = s0;\n}}\n"
+        )
+    } else {
+        format!(
+            "void k(int A[{a_len}], int B[{b_len}]) {{\n{decls}  int i;\n  \
+             for (i = 0; i < {trip}; i = i + 1) {{\n    int t;\n{body}  }}\n}}\n"
+        )
+    };
     RecurrenceKernel {
         source,
         distance: d,
@@ -260,10 +305,13 @@ mod tests {
     fn recurrence_kernels_parse_at_every_distance() {
         let mut rng = XorShift64::new(909);
         for d in 1..=4 {
-            let k = gen_recurrence_kernel(&mut rng, 2, d);
-            assert_eq!(k.distance, d);
-            roccc_cparse::frontend(&k.source)
-                .unwrap_or_else(|e| panic!("distance-{d} kernel must parse: {e}\n{}", k.source));
+            for export in [false, true] {
+                let k = gen_recurrence_kernel(&mut rng, 2, d, export);
+                assert_eq!(k.distance, d);
+                roccc_cparse::frontend(&k.source).unwrap_or_else(|e| {
+                    panic!("distance-{d} kernel must parse: {e}\n{}", k.source)
+                });
+            }
         }
     }
 

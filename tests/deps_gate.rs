@@ -10,7 +10,7 @@
 
 use roccc_suite::cparse::{frontend, Interpreter};
 use roccc_suite::roccc::{compile, CompileOptions, UnrollStrategy};
-use roccc_suite::testrand::exprgen::gen_loop_kernel;
+use roccc_suite::testrand::exprgen::{gen_loop_kernel, LoopShape};
 use roccc_suite::testrand::XorShift64;
 use std::collections::HashMap;
 
@@ -33,7 +33,7 @@ fn generated_disjoint_lane_loops_match_golden_model() {
     for case in 0..12u64 {
         let mut rng = XorShift64::new(0xdead0 + case);
         let lanes = 1 + case % 3; // 1, 2, or 3 write lanes
-        let k = gen_loop_kernel(&mut rng, 2, lanes, None);
+        let k = gen_loop_kernel(&mut rng, 2, lanes, None, LoopShape::default());
         let a: Vec<i64> = (0..k.a_len as i64).map(|x| (x * 13) % 251 - 125).collect();
         let expect = golden(&k.source, &a, k.b_len);
 
@@ -67,7 +67,7 @@ fn planted_overlap_distances_are_refused() {
         let mut rng = XorShift64::new(0xbeef0 + case);
         let lanes = 1 + case % 3;
         let dist = 1 + case / 3; // seeded distances 1, 2, 3
-        let k = gen_loop_kernel(&mut rng, 2, lanes, Some(dist));
+        let k = gen_loop_kernel(&mut rng, 2, lanes, Some(dist), LoopShape::default());
         let err = compile(&k.source, "k", &CompileOptions::default())
             .err()
             .unwrap_or_else(|| {

@@ -215,7 +215,7 @@ fn recurrence_kernels_scheduled_differential() {
     for distance in 1..=4u64 {
         for case in 0..3u64 {
             let mut rng = XorShift64::new(0xd15 + distance * 16 + case);
-            let k = gen_recurrence_kernel(&mut rng, 2, distance);
+            let k = gen_recurrence_kernel(&mut rng, 2, distance, false);
             let name = format!("rec_d{distance}_{case}");
             let base = CompileOptions::default();
             let golden = match compile(&k.source, "k", &base) {
