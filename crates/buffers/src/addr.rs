@@ -170,7 +170,9 @@ impl Iterator for AddressGen2d {
 }
 
 /// Output address generator: yields the flat store address for each window
-/// position, in iteration order.
+/// position, in iteration order. The positions advance like the counters
+/// of a hardware address generator: the innermost dimension steps, and
+/// wraps into the next one out at its bound.
 #[derive(Debug, Clone)]
 pub struct OutputAddressGen {
     dims: Vec<DimScan>,
@@ -178,6 +180,9 @@ pub struct OutputAddressGen {
     offset: i64,
     /// Row width for 2-D layouts (1-D uses 1 dim and ignores this).
     row_width: usize,
+    /// Current window position per dimension (outermost first).
+    coords: Vec<i64>,
+    total: u64,
     idx: u64,
 }
 
@@ -185,6 +190,8 @@ impl OutputAddressGen {
     /// Creates a generator over the given dimensions (outermost first).
     pub fn new(dims: Vec<DimScan>, offset: i64, row_width: usize) -> Self {
         OutputAddressGen {
+            coords: dims.iter().map(|d| d.start).collect(),
+            total: dims.iter().map(|d| d.positions()).product(),
             dims,
             offset,
             row_width,
@@ -194,7 +201,7 @@ impl OutputAddressGen {
 
     /// Total stores.
     pub fn total(&self) -> u64 {
-        self.dims.iter().map(|d| d.positions()).product()
+        self.total
     }
 }
 
@@ -202,25 +209,19 @@ impl Iterator for OutputAddressGen {
     type Item = i64;
 
     fn next(&mut self) -> Option<i64> {
-        if self.idx >= self.total() {
+        if self.idx >= self.total {
             return None;
         }
-        let mut rem = self.idx;
-        let mut coords = Vec::with_capacity(self.dims.len());
-        for d in self.dims.iter().rev() {
-            let n = d.positions();
-            coords.push(d.start + (rem % n) as i64 * d.step);
-            rem /= n;
-        }
-        coords.reverse();
+        let row_width = self.row_width as i64;
+        let flat = self.coords.iter().fold(0, |acc, c| acc * row_width + c);
         self.idx += 1;
-        let flat = match coords.as_slice() {
-            [i] => *i,
-            [i, j] => i * self.row_width as i64 + j,
-            _ => coords
-                .iter()
-                .fold(0, |acc, c| acc * self.row_width as i64 + c),
-        };
+        for (c, d) in self.coords.iter_mut().zip(&self.dims).rev() {
+            *c += d.step;
+            if *c < d.bound {
+                break;
+            }
+            *c = d.start;
+        }
         Some(flat + self.offset)
     }
 }
@@ -333,6 +334,31 @@ mod tests {
         let gen = OutputAddressGen::new(vec![d, d], 0, 8);
         let addrs: Vec<i64> = gen.collect();
         assert_eq!(addrs, vec![0, 1, 8, 9]);
+    }
+
+    #[test]
+    fn output_addresses_strided_with_offset() {
+        let rows = DimScan {
+            start: 1,
+            bound: 6,
+            step: 2,
+            extent: 1,
+        };
+        let cols = DimScan {
+            start: 2,
+            bound: 10,
+            step: 3,
+            extent: 1,
+        };
+        let gen = OutputAddressGen::new(vec![rows, cols], 5, 16);
+        assert_eq!(gen.total(), 9);
+        let mut expect = Vec::new();
+        for i in [1, 3, 5] {
+            for j in [2, 5, 8] {
+                expect.push(i * 16 + j + 5);
+            }
+        }
+        assert_eq!(gen.collect::<Vec<i64>>(), expect);
     }
 
     #[test]

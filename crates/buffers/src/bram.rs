@@ -60,10 +60,10 @@ impl BramModel {
         self.pending.pop_front()
     }
 
-    /// Clocks the read port, returning everything issued last cycle (wide
-    /// bus: all words of a beat arrive together).
-    pub fn clock_all(&mut self) -> Vec<(usize, i64)> {
-        self.pending.drain(..).collect()
+    /// Clocks the read port, draining everything issued last cycle in
+    /// place (wide bus: all words of a beat arrive together).
+    pub fn clock_all(&mut self) -> std::collections::vec_deque::Drain<'_, (usize, i64)> {
+        self.pending.drain(..)
     }
 
     /// Synchronous write (visible to reads issued after this call).

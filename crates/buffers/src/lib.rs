@@ -33,4 +33,4 @@ pub mod smart;
 pub use addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
 pub use bram::BramModel;
 pub use ctrl::{CtrlOutputs, CtrlState, LoopController, ValidChain};
-pub use smart::{BufferStats, SmartBuffer1d, SmartBuffer2d};
+pub use smart::{BufferStats, SmartBuffer1d, SmartBuffer2d, WindowBuffer};

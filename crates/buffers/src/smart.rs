@@ -36,13 +36,32 @@ impl BufferStats {
     }
 }
 
+/// The memory-facing side both smart buffers share: words go in by flat
+/// row-major address, complete windows come out into a caller-owned
+/// slot (row-major within the window), so a system driver can hold
+/// either buffer behind one interface and stage windows without
+/// allocating.
+pub trait WindowBuffer {
+    /// Accepts one word by flat row-major address.
+    fn push_flat(&mut self, flat: i64, value: i64);
+
+    /// Writes the next window into `out` if it is complete, sliding
+    /// forward by the stride. Returns whether a window was written.
+    fn pop_window_into(&mut self, out: &mut [i64]) -> bool;
+}
+
 /// 1-D sliding-window smart buffer.
+///
+/// The live elements are one dense run of slots starting at index
+/// `base`; a slot is `None` until its word arrives (scans with stride
+/// larger than the window skip elements).
 #[derive(Debug, Clone)]
 pub struct SmartBuffer1d {
     window: usize,
     stride: usize,
-    /// Live elements: front is the lowest retained index.
-    buf: VecDeque<(i64, i64)>,
+    /// `buf[k]` holds element `base + k`.
+    buf: VecDeque<Option<i64>>,
+    base: i64,
     /// Index of the next window's first element.
     next_start: i64,
     stats: BufferStats,
@@ -64,6 +83,7 @@ impl SmartBuffer1d {
             window,
             stride,
             buf: VecDeque::new(),
+            base: start,
             next_start: start,
             stats: BufferStats::default(),
         }
@@ -75,43 +95,34 @@ impl SmartBuffer1d {
         self.window + self.stride.saturating_sub(1)
     }
 
-    /// Accepts one word from memory (indices must arrive in increasing
-    /// order; out-of-window-range indices are discarded — "clean unused
-    /// data").
+    /// Accepts one word from memory (indices arrive in increasing order;
+    /// indices below the next window are discarded — "clean unused
+    /// data"). Should an index arrive twice, the first word is kept.
     pub fn push(&mut self, index: i64, value: i64) {
         self.stats.fetched += 1;
-        if index >= self.next_start {
-            self.buf.push_back((index, value));
+        if index < self.next_start {
+            return;
         }
+        if self.buf.is_empty() {
+            self.base = index;
+        }
+        while index < self.base {
+            self.buf.push_front(None);
+            self.base -= 1;
+        }
+        let k = (index - self.base) as usize;
+        if k >= self.buf.len() {
+            self.buf.resize(k + 1, None);
+        }
+        self.buf[k].get_or_insert(value);
     }
 
-    /// Exports the next window if all of its elements are present, sliding
-    /// forward by the stride and retiring dead elements.
+    /// Exports the next window if all of its elements are present,
+    /// sliding forward by the stride and retiring dead elements (an
+    /// allocating convenience over [`WindowBuffer::pop_window_into`]).
     pub fn pop_window(&mut self) -> Option<Vec<i64>> {
-        // Retire elements below the window start.
-        while let Some(&(i, _)) = self.buf.front() {
-            if i < self.next_start {
-                self.buf.pop_front();
-            } else {
-                break;
-            }
-        }
-        let end = self.next_start + self.window as i64;
-        // All of [next_start, end) present? Elements arrive in order, so it
-        // suffices that the back reaches end−1 and the front is ≤ start.
-        let have_last = self.buf.iter().any(|&(i, _)| i == end - 1);
-        if !have_last {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.window);
-        for k in 0..self.window as i64 {
-            let idx = self.next_start + k;
-            let v = self.buf.iter().find(|&&(i, _)| i == idx).map(|&(_, v)| v)?;
-            out.push(v);
-        }
-        self.next_start += self.stride as i64;
-        self.stats.windows += 1;
-        Some(out)
+        let mut out = vec![0; self.window];
+        self.pop_window_into(&mut out).then_some(out)
     }
 
     /// Reuse statistics so far.
@@ -120,27 +131,60 @@ impl SmartBuffer1d {
     }
 }
 
+impl WindowBuffer for SmartBuffer1d {
+    fn push_flat(&mut self, flat: i64, value: i64) {
+        self.push(flat, value);
+    }
+
+    fn pop_window_into(&mut self, out: &mut [i64]) -> bool {
+        let dead = (self.next_start - self.base).clamp(0, self.buf.len() as i64) as usize;
+        self.buf.drain(..dead);
+        self.base += dead as i64;
+        // Every live slot now sits at or above the window start.
+        if self.base != self.next_start || self.buf.len() < self.window {
+            return false;
+        }
+        for (o, slot) in out.iter_mut().zip(self.buf.range(..self.window)) {
+            match slot {
+                Some(v) => *o = *v,
+                None => return false,
+            }
+        }
+        self.next_start += self.stride as i64;
+        self.stats.windows += 1;
+        true
+    }
+}
+
 /// 2-D sliding-window smart buffer (line buffer).
+///
+/// Live rows are a deque of dense lines starting at row `base_row`; each
+/// line covers the columns some window reads, `col_start ..
+/// col_start + line_len`. Rows below the next window are evicted as
+/// words arrive and their storage is reused for new rows.
 #[derive(Debug, Clone)]
 pub struct SmartBuffer2d {
     win_rows: usize,
     win_cols: usize,
     stride_r: usize,
     stride_c: usize,
-    /// Column range scanned: [col_start, col_last] inclusive.
+    /// First column a window reads; column `c` lives at `c - col_start`.
     col_start: i64,
-    col_last: i64,
+    /// Columns per line: every column any window reads.
+    line_len: usize,
     row_width: usize,
-    /// Retained elements keyed by (row, col); bounded by the line-buffer
-    /// capacity in steady state.
-    store: std::collections::HashMap<(i64, i64), i64>,
+    /// `lines[k]` holds row `base_row + k`; a slot is `None` until its
+    /// word arrives.
+    lines: VecDeque<Vec<Option<i64>>>,
+    base_row: i64,
+    /// Storage of evicted lines, reused for new rows.
+    spare: Vec<Vec<Option<i64>>>,
     /// Next window position (top-left corner).
     next_r: i64,
     next_c: i64,
     /// Window-position bounds.
     row_bound: i64,
     col_bound: i64,
-    row_start: i64,
     stats: BufferStats,
 }
 
@@ -162,20 +206,24 @@ impl SmartBuffer2d {
         row_width: usize,
     ) -> Self {
         assert!(win_rows > 0 && win_cols > 0 && stride_r > 0 && stride_c > 0);
+        // The first window of a row band sits at `col_start` even when
+        // the bound is empty; the last one starts below `col_bound`.
+        let last_col = (col_bound - 1).max(col_start) + win_cols as i64 - 1;
         SmartBuffer2d {
             win_rows,
             win_cols,
             stride_r,
             stride_c,
             col_start,
-            col_last: col_bound - 1 + win_cols as i64 - 1,
+            line_len: (last_col - col_start + 1) as usize,
             row_width,
-            store: std::collections::HashMap::new(),
+            lines: VecDeque::new(),
+            base_row: row_start,
+            spare: Vec::new(),
             next_r: row_start,
             next_c: col_start,
             row_bound,
             col_bound,
-            row_start,
             stats: BufferStats::default(),
         }
     }
@@ -193,28 +241,89 @@ impl SmartBuffer2d {
         self.push(r, c, value);
     }
 
-    /// Accepts one word by coordinates. Data must stream row-major.
+    /// Accepts one word by coordinates. Data must stream row-major; a
+    /// later word for the same element replaces the earlier one.
     pub fn push(&mut self, row: i64, col: i64, value: i64) {
         self.stats.fetched += 1;
-        self.store.insert((row, col), value);
-        // Clean rows that no future window touches.
-        let dead_before = self.next_r;
-        self.store.retain(|&(r, _), _| r >= dead_before);
+        // Clean rows that no future window touches; a word whose row is
+        // already dead is dropped on arrival.
+        while self.base_row < self.next_r {
+            let Some(line) = self.lines.pop_front() else {
+                break;
+            };
+            self.spare.push(line);
+            self.base_row += 1;
+        }
+        if row < self.next_r {
+            return;
+        }
+        let Some(c) = usize::try_from(col - self.col_start)
+            .ok()
+            .filter(|&c| c < self.line_len)
+        else {
+            return; // no window reads this column
+        };
+        if self.lines.is_empty() {
+            self.base_row = row;
+        }
+        while row < self.base_row {
+            let line = self.fresh_line();
+            self.lines.push_front(line);
+            self.base_row -= 1;
+        }
+        while row >= self.base_row + self.lines.len() as i64 {
+            let line = self.fresh_line();
+            self.lines.push_back(line);
+        }
+        self.lines[(row - self.base_row) as usize][c] = Some(value);
     }
 
-    /// Exports the next window (row-major within the window) if complete.
-    pub fn pop_window(&mut self) -> Option<Vec<i64>> {
-        if self.next_r >= self.row_bound {
-            return None;
+    /// An empty line, reusing evicted storage when there is some.
+    fn fresh_line(&mut self) -> Vec<Option<i64>> {
+        match self.spare.pop() {
+            Some(mut line) => {
+                line.fill(None);
+                line
+            }
+            None => vec![None; self.line_len],
         }
-        // Completeness: the bottom-right element has arrived, and streaming
-        // order guarantees the rest — but verify all to be safe.
-        let mut out = Vec::with_capacity(self.win_rows * self.win_cols);
-        for dr in 0..self.win_rows as i64 {
-            for dc in 0..self.win_cols as i64 {
-                match self.store.get(&(self.next_r + dr, self.next_c + dc)) {
-                    Some(&v) => out.push(v),
-                    None => return None,
+    }
+
+    /// Exports the next window (row-major within the window) if complete
+    /// (an allocating convenience over [`WindowBuffer::pop_window_into`]).
+    pub fn pop_window(&mut self) -> Option<Vec<i64>> {
+        let mut out = vec![0; self.win_rows * self.win_cols];
+        self.pop_window_into(&mut out).then_some(out)
+    }
+
+    /// Reuse statistics so far.
+    pub fn stats(&self) -> BufferStats {
+        self.stats
+    }
+}
+
+impl WindowBuffer for SmartBuffer2d {
+    fn push_flat(&mut self, flat: i64, value: i64) {
+        SmartBuffer2d::push_flat(self, flat, value);
+    }
+
+    fn pop_window_into(&mut self, out: &mut [i64]) -> bool {
+        if self.next_r >= self.row_bound {
+            return false;
+        }
+        let Ok(top) = usize::try_from(self.next_r - self.base_row) else {
+            return false;
+        };
+        if top + self.win_rows > self.lines.len() {
+            return false;
+        }
+        let left = (self.next_c - self.col_start) as usize;
+        let rows = self.lines.range(top..top + self.win_rows);
+        for (line, out_row) in rows.zip(out.chunks_exact_mut(self.win_cols)) {
+            for (o, slot) in out_row.iter_mut().zip(&line[left..left + self.win_cols]) {
+                match slot {
+                    Some(v) => *o = *v,
+                    None => return false,
                 }
             }
         }
@@ -225,13 +334,7 @@ impl SmartBuffer2d {
             self.next_r += self.stride_r as i64;
         }
         self.stats.windows += 1;
-        let _ = (self.col_last, self.row_start);
-        Some(out)
-    }
-
-    /// Reuse statistics so far.
-    pub fn stats(&self) -> BufferStats {
-        self.stats
+        true
     }
 }
 

@@ -29,4 +29,7 @@ pub use cells::{Cell, CellId, CellKind, Netlist};
 pub use from_dp::netlist_from_datapath;
 pub use plan::{cell_stages, BatchedSim, CompiledSim, SimPlan};
 pub use sim::{CycleResult, NetlistSim, SimError};
-pub use system::{run_system, run_system_with_options, SystemError, SystemOptions, SystemRun};
+pub use system::{
+    run_system, run_system_with_options, BramFeed, OutputLane, SystemError, SystemOptions,
+    SystemRun, WindowFeed,
+};

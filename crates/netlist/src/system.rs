@@ -10,15 +10,22 @@
 //! This is the cycle-accurate counterpart of running the kernel on the
 //! FPGA; integration tests check it word-for-word against the golden-model
 //! C interpreter, and the Table 1 harness reads its throughput numbers.
+//!
+//! The memory side is shared with the stream co-simulator: a
+//! [`WindowFeed`] (address generator, smart buffer, slot-to-port map and
+//! staged window) per input window, a [`BramFeed`] when that window
+//! reads a BRAM, and an [`OutputLane`] per output write. Each costs O(1)
+//! per word and O(window) per firing, and allocates nothing per cycle.
 
 use crate::cells::Netlist;
 use crate::plan::{CompiledSim, SimPlan};
 use crate::sim::SimError;
 use roccc_buffers::addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
 use roccc_buffers::bram::BramModel;
-use roccc_buffers::smart::{SmartBuffer1d, SmartBuffer2d};
-use roccc_hlir::kernel::{Kernel, WindowSpec};
+use roccc_buffers::smart::{SmartBuffer1d, SmartBuffer2d, WindowBuffer};
+use roccc_hlir::kernel::{Kernel, OutputSpec, WindowSpec};
 use std::collections::HashMap;
+use std::iter::Peekable;
 
 /// Result of a full system run.
 #[derive(Debug, Clone, Default)]
@@ -65,28 +72,300 @@ impl From<SimError> for SystemError {
     }
 }
 
-enum AnyBuffer {
-    One(SmartBuffer1d),
-    Two(SmartBuffer2d),
+/// One input window's memory side, built once from `(Kernel,
+/// WindowSpec)`: the address generator of the window scan, the smart
+/// buffer, the map from window slot to data-path input port and one
+/// reusable slot for the staged window.
+pub struct WindowFeed {
+    addrs: Peekable<Box<dyn Iterator<Item = i64>>>,
+    buffer: Box<dyn WindowBuffer>,
+    /// `(window slot, data-path input port)`; windows may be sparse.
+    port_map: Vec<(usize, usize)>,
+    window: Vec<i64>,
+    staged: bool,
 }
 
-struct InputLane {
+impl WindowFeed {
+    /// Builds the feed for window `w` of `kernel`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError`] for windows without reads, constant or
+    /// unknown index variables, more than two dimensions, or reads with
+    /// no data-path input port.
+    pub fn new(kernel: &Kernel, w: &WindowSpec) -> Result<Self, SystemError> {
+        let ndim = w
+            .reads
+            .first()
+            .map(|r| r.index.len())
+            .ok_or_else(|| SystemError(format!("window `{}` has no reads", w.array)))?;
+        let extent = w.extent();
+
+        // Loop dimension for each window dimension.
+        let mut scans = Vec::new();
+        let mut min_off = Vec::new();
+        for (d, ext) in extent.iter().enumerate().take(ndim) {
+            let var = w.reads[0].index[d]
+                .var
+                .as_ref()
+                .ok_or_else(|| SystemError("constant window dimensions unsupported".into()))?;
+            let ld = kernel
+                .dims
+                .iter()
+                .find(|l| &l.var == var)
+                .ok_or_else(|| SystemError(format!("window index var `{var}` unknown")))?;
+            let mo = w.reads.iter().map(|r| r.index[d].offset).min().unwrap_or(0);
+            min_off.push(mo);
+            scans.push(DimScan {
+                start: ld.start + mo,
+                bound: ld.bound + mo,
+                step: ld.step,
+                extent: *ext,
+            });
+        }
+        if !(1..=2).contains(&ndim) {
+            return Err(SystemError(format!(
+                "{ndim}-dimensional windows unsupported"
+            )));
+        }
+
+        // Port map: window slot (row-major in the extent box) → dp port.
+        let ports = kernel.input_ports();
+        let mut port_map = Vec::new();
+        for r in &w.reads {
+            let mut slot = 0;
+            for d in 0..ndim {
+                slot = slot * extent[d] + (r.index[d].offset - min_off[d]) as usize;
+            }
+            let port = ports
+                .iter()
+                .position(|(n, _)| n == &r.scalar)
+                .ok_or_else(|| SystemError(format!("no input port for `{}`", r.scalar)))?;
+            port_map.push((slot, port));
+        }
+
+        let (addrs, buffer): (Box<dyn Iterator<Item = i64>>, Box<dyn WindowBuffer>) =
+            if let [scan] = scans[..] {
+                let buffer = SmartBuffer1d::new(extent[0], scan.step as usize, scan.start);
+                (Box::new(AddressGen1d::new(scan)), Box::new(buffer))
+            } else {
+                let (rows, cols) = (scans[0], scans[1]);
+                let row_width = if w.dims.len() == 2 { w.dims[1] } else { 1 };
+                let buffer = SmartBuffer2d::new(
+                    extent[0],
+                    extent[1],
+                    rows.step as usize,
+                    cols.step as usize,
+                    rows.start,
+                    rows.bound,
+                    cols.start,
+                    cols.bound,
+                    row_width,
+                );
+                (
+                    Box::new(AddressGen2d::new(rows, cols, row_width)),
+                    Box::new(buffer),
+                )
+            };
+        Ok(WindowFeed {
+            addrs: addrs.peekable(),
+            buffer,
+            port_map,
+            window: vec![0; extent.iter().product()],
+            staged: false,
+        })
+    }
+
+    /// The next flat address the window scan needs from memory.
+    fn next_addr(&mut self) -> Option<i64> {
+        self.addrs.next()
+    }
+
+    /// Accepts one word the scan fetched into the smart buffer.
+    fn push(&mut self, flat: i64, value: i64) {
+        self.buffer.push_flat(flat, value);
+    }
+
+    /// Offers one word of an in-order stream over the whole array: it is
+    /// accepted when it is the next address the scan needs and discarded
+    /// otherwise.
+    pub fn offer(&mut self, flat: i64, value: i64) {
+        if self.addrs.next_if_eq(&flat).is_some() {
+            self.buffer.push_flat(flat, value);
+        }
+    }
+
+    /// Stages the next complete window, unless one is already staged.
+    pub fn stage(&mut self) {
+        if !self.staged {
+            self.staged = self.buffer.pop_window_into(&mut self.window);
+        }
+    }
+
+    /// Whether a window is staged for the next firing.
+    pub fn is_staged(&self) -> bool {
+        self.staged
+    }
+
+    /// Drives the staged window onto its data-path ports in `args` and
+    /// frees the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no window is staged.
+    pub fn fire_into(&mut self, args: &mut [i64]) {
+        assert!(self.staged, "firing without a staged window");
+        for &(slot, port) in &self.port_map {
+            args[port] = self.window[slot];
+        }
+        self.staged = false;
+    }
+}
+
+/// A [`WindowFeed`] reading its input array from a BRAM.
+pub struct BramFeed {
     bram: BramModel,
-    addrs: Box<dyn Iterator<Item = i64>>,
-    buffer: AnyBuffer,
-    /// Map from window position (row-major within the window) to input
-    /// port index — windows may be sparse.
-    port_map: Vec<(usize, usize)>, // (window slot, dp input port)
-    staged: Option<Vec<i64>>,
+    /// The window side.
+    pub feed: WindowFeed,
 }
 
-struct OutputLane {
-    name: String,
+impl BramFeed {
+    /// Feeds `feed` from a BRAM holding `data`.
+    pub fn new(feed: WindowFeed, data: &[i64]) -> Self {
+        BramFeed {
+            bram: BramModel::new(data.to_vec()),
+            feed,
+        }
+    }
+
+    /// Lands last cycle's beat in the smart buffer (the whole beat
+    /// arrives together) and stages a window. Returns whether any word
+    /// landed.
+    pub fn land(&mut self) -> bool {
+        let mut landed = false;
+        for (addr, v) in self.bram.clock_all() {
+            self.feed.push(addr as i64, v);
+            landed = true;
+        }
+        self.feed.stage();
+        landed
+    }
+
+    /// Issues the next beat: up to `bus` reads of the scan's addresses.
+    pub fn fetch(&mut self, bus: usize) {
+        for _ in 0..bus {
+            match self.feed.next_addr() {
+                Some(a) => self.bram.issue_read(a as usize),
+                None => break,
+            }
+        }
+    }
+
+    /// Words read from the BRAM so far.
+    pub fn reads(&self) -> u64 {
+        self.bram.traffic().0
+    }
+}
+
+/// One write of an output array retiring into its own BRAM.
+pub struct OutputLane {
+    /// Output array name.
+    pub array: String,
     bram: BramModel,
     addrs: OutputAddressGen,
     /// Data-path output port feeding this lane.
     port: usize,
     remaining: u64,
+}
+
+impl OutputLane {
+    /// One lane per write of output `o` of `kernel`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError`] for writes with no data-path output port
+    /// or store indices that are constant or not loop variables.
+    pub fn for_output(kernel: &Kernel, o: &OutputSpec) -> Result<Vec<Self>, SystemError> {
+        let out_ports = kernel.output_ports();
+        let mut lanes = Vec::new();
+        for wr in &o.writes {
+            let port = out_ports
+                .iter()
+                .position(|(n, _)| n == &wr.scalar)
+                .ok_or_else(|| SystemError(format!("no output port for `{}`", wr.scalar)))?;
+            let mut dims = Vec::new();
+            for ai in &wr.index {
+                let var = ai.var.as_ref().ok_or_else(|| {
+                    SystemError("constant store indices are not supported".into())
+                })?;
+                let ld = kernel
+                    .dims
+                    .iter()
+                    .find(|l| &l.var == var)
+                    .ok_or_else(|| SystemError(format!("store index var `{var}` unknown")))?;
+                dims.push(DimScan {
+                    start: ld.start + ai.offset,
+                    bound: ld.bound + ai.offset,
+                    step: ld.step,
+                    extent: 1,
+                });
+            }
+            let row_width = if o.dims.len() == 2 { o.dims[1] } else { 1 };
+            let addrs = OutputAddressGen::new(dims, 0, row_width);
+            lanes.push(OutputLane {
+                array: o.array.clone(),
+                bram: BramModel::zeroed(o.dims.iter().product()),
+                remaining: addrs.total(),
+                addrs,
+                port,
+            });
+        }
+        Ok(lanes)
+    }
+
+    /// Stores still to come.
+    pub fn remaining(&self) -> u64 {
+        self.remaining
+    }
+
+    /// Retires one valid iteration: stores the value of this lane's
+    /// output port (read through `output`) at the next store address.
+    /// Returns whether a store happened (false once the lane is full).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError`] if the address generator runs dry early.
+    pub fn retire(&mut self, output: impl FnOnce(usize) -> i64) -> Result<bool, SystemError> {
+        if self.remaining == 0 {
+            return Ok(false);
+        }
+        let addr = self
+            .addrs
+            .next()
+            .ok_or_else(|| SystemError("output address underflow".into()))?;
+        self.bram.write(addr as usize, output(self.port));
+        self.remaining -= 1;
+        Ok(true)
+    }
+
+    /// Merges this lane's BRAM into `arrays[key]` (several writes of one
+    /// array land in one image; non-zero words win) and returns the
+    /// number of words written.
+    pub fn merge_into(&self, arrays: &mut HashMap<String, Vec<i64>>, key: &str) -> u64 {
+        let data = self.bram.data();
+        let entry = arrays
+            .entry(key.to_string())
+            .or_insert_with(|| vec![0; data.len()]);
+        for (i, &v) in data.iter().enumerate() {
+            if v != 0 {
+                if i >= entry.len() {
+                    entry.resize(i + 1, 0);
+                }
+                entry[i] = v;
+            }
+        }
+        self.bram.traffic().1
+    }
 }
 
 /// System-level configuration.
@@ -142,69 +421,29 @@ pub fn run_system_with_options(
     }
 
     // ----- input lanes ------------------------------------------------------
-    let ports = kernel.input_ports();
-    let port_index: HashMap<&str, usize> = ports
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _))| (n.as_str(), i))
-        .collect();
-
-    let mut lanes: Vec<InputLane> = Vec::new();
+    let mut lanes: Vec<BramFeed> = Vec::new();
     for w in &kernel.windows {
         let data = arrays
             .get(&w.array)
             .ok_or_else(|| SystemError(format!("missing input array `{}`", w.array)))?;
-        lanes.push(build_lane(kernel, w, data, &port_index)?);
+        lanes.push(BramFeed::new(WindowFeed::new(kernel, w)?, data));
     }
 
     // ----- scalar live-ins --------------------------------------------------
+    let ports = kernel.input_ports();
     let mut const_inputs: Vec<(usize, i64)> = Vec::new();
     for (name, _) in &kernel.scalar_inputs {
         let v = *scalars
             .get(name)
             .ok_or_else(|| SystemError(format!("missing scalar input `{name}`")))?;
-        const_inputs.push((port_index[name.as_str()], v));
+        let port = ports.iter().position(|(n, _)| n == name);
+        const_inputs.push((port.expect("scalar input is a port"), v));
     }
 
     // ----- output lanes -----------------------------------------------------
-    let out_ports = kernel.output_ports();
     let mut out_lanes: Vec<OutputLane> = Vec::new();
     for o in &kernel.outputs {
-        for wr in &o.writes {
-            let port = out_ports
-                .iter()
-                .position(|(n, _)| n == &wr.scalar)
-                .ok_or_else(|| SystemError(format!("no output port for `{}`", wr.scalar)))?;
-            let mut dims = Vec::new();
-            for (d, ai) in wr.index.iter().enumerate() {
-                let var = ai.var.as_ref().ok_or_else(|| {
-                    SystemError("constant store indices are not supported".into())
-                })?;
-                let ld = kernel
-                    .dims
-                    .iter()
-                    .find(|l| &l.var == var)
-                    .ok_or_else(|| SystemError(format!("store index var `{var}` unknown")))?;
-                dims.push(DimScan {
-                    start: ld.start + ai.offset,
-                    bound: ld.bound + ai.offset,
-                    step: ld.step,
-                    extent: 1,
-                });
-                let _ = d;
-            }
-            let row_width = if o.dims.len() == 2 { o.dims[1] } else { 1 };
-            let gen = OutputAddressGen::new(dims, 0, row_width);
-            let total = gen.total();
-            let size: usize = o.dims.iter().product();
-            out_lanes.push(OutputLane {
-                name: o.array.clone(),
-                bram: BramModel::zeroed(size),
-                addrs: gen,
-                port,
-                remaining: total,
-            });
-        }
+        out_lanes.extend(OutputLane::for_output(kernel, o)?);
     }
 
     // ----- main loop ----------------------------------------------------------
@@ -222,10 +461,12 @@ pub fn run_system_with_options(
     let safety = 16 * total_iters * ii + 4096;
     let mut drain = 0u32;
     let drain_needed = netlist.latency + 2;
+    let bus = options.bus_elems.max(1);
 
     // Run until every output array is written, all iterations have fired,
     // and the pipeline has drained (so feedback finals are settled).
-    while out_lanes.iter().any(|l| l.remaining > 0) || fired < total_iters || drain < drain_needed {
+    while out_lanes.iter().any(|l| l.remaining() > 0) || fired < total_iters || drain < drain_needed
+    {
         if fired >= total_iters {
             drain += 1;
         }
@@ -236,21 +477,9 @@ pub fn run_system_with_options(
             )));
         }
 
-        // 1. Memory data from last cycle lands in the smart buffers (the
-        //    whole bus beat arrives together).
+        // 1. Memory data from last cycle lands in the smart buffers.
         for lane in &mut lanes {
-            for (addr, v) in lane.bram.clock_all() {
-                match &mut lane.buffer {
-                    AnyBuffer::One(sb) => sb.push(addr as i64, v),
-                    AnyBuffer::Two(sb) => sb.push_flat(addr as i64, v),
-                }
-            }
-            if lane.staged.is_none() {
-                lane.staged = match &mut lane.buffer {
-                    AnyBuffer::One(sb) => sb.pop_window(),
-                    AnyBuffer::Two(sb) => sb.pop_window(),
-                };
-            }
+            lane.land();
         }
 
         // 2. Fire when every lane has a window and the cycle lands on the
@@ -258,50 +487,32 @@ pub fn run_system_with_options(
         //    `cycles - 1` times at this point).
         let all_ready = fired < total_iters
             && !lanes.is_empty()
-            && lanes.iter().all(|l| l.staged.is_some())
+            && lanes.iter().all(|l| l.feed.is_staged())
             && (cycles - 1).is_multiple_of(ii);
         args_buf.fill(0);
-        let valid = if all_ready {
+        if all_ready {
             for lane in &mut lanes {
-                let win = lane.staged.take().expect("all_ready");
-                for (slot, port) in &lane.port_map {
-                    args_buf[*port] = win[*slot];
-                }
+                lane.feed.fire_into(&mut args_buf);
             }
             for (port, v) in &const_inputs {
                 args_buf[*port] = *v;
             }
             fired += 1;
-            true
-        } else {
-            false
-        };
+        }
 
         // 3. Step the data path.
-        let out_valid = sim.step(&args_buf, valid)?;
+        let out_valid = sim.step(&args_buf, all_ready)?;
 
         // 4. Retire valid outputs.
         if out_valid {
             for lane in &mut out_lanes {
-                if lane.remaining > 0 {
-                    let addr = lane
-                        .addrs
-                        .next()
-                        .ok_or_else(|| SystemError("output address underflow".into()))?;
-                    lane.bram.write(addr as usize, sim.output(lane.port));
-                    lane.remaining -= 1;
-                }
+                lane.retire(|port| sim.output(port))?;
             }
         }
 
         // 5. Issue next input reads (one beat of `bus_elems` words).
         for lane in &mut lanes {
-            for _ in 0..options.bus_elems.max(1) {
-                match lane.addrs.next() {
-                    Some(a) => lane.bram.issue_read(a as usize),
-                    None => break,
-                }
-            }
+            lane.fetch(bus);
         }
     }
 
@@ -311,28 +522,9 @@ pub fn run_system_with_options(
         fired,
         ..SystemRun::default()
     };
-    for lane in &mut lanes {
-        let (r, _) = lane.bram.traffic();
-        result.mem_reads += r;
-    }
-    for lane in out_lanes {
-        let (_, w) = lane.bram.traffic();
-        result.mem_writes += w;
-        // Merge multi-port writes into one array image.
-        let entry = result
-            .arrays
-            .entry(lane.name.clone())
-            .or_insert_with(|| vec![0; lane.bram.len()]);
-        for (i, v) in lane.bram.data().iter().enumerate() {
-            if *v != 0 || entry.get(i) == Some(&0) {
-                if i >= entry.len() {
-                    entry.resize(i + 1, 0);
-                }
-                if *v != 0 {
-                    entry[i] = *v;
-                }
-            }
-        }
+    result.mem_reads = lanes.iter().map(BramFeed::reads).sum();
+    for lane in &out_lanes {
+        result.mem_writes += lane.merge_into(&mut result.arrays, &lane.array);
     }
     for name in &kernel.live_out {
         if let Some(v) = sim.feedback_value(name) {
@@ -341,96 +533,4 @@ pub fn run_system_with_options(
         }
     }
     Ok(result)
-}
-
-fn build_lane(
-    kernel: &Kernel,
-    w: &WindowSpec,
-    data: &[i64],
-    port_index: &HashMap<&str, usize>,
-) -> Result<InputLane, SystemError> {
-    let ndim = w
-        .reads
-        .first()
-        .map(|r| r.index.len())
-        .ok_or_else(|| SystemError(format!("window `{}` has no reads", w.array)))?;
-    let extent = w.extent();
-
-    // Loop dimension for each window dimension.
-    let mut scans = Vec::new();
-    let mut min_off = Vec::new();
-    for (d, ext) in extent.iter().enumerate().take(ndim) {
-        let var = w.reads[0].index[d]
-            .var
-            .clone()
-            .ok_or_else(|| SystemError("constant window dimensions unsupported".into()))?;
-        let ld = kernel
-            .dims
-            .iter()
-            .find(|l| l.var == var)
-            .ok_or_else(|| SystemError(format!("window index var `{var}` unknown")))?;
-        let mo = w.reads.iter().map(|r| r.index[d].offset).min().unwrap_or(0);
-        min_off.push(mo);
-        scans.push(DimScan {
-            start: ld.start + mo,
-            bound: ld.bound + mo,
-            step: ld.step,
-            extent: *ext,
-        });
-    }
-
-    // Port map: window slot (row-major in the extent box) → dp port.
-    let mut port_map = Vec::new();
-    for r in &w.reads {
-        let slot = match ndim {
-            1 => (r.index[0].offset - min_off[0]) as usize,
-            2 => {
-                let dr = (r.index[0].offset - min_off[0]) as usize;
-                let dc = (r.index[1].offset - min_off[1]) as usize;
-                dr * extent[1] + dc
-            }
-            n => return Err(SystemError(format!("{n}-dimensional windows unsupported"))),
-        };
-        let port = *port_index
-            .get(r.scalar.as_str())
-            .ok_or_else(|| SystemError(format!("no input port for `{}`", r.scalar)))?;
-        port_map.push((slot, port));
-    }
-
-    let (addrs, buffer): (Box<dyn Iterator<Item = i64>>, AnyBuffer) = match ndim {
-        1 => (
-            Box::new(AddressGen1d::new(scans[0])),
-            AnyBuffer::One(SmartBuffer1d::new(
-                extent[0],
-                scans[0].step as usize,
-                scans[0].start,
-            )),
-        ),
-        2 => {
-            let row_width = if w.dims.len() == 2 { w.dims[1] } else { 1 };
-            (
-                Box::new(AddressGen2d::new(scans[0], scans[1], row_width)),
-                AnyBuffer::Two(SmartBuffer2d::new(
-                    extent[0],
-                    extent[1],
-                    scans[0].step as usize,
-                    scans[1].step as usize,
-                    scans[0].start,
-                    scans[0].bound,
-                    scans[1].start,
-                    scans[1].bound,
-                    row_width,
-                )),
-            )
-        }
-        n => return Err(SystemError(format!("{n}-dimensional windows unsupported"))),
-    };
-
-    Ok(InputLane {
-        bram: BramModel::new(data.to_vec()),
-        addrs,
-        buffer,
-        port_map,
-        staged: None,
-    })
 }

@@ -17,6 +17,10 @@
 //!    addresses) and external output BRAMs;
 //! 5. **fetch** — external input BRAM reads are issued for next cycle.
 //!
+//! Input windows and external outputs are the single-kernel system
+//! simulation's own [`WindowFeed`], [`BramFeed`] and [`OutputLane`], so
+//! windows stage identically in both drivers.
+//!
 //! The run ends when every stage has fired all its iterations, every
 //! external output is fully written and every channel is drained. If no
 //! stage makes progress for longer than the deepest pipeline could
@@ -27,11 +31,8 @@
 use crate::fifo::ChannelFifo;
 use crate::rate::output_addr_gens;
 use crate::{CompiledPipeline, StreamError};
-use roccc_buffers::addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
-use roccc_buffers::bram::BramModel;
-use roccc_buffers::smart::{SmartBuffer1d, SmartBuffer2d};
-use roccc_hlir::kernel::{Kernel, WindowSpec};
-use roccc_netlist::{BatchedSim, SimPlan};
+use roccc_buffers::addr::OutputAddressGen;
+use roccc_netlist::{BatchedSim, BramFeed, OutputLane, SimPlan, SystemError, WindowFeed};
 use std::collections::HashMap;
 
 /// Per-stage counters of one co-simulation.
@@ -75,29 +76,10 @@ impl CosimRun {
     }
 }
 
-enum AnyBuffer {
-    One(SmartBuffer1d),
-    Two(SmartBuffer2d),
-}
-
-/// An input window fed from an external array through a BRAM model.
-struct ExtInLane {
-    bram: BramModel,
-    addrs: Box<dyn Iterator<Item = i64>>,
-    buffer: AnyBuffer,
-    port_map: Vec<(usize, usize)>,
-    staged: Option<Vec<i64>>,
-}
-
 /// An input window fed from a channel.
 struct FifoInLane {
     chan: usize,
-    /// Needed flat addresses, increasing; `None` once exhausted.
-    next_needed: Option<i64>,
-    addrs: Box<dyn Iterator<Item = i64>>,
-    buffer: AnyBuffer,
-    port_map: Vec<(usize, usize)>,
-    staged: Option<Vec<i64>>,
+    feed: WindowFeed,
 }
 
 /// An output array streamed into a channel.
@@ -108,21 +90,12 @@ struct ChanOutLane {
     remaining: u64,
 }
 
-/// An output array retired into an external BRAM.
-struct ExtOutLane {
-    key: String,
-    bram: BramModel,
-    addrs: OutputAddressGen,
-    port: usize,
-    remaining: u64,
-}
-
 /// All per-lane state of one stage.
 struct StageLane {
-    ext_in: Vec<ExtInLane>,
+    ext_in: Vec<BramFeed>,
     fifo_in: Vec<FifoInLane>,
     chan_out: Vec<ChanOutLane>,
-    ext_out: Vec<ExtOutLane>,
+    ext_out: Vec<OutputLane>,
     fired: u64,
 }
 
@@ -132,124 +105,11 @@ fn lookup<'m, T>(map: &'m HashMap<String, T>, stage: &str, name: &str) -> Option
         .or_else(|| map.get(name))
 }
 
-fn window_scans(kernel: &Kernel, w: &WindowSpec) -> Result<Vec<DimScan>, StreamError> {
-    let ndim = w
-        .reads
-        .first()
-        .map(|r| r.index.len())
-        .ok_or_else(|| StreamError::Sim(format!("window `{}` has no reads", w.array)))?;
-    if ndim > 2 {
-        return Err(StreamError::Sim(format!(
-            "{ndim}-dimensional windows unsupported"
-        )));
-    }
-    let extent = w.extent();
-    let mut scans = Vec::new();
-    for (d, ext) in extent.iter().enumerate().take(ndim) {
-        let var = w.reads[0].index[d]
-            .var
-            .clone()
-            .ok_or_else(|| StreamError::Sim("constant window dimensions unsupported".into()))?;
-        let ld = kernel
-            .dims
-            .iter()
-            .find(|l| l.var == var)
-            .ok_or_else(|| StreamError::Sim(format!("window index var `{var}` unknown")))?;
-        let mo = w.reads.iter().map(|r| r.index[d].offset).min().unwrap_or(0);
-        scans.push(DimScan {
-            start: ld.start + mo,
-            bound: ld.bound + mo,
-            step: ld.step,
-            extent: *ext,
-        });
-    }
-    Ok(scans)
-}
-
-/// Address iterator + smart buffer + `(window slot, data-path port)`
-/// map for one input window.
-type WindowPlumbing = (
-    Box<dyn Iterator<Item = i64>>,
-    AnyBuffer,
-    Vec<(usize, usize)>,
-);
-
-/// Builds the `(window slot, data-path port)` map and the smart buffer +
-/// address iterator for one window (mirrors the single-kernel system
-/// simulation so windows stage identically).
-fn window_plumbing(
-    kernel: &Kernel,
-    w: &WindowSpec,
-    port_index: &HashMap<&str, usize>,
-) -> Result<WindowPlumbing, StreamError> {
-    let scans = window_scans(kernel, w)?;
-    let ndim = scans.len();
-    let extent = w.extent();
-    let mut min_off = Vec::new();
-    for d in 0..ndim {
-        min_off.push(w.reads.iter().map(|r| r.index[d].offset).min().unwrap_or(0));
-    }
-    let mut port_map = Vec::new();
-    for r in &w.reads {
-        let slot = match ndim {
-            1 => (r.index[0].offset - min_off[0]) as usize,
-            _ => {
-                let dr = (r.index[0].offset - min_off[0]) as usize;
-                let dc = (r.index[1].offset - min_off[1]) as usize;
-                dr * extent[1] + dc
-            }
-        };
-        let port = *port_index
-            .get(r.scalar.as_str())
-            .ok_or_else(|| StreamError::Sim(format!("no input port for `{}`", r.scalar)))?;
-        port_map.push((slot, port));
-    }
-    let (addrs, buffer): (Box<dyn Iterator<Item = i64>>, AnyBuffer) = match ndim {
-        1 => (
-            Box::new(AddressGen1d::new(scans[0])),
-            AnyBuffer::One(SmartBuffer1d::new(
-                extent[0],
-                scans[0].step as usize,
-                scans[0].start,
-            )),
-        ),
-        _ => {
-            let row_width = if w.dims.len() == 2 { w.dims[1] } else { 1 };
-            (
-                Box::new(AddressGen2d::new(scans[0], scans[1], row_width)),
-                AnyBuffer::Two(SmartBuffer2d::new(
-                    extent[0],
-                    extent[1],
-                    scans[0].step as usize,
-                    scans[1].step as usize,
-                    scans[0].start,
-                    scans[0].bound,
-                    scans[1].start,
-                    scans[1].bound,
-                    row_width,
-                )),
-            )
-        }
-    };
-    Ok((addrs, buffer, port_map))
-}
-
-fn push_into(buffer: &mut AnyBuffer, addr: i64, v: i64) {
-    match buffer {
-        AnyBuffer::One(sb) => sb.push(addr, v),
-        AnyBuffer::Two(sb) => sb.push_flat(addr, v),
-    }
-}
-
-fn stage_window(buffer: &mut AnyBuffer) -> Option<Vec<i64>> {
-    match buffer {
-        AnyBuffer::One(sb) => sb.pop_window(),
-        AnyBuffer::Two(sb) => sb.pop_window(),
-    }
+fn sim_err(e: SystemError) -> StreamError {
+    StreamError::Sim(e.0)
 }
 
 /// Builds one stage's per-lane plumbing.
-#[allow(clippy::too_many_arguments)]
 fn build_stage_lane(
     cp: &CompiledPipeline,
     si: usize,
@@ -257,13 +117,6 @@ fn build_stage_lane(
 ) -> Result<StageLane, StreamError> {
     let stage = &cp.stages[si];
     let kernel = &stage.compiled.kernel;
-    let ports = kernel.input_ports();
-    let port_index: HashMap<&str, usize> = ports
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _))| (n.as_str(), i))
-        .collect();
-
     let mut ext_in = Vec::new();
     let mut fifo_in = Vec::new();
     for w in &kernel.windows {
@@ -271,19 +124,9 @@ fn build_stage_lane(
             .channels
             .iter()
             .position(|c| c.to_stage == si && c.to_array == w.array);
-        let (mut addrs, buffer, port_map) = window_plumbing(kernel, w, &port_index)?;
+        let feed = WindowFeed::new(kernel, w).map_err(sim_err)?;
         match chan {
-            Some(ci) => {
-                let next_needed = addrs.next();
-                fifo_in.push(FifoInLane {
-                    chan: ci,
-                    next_needed,
-                    addrs,
-                    buffer,
-                    port_map,
-                    staged: None,
-                });
-            }
+            Some(chan) => fifo_in.push(FifoInLane { chan, feed }),
             None => {
                 let data = lookup(inputs, &stage.name, &w.array).ok_or_else(|| {
                     StreamError::Sim(format!(
@@ -300,13 +143,7 @@ fn build_stage_lane(
                         data.len()
                     )));
                 }
-                ext_in.push(ExtInLane {
-                    bram: BramModel::new(data.clone()),
-                    addrs,
-                    buffer,
-                    port_map,
-                    staged: None,
-                });
+                ext_in.push(BramFeed::new(feed, data));
             }
         }
     }
@@ -339,43 +176,7 @@ fn build_stage_lane(
                     remaining,
                 });
             }
-            None => {
-                // One BRAM lane per write, exactly like `run_system`.
-                for wr in &o.writes {
-                    let port = out_ports
-                        .iter()
-                        .position(|(n, _)| n == &wr.scalar)
-                        .ok_or_else(|| {
-                            StreamError::Sim(format!("no output port for `{}`", wr.scalar))
-                        })?;
-                    let mut dims = Vec::new();
-                    for ai in &wr.index {
-                        let var = ai.var.as_ref().ok_or_else(|| {
-                            StreamError::Sim("constant store indices are not supported".into())
-                        })?;
-                        let ld = kernel.dims.iter().find(|l| &l.var == var).ok_or_else(|| {
-                            StreamError::Sim(format!("store index var `{var}` unknown"))
-                        })?;
-                        dims.push(DimScan {
-                            start: ld.start + ai.offset,
-                            bound: ld.bound + ai.offset,
-                            step: ld.step,
-                            extent: 1,
-                        });
-                    }
-                    let row_width = if o.dims.len() == 2 { o.dims[1] } else { 1 };
-                    let gen = OutputAddressGen::new(dims, 0, row_width);
-                    let total = gen.total();
-                    let size: usize = o.dims.iter().product();
-                    ext_out.push(ExtOutLane {
-                        key: format!("{}.{}", stage.name, o.array),
-                        bram: BramModel::zeroed(size),
-                        addrs: gen,
-                        port,
-                        remaining: total,
-                    });
-                }
-            }
+            None => ext_out.extend(OutputLane::for_output(kernel, o).map_err(sim_err)?),
         }
     }
 
@@ -497,7 +298,7 @@ pub fn run_cosim(
         let all_done = stage_lanes.iter().enumerate().all(|(si, per_lane)| {
             per_lane.iter().all(|sl| {
                 sl.fired >= totals[si]
-                    && sl.ext_out.iter().all(|o| o.remaining == 0)
+                    && sl.ext_out.iter().all(|o| o.remaining() == 0)
                     && sl.chan_out.iter().all(|o| o.remaining == 0)
             })
         }) && fifos.iter().flatten().all(ChannelFifo::drained);
@@ -525,35 +326,24 @@ pub fn run_cosim(
                 // spend hundreds of cycles filling before the first
                 // firing, and that must not read as a deadlock.
                 for lane in &mut sl.ext_in {
-                    for (addr, v) in lane.bram.clock_all() {
-                        push_into(&mut lane.buffer, addr as i64, v);
-                        progress = true;
-                    }
-                    if lane.staged.is_none() {
-                        lane.staged = stage_window(&mut lane.buffer);
-                    }
+                    progress |= lane.land();
                 }
                 for lane in &mut sl.fifo_in {
                     let fifo = &mut fifos[lane.chan][l];
                     for _ in 0..bus {
                         let Some((addr, v)) = fifo.pop() else { break };
                         progress = true;
-                        if lane.next_needed == Some(addr as i64) {
-                            push_into(&mut lane.buffer, addr as i64, v);
-                            lane.next_needed = lane.addrs.next();
-                        }
                         // Unneeded addresses are popped and discarded so
                         // the producer can always finish its stream.
+                        lane.feed.offer(addr as i64, v);
                     }
-                    if lane.staged.is_none() {
-                        lane.staged = stage_window(&mut lane.buffer);
-                    }
+                    lane.feed.stage();
                 }
 
                 // 2. Fire decision (inputs staged + output credit).
                 let work_left = sl.fired < totals[si];
-                let inputs_ready = sl.ext_in.iter().all(|x| x.staged.is_some())
-                    && sl.fifo_in.iter().all(|x| x.staged.is_some())
+                let inputs_ready = sl.ext_in.iter().all(|x| x.feed.is_staged())
+                    && sl.fifo_in.iter().all(|x| x.feed.is_staged())
                     && (!sl.ext_in.is_empty() || !sl.fifo_in.is_empty());
                 let credit = sl
                     .chan_out
@@ -566,20 +356,15 @@ pub fn run_cosim(
                     } else if !credit {
                         stats[si].stall_cycles += 1;
                     } else {
+                        let row = &mut args[l * num_inputs..(l + 1) * num_inputs];
                         for lane in &mut sl.ext_in {
-                            let win = lane.staged.take().expect("staged");
-                            for (slot, port) in &lane.port_map {
-                                args[l * num_inputs + *port] = win[*slot];
-                            }
+                            lane.feed.fire_into(row);
                         }
                         for lane in &mut sl.fifo_in {
-                            let win = lane.staged.take().expect("staged");
-                            for (slot, port) in &lane.port_map {
-                                args[l * num_inputs + *port] = win[*slot];
-                            }
+                            lane.feed.fire_into(row);
                         }
                         for (port, v) in &const_inputs[si] {
-                            args[l * num_inputs + *port] = *v;
+                            row[*port] = *v;
                         }
                         for o in &sl.chan_out {
                             fifos[o.chan][l].reserve(o.ports.len());
@@ -617,28 +402,16 @@ pub fn run_cosim(
                     progress = true;
                 }
                 for o in &mut sl.ext_out {
-                    if o.remaining == 0 {
-                        continue;
-                    }
-                    let addr = o
-                        .addrs
-                        .next()
-                        .ok_or_else(|| StreamError::Sim("output address underflow".into()))?;
-                    o.bram.write(addr as usize, sims[si].output_lane(o.port, l));
-                    o.remaining -= 1;
-                    progress = true;
+                    progress |= o
+                        .retire(|port| sims[si].output_lane(port, l))
+                        .map_err(sim_err)?;
                 }
             }
 
             // 5. Issue next external reads.
             for sl in &mut stage_lanes[si] {
                 for lane in &mut sl.ext_in {
-                    for _ in 0..bus {
-                        match lane.addrs.next() {
-                            Some(a) => lane.bram.issue_read(a as usize),
-                            None => break,
-                        }
-                    }
+                    lane.fetch(bus);
                 }
             }
         }
@@ -680,19 +453,10 @@ pub fn run_cosim(
     let mut mem_writes = 0u64;
     for l in 0..lanes {
         let mut arrays: HashMap<String, Vec<i64>> = HashMap::new();
-        for per_lane in &mut stage_lanes {
-            let sl = &mut per_lane[l];
-            for o in &mut sl.ext_out {
-                let (_, w) = o.bram.traffic();
-                mem_writes += w;
-                let entry = arrays
-                    .entry(o.key.clone())
-                    .or_insert_with(|| vec![0; o.bram.len()]);
-                for (i, v) in o.bram.data().iter().enumerate() {
-                    if *v != 0 {
-                        entry[i] = *v;
-                    }
-                }
+        for (stage, per_lane) in cp.stages.iter().zip(&stage_lanes) {
+            for o in &per_lane[l].ext_out {
+                let key = format!("{}.{}", stage.name, o.array);
+                mem_writes += o.merge_into(&mut arrays, &key);
             }
         }
         lane_arrays.push(arrays);

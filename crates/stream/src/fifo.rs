@@ -12,8 +12,12 @@
 //! commit for free as zeros, matching the zero-initialized output BRAM
 //! of the single-kernel system simulation — chained goldens stay
 //! bit-exact.
+//!
+//! Landed values live in a deque indexed from the read pointer, so the
+//! channel's memory follows the live span `read_ptr..` up to the highest
+//! landed address, not the whole address space.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// One bounded stage-to-stage channel.
 #[derive(Debug, Clone)]
@@ -25,8 +29,11 @@ pub struct ChannelFifo {
     /// `write_mask[a]` — whether the producer ever writes flat address
     /// `a`; unwritten addresses commit as zeros without a slot.
     write_mask: Vec<bool>,
-    /// Landed-but-possibly-uncommitted values by flat address.
-    store: HashMap<usize, i64>,
+    /// `store[k]` holds the value landed at flat address `read_ptr + k`,
+    /// if any (uncommitted or committed-but-unpopped).
+    store: VecDeque<Option<i64>>,
+    /// Landed values in `store`.
+    stored: usize,
     /// Next flat address to commit (everything below is consumable).
     commit_ptr: usize,
     /// Next flat address the consumer will pop.
@@ -49,7 +56,8 @@ impl ChannelFifo {
             depth,
             len,
             write_mask,
-            store: HashMap::new(),
+            store: VecDeque::new(),
+            stored: 0,
             commit_ptr: 0,
             read_ptr: 0,
             reserved: 0,
@@ -61,7 +69,7 @@ impl ChannelFifo {
 
     /// Occupied slots: reserved + stored-but-unpopped.
     pub fn occupancy(&self) -> usize {
-        self.reserved + self.store.len()
+        self.reserved + self.stored
     }
 
     /// Peak occupancy observed so far.
@@ -90,13 +98,21 @@ impl ChannelFifo {
     ///
     /// # Panics
     ///
-    /// Panics if nothing was reserved or the address is out of range —
-    /// both indicate a co-simulation engine bug, not a user error.
+    /// Panics if nothing was reserved, the address is out of range or
+    /// already popped — each indicates a co-simulation engine bug, not a
+    /// user error.
     pub fn push(&mut self, addr: usize, value: i64) {
         assert!(self.reserved > 0, "push without reservation");
         assert!(addr < self.len, "address {addr} outside 0..{}", self.len);
+        assert!(addr >= self.read_ptr, "address {addr} already popped");
         self.reserved -= 1;
-        self.store.insert(addr, value);
+        let k = addr - self.read_ptr;
+        if k >= self.store.len() {
+            self.store.resize(k + 1, None);
+        }
+        if self.store[k].replace(value).is_none() {
+            self.stored += 1;
+        }
         self.advance_commit();
     }
 
@@ -121,8 +137,9 @@ impl ChannelFifo {
         }
         let addr = self.read_ptr;
         self.read_ptr += 1;
-        let v = self.store.remove(&addr).unwrap_or(0);
-        Some((addr, v))
+        let v = self.store.pop_front().flatten();
+        self.stored -= usize::from(v.is_some());
+        Some((addr, v.unwrap_or(0)))
     }
 
     /// Whether the consumer has drained the whole address space.
@@ -134,7 +151,11 @@ impl ChannelFifo {
     /// address.
     fn advance_commit(&mut self) {
         while self.commit_ptr < self.len
-            && (!self.write_mask[self.commit_ptr] || self.store.contains_key(&self.commit_ptr))
+            && (!self.write_mask[self.commit_ptr]
+                || matches!(
+                    self.store.get(self.commit_ptr - self.read_ptr),
+                    Some(Some(_))
+                ))
         {
             self.commit_ptr += 1;
         }

@@ -9,7 +9,7 @@
 //! netlist verifier.
 
 use roccc_verify::{Diagnostic, Loc, Phase};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn warn(code: &'static str, msg: String) -> Diagnostic {
     Diagnostic::warning(Phase::Vhdl, code, Loc::None, msg)
@@ -17,14 +17,17 @@ fn warn(code: &'static str, msg: String) -> Diagnostic {
 
 #[derive(Debug, Default)]
 struct EntityInfo {
-    in_ports: HashSet<String>,
-    out_ports: HashSet<String>,
-    signals: HashSet<String>,
-    assigned: HashSet<String>,
+    in_ports: BTreeSet<String>,
+    out_ports: BTreeSet<String>,
+    signals: BTreeSet<String>,
+    assigned: BTreeSet<String>,
     instances: Vec<(String, Vec<String>)>, // (entity, formals)
 }
 
-/// Checks the generated VHDL text. Returns all findings (empty = clean).
+/// Checks the generated VHDL text. Returns all findings (empty = clean),
+/// in one order for a given text: the count check, then entity by
+/// entity in name order — its `V001` and `V002` findings sorted by name,
+/// then its instance findings in text order.
 ///
 /// * `V001-unbound-signal` — an assignment target that is neither a
 ///   declared signal nor an output port;
@@ -36,7 +39,7 @@ struct EntityInfo {
 /// * `V005-arch-mismatch` — entity/architecture count imbalance.
 pub fn lint(text: &str) -> Vec<Diagnostic> {
     let mut errors = Vec::new();
-    let mut entities: HashMap<String, EntityInfo> = HashMap::new();
+    let mut entities: BTreeMap<String, EntityInfo> = BTreeMap::new();
     let mut current: Option<String> = None;
     let mut entity_count = 0usize;
     let mut arch_count = 0usize;
@@ -255,6 +258,44 @@ mod tests {
             errs.iter().any(|e| e.code == "V003-unknown-entity"),
             "{errs:?}"
         );
+    }
+
+    #[test]
+    fn findings_come_out_in_the_same_order_every_call() {
+        let text = "entity b is\nport (\n  p : out unsigned(7 downto 0);\n  \
+                    q : out unsigned(7 downto 0);\n);\nend entity;\n\
+                    architecture rtl of b is\nbegin\n  h <= 1;\nend architecture;\n\
+                    entity a is\nport (\n  x : in  unsigned(7 downto 0);\n  \
+                    z : out unsigned(7 downto 0);\n  y : out unsigned(7 downto 0);\n);\n\
+                    end entity;\narchitecture rtl of a is\nbegin\n  g2 <= x;\n  \
+                    g1 <= x;\nend architecture;\n";
+        let first = lint(text);
+        let listed: Vec<(&str, &str)> =
+            first.iter().map(|d| (d.code, d.message.as_str())).collect();
+        assert_eq!(
+            listed,
+            [
+                (
+                    "V001-unbound-signal",
+                    "entity a: assignment to undeclared `g1`"
+                ),
+                (
+                    "V001-unbound-signal",
+                    "entity a: assignment to undeclared `g2`"
+                ),
+                ("V002-undriven-output", "entity a: output `y` never driven"),
+                ("V002-undriven-output", "entity a: output `z` never driven"),
+                (
+                    "V001-unbound-signal",
+                    "entity b: assignment to undeclared `h`"
+                ),
+                ("V002-undriven-output", "entity b: output `p` never driven"),
+                ("V002-undriven-output", "entity b: output `q` never driven"),
+            ]
+        );
+        for _ in 0..50 {
+            assert_eq!(lint(text), first);
+        }
     }
 
     #[test]

@@ -337,6 +337,15 @@ grep -q '"benchmark": "stream-pipeline"' "${stream_out}" \
   || { echo "bench_stream smoke: bad JSON" >&2; exit 1; }
 grep -q '"overlap_speedup"' "${stream_out}" \
   || { echo "bench_stream smoke: missing overlap_speedup" >&2; exit 1; }
+# The full wavelet | threshold | encode pipeline must reproduce every
+# cycle, firing, stall, starve, depth and peak figure of the committed
+# artifact; only the wall-clock fields may differ.
+cargo run --release -p roccc-bench --bin bench_stream -- \
+  --out "${stream_out}" >/dev/null
+if ! diff <(grep -v '"wall_' BENCH_stream.json) <(grep -v '"wall_' "${stream_out}") >&2; then
+  echo "bench_stream: pipeline figures drifted from BENCH_stream.json" >&2
+  exit 1
+fi
 rm -f "${stream_out}"
 
 echo "==> batched-sim differential smoke"
