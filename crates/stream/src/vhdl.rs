@@ -18,10 +18,11 @@
 //! instance input is mapped (`V004`), every assignment target is
 //! declared (`V001`) and entity/architecture counts balance (`V005`).
 
-use crate::CompiledPipeline;
+use crate::{Channel, CompiledPipeline};
 use roccc_cparse::types::IntType;
-use roccc_vhdl::ast::header;
-use roccc_vhdl::{generate_vhdl, Entity, Port, PortDir, Signal, Stmt, VhdlType};
+use roccc_vhdl::writer::{Entity, PortDir, VhdlType, VhdlWriter};
+use roccc_vhdl::{write_vhdl, Names};
+use std::fmt::Display;
 
 /// Lowercases `s` and replaces everything outside `[a-z0-9]` with `_`
 /// so spec-derived names are legal VHDL identifiers.
@@ -41,180 +42,103 @@ fn sanitize(s: &str) -> String {
     out
 }
 
+/// The element type a channel carries: its producer's output array's.
+fn channel_elem(cp: &CompiledPipeline, c: &Channel) -> IntType {
+    cp.stages[c.from_stage]
+        .compiled
+        .kernel
+        .outputs
+        .iter()
+        .find(|o| o.array == c.from_array)
+        .map(|o| o.elem)
+        .unwrap_or(IntType {
+            signed: true,
+            bits: 32,
+        })
+}
+
 /// Behavioral FIFO shell with the channel's depth and width baked in.
-fn fifo_entity(name: &str, elem: IntType, depth: usize, len: usize, burst: usize) -> Entity {
+fn fifo_entity(w: &mut VhdlWriter, name: impl Display, elem: IntType, c: &Channel) {
     let data = VhdlType::vector(elem.signed, elem.bits);
-    let mut e = Entity::new(name);
+    let mut e = w.entity(name);
     for p in ["clk", "we", "re"] {
-        e.ports.push(Port {
-            name: p.into(),
-            dir: PortDir::In,
-            ty: VhdlType::StdLogic,
-        });
+        e.port(p, PortDir::In, VhdlType::StdLogic);
     }
-    e.ports.push(Port {
-        name: "din".into(),
-        dir: PortDir::In,
-        ty: data.clone(),
-    });
-    e.ports.push(Port {
-        name: "dout".into(),
-        dir: PortDir::Out,
-        ty: data.clone(),
-    });
+    e.port("din", PortDir::In, data);
+    e.port("dout", PortDir::Out, data);
     for p in ["empty", "full"] {
-        e.ports.push(Port {
-            name: p.into(),
-            dir: PortDir::Out,
-            ty: VhdlType::StdLogic,
-        });
+        e.port(p, PortDir::Out, VhdlType::StdLogic);
     }
-    e.stmts.push(Stmt::Comment(format!(
-        "behavioral FIFO shell: depth {depth} over a {len}-element stream, \
-         burst {burst}; the level counter nets re-decrements at synthesis"
-    )));
-    e.signals.push(Signal {
-        name: "head".into(),
-        ty: data,
+    e.comment(format_args!(
+        "behavioral FIFO shell: depth {} over a {}-element stream, \
+         burst {}; the level counter nets re-decrements at synthesis",
+        c.depth, c.len, c.burst
+    ));
+    e.signal("head", data);
+    e.signal("level", VhdlType::Unsigned(16));
+    e.process("store", Some(&"we"), |p| {
+        p.latch("head", "din");
+        p.latch("level", "level + 1");
     });
-    e.signals.push(Signal {
-        name: "level".into(),
-        ty: VhdlType::Unsigned(16),
-    });
-    e.stmts.push(Stmt::Process {
-        label: "store".into(),
-        enable: Some("we".into()),
-        assigns: vec![
-            ("head".into(), "din".into()),
-            ("level".into(), "level + 1".into()),
-        ],
-    });
-    e.stmts.push(Stmt::Assign {
-        target: "dout".into(),
-        expr: "head".into(),
-    });
-    e.stmts.push(Stmt::Assign {
-        target: "empty".into(),
-        expr: "'1' when level = to_unsigned(0, 16) else '0'".into(),
-    });
-    e.stmts.push(Stmt::Assign {
-        target: "full".into(),
-        expr: format!("'1' when level >= to_unsigned({depth}, 16) else '0'"),
-    });
-    e
+    e.assign("dout", "head");
+    e.assign("empty", "'1' when level = to_unsigned(0, 16) else '0'");
+    e.assign(
+        "full",
+        format_args!("'1' when level >= to_unsigned({}, 16) else '0'", c.depth),
+    );
+    e.end();
 }
 
 /// Generates the whole-pipeline VHDL: every stage's single-kernel text,
 /// the per-channel FIFO entities, and the structural top level wiring
 /// them together.
 pub fn generate_pipeline_vhdl(cp: &CompiledPipeline) -> String {
-    let mut out = String::new();
+    let mut w = VhdlWriter::default();
     for st in &cp.stages {
-        out.push_str(&generate_vhdl(&st.compiled.kernel, &st.compiled.datapath));
+        write_vhdl(&mut w, &st.compiled.kernel, &st.compiled.datapath);
     }
 
     let pname = sanitize(&cp.spec.name);
-    out.push_str(&header());
+    w.header();
 
     // One FIFO entity per channel, width from the producer's element type.
-    let mut fifo_names = Vec::with_capacity(cp.channels.len());
     for (i, c) in cp.channels.iter().enumerate() {
-        let elem = cp.stages[c.from_stage]
-            .compiled
-            .kernel
-            .outputs
-            .iter()
-            .find(|o| o.array == c.from_array)
-            .map(|o| o.elem)
-            .unwrap_or(IntType {
-                signed: true,
-                bits: 32,
-            });
-        let name = format!("{pname}_fifo{i}");
-        out.push_str(&fifo_entity(&name, elem, c.depth, c.len, c.burst).render());
-        fifo_names.push(name);
+        fifo_entity(
+            &mut w,
+            format_args!("{pname}_fifo{i}"),
+            channel_elem(cp, c),
+            c,
+        );
     }
 
-    out.push_str(&top_level(cp, &pname, &fifo_names).render());
-    out
+    top_level(&mut w, cp, &pname);
+    w.finish()
 }
 
 /// The `{name}_pipeline` structural top.
-fn top_level(cp: &CompiledPipeline, pname: &str, fifo_names: &[String]) -> Entity {
-    let mut e = Entity::new(format!("{pname}_pipeline"));
-    e.ports.push(Port {
-        name: "clk".into(),
-        dir: PortDir::In,
-        ty: VhdlType::StdLogic,
-    });
-    e.ports.push(Port {
-        name: "ivalid".into(),
-        dir: PortDir::In,
-        ty: VhdlType::StdLogic,
-    });
-    e.ports.push(Port {
-        name: "ovalid".into(),
-        dir: PortDir::Out,
-        ty: VhdlType::StdLogic,
-    });
-    e.stmts.push(Stmt::Comment(format!(
+fn top_level(w: &mut VhdlWriter, cp: &CompiledPipeline, pname: &str) {
+    let mut e = w.entity(format_args!("{pname}_pipeline"));
+    e.port("clk", PortDir::In, VhdlType::StdLogic);
+    e.port("ivalid", PortDir::In, VhdlType::StdLogic);
+    e.port("ovalid", PortDir::Out, VhdlType::StdLogic);
+    e.comment(format_args!(
         "process network `{}`: {} stage(s), {} channel(s)",
         cp.spec.name,
         cp.stages.len(),
         cp.channels.len()
-    )));
+    ));
 
-    // Channel plumbing signals.
-    for (i, c) in cp.channels.iter().enumerate() {
-        let elem = cp.stages[c.from_stage]
-            .compiled
-            .kernel
-            .outputs
-            .iter()
-            .find(|o| o.array == c.from_array)
-            .map(|o| o.elem)
-            .unwrap_or(IntType {
-                signed: true,
-                bits: 32,
-            });
-        let data = VhdlType::vector(elem.signed, elem.bits);
-        e.signals.push(Signal {
-            name: format!("ch{i}_din"),
-            ty: data.clone(),
-        });
-        e.signals.push(Signal {
-            name: format!("ch{i}_dout"),
-            ty: data,
-        });
-        for suffix in ["re", "empty", "full"] {
-            e.signals.push(Signal {
-                name: format!("ch{i}_{suffix}"),
-                ty: VhdlType::StdLogic,
-            });
-        }
-    }
-
-    // Per-stage valid and start signals.
-    for st in &cp.stages {
-        let sn = sanitize(&st.name);
-        e.signals.push(Signal {
-            name: format!("{sn}_ovalid"),
-            ty: VhdlType::StdLogic,
-        });
-        e.signals.push(Signal {
-            name: format!("{sn}_ivalid"),
-            ty: VhdlType::StdLogic,
-        });
-    }
-
-    // Stage instances.
+    // Stage instances. Unbound stage ports become pipeline-level ports,
+    // declared as they are found.
+    let mut exported: Vec<String> = Vec::new();
     for (si, st) in cp.stages.iter().enumerate() {
         let sn = sanitize(&st.name);
         let kernel = &st.compiled.kernel;
         let dp = &st.compiled.datapath;
+        let names = Names::new(dp);
 
         // Incoming channels feeding this stage, keyed by consumed array.
-        let incoming: Vec<(usize, &crate::Channel)> = cp
+        let incoming: Vec<(usize, &Channel)> = cp
             .channels
             .iter()
             .enumerate()
@@ -231,132 +155,124 @@ fn top_level(cp: &CompiledPipeline, pname: &str, fifo_names: &[String]) -> Entit
                 .collect();
             terms.join(" and ")
         };
-        e.stmts.push(Stmt::Assign {
-            target: format!("{sn}_ivalid"),
-            expr: iv_expr,
-        });
-
-        let mut map: Vec<(String, String)> = vec![
-            ("clk".into(), "clk".into()),
-            ("ivalid".into(), format!("{sn}_ivalid")),
-            ("ovalid".into(), format!("{sn}_ovalid")),
-        ];
+        e.assign(format_args!("{sn}_ivalid"), iv_expr);
 
         // Every data-path input port: channel-fed window taps read the
         // channel data bus; everything else becomes pipeline-level I/O.
-        for (n, t) in &dp.inputs {
-            let port = format!("in_{}", n.to_lowercase());
+        let mut actuals = Vec::with_capacity(dp.inputs.len() + dp.outputs.len());
+        for ((n, t), id) in dp.inputs.iter().zip(&names.inputs) {
             let window = kernel
                 .windows
                 .iter()
                 .find(|w| w.reads.iter().any(|r| r.scalar == *n));
-            let actual = match window {
+            actuals.push(match window {
                 Some(w) => match incoming.iter().find(|(_, c)| c.to_array == w.array) {
                     Some((i, _)) => format!("ch{i}_dout"),
-                    None => external_in(&mut e, &sn, &w.array, w.elem),
+                    None => {
+                        let port = format!("in_{sn}_{}", sanitize(&w.array));
+                        external(&mut e, &mut exported, port, PortDir::In, w.elem)
+                    }
                 },
-                None => external_in(&mut e, &sn, n.as_str(), *t),
-            };
-            map.push((port, actual));
+                None => {
+                    let port = format!("in_{sn}_{}", sanitize(id));
+                    external(&mut e, &mut exported, port, PortDir::In, *t)
+                }
+            });
         }
 
         // Every output port: channel-bound scalars drive the channel data
         // bus (bursts serialize behaviorally), the rest exports.
         let mut chan_driven: Vec<usize> = Vec::new();
-        for out in &dp.outputs {
-            let port = format!("out_{}", out.name.to_lowercase());
-            let spec = kernel
+        for (out, id) in dp.outputs.iter().zip(&names.outputs) {
+            let channel = kernel
                 .outputs
                 .iter()
-                .find(|o| o.writes.iter().any(|w| w.scalar == out.name));
-            let actual = match spec {
-                Some(o) => {
-                    match cp
-                        .channels
+                .find(|o| o.writes.iter().any(|w| w.scalar == out.name))
+                .and_then(|o| {
+                    cp.channels
                         .iter()
-                        .enumerate()
-                        .find(|(_, c)| c.from_stage == si && c.from_array == o.array)
-                    {
-                        Some((i, _)) => {
-                            if chan_driven.contains(&i) {
-                                // Later burst elements of the same channel:
-                                // open actual; the behavioral serializer in
-                                // the FIFO shell multiplexes the burst.
-                                "open".to_string()
-                            } else {
-                                chan_driven.push(i);
-                                format!("ch{i}_din")
-                            }
-                        }
-                        None => external_out(&mut e, &sn, out.name.as_str(), out.ty),
-                    }
+                        .position(|c| c.from_stage == si && c.from_array == o.array)
+                });
+            actuals.push(match channel {
+                // Later burst elements of the same channel: open actual;
+                // the behavioral serializer in the FIFO shell multiplexes
+                // the burst.
+                Some(i) if chan_driven.contains(&i) => "open".to_string(),
+                Some(i) => {
+                    chan_driven.push(i);
+                    format!("ch{i}_din")
                 }
-                None => external_out(&mut e, &sn, out.name.as_str(), out.ty),
-            };
-            map.push((port, actual));
+                None => {
+                    let port = format!("out_{sn}_{}", sanitize(id));
+                    external(&mut e, &mut exported, port, PortDir::Out, out.ty)
+                }
+            });
         }
 
-        e.stmts.push(Stmt::Instance {
-            label: format!("u_{sn}"),
-            entity: dp.name.to_lowercase(),
-            map,
+        e.instance(format_args!("u_{sn}"), &names.dp, |m| {
+            m.map("clk", "clk");
+            m.map("ivalid", format_args!("{sn}_ivalid"));
+            m.map("ovalid", format_args!("{sn}_ovalid"));
+            let formals = names.inputs.iter().map(|n| ("in", n));
+            let formals = formals.chain(names.outputs.iter().map(|n| ("out", n)));
+            for ((dir, n), actual) in formals.zip(&actuals) {
+                m.map(format_args!("{dir}_{n}"), actual);
+            }
         });
+    }
+
+    // Channel plumbing signals.
+    for (i, c) in cp.channels.iter().enumerate() {
+        let elem = channel_elem(cp, c);
+        let data = VhdlType::vector(elem.signed, elem.bits);
+        e.signal(format_args!("ch{i}_din"), data);
+        e.signal(format_args!("ch{i}_dout"), data);
+        for suffix in ["re", "empty", "full"] {
+            e.signal(format_args!("ch{i}_{suffix}"), VhdlType::StdLogic);
+        }
+    }
+
+    // Per-stage valid and start signals.
+    for st in &cp.stages {
+        let sn = sanitize(&st.name);
+        e.signal(format_args!("{sn}_ovalid"), VhdlType::StdLogic);
+        e.signal(format_args!("{sn}_ivalid"), VhdlType::StdLogic);
     }
 
     // FIFO instances and read strobes.
     for (i, c) in cp.channels.iter().enumerate() {
         let prod = sanitize(&cp.stages[c.from_stage].name);
-        e.stmts.push(Stmt::Assign {
-            target: format!("ch{i}_re"),
-            expr: format!("not ch{i}_empty"),
-        });
-        e.stmts.push(Stmt::Instance {
-            label: format!("u_fifo{i}"),
-            entity: fifo_names[i].clone(),
-            map: vec![
-                ("clk".into(), "clk".into()),
-                ("we".into(), format!("{prod}_ovalid")),
-                ("din".into(), format!("ch{i}_din")),
-                ("re".into(), format!("ch{i}_re")),
-                ("dout".into(), format!("ch{i}_dout")),
-                ("empty".into(), format!("ch{i}_empty")),
-                ("full".into(), format!("ch{i}_full")),
-            ],
-        });
+        e.assign(format_args!("ch{i}_re"), format_args!("not ch{i}_empty"));
+        e.instance(
+            format_args!("u_fifo{i}"),
+            format_args!("{pname}_fifo{i}"),
+            |m| {
+                m.map("clk", "clk");
+                m.map("we", format_args!("{prod}_ovalid"));
+                for bus in ["din", "re", "dout", "empty", "full"] {
+                    m.map(bus, format_args!("ch{i}_{bus}"));
+                }
+            },
+        );
     }
 
     let last = sanitize(&cp.stages.last().expect("non-empty pipeline").name);
-    e.stmts.push(Stmt::Assign {
-        target: "ovalid".into(),
-        expr: format!("{last}_ovalid"),
-    });
-    e
+    e.assign("ovalid", format_args!("{last}_ovalid"));
+    e.end();
 }
 
-/// Declares (once) and returns the pipeline-level input port for an
-/// unbound stage input.
-fn external_in(e: &mut Entity, stage: &str, name: &str, ty: IntType) -> String {
-    let port = format!("in_{stage}_{}", sanitize(name));
-    if !e.ports.iter().any(|p| p.name == port) {
-        e.ports.push(Port {
-            name: port.clone(),
-            dir: PortDir::In,
-            ty: VhdlType::vector(ty.signed, ty.bits),
-        });
-    }
-    port
-}
-
-/// Declares (once) and returns the pipeline-level output port for an
-/// unbound stage output.
-fn external_out(e: &mut Entity, stage: &str, name: &str, ty: IntType) -> String {
-    let port = format!("out_{stage}_{}", sanitize(name));
-    if !e.ports.iter().any(|p| p.name == port) {
-        e.ports.push(Port {
-            name: port.clone(),
-            dir: PortDir::Out,
-            ty: VhdlType::vector(ty.signed, ty.bits),
-        });
+/// Declares pipeline-level port `port` unless `exported` already holds
+/// it, and returns it as an instance actual.
+fn external(
+    e: &mut Entity<'_>,
+    exported: &mut Vec<String>,
+    port: String,
+    dir: PortDir,
+    ty: IntType,
+) -> String {
+    if !exported.contains(&port) {
+        e.port(&port, dir, VhdlType::vector(ty.signed, ty.bits));
+        exported.push(port.clone());
     }
     port
 }

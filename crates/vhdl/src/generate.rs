@@ -13,49 +13,107 @@
 //! * behavioral smart-buffer and controller entities parameterized from
 //!   the kernel's window specification (§4.1's "pre-existing parameterized
 //!   FSMs in a VHDL library").
+//!
+//! The text is written in one pass into one buffer: the port sets of
+//! every node are computed once ([`node_ports`]), C names are lowercased
+//! once ([`Names`]), and every fragment is formatted in place.
 
-use crate::ast::*;
-use roccc_datapath::graph::{Datapath, NodeId, Value};
+use crate::writer::{Cast, Fmt, Lit, PortDir, VhdlType, VhdlWriter};
+use roccc_datapath::graph::{Datapath, Value};
 use roccc_hlir::kernel::Kernel;
-use roccc_suifvm::ir::Opcode;
-use std::collections::{BTreeMap, BTreeSet};
+use roccc_suifvm::ir::{LutTable, Opcode};
+use std::fmt::{self, Display};
 
 /// Generates the complete VHDL source for a compiled kernel.
 pub fn generate_vhdl(kernel: &Kernel, dp: &Datapath) -> String {
-    let mut out = header();
-    let mut entities: Vec<Entity> = Vec::new();
+    let mut w = VhdlWriter::with_capacity(4096 + 256 * dp.ops.len());
+    write_vhdl(&mut w, kernel, dp);
+    w.finish()
+}
+
+/// Writes the complete VHDL source for a compiled kernel into `w`,
+/// library header included.
+pub fn write_vhdl(w: &mut VhdlWriter, kernel: &Kernel, dp: &Datapath) {
+    let names = Names::new(dp);
+    let ports = node_ports(dp);
+    w.header();
 
     // ROM entities for LUT ops.
     for (t, lut) in dp.luts.iter().enumerate() {
-        entities.push(rom_entity(dp, t, lut));
+        rom_entity(w, &names, t, lut);
     }
 
     // One entity per node.
     for node in &dp.nodes {
-        entities.push(node_entity(dp, node.id));
+        let i = node.id.0 as usize;
+        node_entity(w, dp, &names, &names.labels[i], &ports[i]);
     }
 
     // Top-level data path.
-    entities.push(top_entity(dp));
+    top_entity(w, dp, &names, &ports);
 
     // Buffer and controller shells for loop kernels.
     if !kernel.dims.is_empty() {
-        entities.push(smart_buffer_entity(kernel, dp));
-        entities.push(controller_entity(kernel, dp));
+        smart_buffer_entity(w, kernel, &names);
+        controller_entity(w, kernel, &names);
     }
+}
 
-    for e in &entities {
-        out.push_str(&e.render());
+/// Lowercases each name, the way VHDL compares identifiers, and makes
+/// the results unique: a name equal to an earlier one gets `_<index>`
+/// (its position in `names`) appended until it is unique.
+fn unique_ids<'a>(names: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let mut ids: Vec<String> = names.map(str::to_lowercase).collect();
+    for i in 1..ids.len() {
+        let (earlier, rest) = ids.split_at_mut(i);
+        let id = &mut rest[0];
+        while earlier.contains(id) {
+            id.push_str(&format!("_{i}"));
+        }
     }
-    out
+    ids
+}
+
+/// The VHDL identifiers of one data path's C names, lowercased once per
+/// render. VHDL identifiers are case-insensitive, so within each list a
+/// name equal to an earlier one gets `_<index>` appended (its position
+/// in the list) until it is unique: C inputs `A`, `a` become ports
+/// `in_a`, `in_a_1`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Names {
+    /// The data path (and top entity) name.
+    pub dp: String,
+    /// Input `k` is port `in_{inputs[k]}` of the top entity.
+    pub inputs: Vec<String>,
+    /// Output `k` is port `out_{outputs[k]}` of the top entity.
+    pub outputs: Vec<String>,
+    /// Feedback slot `k` latches into signal `fb_{feedback[k]}`.
+    feedback: Vec<String>,
+    /// Node `n`'s entity is `{dp}_{labels[n]}`.
+    labels: Vec<String>,
+}
+
+impl Names {
+    /// The identifiers of `dp`'s names.
+    pub fn new(dp: &Datapath) -> Names {
+        Names {
+            dp: dp.name.to_lowercase(),
+            inputs: unique_ids(dp.inputs.iter().map(|(n, _)| n.as_str())),
+            outputs: unique_ids(dp.outputs.iter().map(|o| o.name.as_str())),
+            feedback: unique_ids(dp.feedback.iter().map(|(s, _)| s.name.as_str())),
+            labels: dp.nodes.iter().map(|n| n.label.replace(' ', "_")).collect(),
+        }
+    }
+}
+
+fn op_ty(dp: &Datapath, o: u32) -> VhdlType {
+    let op = &dp.ops[o as usize];
+    VhdlType::vector(op.ty.signed, op.hw_bits)
 }
 
 fn val_ty(dp: &Datapath, v: Value) -> VhdlType {
     match v {
-        Value::Op(o) => {
-            let op = &dp.ops[o.0 as usize];
-            VhdlType::vector(op.ty.signed, op.hw_bits)
-        }
+        Value::Op(o) => op_ty(dp, o.0),
         Value::Input(k) => {
             let t = dp.inputs[k].1;
             VhdlType::vector(t.signed, t.bits)
@@ -66,29 +124,11 @@ fn val_ty(dp: &Datapath, v: Value) -> VhdlType {
     }
 }
 
-/// Casts expression `e` of type `from` to (signed?, bits) with correct
-/// two's-complement semantics.
-fn cast(e: &str, from: &VhdlType, signed: bool, bits: u8) -> String {
-    let bits = bits.max(1);
-    match (from, signed) {
-        (VhdlType::Signed(w), true) | (VhdlType::Unsigned(w), false) => {
-            if *w == bits {
-                e.to_string()
-            } else {
-                format!("resize({e}, {bits})")
-            }
-        }
-        (VhdlType::Unsigned(_), true) => format!("signed(resize({e}, {bits}))"),
-        (VhdlType::Signed(_), false) => format!("unsigned(resize({e}, {bits}))"),
-        (VhdlType::StdLogic, _) => format!("to_unsigned(0, {bits}) -- std_logic cast of {e}"),
-    }
-}
-
-fn const_literal(c: i64, signed: bool, bits: u8) -> String {
-    if signed {
-        format!("to_signed({c}, {bits})")
-    } else {
-        format!("to_unsigned({c}, {bits})")
+/// The literal for constant operand `c` at its own width.
+fn const_lit(c: i64) -> Lit {
+    Lit {
+        value: c,
+        ty: VhdlType::vector(c < 0, roccc_cparse::types::IntType::width_for(c, c < 0)),
     }
 }
 
@@ -97,278 +137,275 @@ fn in_node(op: Opcode) -> bool {
     !matches!(op, Opcode::Lpr | Opcode::Lut)
 }
 
-/// The staged signal name for an op value consumed at `stage` in the top
-/// entity.
-fn top_signal(dp: &Datapath, v: Value, stage: u32) -> String {
-    match v {
-        Value::Op(o) => {
-            let def = dp.ops[o.0 as usize].stage;
-            if stage <= def {
-                format!("op{}_s{def}", o.0)
-            } else {
-                format!("op{}_s{stage}", o.0)
-            }
-        }
-        Value::Input(k) => {
-            if stage == 0 {
-                format!("in_{}", dp.inputs[k].0.to_lowercase())
-            } else {
-                format!("in{k}_s{stage}")
-            }
-        }
-        Value::Const(c) => {
-            let t = val_ty(dp, v);
-            const_literal(c, matches!(t, VhdlType::Signed(_)), t.bits())
-        }
+/// The ports of one node entity.
+#[derive(Debug, Default)]
+struct NodePorts {
+    /// The ops whose logic the node holds, in op order.
+    ops: Vec<usize>,
+    /// Values the node reads from outside it or from another stage,
+    /// sorted, each with the latest stage an op of the node reads it at.
+    imported: Vec<(Value, u32)>,
+    /// Ops whose value leaves the node (another node, another stage, or
+    /// a top-level output, feedback latch, ROM or `LPR`), sorted.
+    exported: Vec<u32>,
+}
+
+impl NodePorts {
+    fn imports(&self, v: Value) -> bool {
+        self.imported.binary_search_by(|(x, _)| x.cmp(&v)).is_ok()
     }
 }
 
-fn rom_entity(dp: &Datapath, t: usize, lut: &roccc_suifvm::ir::LutTable) -> Entity {
-    let mut e = Entity::new(format!("{}_rom{}", dp.name.to_lowercase(), t));
-    e.ports.push(Port {
-        name: "addr".into(),
-        dir: PortDir::In,
-        ty: VhdlType::Unsigned(lut.addr_bits()),
-    });
-    e.ports.push(Port {
-        name: "data".into(),
-        dir: PortDir::Out,
-        ty: VhdlType::vector(lut.elem.signed, lut.elem.bits),
-    });
-    let elem_ty = VhdlType::vector(lut.elem.signed, lut.elem.bits);
-    let mut data = lut.data.clone();
-    let padded = 1usize << lut.addr_bits();
-    data.resize(padded, 0);
-    let data: Vec<i64> = data.iter().map(|v| lut.elem.wrap(*v)).collect();
-    e.constants.push(("table".into(), elem_ty, data));
-    e.stmts.push(Stmt::Assign {
-        target: "data".into(),
-        expr: "table(to_integer(addr))".into(),
-    });
-    e
-}
-
-/// Builds the combinational entity for one node.
-fn node_entity(dp: &Datapath, node: NodeId) -> Entity {
-    let name = format!(
-        "{}_{}",
-        dp.name.to_lowercase(),
-        dp.nodes[node.0 as usize].label.replace(' ', "_")
-    );
-    let mut e = Entity::new(name);
-
-    // Which op values are produced here and consumed elsewhere (other
-    // node, different stage, top-level output/feedback/rom/lpr ops)?
-    let mut exported: BTreeSet<u32> = BTreeSet::new();
-    let mut imported: BTreeSet<Value> = BTreeSet::new();
-    let node_ops: Vec<usize> = dp
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.node == node && in_node(o.op))
-        .map(|(i, _)| i)
-        .collect();
-    let node_set: BTreeSet<usize> = node_ops.iter().copied().collect();
-
+/// The port sets of every node (indexed by node id), from one pass over
+/// the ops.
+fn node_ports(dp: &Datapath) -> Vec<NodePorts> {
+    let mut ports: Vec<NodePorts> = dp.nodes.iter().map(|_| NodePorts::default()).collect();
+    // Every operand read by an op assigned to the node, LPR and LUT ops
+    // included: (value, stage, whether it enters the node's logic through
+    // a port). A port carries its value from the latest of these stages.
+    let mut reads: Vec<Vec<(Value, u32, bool)>> = dp.nodes.iter().map(|_| Vec::new()).collect();
+    let home = |op: &roccc_datapath::DpOp| in_node(op.op).then_some(op.node.0 as usize);
     for (i, op) in dp.ops.iter().enumerate() {
-        let in_this = node_set.contains(&i);
-        for s in &op.srcs {
-            if let Value::Op(o) = s {
-                let src_i = o.0 as usize;
-                let src_in = node_set.contains(&src_i);
-                let cross_stage = dp.ops[src_i].stage != op.stage;
-                if src_in && (!in_this || cross_stage) {
-                    exported.insert(o.0);
+        let here = home(op);
+        let n = op.node.0 as usize;
+        if let Some(p) = here.and_then(|n| ports.get_mut(n)) {
+            p.ops.push(i);
+        }
+        for &s in op.srcs.iter() {
+            let crosses = match s {
+                Value::Op(o) => {
+                    let src = &dp.ops[o.0 as usize];
+                    let there = home(src);
+                    let crosses = there != here || src.stage != op.stage;
+                    if crosses {
+                        if let Some(p) = there.and_then(|n| ports.get_mut(n)) {
+                            p.exported.push(o.0);
+                        }
+                    }
+                    crosses
                 }
-                if in_this && (!src_in || cross_stage) {
-                    imported.insert(*s);
-                }
-            } else if in_this {
-                if let Value::Input(_) = s {
-                    imported.insert(*s);
-                }
+                Value::Input(_) => true,
+                Value::Const(_) => continue,
+            };
+            if let Some(r) = reads.get_mut(n) {
+                r.push((s, op.stage, crosses && here.is_some()));
             }
         }
     }
-    // Values feeding outputs/feedback also export.
-    for out in &dp.outputs {
-        if let Value::Op(o) = out.value {
-            if node_set.contains(&(o.0 as usize)) {
-                exported.insert(o.0);
-            }
-        }
-    }
-    for (_, v) in &dp.feedback {
+    // Values feeding outputs and feedback latches also export.
+    let sinks = dp.outputs.iter().map(|o| o.value);
+    for v in sinks.chain(dp.feedback.iter().map(|(_, v)| *v)) {
         if let Value::Op(o) = v {
-            if node_set.contains(&(o.0 as usize)) {
-                exported.insert(o.0);
+            if let Some(p) = home(&dp.ops[o.0 as usize]).and_then(|n| ports.get_mut(n)) {
+                p.exported.push(o.0);
             }
         }
     }
-
-    // Ports.
-    for v in &imported {
-        let pname = match v {
-            Value::Op(o) => format!("i_op{}", o.0),
-            Value::Input(k) => format!("i_{}", dp.inputs[*k].0.to_lowercase()),
-            Value::Const(_) => continue,
-        };
-        e.ports.push(Port {
-            name: pname,
-            dir: PortDir::In,
-            ty: val_ty(dp, *v),
+    for (p, mut reads) in ports.iter_mut().zip(reads) {
+        reads.sort_unstable();
+        reads.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.max(later.1);
+                kept.2 |= later.2;
+            }
+            same
         });
+        p.imported = reads
+            .into_iter()
+            .filter(|r| r.2)
+            .map(|(v, stage, _)| (v, stage))
+            .collect();
+        p.exported.sort_unstable();
+        p.exported.dedup();
     }
-    for o in &exported {
-        e.ports.push(Port {
-            name: format!("o_op{o}"),
-            dir: PortDir::Out,
-            ty: val_ty(dp, Value::Op(roccc_datapath::OpId(*o))),
-        });
-    }
+    ports
+}
 
-    // Internal signals + combinational logic.
-    let ref_of = |v: Value| -> String {
+fn rom_entity(w: &mut VhdlWriter, names: &Names, t: usize, lut: &LutTable) {
+    let mut e = w.entity(format_args!("{}_rom{t}", names.dp));
+    let elem = VhdlType::vector(lut.elem.signed, lut.elem.bits);
+    e.port("addr", PortDir::In, VhdlType::Unsigned(lut.addr_bits()));
+    e.port("data", PortDir::Out, elem);
+    let padded = 1usize << lut.addr_bits();
+    let values = (0..padded).map(|i| lut.elem.wrap(lut.data.get(i).copied().unwrap_or(0)));
+    e.rom("table", elem, values);
+    e.assign("data", "table(to_integer(addr))");
+    e.end();
+}
+
+/// Writes the combinational entity for one node.
+fn node_entity(w: &mut VhdlWriter, dp: &Datapath, names: &Names, label: &str, p: &NodePorts) {
+    let mut e = w.entity(format_args!("{}_{label}", names.dp));
+    for &(v, _) in &p.imported {
         match v {
-            Value::Op(o) => {
-                if imported.contains(&v) {
-                    format!("i_op{}", o.0)
-                } else {
-                    format!("w{}", o.0)
-                }
-            }
-            Value::Input(k) => format!("i_{}", dp.inputs[k].0.to_lowercase()),
-            Value::Const(c) => {
-                let t = val_ty(dp, v);
-                const_literal(c, matches!(t, VhdlType::Signed(_)), t.bits())
-            }
+            Value::Op(o) => e.port(format_args!("i_op{}", o.0), PortDir::In, val_ty(dp, v)),
+            Value::Input(k) => e.port(
+                format_args!("i_{}", names.inputs[k]),
+                PortDir::In,
+                val_ty(dp, v),
+            ),
+            Value::Const(_) => unreachable!("constants are never ports"),
         }
+    }
+    for &o in &p.exported {
+        e.port(format_args!("o_op{o}"), PortDir::Out, op_ty(dp, o));
+    }
+
+    // How the node's logic reads a value.
+    let read = |v: Value| {
+        Fmt(move |f| match v {
+            Value::Op(o) if p.imports(v) => write!(f, "i_op{}", o.0),
+            Value::Op(o) => write!(f, "w{}", o.0),
+            Value::Input(k) => write!(f, "i_{}", names.inputs[k]),
+            Value::Const(c) => const_lit(c).fmt(f),
+        })
     };
 
-    for &i in &node_ops {
+    for &i in &p.ops {
         let op = &dp.ops[i];
-        let w = op.hw_bits.max(1);
+        let bits = op.hw_bits.max(1);
         let signed = op.ty.signed;
-        let opnd = |k: usize| -> String {
-            let v = op.srcs[k];
-            cast(&ref_of(v), &val_ty(dp, v), signed, w)
+        e.signal(format_args!("w{i}"), VhdlType::vector(signed, bits));
+        let opnd = |k: usize| Cast {
+            expr: read(op.srcs[k]),
+            from: val_ty(dp, op.srcs[k]),
+            signed,
+            bits,
         };
         // Comparison operands keep their own widths and signedness.
-        let raw = |k: usize| ref_of(op.srcs[k]);
-        let expr = match op.op {
-            Opcode::Add => format!("{} + {}", opnd(0), opnd(1)),
-            Opcode::Sub => format!("{} - {}", opnd(0), opnd(1)),
-            Opcode::Mul => format!("resize({} * {}, {w})", opnd(0), opnd(1)),
-            Opcode::Div => format!("{} / {}", opnd(0), opnd(1)),
-            Opcode::Rem => format!("{} rem {}", opnd(0), opnd(1)),
-            Opcode::Neg => format!("-{}", opnd(0)),
-            Opcode::Not => format!("not {}", opnd(0)),
-            Opcode::Shl => match op.srcs[1] {
-                Value::Const(c) => format!("shift_left({}, {c})", opnd(0)),
-                _ => format!("shift_left({}, to_integer({}))", opnd(0), raw(1)),
-            },
-            Opcode::Shr => match op.srcs[1] {
-                Value::Const(c) => format!("shift_right({}, {c})", opnd(0)),
-                _ => format!("shift_right({}, to_integer({}))", opnd(0), raw(1)),
-            },
-            Opcode::And => format!("{} and {}", opnd(0), opnd(1)),
-            Opcode::Or => format!("{} or {}", opnd(0), opnd(1)),
-            Opcode::Xor => format!("{} xor {}", opnd(0), opnd(1)),
-            Opcode::Slt => cmp_expr(&raw(0), &raw(1), "<"),
-            Opcode::Sle => cmp_expr(&raw(0), &raw(1), "<="),
-            Opcode::Seq => cmp_expr(&raw(0), &raw(1), "="),
-            Opcode::Sne => cmp_expr(&raw(0), &raw(1), "/="),
-            Opcode::Bool => format!(
-                "to_unsigned(1, 1) when (to_integer({}) /= 0) else to_unsigned(0, 1)",
-                raw(0)
-            ),
-            Opcode::Mux => format!("{} when {}(0) = '1' else {}", opnd(1), raw(0), opnd(2)),
-            Opcode::Mov | Opcode::Cvt => opnd(0),
-            _ => unreachable!("{} excluded from node entities", op.op),
+        let raw = |k: usize| read(op.srcs[k]);
+        let cmp = |rel: &'static str| {
+            Fmt(move |f| {
+                write!(
+                    f,
+                    "to_unsigned(1, 1) when ({} {rel} {}) else to_unsigned(0, 1)",
+                    raw(0),
+                    raw(1)
+                )
+            })
         };
-        let target = format!("w{i}");
-        e.signals.push(Signal {
-            name: target.clone(),
-            ty: VhdlType::vector(signed, w),
-        });
-        e.stmts.push(Stmt::Assign { target, expr });
+        let target = format_args!("w{i}");
+        match op.op {
+            Opcode::Add => e.assign(target, format_args!("{} + {}", opnd(0), opnd(1))),
+            Opcode::Sub => e.assign(target, format_args!("{} - {}", opnd(0), opnd(1))),
+            Opcode::Mul => e.assign(
+                target,
+                format_args!("resize({} * {}, {bits})", opnd(0), opnd(1)),
+            ),
+            Opcode::Div => e.assign(target, format_args!("{} / {}", opnd(0), opnd(1))),
+            Opcode::Rem => e.assign(target, format_args!("{} rem {}", opnd(0), opnd(1))),
+            Opcode::Neg => e.assign(target, format_args!("-{}", opnd(0))),
+            Opcode::Not => e.assign(target, format_args!("not {}", opnd(0))),
+            Opcode::Shl | Opcode::Shr => {
+                let dir = if op.op == Opcode::Shl {
+                    "left"
+                } else {
+                    "right"
+                };
+                match op.srcs[1] {
+                    Value::Const(c) => {
+                        e.assign(target, format_args!("shift_{dir}({}, {c})", opnd(0)))
+                    }
+                    _ => e.assign(
+                        target,
+                        format_args!("shift_{dir}({}, to_integer({}))", opnd(0), raw(1)),
+                    ),
+                }
+            }
+            Opcode::And => e.assign(target, format_args!("{} and {}", opnd(0), opnd(1))),
+            Opcode::Or => e.assign(target, format_args!("{} or {}", opnd(0), opnd(1))),
+            Opcode::Xor => e.assign(target, format_args!("{} xor {}", opnd(0), opnd(1))),
+            Opcode::Slt => e.assign(target, cmp("<")),
+            Opcode::Sle => e.assign(target, cmp("<=")),
+            Opcode::Seq => e.assign(target, cmp("=")),
+            Opcode::Sne => e.assign(target, cmp("/=")),
+            Opcode::Bool => e.assign(
+                target,
+                format_args!(
+                    "to_unsigned(1, 1) when (to_integer({}) /= 0) else to_unsigned(0, 1)",
+                    raw(0)
+                ),
+            ),
+            Opcode::Mux => e.assign(
+                target,
+                format_args!("{} when {}(0) = '1' else {}", opnd(1), raw(0), opnd(2)),
+            ),
+            Opcode::Mov | Opcode::Cvt => e.assign(target, opnd(0)),
+            _ => unreachable!("{} excluded from node entities", op.op),
+        }
     }
 
     // Drive the export ports.
-    for o in &exported {
-        e.stmts.push(Stmt::Assign {
-            target: format!("o_op{o}"),
-            expr: format!("w{o}"),
-        });
+    for &o in &p.exported {
+        e.assign(format_args!("o_op{o}"), format_args!("w{o}"));
     }
-    e
+    e.end();
 }
 
-fn cmp_expr(a: &str, b: &str, op: &str) -> String {
-    format!("to_unsigned(1, 1) when ({a} {op} {b}) else to_unsigned(0, 1)")
+/// The staged top-entity signal carrying value `v` to a consumer at
+/// `stage`.
+fn top_signal<'a>(dp: &'a Datapath, names: &'a Names, v: Value, stage: u32) -> impl Display + 'a {
+    Fmt(move |f| match v {
+        Value::Op(o) => write!(f, "op{}_s{}", o.0, stage.max(dp.ops[o.0 as usize].stage)),
+        Value::Input(k) if stage == 0 => write!(f, "in_{}", names.inputs[k]),
+        Value::Input(k) => write!(f, "in{k}_s{stage}"),
+        Value::Const(c) => const_lit(c).fmt(f),
+    })
 }
 
 /// The top-level data-path entity: node instances, pipeline registers,
 /// feedback latches, valid chain, output registers.
-fn top_entity(dp: &Datapath) -> Entity {
+fn top_entity(w: &mut VhdlWriter, dp: &Datapath, names: &Names, ports: &[NodePorts]) {
     // `dp.name` is the data-path function's name, which the front end
     // already suffixed `_dp` (Figure 3 (c)'s `main_df` convention).
-    let mut e = Entity::new(dp.name.to_lowercase());
-    e.ports.push(Port {
-        name: "clk".into(),
-        dir: PortDir::In,
-        ty: VhdlType::StdLogic,
-    });
-    e.ports.push(Port {
-        name: "ivalid".into(),
-        dir: PortDir::In,
-        ty: VhdlType::StdLogic,
-    });
-    e.ports.push(Port {
-        name: "ovalid".into(),
-        dir: PortDir::Out,
-        ty: VhdlType::StdLogic,
-    });
-    for (n, t) in &dp.inputs {
-        e.ports.push(Port {
-            name: format!("in_{}", n.to_lowercase()),
-            dir: PortDir::In,
-            ty: VhdlType::vector(t.signed, t.bits),
-        });
+    let mut e = w.entity(&names.dp);
+    e.port("clk", PortDir::In, VhdlType::StdLogic);
+    e.port("ivalid", PortDir::In, VhdlType::StdLogic);
+    e.port("ovalid", PortDir::Out, VhdlType::StdLogic);
+    for ((_, t), n) in dp.inputs.iter().zip(&names.inputs) {
+        e.port(
+            format_args!("in_{n}"),
+            PortDir::In,
+            VhdlType::vector(t.signed, t.bits),
+        );
     }
-    for out in &dp.outputs {
-        e.ports.push(Port {
-            name: format!("out_{}", out.name.to_lowercase()),
-            dir: PortDir::Out,
-            ty: VhdlType::vector(out.ty.signed, out.ty.bits),
-        });
+    for (out, n) in dp.outputs.iter().zip(&names.outputs) {
+        let ty = VhdlType::vector(out.ty.signed, out.ty.bits);
+        e.port(format_args!("out_{n}"), PortDir::Out, ty);
     }
 
-    // Max stage each value is consumed at.
-    let mut max_use: BTreeMap<Value, u32> = BTreeMap::new();
+    // Max stage each op and input is consumed at.
+    let mut op_use: Vec<Option<u32>> = vec![None; dp.ops.len()];
+    let mut in_use: Vec<Option<u32>> = vec![None; dp.inputs.len()];
+    let mut consume = |v: Value, stage: u32| {
+        let slot = match v {
+            Value::Op(o) => &mut op_use[o.0 as usize],
+            Value::Input(k) => &mut in_use[k],
+            Value::Const(_) => return,
+        };
+        *slot = Some(slot.map_or(stage, |m| m.max(stage)));
+    };
     for op in &dp.ops {
-        for s in &op.srcs {
-            let m = max_use.entry(*s).or_insert(0);
-            *m = (*m).max(op.stage);
+        for s in op.srcs.iter() {
+            consume(*s, op.stage);
         }
     }
     let last = dp.num_stages - 1;
     for out in &dp.outputs {
-        let m = max_use.entry(out.value).or_insert(0);
-        *m = (*m).max(last);
+        consume(out.value, last);
     }
     for (_, v) in &dp.feedback {
-        let m = max_use.entry(*v).or_insert(0);
         // Feedback latches at the LPR stage (verified equal by dp.verify).
-        *m = (*m).max(dp.stage_of(*v));
+        consume(*v, dp.stage_of(*v));
     }
 
     // An op's value appears as a top-level signal only when it leaves its
     // node: consumed in another node, at a later stage, by an output or
     // feedback latch, or produced by a top-level element (LPR/LUT).
-    let mut top_visible: std::collections::BTreeSet<u32> = Default::default();
+    let mut visible: Vec<bool> = dp.ops.iter().map(|op| !in_node(op.op)).collect();
     for op in &dp.ops {
-        for s in &op.srcs {
+        for s in op.srcs.iter() {
             if let Value::Op(o) = s {
                 let src = &dp.ops[o.0 as usize];
                 if src.node != op.node
@@ -376,137 +413,69 @@ fn top_entity(dp: &Datapath) -> Entity {
                     || !in_node(src.op)
                     || !in_node(op.op)
                 {
-                    top_visible.insert(o.0);
+                    visible[o.0 as usize] = true;
                 }
             }
         }
     }
-    for out in &dp.outputs {
-        if let Value::Op(o) = out.value {
-            top_visible.insert(o.0);
-        }
-    }
-    for (_, v) in &dp.feedback {
+    let sinks = dp.outputs.iter().map(|o| o.value);
+    for v in sinks.chain(dp.feedback.iter().map(|(_, v)| *v)) {
         if let Value::Op(o) = v {
-            top_visible.insert(o.0);
-        }
-    }
-    for (i, op) in dp.ops.iter().enumerate() {
-        if !in_node(op.op) {
-            top_visible.insert(i as u32);
+            visible[o.0 as usize] = true;
         }
     }
 
-    // Declare staged signals + register chains.
-    let mut reg_assigns: Vec<(String, String)> = Vec::new();
-    for (v, max_stage) in &max_use {
-        let (def_stage, ty) = match v {
-            Value::Op(o) => {
-                if !top_visible.contains(&o.0) {
-                    continue; // purely node-internal value
-                }
-                (dp.ops[o.0 as usize].stage, val_ty(dp, *v))
-            }
-            Value::Input(_) => (0, val_ty(dp, *v)),
-            Value::Const(_) => continue,
-        };
-        // Base signal (op outputs; inputs are ports at stage 0).
+    // Staged signals: the defining stage and one register per later
+    // stage a consumer reads (inputs are ports at stage 0). Purely
+    // node-internal values get none.
+    let staged = || {
+        let ops = op_use.iter().enumerate().filter_map(|(o, m)| {
+            let def = dp.ops[o].stage;
+            m.filter(|_| visible[o])
+                .map(|m| (Value::Op(roccc_datapath::OpId(o as u32)), def, m))
+        });
+        let inputs = in_use
+            .iter()
+            .enumerate()
+            .filter_map(|(k, m)| m.map(|m| (Value::Input(k), 0, m)));
+        ops.chain(inputs)
+    };
+    for (v, def, max) in staged() {
+        let ty = val_ty(dp, v);
         if let Value::Op(o) = v {
-            e.signals.push(Signal {
-                name: format!("op{}_s{def_stage}", o.0),
-                ty: ty.clone(),
-            });
+            e.signal(format_args!("op{}_s{def}", o.0), ty);
         }
-        for s in def_stage + 1..=*max_stage {
-            let name = match v {
-                Value::Op(o) => format!("op{}_s{s}", o.0),
-                Value::Input(k) => format!("in{k}_s{s}"),
-                Value::Const(_) => unreachable!(),
-            };
-            e.signals.push(Signal {
-                name: name.clone(),
-                ty: ty.clone(),
-            });
-            let prev = top_signal(dp, *v, s - 1);
-            reg_assigns.push((name, prev));
+        for s in def + 1..=max {
+            e.signal(top_signal(dp, names, v, s), ty);
         }
     }
 
     // Valid chain.
     for s in 0..dp.num_stages {
-        e.signals.push(Signal {
-            name: format!("valid_s{s}"),
-            ty: VhdlType::StdLogic,
-        });
+        e.signal(format_args!("valid_s{s}"), VhdlType::StdLogic);
     }
-    e.stmts.push(Stmt::Assign {
-        target: "valid_s0".into(),
-        expr: "ivalid".into(),
-    });
-    let mut valid_assigns = Vec::new();
-    for s in 1..dp.num_stages {
-        valid_assigns.push((format!("valid_s{s}"), format!("valid_s{}", s - 1)));
-    }
-    e.signals.push(Signal {
-        name: "ovalid_r".into(),
-        ty: VhdlType::StdLogic,
-    });
-    valid_assigns.push(("ovalid_r".into(), format!("valid_s{last}")));
-    e.stmts.push(Stmt::Assign {
-        target: "ovalid".into(),
-        expr: "ovalid_r".into(),
-    });
+    e.assign("valid_s0", "ivalid");
+    e.signal("ovalid_r", VhdlType::StdLogic);
+    e.assign("ovalid", "ovalid_r");
 
     // Node instances.
     for node in &dp.nodes {
-        let label = node.label.replace(' ', "_");
-        let mut map: Vec<(String, String)> = Vec::new();
-        // Recompute the node's port sets the same way node_entity does.
-        let ent = node_entity(dp, node.id);
-        for p in &ent.ports {
-            if let Some(rest) = p.name.strip_prefix("i_op") {
-                let id: u32 = rest.parse().expect("port name");
-                let consumer_stage = dp
-                    .ops
-                    .iter()
-                    .filter(|o| o.node == node.id)
-                    .filter(|o| o.srcs.contains(&Value::Op(roccc_datapath::OpId(id))))
-                    .map(|o| o.stage)
-                    .max()
-                    .unwrap_or(dp.ops[id as usize].stage);
-                map.push((
-                    p.name.clone(),
-                    top_signal(dp, Value::Op(roccc_datapath::OpId(id)), consumer_stage),
-                ));
-            } else if let Some(rest) = p.name.strip_prefix("o_op") {
-                let id: u32 = rest.parse().expect("port name");
-                let def = dp.ops[id as usize].stage;
-                map.push((p.name.clone(), format!("op{id}_s{def}")));
-            } else if p.name.starts_with("i_") {
-                // Data-path input consumed inside this node.
-                let k = dp
-                    .inputs
-                    .iter()
-                    .position(|(n, _)| format!("i_{}", n.to_lowercase()) == p.name)
-                    .expect("input port");
-                let consumer_stage = dp
-                    .ops
-                    .iter()
-                    .filter(|o| o.node == node.id)
-                    .filter(|o| o.srcs.contains(&Value::Input(k)))
-                    .map(|o| o.stage)
-                    .max()
-                    .unwrap_or(0);
-                map.push((
-                    p.name.clone(),
-                    top_signal(dp, Value::Input(k), consumer_stage),
-                ));
+        let label = &names.labels[node.id.0 as usize];
+        let p = &ports[node.id.0 as usize];
+        let entity = format_args!("{}_{label}", names.dp);
+        e.instance(format_args!("u_{label}"), entity, |m| {
+            for &(v, stage) in &p.imported {
+                let actual = top_signal(dp, names, v, stage);
+                match v {
+                    Value::Op(o) => m.map(format_args!("i_op{}", o.0), actual),
+                    Value::Input(k) => m.map(format_args!("i_{}", names.inputs[k]), actual),
+                    Value::Const(_) => {}
+                }
             }
-        }
-        e.stmts.push(Stmt::Instance {
-            label: format!("u_{label}"),
-            entity: format!("{}_{}", dp.name.to_lowercase(), label),
-            map,
+            for &o in &p.exported {
+                let def = dp.ops[o as usize].stage;
+                m.map(format_args!("o_op{o}"), format_args!("op{o}_s{def}"));
+            }
         });
     }
 
@@ -515,245 +484,180 @@ fn top_entity(dp: &Datapath) -> Entity {
         match op.op {
             Opcode::Lpr => {
                 let slot = op.imm as usize;
-                let (slotinfo, snx_v) = &dp.feedback[slot];
-                let fbname = format!("fb_{}", slotinfo.name.to_lowercase());
-                e.signals.push(Signal {
-                    name: fbname.clone(),
-                    ty: VhdlType::vector(slotinfo.ty.signed, slotinfo.ty.bits),
-                });
+                let (info, snx) = &dp.feedback[slot];
+                let fb = format_args!("fb_{}", names.feedback[slot]);
+                let fb_ty = VhdlType::vector(info.ty.signed, info.ty.bits);
+                e.signal(fb, fb_ty);
                 // The LPR value is the latch output.
-                e.stmts.push(Stmt::Assign {
-                    target: format!("op{i}_s{}", op.stage),
-                    expr: cast(
-                        &fbname,
-                        &VhdlType::vector(slotinfo.ty.signed, slotinfo.ty.bits),
-                        op.ty.signed,
-                        op.hw_bits,
-                    ),
-                });
-                let snx_sig = top_signal(dp, *snx_v, op.stage);
-                e.stmts.push(Stmt::Process {
-                    label: format!("fb_latch_{}", slotinfo.name.to_lowercase()),
-                    enable: Some(format!("valid_s{}", op.stage)),
-                    assigns: vec![(
-                        fbname,
-                        cast(
-                            &snx_sig,
-                            &val_ty(dp, *snx_v),
-                            slotinfo.ty.signed,
-                            slotinfo.ty.bits,
-                        ),
-                    )],
-                });
+                let value = Cast {
+                    expr: fb,
+                    from: fb_ty,
+                    signed: op.ty.signed,
+                    bits: op.hw_bits,
+                };
+                e.assign(format_args!("op{i}_s{}", op.stage), value);
+                let enable = format_args!("valid_s{}", op.stage);
+                let next = Cast {
+                    expr: top_signal(dp, names, *snx, op.stage),
+                    from: val_ty(dp, *snx),
+                    signed: info.ty.signed,
+                    bits: info.ty.bits,
+                };
+                let label = format_args!("fb_latch_{}", names.feedback[slot]);
+                e.process(label, Some(&enable), |p| p.latch(fb, next));
             }
             Opcode::Lut => {
                 let t = op.imm as usize;
                 let addr_bits = dp.luts[t].addr_bits();
-                let addr_sig = format!("lut{i}_addr");
-                e.signals.push(Signal {
-                    name: addr_sig.clone(),
-                    ty: VhdlType::Unsigned(addr_bits),
-                });
-                let idx = top_signal(dp, op.srcs[0], op.stage);
-                e.stmts.push(Stmt::Assign {
-                    target: addr_sig.clone(),
-                    expr: cast(&idx, &val_ty(dp, op.srcs[0]), false, addr_bits),
-                });
-                e.stmts.push(Stmt::Instance {
-                    label: format!("u_rom{i}"),
-                    entity: format!("{}_rom{}", dp.name.to_lowercase(), t),
-                    map: vec![
-                        ("addr".into(), addr_sig),
-                        ("data".into(), format!("op{i}_s{}", op.stage)),
-                    ],
+                let addr = format_args!("lut{i}_addr");
+                e.signal(addr, VhdlType::Unsigned(addr_bits));
+                let index = Cast {
+                    expr: top_signal(dp, names, op.srcs[0], op.stage),
+                    from: val_ty(dp, op.srcs[0]),
+                    signed: false,
+                    bits: addr_bits,
+                };
+                e.assign(addr, index);
+                let data = format_args!("op{i}_s{}", op.stage);
+                let rom = format_args!("{}_rom{t}", names.dp);
+                e.instance(format_args!("u_rom{i}"), rom, |m| {
+                    m.map("addr", addr);
+                    m.map("data", data);
                 });
                 // Ensure the base signal exists even if only later stages
-                // consume it (declared above when max_use has it).
-                if !max_use.contains_key(&Value::Op(roccc_datapath::OpId(i as u32))) {
-                    e.signals.push(Signal {
-                        name: format!("op{i}_s{}", op.stage),
-                        ty: val_ty(dp, Value::Op(roccc_datapath::OpId(i as u32))),
-                    });
+                // consume it (declared above when a consumer exists).
+                if op_use[i].is_none() {
+                    e.signal(data, op_ty(dp, i as u32));
                 }
             }
             _ => {}
         }
     }
 
-    // Pipeline registers + valid chain in one clocked process.
-    let mut assigns = reg_assigns;
-    assigns.extend(valid_assigns);
     // Output registers.
-    for out in &dp.outputs {
-        let src = top_signal(dp, out.value, last);
-        let target = format!("out_{}_r", out.name.to_lowercase());
-        e.signals.push(Signal {
-            name: target.clone(),
-            ty: VhdlType::vector(out.ty.signed, out.ty.bits),
-        });
-        assigns.push((
-            target.clone(),
-            cast(&src, &val_ty(dp, out.value), out.ty.signed, out.ty.bits),
-        ));
-        e.stmts.push(Stmt::Assign {
-            target: format!("out_{}", out.name.to_lowercase()),
-            expr: target,
-        });
+    for (out, n) in dp.outputs.iter().zip(&names.outputs) {
+        e.signal(
+            format_args!("out_{n}_r"),
+            VhdlType::vector(out.ty.signed, out.ty.bits),
+        );
+        e.assign(format_args!("out_{n}"), format_args!("out_{n}_r"));
     }
-    e.stmts.push(Stmt::Process {
-        label: "pipeline".into(),
-        enable: None,
-        assigns,
-    });
 
-    e
+    // Pipeline registers, valid chain and output registers in one
+    // clocked process.
+    e.process("pipeline", None, |p| {
+        for (v, def, max) in staged() {
+            for s in def + 1..=max {
+                p.latch(top_signal(dp, names, v, s), top_signal(dp, names, v, s - 1));
+            }
+        }
+        for s in 1..dp.num_stages {
+            p.latch(format_args!("valid_s{s}"), format_args!("valid_s{}", s - 1));
+        }
+        p.latch("ovalid_r", format_args!("valid_s{last}"));
+        for (out, n) in dp.outputs.iter().zip(&names.outputs) {
+            let value = Cast {
+                expr: top_signal(dp, names, out.value, last),
+                from: val_ty(dp, out.value),
+                signed: out.ty.signed,
+                bits: out.ty.bits,
+            };
+            p.latch(format_args!("out_{n}_r"), value);
+        }
+    });
+    e.end();
+}
+
+/// A `[a, b, ...]` list, the way `{:?}` prints a `Vec`.
+fn debug_list<T: fmt::Debug>(items: impl Iterator<Item = T> + Clone) -> impl Display {
+    Fmt(move |f| f.debug_list().entries(items.clone()).finish())
 }
 
 /// Behavioral smart-buffer shell parameterized by the kernel's window.
-fn smart_buffer_entity(kernel: &Kernel, dp: &Datapath) -> Entity {
-    let mut e = Entity::new(format!("{}_smart_buffer", dp.name.to_lowercase()));
-    e.ports.push(Port {
-        name: "clk".into(),
-        dir: PortDir::In,
-        ty: VhdlType::StdLogic,
-    });
-    e.ports.push(Port {
-        name: "din_valid".into(),
-        dir: PortDir::In,
-        ty: VhdlType::StdLogic,
-    });
-    e.ports.push(Port {
-        name: "window_valid".into(),
-        dir: PortDir::Out,
-        ty: VhdlType::StdLogic,
-    });
-    for w in &kernel.windows {
-        e.ports.push(Port {
-            name: format!("din_{}", w.array.to_lowercase()),
-            dir: PortDir::In,
-            ty: VhdlType::vector(w.elem.signed, w.elem.bits),
-        });
-        for r in &w.reads {
-            e.ports.push(Port {
-                name: format!("win_{}", r.scalar.to_lowercase()),
-                dir: PortDir::Out,
-                ty: VhdlType::vector(w.elem.signed, w.elem.bits),
-            });
+fn smart_buffer_entity(w: &mut VhdlWriter, kernel: &Kernel, names: &Names) {
+    let arrays = unique_ids(kernel.windows.iter().map(|win| win.array.as_str()));
+    let taps = kernel.windows.iter().flat_map(|win| &win.reads);
+    let taps = unique_ids(taps.map(|r| r.scalar.as_str()));
+
+    let mut e = w.entity(format_args!("{}_smart_buffer", names.dp));
+    e.port("clk", PortDir::In, VhdlType::StdLogic);
+    e.port("din_valid", PortDir::In, VhdlType::StdLogic);
+    e.port("window_valid", PortDir::Out, VhdlType::StdLogic);
+    let mut tap = taps.iter();
+    for (win, arr) in kernel.windows.iter().zip(&arrays) {
+        let ty = VhdlType::vector(win.elem.signed, win.elem.bits);
+        e.port(format_args!("din_{arr}"), PortDir::In, ty);
+        for t in tap.by_ref().take(win.reads.len()) {
+            e.port(format_args!("win_{t}"), PortDir::Out, ty);
         }
     }
-    e.stmts.push(Stmt::Comment(format!(
-        "parameterized smart buffer: windows {:?}, stride {:?}",
-        kernel
-            .windows
-            .iter()
-            .map(|w| w.extent())
-            .collect::<Vec<_>>(),
-        kernel.dims.iter().map(|d| d.step).collect::<Vec<_>>()
-    )));
+    e.comment(format_args!(
+        "parameterized smart buffer: windows {}, stride {}",
+        debug_list(kernel.windows.iter().map(|win| win.extent())),
+        debug_list(kernel.dims.iter().map(|d| d.step))
+    ));
     // Shift-register behaviour for every window.
-    for w in &kernel.windows {
-        let n = w.reads.len();
-        let arr = w.array.to_lowercase();
-        let mut assigns = Vec::new();
+    let mut tap = taps.iter();
+    for (win, arr) in kernel.windows.iter().zip(&arrays) {
+        let n = win.reads.len();
+        let ty = VhdlType::vector(win.elem.signed, win.elem.bits);
         for i in 0..n {
-            let target = format!("sr_{arr}_{i}");
-            e.signals.push(Signal {
-                name: target.clone(),
-                ty: VhdlType::vector(w.elem.signed, w.elem.bits),
-            });
-            let src = if i + 1 < n {
-                format!("sr_{arr}_{}", i + 1)
-            } else {
-                format!("din_{arr}")
-            };
-            assigns.push((target, src));
+            e.signal(format_args!("sr_{arr}_{i}"), ty);
         }
-        e.stmts.push(Stmt::Process {
-            label: format!("shift_{arr}"),
-            enable: Some("din_valid".into()),
-            assigns,
+        e.process(format_args!("shift_{arr}"), Some(&"din_valid"), |p| {
+            for i in 0..n {
+                if i + 1 < n {
+                    p.latch(
+                        format_args!("sr_{arr}_{i}"),
+                        format_args!("sr_{arr}_{}", i + 1),
+                    );
+                } else {
+                    p.latch(format_args!("sr_{arr}_{i}"), format_args!("din_{arr}"));
+                }
+            }
         });
-        for (i, r) in w.reads.iter().enumerate() {
-            e.stmts.push(Stmt::Assign {
-                target: format!("win_{}", r.scalar.to_lowercase()),
-                expr: format!("sr_{arr}_{i}"),
-            });
+        for (i, t) in tap.by_ref().take(n).enumerate() {
+            e.assign(format_args!("win_{t}"), format_args!("sr_{arr}_{i}"));
         }
     }
-    e.signals.push(Signal {
-        name: "fill_count".into(),
-        ty: VhdlType::Unsigned(16),
+    e.signal("fill_count", VhdlType::Unsigned(16));
+    e.process("fill", Some(&"din_valid"), |p| {
+        p.latch("fill_count", "fill_count + 1")
     });
-    e.stmts.push(Stmt::Process {
-        label: "fill".into(),
-        enable: Some("din_valid".into()),
-        assigns: vec![("fill_count".into(), "fill_count + 1".into())],
-    });
-    let window = kernel.windows.first().map(|w| w.reads.len()).unwrap_or(1);
-    e.stmts.push(Stmt::Assign {
-        target: "window_valid".into(),
-        expr: format!("'1' when fill_count >= to_unsigned({window}, 16) else '0'"),
-    });
-    e
+    let window = kernel
+        .windows
+        .first()
+        .map(|win| win.reads.len())
+        .unwrap_or(1);
+    e.assign(
+        "window_valid",
+        format_args!("'1' when fill_count >= to_unsigned({window}, 16) else '0'"),
+    );
+    e.end();
 }
 
 /// Controller FSM shell: address generation bounds from the loop dims.
-fn controller_entity(kernel: &Kernel, dp: &Datapath) -> Entity {
-    let mut e = Entity::new(format!("{}_controller", dp.name.to_lowercase()));
-    for p in ["clk", "start"] {
-        e.ports.push(Port {
-            name: p.into(),
-            dir: PortDir::In,
-            ty: VhdlType::StdLogic,
-        });
-    }
-    e.ports.push(Port {
-        name: "read_addr".into(),
-        dir: PortDir::Out,
-        ty: VhdlType::Unsigned(32),
-    });
-    e.ports.push(Port {
-        name: "write_addr".into(),
-        dir: PortDir::Out,
-        ty: VhdlType::Unsigned(32),
-    });
-    e.ports.push(Port {
-        name: "done".into(),
-        dir: PortDir::Out,
-        ty: VhdlType::StdLogic,
-    });
+fn controller_entity(w: &mut VhdlWriter, kernel: &Kernel, names: &Names) {
+    let mut e = w.entity(format_args!("{}_controller", names.dp));
+    e.port("clk", PortDir::In, VhdlType::StdLogic);
+    e.port("start", PortDir::In, VhdlType::StdLogic);
+    e.port("read_addr", PortDir::Out, VhdlType::Unsigned(32));
+    e.port("write_addr", PortDir::Out, VhdlType::Unsigned(32));
+    e.port("done", PortDir::Out, VhdlType::StdLogic);
     let total: u64 = kernel.total_iterations();
-    e.signals.push(Signal {
-        name: "iter".into(),
-        ty: VhdlType::Unsigned(32),
-    });
-    e.stmts.push(Stmt::Comment(format!(
-        "higher-level controller: {} iterations over dims {:?}",
-        total,
-        kernel
-            .dims
-            .iter()
-            .map(|d| (d.start, d.bound, d.step))
-            .collect::<Vec<_>>()
-    )));
-    e.stmts.push(Stmt::Process {
-        label: "count".into(),
-        enable: Some("start".into()),
-        assigns: vec![("iter".into(), "iter + 1".into())],
-    });
-    e.stmts.push(Stmt::Assign {
-        target: "read_addr".into(),
-        expr: "iter".into(),
-    });
-    e.stmts.push(Stmt::Assign {
-        target: "write_addr".into(),
-        expr: "iter".into(),
-    });
-    e.stmts.push(Stmt::Assign {
-        target: "done".into(),
-        expr: format!("'1' when iter >= to_unsigned({total}, 32) else '0'"),
-    });
-    e
+    e.signal("iter", VhdlType::Unsigned(32));
+    e.comment(format_args!(
+        "higher-level controller: {total} iterations over dims {}",
+        debug_list(kernel.dims.iter().map(|d| (d.start, d.bound, d.step)))
+    ));
+    e.process("count", Some(&"start"), |p| p.latch("iter", "iter + 1"));
+    e.assign("read_addr", "iter");
+    e.assign("write_addr", "iter");
+    e.assign(
+        "done",
+        format_args!("'1' when iter >= to_unsigned({total}, 32) else '0'"),
+    );
+    e.end();
 }
 
 #[cfg(test)]
@@ -768,15 +672,29 @@ mod tests {
 
     #[test]
     fn cast_handles_all_signedness_combinations() {
-        assert_eq!(cast("x", &VhdlType::Signed(8), true, 8), "x");
-        assert_eq!(cast("x", &VhdlType::Signed(8), true, 12), "resize(x, 12)");
+        let cast = |from, signed, bits| {
+            crate::writer::Cast {
+                expr: "x",
+                from,
+                signed,
+                bits,
+            }
+            .to_string()
+        };
+        assert_eq!(cast(VhdlType::Signed(8), true, 8), "x");
+        assert_eq!(cast(VhdlType::Signed(8), true, 12), "resize(x, 12)");
         assert_eq!(
-            cast("x", &VhdlType::Unsigned(8), true, 12),
+            cast(VhdlType::Unsigned(8), true, 12),
             "signed(resize(x, 12))"
         );
         assert_eq!(
-            cast("x", &VhdlType::Signed(8), false, 4),
+            cast(VhdlType::Signed(8), false, 4),
             "unsigned(resize(x, 4))"
+        );
+        assert_eq!(cast(VhdlType::Unsigned(1), false, 0), "x");
+        assert_eq!(
+            cast(VhdlType::StdLogic, false, 3),
+            "to_unsigned(0, 3) -- std_logic cast of x"
         );
     }
 
@@ -826,5 +744,98 @@ mod tests {
         // 5 entries pad to 8.
         assert!(text.contains("array (0 to 7)"), "{text}");
         assert!(text.contains("table(to_integer(addr))"));
+    }
+
+    #[test]
+    fn case_colliding_inputs_become_distinct_ports() {
+        let text = vhdl_for("void f(int A, int a, int* o) { *o = A - a; }", "f");
+        assert!(
+            text.contains(
+                "    in_a : in  signed(31 downto 0);\n    in_a_1 : in  signed(31 downto 0);\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "    i_a : in  signed(31 downto 0);\n    i_a_1 : in  signed(31 downto 0);\n"
+            ),
+            "{text}"
+        );
+        // The subtraction reads two different ports, each wired to its own
+        // top-level input.
+        assert!(text.contains("w0 <= i_a - i_a_1;"), "{text}");
+        assert!(
+            text.contains("port map (i_a => in_a, i_a_1 => in_a_1, "),
+            "{text}"
+        );
+        assert!(crate::lint::lint(&text).is_empty(), "{text}");
+    }
+
+    #[test]
+    fn case_colliding_outputs_and_feedback_become_distinct() {
+        let outputs = vhdl_for("void h(int x, int* O, int* o) { *O = x; *o = x + 1; }", "h");
+        let feedback = vhdl_for(
+            "void g(int A[8], int* O, int* o) { int s = 0; int S = 1; int i;
+               for (i = 0; i < 8; i++) { s = s + A[i]; S = S ^ A[i]; } *O = s; *o = S; }",
+            "g",
+        );
+        for (text, ids) in [
+            (&outputs, ["    out_o : ", "    out_o_1 : "]),
+            (&feedback, ["  signal fb_s : ", "  signal fb_s_1 : "]),
+            (&feedback, ["    out_s_final : ", "    out_s_final_1 : "]),
+        ] {
+            for id in ids {
+                assert!(text.contains(id), "{id}: {text}");
+            }
+            assert!(crate::lint::lint(text).is_empty(), "{text}");
+        }
+    }
+
+    #[test]
+    fn unique_ids_lowercase_and_suffix_collisions() {
+        let ids = |names: &[&str]| unique_ids(names.iter().copied());
+        assert_eq!(ids(&["In", "out", "x"]), ["in", "out", "x"]);
+        assert_eq!(ids(&["A", "a", "a_1", "B"]), ["a", "a_1", "a_1_2", "b"]);
+        assert_eq!(ids(&["a_2", "A", "a"]), ["a_2", "a", "a_2_2"]);
+        assert!(ids(&[]).is_empty());
+    }
+
+    #[test]
+    fn node_ports_are_written_once_per_node_and_match_the_instance() {
+        // Every node entity's ports appear, in the same order, as the
+        // formals of its instance in the top entity.
+        let text = vhdl_for(
+            "void f(int a, int b, int* o) { int x; if (a > b) { x = a * 3; } else { x = b - a; } *o = x + 1; }",
+            "f",
+        );
+        let mut checked = 0;
+        for block in text.split("\nentity ").skip(1) {
+            let name = block.split_whitespace().next().unwrap();
+            let Some(label) = name.strip_prefix("f_dp_") else {
+                continue;
+            };
+            let formals: Vec<&str> = block
+                .split("end entity")
+                .next()
+                .unwrap()
+                .lines()
+                .filter_map(|l| l.trim().split_once(" : ").map(|(n, _)| n))
+                .collect();
+            let instance = format!("  u_{label}: entity work.{name} port map (");
+            let map = text
+                .split(&instance)
+                .nth(1)
+                .unwrap_or_else(|| panic!("no instance of {name}: {text}"));
+            let mapped: Vec<&str> = map
+                .split(");")
+                .next()
+                .unwrap()
+                .split(", ")
+                .map(|a| a.split(" => ").next().unwrap())
+                .collect();
+            assert_eq!(formals, mapped, "{name}");
+            checked += 1;
+        }
+        assert!(checked >= 3, "{text}");
     }
 }

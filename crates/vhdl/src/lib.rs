@@ -6,6 +6,15 @@
 //! latches and valid chain, plus parameterized smart-buffer and controller
 //! shells. A structural [`lint`] checks the output in tests.
 //!
+//! The text is written in one pass into one buffer by a small streaming
+//! [`writer`]: entity headers, ports and declarations go straight to the
+//! output, each architecture body collects in one reused scratch buffer,
+//! and types, casts, literals and operand references are `Display`
+//! adapters formatted in place. The generator computes every node's
+//! port sets once and lowercases the C names once per render, making
+//! names that differ only in case unique ([`Names`]), since VHDL
+//! identifiers are case-insensitive.
+//!
 //! ```
 //! use roccc::{compile, CompileOptions};
 //!
@@ -21,9 +30,9 @@
 
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod generate;
 pub mod lint;
+pub mod writer;
 
-pub use ast::{Entity, Port, PortDir, Signal, Stmt, VhdlType};
-pub use generate::generate_vhdl;
+pub use generate::{generate_vhdl, write_vhdl, Names};
+pub use writer::{PortDir, VhdlType, VhdlWriter};

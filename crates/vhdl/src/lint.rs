@@ -4,7 +4,7 @@
 //! crate emits, used by the test-suite to catch unbound signals, missing
 //! entities and unbalanced constructs without an external simulator.
 //! Findings are reported as `roccc-verify` [`Diagnostic`] values
-//! (phase `vhdl`, codes `V001`–`V005`, warning severity) so the CLI and
+//! (phase `vhdl`, codes `V001`–`V006`, warning severity) so the CLI and
 //! the compile daemon surface them uniformly with the IR/data-path/
 //! netlist verifier.
 
@@ -22,12 +22,29 @@ struct EntityInfo {
     signals: BTreeSet<String>,
     assigned: BTreeSet<String>,
     instances: Vec<(String, Vec<String>)>, // (entity, formals)
+    /// Every port and signal name, lowercased.
+    declared: BTreeSet<String>,
+    /// Names declared more than once, lowercased.
+    duplicates: BTreeSet<String>,
+}
+
+impl EntityInfo {
+    /// Records a port or signal declaration; VHDL identifiers are
+    /// case-insensitive, so `A` and `a` name the same object.
+    fn declare(&mut self, name: &str) {
+        let key = name.to_lowercase();
+        if self.declared.contains(&key) {
+            self.duplicates.insert(key);
+        } else {
+            self.declared.insert(key);
+        }
+    }
 }
 
 /// Checks the generated VHDL text. Returns all findings (empty = clean),
 /// in one order for a given text: the count check, then entity by
-/// entity in name order — its `V001` and `V002` findings sorted by name,
-/// then its instance findings in text order.
+/// entity in name order — its `V001`, `V002` and `V006` findings sorted
+/// by name, then its instance findings in text order.
 ///
 /// * `V001-unbound-signal` — an assignment target that is neither a
 ///   declared signal nor an output port;
@@ -36,7 +53,9 @@ struct EntityInfo {
 ///   not define;
 /// * `V004-unmapped-input` — an instance leaving a data input port of
 ///   its entity unmapped;
-/// * `V005-arch-mismatch` — entity/architecture count imbalance.
+/// * `V005-arch-mismatch` — entity/architecture count imbalance;
+/// * `V006-duplicate-declaration` — a port or signal name declared twice
+///   in one entity, compared case-insensitively.
 pub fn lint(text: &str) -> Vec<Diagnostic> {
     let mut errors = Vec::new();
     let mut entities: BTreeMap<String, EntityInfo> = BTreeMap::new();
@@ -70,6 +89,7 @@ pub fn lint(text: &str) -> Vec<Diagnostic> {
                 let dir_in = rest.trim_start().starts_with("in ");
                 if let Some(cur) = &current {
                     let info = entities.get_mut(cur).expect("current exists");
+                    info.declare(&name);
                     if dir_in {
                         info.in_ports.insert(name);
                     } else {
@@ -81,11 +101,9 @@ pub fn lint(text: &str) -> Vec<Diagnostic> {
             if let Some(cur) = &current {
                 if let Some(rest) = line.strip_prefix("signal ") {
                     if let Some((name, _)) = rest.split_once(':') {
-                        entities
-                            .get_mut(cur)
-                            .expect("current exists")
-                            .signals
-                            .insert(name.trim().to_string());
+                        let info = entities.get_mut(cur).expect("current exists");
+                        info.declare(name.trim());
+                        info.signals.insert(name.trim().to_string());
                     }
                 }
             }
@@ -158,6 +176,12 @@ pub fn lint(text: &str) -> Vec<Diagnostic> {
                 }
             }
         }
+        for d in &info.duplicates {
+            errors.push(warn(
+                "V006-duplicate-declaration",
+                format!("entity {name}: `{d}` declared more than once"),
+            ));
+        }
         // Instantiated entities must exist and all their in-ports be mapped.
         for (ent, formals) in &info.instances {
             match entities.get(ent) {
@@ -189,38 +213,32 @@ pub fn lint(text: &str) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Entity, Port, PortDir, Signal, Stmt, VhdlType};
+    use crate::writer::{Entity, PortDir, VhdlType, VhdlWriter};
     use roccc_verify::Severity;
+
+    /// The text of one entity built by `build`.
+    fn entity(name: &str, build: impl FnOnce(&mut Entity<'_>)) -> String {
+        let mut w = VhdlWriter::default();
+        let mut e = w.entity(name);
+        build(&mut e);
+        e.end();
+        w.finish()
+    }
 
     #[test]
     fn clean_entity_passes() {
-        let mut e = Entity::new("ok");
-        e.ports.push(Port {
-            name: "a".into(),
-            dir: PortDir::In,
-            ty: VhdlType::Unsigned(8),
+        let text = entity("ok", |e| {
+            e.port("a", PortDir::In, VhdlType::Unsigned(8));
+            e.port("y", PortDir::Out, VhdlType::Unsigned(8));
+            e.assign("y", "a");
         });
-        e.ports.push(Port {
-            name: "y".into(),
-            dir: PortDir::Out,
-            ty: VhdlType::Unsigned(8),
-        });
-        e.stmts.push(Stmt::Assign {
-            target: "y".into(),
-            expr: "a".into(),
-        });
-        assert!(lint(&e.render()).is_empty());
+        assert!(lint(&text).is_empty());
     }
 
     #[test]
     fn undriven_output_flagged() {
-        let mut e = Entity::new("bad");
-        e.ports.push(Port {
-            name: "y".into(),
-            dir: PortDir::Out,
-            ty: VhdlType::Unsigned(8),
-        });
-        let errs = lint(&e.render());
+        let text = entity("bad", |e| e.port("y", PortDir::Out, VhdlType::Unsigned(8)));
+        let errs = lint(&text);
         assert!(
             errs.iter().any(|e| e.code == "V002-undriven-output"),
             "{errs:?}"
@@ -229,12 +247,8 @@ mod tests {
 
     #[test]
     fn assignment_to_undeclared_flagged() {
-        let mut e = Entity::new("bad2");
-        e.stmts.push(Stmt::Assign {
-            target: "ghost".into(),
-            expr: "to_unsigned(0, 4)".into(),
-        });
-        let errs = lint(&e.render());
+        let text = entity("bad2", |e| e.assign("ghost", "to_unsigned(0, 4)"));
+        let errs = lint(&text);
         assert!(
             errs.iter().any(|e| e.code == "V001-unbound-signal"),
             "{errs:?}"
@@ -243,17 +257,11 @@ mod tests {
 
     #[test]
     fn unknown_instance_flagged() {
-        let mut e = Entity::new("top");
-        e.signals.push(Signal {
-            name: "x".into(),
-            ty: VhdlType::Unsigned(4),
+        let text = entity("top", |e| {
+            e.signal("x", VhdlType::Unsigned(4));
+            e.instance("u1", "missing", |m| m.map("a", "x"));
         });
-        e.stmts.push(Stmt::Instance {
-            label: "u1".into(),
-            entity: "missing".into(),
-            map: vec![("a".into(), "x".into())],
-        });
-        let errs = lint(&e.render());
+        let errs = lint(&text);
         assert!(
             errs.iter().any(|e| e.code == "V003-unknown-entity"),
             "{errs:?}"
@@ -298,15 +306,106 @@ mod tests {
         }
     }
 
+    /// What the generator emitted for `void f(int A, int a, int* o) {
+    /// *o = A - a; }` before it made case-colliding C names unique.
+    const CASE_COLLISION: &str = "\
+entity f_dp_node_1 is
+  port (
+    i_a : in  signed(31 downto 0);
+    i_a : in  signed(31 downto 0);
+    o_op1 : out signed(31 downto 0)
+  );
+end entity f_dp_node_1;
+
+architecture rtl of f_dp_node_1 is
+  signal w0 : signed(31 downto 0);
+  signal w1 : signed(31 downto 0);
+begin
+  w0 <= i_a - i_a;
+  w1 <= w0;
+  o_op1 <= w1;
+end architecture rtl;
+
+entity f_dp is
+  port (
+    clk : in  std_logic;
+    ivalid : in  std_logic;
+    ovalid : out std_logic;
+    in_a : in  signed(31 downto 0);
+    in_a : in  signed(31 downto 0);
+    out_o : out signed(31 downto 0)
+  );
+end entity f_dp;
+
+architecture rtl of f_dp is
+  signal op1_s0 : signed(31 downto 0);
+  signal valid_s0 : std_logic;
+  signal ovalid_r : std_logic;
+  signal out_o_r : signed(31 downto 0);
+begin
+  valid_s0 <= ivalid;
+  ovalid <= ovalid_r;
+  u_node_1: entity work.f_dp_node_1 port map (i_a => in_a, i_a => in_a, o_op1 => op1_s0);
+  out_o <= out_o_r;
+  pipeline: process(clk)
+  begin
+    if rising_edge(clk) then
+      ovalid_r <= valid_s0;
+      out_o_r <= op1_s0;
+    end if;
+  end process pipeline;
+end architecture rtl;
+";
+
+    #[test]
+    fn ports_declared_twice_are_flagged() {
+        let listed: Vec<(&str, String)> = lint(CASE_COLLISION)
+            .into_iter()
+            .map(|d| (d.code, d.message))
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                (
+                    "V006-duplicate-declaration",
+                    "entity f_dp: `in_a` declared more than once".to_string()
+                ),
+                (
+                    "V006-duplicate-declaration",
+                    "entity f_dp_node_1: `i_a` declared more than once".to_string()
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn declarations_compare_case_insensitively() {
+        let text = entity("e", |e| {
+            e.port("X", PortDir::In, VhdlType::Unsigned(8));
+            e.port("y", PortDir::Out, VhdlType::Unsigned(8));
+            e.signal("x", VhdlType::Unsigned(8));
+            e.signal("Y", VhdlType::Unsigned(8));
+            e.signal("z", VhdlType::Unsigned(8));
+            e.assign("y", "z");
+        });
+        let listed: Vec<String> = lint(&text)
+            .into_iter()
+            .filter(|d| d.code == "V006-duplicate-declaration")
+            .map(|d| d.message)
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                "entity e: `x` declared more than once",
+                "entity e: `y` declared more than once"
+            ]
+        );
+    }
+
     #[test]
     fn findings_are_vhdl_phase_warnings() {
-        let mut e = Entity::new("bad");
-        e.ports.push(Port {
-            name: "y".into(),
-            dir: PortDir::Out,
-            ty: VhdlType::Unsigned(8),
-        });
-        for d in lint(&e.render()) {
+        let text = entity("bad", |e| e.port("y", PortDir::Out, VhdlType::Unsigned(8)));
+        for d in lint(&text) {
             assert_eq!(d.phase, Phase::Vhdl);
             assert_eq!(d.severity, Severity::Warning);
             assert!(d.code.starts_with('V'), "{}", d.code);

@@ -51,6 +51,16 @@ if ./target/release/roccc "${verify_src}" --function acc --no-such-flag \
   exit 1
 fi
 rm -f "${verify_src}"
+# C names that differ only in case must become distinct VHDL identifiers
+# (VHDL is case-insensitive): the V006 lint fails this under deny if two
+# ports collapse into one.
+case_src="$(mktemp -t case_smoke.XXXXXX.c)"
+cat >"${case_src}" <<'EOF'
+void f(int A, int a, int* o) { *o = A - a; }
+EOF
+./target/release/roccc "${case_src}" --function f --emit vhdl --deny-warnings \
+  >/dev/null
+rm -f "${case_src}"
 
 echo "==> bench smoke (${BENCH_CYCLES} cycles, 3 runs)"
 out="$(mktemp -t bench_sim_smoke.XXXXXX.json)"
