@@ -7,12 +7,14 @@
 //!
 //! For each kernel the same cycle stream (same arguments, same
 //! valid/bubble pattern) is driven through [`NetlistSim`] (the readable
-//! per-cycle interpreter) and [`CompiledSim`] (the levelized zero-alloc
-//! engine), and the median-of-runs cycles/sec plus the compiled-engine
-//! speedup are written to `BENCH_sim.json` so the perf trajectory is
-//! tracked PR over PR.
+//! per-cycle interpreter) and a one-lane [`BatchedSim`] (the levelized
+//! zero-alloc engine, stepped per cycle as `run_system` does), and the
+//! same arguments are streamed through `SimPlan::run_batch_lanes` at
+//! `--lanes` lanes. The median-of-runs cycles/sec plus the speedups are
+//! written to `BENCH_sim.json` so the perf trajectory is tracked PR over
+//! PR.
 
-use roccc::{CompileOptions, CompiledSim, NetlistSim};
+use roccc::{BatchedSim, CompileOptions, NetlistSim};
 use roccc_bench::{bench_result, render_bench_json, time_median, BenchResult};
 use roccc_netlist::SimPlan;
 use roccc_testutil::XorShift64;
@@ -130,17 +132,16 @@ fn main() {
             black_box(acc) as u64
         });
 
-        // Compiled: levelized zero-alloc engine over the same stream.
-        let mut out_flat = vec![0i64; n_out];
+        // Compiled: the levelized zero-alloc engine at one lane, stepped
+        // per cycle over the same stream.
         let comp_secs = time_median(cfg.runs, || {
-            let mut sim = CompiledSim::new(&plan);
+            let mut sim = BatchedSim::new(&plan, 1);
             let mut acc = 0i64;
             for (t, &v) in valids.iter().enumerate() {
                 let args = &flat_args[t * n_in..(t + 1) * n_in];
-                let out_valid = sim.step(args, v).expect("compiled step");
-                if out_valid && n_out > 0 {
-                    sim.read_outputs(&mut out_flat);
-                    acc ^= out_flat[0];
+                sim.step_lanes(args, &[v]).expect("compiled step");
+                if sim.lane_out_valid(0) && n_out > 0 {
+                    acc ^= sim.output_lane(0, 0);
                 }
             }
             black_box(acc) as u64
@@ -214,18 +215,19 @@ fn verify_engines_agree() {
                 .collect()
         })
         .collect();
-    let a = NetlistSim::new(&hw.netlist).run_stream(&iters).unwrap();
-    let b = CompiledSim::new(&plan).run_stream(&iters).unwrap();
-    assert_eq!(a, b, "engines disagree — refusing to write BENCH_sim.json");
-    // The lane-batched engine must be bit-exact too, remainder lanes
-    // included (64 iterations over 7 lanes).
-    let flat: Vec<i64> = iters.iter().flatten().copied().collect();
-    let mut batched = Vec::new();
-    plan.run_batch_lanes(&flat, iters.len(), 7, &mut batched)
-        .unwrap();
-    let flattened: Vec<i64> = a.into_iter().flatten().collect();
-    assert_eq!(
-        batched, flattened,
-        "batched engine disagrees — refusing to write BENCH_sim.json"
-    );
+    let reference = NetlistSim::new(&hw.netlist)
+        .run_stream(&iters)
+        .unwrap()
+        .concat();
+    // One lane (the per-cycle engine) and seven lanes (remainder lanes
+    // included: 64 iterations over 7) must both be bit-exact.
+    for lanes in [1, 7] {
+        let mut compiled = Vec::new();
+        plan.run_batch_lanes(&iters.concat(), iters.len(), lanes, &mut compiled)
+            .unwrap();
+        assert_eq!(
+            compiled, reference,
+            "{lanes}-lane engine disagrees — refusing to write BENCH_sim.json"
+        );
+    }
 }

@@ -11,9 +11,11 @@
 //!   the pipeline balancing registers and feedback latches;
 //! * [`sim`] — two-phase cycle-accurate *reference* simulation with a
 //!   valid chain (readable, interprets the cell graph every cycle);
-//! * [`plan`] — the *compiled* engine: one-time levelization into a dense
-//!   instruction stream ([`SimPlan`]) executed zero-allocation by
-//!   [`CompiledSim`] — what `run_system` and the benches actually run;
+//! * [`plan`] — the one *compiled* engine: one-time levelization into a
+//!   dense instruction stream ([`SimPlan`]) executed zero-allocation by
+//!   the lane-batched [`BatchedSim`] — what `run_system` (at one lane),
+//!   the co-simulator, prove's replay and the benches actually run,
+//!   checked against the [`sim`] reference in the differential suites;
 //! * [`system`] — whole-kernel runs with smart buffers and controllers,
 //!   producing throughput and memory-traffic numbers for the evaluation.
 
@@ -27,7 +29,7 @@ pub mod system;
 
 pub use cells::{Cell, CellId, CellKind, Netlist};
 pub use from_dp::netlist_from_datapath;
-pub use plan::{cell_stages, BatchedSim, CompiledSim, SimPlan};
+pub use plan::{cell_stages, BatchedSim, SimPlan};
 pub use sim::{CycleResult, NetlistSim, SimError};
 pub use system::{
     run_system, run_system_with_options, BramFeed, OutputLane, SystemError, SystemOptions,

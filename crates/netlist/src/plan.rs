@@ -20,14 +20,18 @@
 //!   *divider's own stage* occupancy — a garbage bubble flowing past a
 //!   divider no longer faults just because an unrelated valid iteration
 //!   is elsewhere in the pipeline;
-//! * [`CompiledSim::step`] then runs **zero-allocation** against
-//!   preallocated value/occupancy buffers, and [`CompiledSim::run_batch`]
-//!   streams whole iteration blocks without per-cycle argument clones or
-//!   per-output `Vec` churn.
+//! * [`BatchedSim`] then steps `lanes` independent pipelines per clock
+//!   with **zero allocation** against preallocated slot-major
+//!   value/occupancy buffers, and [`SimPlan::run_batch_lanes`] streams
+//!   whole iteration blocks through it without per-cycle argument clones
+//!   or per-output `Vec` churn. One lane is the per-cycle engine
+//!   `run_system` and the co-simulator step; wide lanes are the
+//!   throughput drivers.
 //!
-//! The compiled engine is bit-identical to the reference simulator (the
-//! workspace differential tests drive both over random kernels, bubbles
-//! included) and is what `run_system` and the bench harness execute.
+//! This is the one compiled engine. It is bit-identical to the reference
+//! simulator [`NetlistSim`](crate::sim::NetlistSim), which stays the
+//! oracle: the workspace differential tests drive both over random
+//! kernels, bubbles with garbage arguments and faults included.
 
 use crate::cells::{CellKind, Netlist};
 use crate::sim::SimError;
@@ -184,7 +188,7 @@ pub fn cell_stages(nl: &Netlist) -> Vec<u32> {
 
 /// A netlist compiled for fast simulation. Compile once per netlist with
 /// [`SimPlan::compile`], then instantiate any number of cheap
-/// [`CompiledSim`] states from it.
+/// [`BatchedSim`] states from it.
 #[derive(Debug, Clone)]
 pub struct SimPlan {
     /// Combinational instruction stream in evaluation order.
@@ -454,8 +458,8 @@ impl SimPlan {
         }
     }
 
-    /// Streams `iters` iterations (row-major in `flat_args`, as in
-    /// [`CompiledSim::run_batch`]) through a [`BatchedSim`] with up to
+    /// Streams `iters` iterations (row-major in `flat_args`,
+    /// `iters × num_inputs`) through a [`BatchedSim`] with up to
     /// `lanes` lanes, appending output rows to `out_flat` in the original
     /// iteration order. Returns the number of output rows.
     ///
@@ -472,7 +476,7 @@ impl SimPlan {
     /// # Errors
     ///
     /// Returns [`SimError`] under the same conditions as
-    /// [`CompiledSim::step`] (valid-lane division by zero).
+    /// [`BatchedSim::step_lanes`] (valid-lane division by zero).
     ///
     /// # Panics
     ///
@@ -636,298 +640,22 @@ fn fold_const(
     })
 }
 
-/// A running compiled simulation: mutable buffers over a [`SimPlan`].
-///
-/// All buffers are allocated at construction; [`CompiledSim::step`] and
-/// [`CompiledSim::run_batch`] perform no heap allocation.
-#[derive(Debug, Clone)]
-pub struct CompiledSim<'p> {
-    plan: &'p SimPlan,
-    /// Persistent value buffer: constants written once, registers updated
-    /// at the clock edge, combinational slots overwritten every settle.
-    vals: Vec<i64>,
-    /// Next-state scratch for the two-phase register commit.
-    reg_next: Vec<i64>,
-    /// Valid-bit occupancy per pipeline stage (`occ[0]` = newest).
-    occ: Vec<bool>,
-    /// Reusable zero-argument buffer for bubble cycles.
-    zero_args: Vec<i64>,
-    cycles: u64,
-}
-
-impl<'p> CompiledSim<'p> {
-    /// Creates a simulation with registers at their power-on values.
-    pub fn new(plan: &'p SimPlan) -> Self {
-        CompiledSim {
-            plan,
-            vals: plan.init_vals.clone(),
-            reg_next: vec![0; plan.edges.len()],
-            occ: vec![false; plan.latency as usize],
-            zero_args: vec![0; plan.input_wraps.len()],
-            cycles: 0,
-        }
-    }
-
-    /// Resets registers, occupancy, and the cycle counter to power-on.
-    pub fn reset(&mut self) {
-        self.vals.copy_from_slice(&self.plan.init_vals);
-        self.occ.fill(false);
-        self.cycles = 0;
-    }
-
-    /// Cycles simulated so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Current state of a feedback register by slot name.
-    pub fn feedback_value(&self, name: &str) -> Option<i64> {
-        self.plan
-            .feedback
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, idx)| self.vals[*idx as usize])
-    }
-
-    /// Post-edge value of output port `k`.
-    #[inline]
-    pub fn output(&self, k: usize) -> i64 {
-        let (_, idx, wrap) = &self.plan.outputs[k];
-        wrap.apply(self.vals[*idx as usize])
-    }
-
-    /// Copies all post-edge output-port values into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the output-port count.
-    pub fn read_outputs(&self, out: &mut [i64]) {
-        assert_eq!(out.len(), self.plan.outputs.len(), "output arity");
-        for (slot, (_, idx, wrap)) in out.iter_mut().zip(&self.plan.outputs) {
-            *slot = wrap.apply(self.vals[*idx as usize]);
-        }
-    }
-
-    /// Whether the most recent [`CompiledSim::step`] retired a valid
-    /// iteration (same value the step returned).
-    pub fn out_valid(&self) -> bool {
-        *self.occ.last().unwrap_or(&false)
-    }
-
-    /// Simulates one clock cycle without allocating: `args` drive the
-    /// input ports, `valid` marks them as a real iteration. Returns
-    /// whether the post-edge outputs correspond to a valid iteration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on division/remainder by zero while a valid
-    /// iteration occupies the divider's own pipeline stage (bubbles force
-    /// benign results), or on negative dynamic shifts during valid cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `args` does not match the input-port arity.
-    pub fn step(&mut self, args: &[i64], valid: bool) -> Result<bool, SimError> {
-        assert_eq!(args.len(), self.plan.input_wraps.len(), "input arity");
-        if valid && self.plan.ii > 1 && !self.cycles.is_multiple_of(self.plan.ii) {
-            return Err(SimError(format!(
-                "valid iteration presented at cycle {} of a schedule with II {}; \
-                 launches must land on multiples of the initiation interval",
-                self.cycles, self.plan.ii
-            )));
-        }
-        self.cycles += 1;
-
-        // Advance occupancy in place: stage 0 holds the new iteration.
-        let l = self.occ.len();
-        self.occ.copy_within(0..l - 1, 1);
-        self.occ[0] = valid;
-
-        // Combinational settle over the dense instruction stream.
-        let vals = &mut self.vals;
-        for ins in &self.plan.instrs {
-            let s = |k: u32| vals[k as usize];
-            let v = match ins.op {
-                SimOp::Input { port } => args[port as usize],
-                SimOp::Add => s(ins.a).wrapping_add(s(ins.b)),
-                SimOp::Sub => s(ins.a).wrapping_sub(s(ins.b)),
-                SimOp::Mul => s(ins.a).wrapping_mul(s(ins.b)),
-                SimOp::Div { stage } => {
-                    let d = s(ins.b);
-                    if d == 0 {
-                        if self.occ.get(stage as usize).copied().unwrap_or(false) {
-                            return Err(SimError("division by zero".into()));
-                        }
-                        0
-                    } else {
-                        s(ins.a).wrapping_div(d)
-                    }
-                }
-                SimOp::Rem { stage } => {
-                    let d = s(ins.b);
-                    if d == 0 {
-                        if self.occ.get(stage as usize).copied().unwrap_or(false) {
-                            return Err(SimError("remainder by zero".into()));
-                        }
-                        0
-                    } else {
-                        s(ins.a).wrapping_rem(d)
-                    }
-                }
-                SimOp::Neg => s(ins.a).wrapping_neg(),
-                SimOp::Not => !s(ins.a),
-                SimOp::Shl => s(ins.a).wrapping_shl(s(ins.b).clamp(0, 63) as u32),
-                SimOp::Shr => s(ins.a).wrapping_shr(s(ins.b).clamp(0, 63) as u32),
-                SimOp::And => s(ins.a) & s(ins.b),
-                SimOp::Or => s(ins.a) | s(ins.b),
-                SimOp::Xor => s(ins.a) ^ s(ins.b),
-                SimOp::Slt => (s(ins.a) < s(ins.b)) as i64,
-                SimOp::Sle => (s(ins.a) <= s(ins.b)) as i64,
-                SimOp::Seq => (s(ins.a) == s(ins.b)) as i64,
-                SimOp::Sne => (s(ins.a) != s(ins.b)) as i64,
-                SimOp::Bool => (s(ins.a) != 0) as i64,
-                SimOp::Mux => {
-                    if s(ins.a) != 0 {
-                        s(ins.b)
-                    } else {
-                        s(ins.c)
-                    }
-                }
-                SimOp::Copy => s(ins.a),
-                SimOp::Lut { rom } => {
-                    let idx = s(ins.a);
-                    if idx < 0 {
-                        0
-                    } else {
-                        self.plan.roms[rom as usize]
-                            .get(idx as usize)
-                            .copied()
-                            .unwrap_or(0)
-                    }
-                }
-            };
-            vals[ins.dst as usize] = ins.wrap.apply(v);
-        }
-
-        // Clock edge: two-phase so register-to-register chains observe
-        // pre-edge values, exactly like real flip-flops.
-        for (next, edge) in self.reg_next.iter_mut().zip(&self.plan.edges) {
-            *next = edge.wrap.apply(vals[edge.d as usize]);
-        }
-        for (next, edge) in self.reg_next.iter().zip(&self.plan.edges) {
-            let latch = edge.gate == GATE_NONE
-                || self.occ.get(edge.gate as usize).copied().unwrap_or(false);
-            if latch {
-                vals[edge.reg as usize] = *next;
-            }
-        }
-
-        Ok(*self.occ.last().unwrap_or(&false))
-    }
-
-    /// Streams `iterations` through the pipeline back-to-back and returns
-    /// only the valid outputs, in order (API-compatible with
-    /// [`NetlistSim::run_stream`](crate::sim::NetlistSim::run_stream), but
-    /// with preallocated buffers and no per-cycle clones).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from [`CompiledSim::step`].
-    pub fn run_stream(&mut self, iterations: &[Vec<i64>]) -> Result<Vec<Vec<i64>>, SimError> {
-        let n_out = self.plan.outputs.len();
-        let mut out = Vec::with_capacity(iterations.len());
-        let zeros = std::mem::take(&mut self.zero_args);
-        let ii = self.plan.ii;
-        let total = iterations.len() as u64 * ii + self.plan.latency as u64 + 2;
-        let mut run = || -> Result<(), SimError> {
-            for t in 0..total {
-                let iter = (t % ii == 0)
-                    .then(|| iterations.get((t / ii) as usize))
-                    .flatten();
-                let (args, valid) = match iter {
-                    Some(a) => (a.as_slice(), true),
-                    None => (zeros.as_slice(), false),
-                };
-                if self.step(args, valid)? {
-                    let mut row = vec![0i64; n_out];
-                    self.read_outputs(&mut row);
-                    out.push(row);
-                }
-            }
-            Ok(())
-        };
-        let r = run();
-        self.zero_args = zeros;
-        r.map(|()| out)
-    }
-
-    /// Streams `iters` iterations whose arguments are packed row-major in
-    /// `flat_args` (`iters × num_inputs`), appending each valid output row
-    /// (`num_outputs` words) to `out_flat`. Returns the number of valid
-    /// output rows produced. This is the zero-churn batch entry point the
-    /// bench harness and throughput drivers use: no per-cycle argument
-    /// clones, no per-output `Vec`s.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from [`CompiledSim::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat_args.len() != iters * num_inputs`.
-    pub fn run_batch(
-        &mut self,
-        flat_args: &[i64],
-        iters: usize,
-        out_flat: &mut Vec<i64>,
-    ) -> Result<usize, SimError> {
-        let n_in = self.plan.input_wraps.len();
-        let n_out = self.plan.outputs.len();
-        assert_eq!(flat_args.len(), iters * n_in, "batch arity");
-        out_flat.reserve(iters * n_out);
-        let mut rows = 0usize;
-        let zeros = std::mem::take(&mut self.zero_args);
-        let ii = self.plan.ii;
-        let total = iters as u64 * ii + self.plan.latency as u64 + 2;
-        let mut run = || -> Result<(), SimError> {
-            for t in 0..total {
-                let valid = t % ii == 0 && ((t / ii) as usize) < iters;
-                let args: &[i64] = if valid {
-                    let base = (t / ii) as usize * n_in;
-                    &flat_args[base..base + n_in]
-                } else {
-                    &zeros
-                };
-                if self.step(args, valid)? {
-                    let start = out_flat.len();
-                    out_flat.resize(start + n_out, 0);
-                    self.read_outputs(&mut out_flat[start..]);
-                    rows += 1;
-                }
-            }
-            Ok(())
-        };
-        let r = run();
-        self.zero_args = zeros;
-        r.map(|()| rows)
-    }
-}
-
 /// A lane-batched compiled simulation: structure-of-arrays state that
 /// advances `lanes` independent input vectors per instruction pass.
 ///
-/// Where [`CompiledSim`] walks the instruction stream once per clock for a
-/// single iteration pipeline, `BatchedSim` keeps the value buffer
-/// **slot-major** (`vals[slot * lanes + lane]`) so each instruction's
-/// opcode dispatch is paid once and the per-lane arithmetic runs as a
-/// tight, auto-vectorizable inner loop over contiguous memory. Lanes are
-/// fully independent — lane `l` simulates its own copy of the datapath —
-/// which is exactly the shape differential suites and throughput drivers
-/// need: N test vectors through the same netlist.
+/// The value buffer is **slot-major** (`vals[slot * lanes + lane]`), so
+/// each instruction's opcode dispatch is paid once and the per-lane
+/// arithmetic runs as a tight, auto-vectorizable inner loop over
+/// contiguous memory. Lanes are fully independent — lane `l` simulates
+/// its own copy of the datapath — which is exactly the shape differential
+/// suites and throughput drivers need: N test vectors through the same
+/// netlist. At one lane it is the per-cycle engine of `run_system`.
 ///
-/// Bit-exactness: each lane computes precisely what a dedicated
-/// [`CompiledSim`] would, including wrap semantics, divider bubble
-/// gating (per-lane occupancy), and two-phase register commit.
+/// Bit-exactness: each lane computes precisely what
+/// [`NetlistSim`](crate::sim::NetlistSim) does, including wrap semantics,
+/// divider bubble gating (per-lane occupancy), and two-phase register
+/// commit. All buffers are allocated at construction; stepping performs
+/// no heap allocation.
 #[derive(Debug, Clone)]
 pub struct BatchedSim<'p> {
     plan: &'p SimPlan,
@@ -1002,6 +730,15 @@ impl<'p> BatchedSim<'p> {
         self.cycles
     }
 
+    /// Current state of feedback register `name` in lane `l`.
+    pub fn feedback_value(&self, name: &str, l: usize) -> Option<i64> {
+        self.plan
+            .feedback
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, slot)| self.vals[*slot as usize * self.lanes + l])
+    }
+
     /// Whether lane `l`'s post-edge outputs correspond to a valid
     /// iteration.
     #[inline]
@@ -1059,8 +796,8 @@ impl<'p> BatchedSim<'p> {
     ///
     /// Returns [`SimError`] if any lane divides by zero while a valid
     /// iteration occupies that divider's stage in that lane (bubble lanes
-    /// produce benign zeros), or mirrors of the other
-    /// [`CompiledSim::step`] fault conditions.
+    /// produce benign zeros), or if a valid lane launches off the
+    /// initiation-interval grid.
     ///
     /// # Panics
     ///
@@ -1076,8 +813,10 @@ impl<'p> BatchedSim<'p> {
         // Dispatch on the common lane widths with a literal count so each
         // monomorphized body sees a constant trip count: the lane loops
         // then unroll to exact full-width vector ops with no remainder
-        // handling.
+        // handling. One lane (the per-cycle `run_system` and cosim engine)
+        // collapses every lane loop to straight-line scalar code.
         match self.lanes {
+            1 => self.step_impl(args_rows, valid, 1),
             4 => self.step_impl(args_rows, valid, 4),
             8 => self.step_impl(args_rows, valid, 8),
             16 => self.step_impl(args_rows, valid, 16),
@@ -1228,31 +967,31 @@ impl<'p> BatchedSim<'p> {
                 SimOp::Slt => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x < y) as i64;
+                        *t = w.apply((x < y) as i64);
                     }
                 }
                 SimOp::Sle => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x <= y) as i64;
+                        *t = w.apply((x <= y) as i64);
                     }
                 }
                 SimOp::Seq => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x == y) as i64;
+                        *t = w.apply((x == y) as i64);
                     }
                 }
                 SimOp::Sne => {
                     let (a, b) = (&src[ab..ab + lanes], &src[bb..bb + lanes]);
                     for ((t, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                        *t = (x != y) as i64;
+                        *t = w.apply((x != y) as i64);
                     }
                 }
                 SimOp::Bool => {
                     let a = &src[ab..ab + lanes];
                     for (t, &x) in dst.iter_mut().zip(a) {
-                        *t = (x != 0) as i64;
+                        *t = w.apply((x != 0) as i64);
                     }
                 }
                 SimOp::Mux => {
@@ -1343,6 +1082,12 @@ mod tests {
     use crate::from_dp::tests::dp_for;
     use crate::sim::NetlistSim;
 
+    /// The reference interpreter's output rows for `iters`, flattened
+    /// row-major like [`SimPlan::run_batch_lanes`] writes them.
+    fn reference_flat(nl: &Netlist, iters: &[Vec<i64>]) -> Vec<i64> {
+        NetlistSim::new(nl).run_stream(iters).unwrap().concat()
+    }
+
     #[test]
     fn compiled_matches_reference_on_fir() {
         let src = "void fir_dp(int A0, int A1, int A2, int A3, int A4, int* Tmp0) {
@@ -1351,14 +1096,13 @@ mod tests {
             let dp = dp_for(src, "fir_dp", period);
             let nl = netlist_from_datapath(&dp);
             let plan = SimPlan::compile(&nl).unwrap();
-            let mut reference = NetlistSim::new(&nl);
-            let mut compiled = CompiledSim::new(&plan);
             let iters: Vec<Vec<i64>> = (0..20)
                 .map(|i| (0..5).map(|j| (i * 7 + j * 13) % 200 - 100).collect())
                 .collect();
-            let a = reference.run_stream(&iters).unwrap();
-            let b = compiled.run_stream(&iters).unwrap();
-            assert_eq!(a, b, "period {period}");
+            let mut compiled = Vec::new();
+            plan.run_batch_lanes(&iters.concat(), iters.len(), 1, &mut compiled)
+                .unwrap();
+            assert_eq!(reference_flat(&nl, &iters), compiled, "period {period}");
         }
     }
 
@@ -1387,15 +1131,25 @@ mod tests {
         let nl = netlist_from_datapath(&dp);
         let plan = SimPlan::compile(&nl).unwrap();
         let iters: Vec<Vec<i64>> = (0..32).map(|i| vec![i % 17, (i * 3) % 11]).collect();
-        let mut s1 = CompiledSim::new(&plan);
-        let streamed = s1.run_stream(&iters).unwrap();
-        let flat: Vec<i64> = iters.iter().flatten().copied().collect();
-        let mut s2 = CompiledSim::new(&plan);
+        // Per-cycle stepping of one lane, back-to-back then drained ...
+        let mut sim = BatchedSim::new(&plan, 1);
+        let mut streamed = Vec::new();
+        let mut row = vec![0i64; plan.num_outputs()];
+        let drain = vec![vec![0i64; 2]; plan.latency() as usize + 2];
+        for (k, args) in iters.iter().chain(&drain).enumerate() {
+            sim.step_lanes(args, &[k < iters.len()]).unwrap();
+            if sim.lane_out_valid(0) {
+                sim.read_outputs_lane(0, &mut row);
+                streamed.extend_from_slice(&row);
+            }
+        }
+        // ... retires exactly what the batch driver does.
         let mut out = Vec::new();
-        let rows = s2.run_batch(&flat, iters.len(), &mut out).unwrap();
-        assert_eq!(rows, streamed.len());
-        let flattened: Vec<i64> = streamed.into_iter().flatten().collect();
-        assert_eq!(out, flattened);
+        let rows = plan
+            .run_batch_lanes(&iters.concat(), iters.len(), 1, &mut out)
+            .unwrap();
+        assert_eq!(rows, iters.len());
+        assert_eq!(out, streamed);
     }
 
     #[test]
@@ -1408,18 +1162,18 @@ mod tests {
         let nl = netlist_from_datapath(&dp);
         assert!(nl.latency > 1, "test premise: pipelined");
         let plan = SimPlan::compile(&nl).unwrap();
-        let mut sim = CompiledSim::new(&plan);
+        let mut sim = BatchedSim::new(&plan, 1);
         // Valid iteration with a safe divisor, then garbage bubbles with
         // zero divisors while it drains.
-        sim.step(&[10, 3], true).unwrap();
+        sim.step_lanes(&[10, 3], &[true]).unwrap();
         for _ in 0..(nl.latency + 2) {
-            sim.step(&[7, 0], false).unwrap();
+            sim.step_lanes(&[7, 0], &[false]).unwrap();
         }
         // A valid zero divisor still faults.
-        sim.step(&[1, 0], true).unwrap();
+        sim.step_lanes(&[1, 0], &[true]).unwrap();
         let mut faulted = false;
         for _ in 0..(nl.latency + 2) {
-            if sim.step(&[0, 0], false).is_err() {
+            if sim.step_lanes(&[0, 0], &[false]).is_err() {
                 faulted = true;
                 break;
             }
@@ -1430,7 +1184,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_power_on_state() {
+    fn feedback_value_reads_each_lane() {
         let src = "void acc(int t0, int* t1) {
            int s; int c = ROCCC_load_prev(s) + t0;
            ROCCC_store2next(s, c);
@@ -1450,16 +1204,19 @@ mod tests {
         roccc_datapath::narrow_widths(&mut dp);
         let nl = netlist_from_datapath(&dp);
         let plan = SimPlan::compile(&nl).unwrap();
-        let mut sim = CompiledSim::new(&plan);
-        sim.step(&[10], true).unwrap();
-        sim.step(&[5], true).unwrap();
+        // Each lane is its own pipeline with its own accumulator; lane 1
+        // skips the second iteration, so its sum stops at the first.
+        let mut sim = BatchedSim::new(&plan, 2);
+        assert_eq!(sim.feedback_value("s", 0), Some(0), "power-on state");
+        sim.step_lanes(&[10, 7], &[true, true]).unwrap();
+        sim.step_lanes(&[5, 99], &[true, false]).unwrap();
         for _ in 0..4 {
-            sim.step(&[0], false).unwrap();
+            sim.step_lanes(&[0, 0], &[false, false]).unwrap();
         }
-        assert_eq!(sim.feedback_value("s"), Some(15));
-        sim.reset();
-        assert_eq!(sim.feedback_value("s"), Some(0));
-        assert_eq!(sim.cycles(), 0);
+        assert_eq!(sim.feedback_value("s", 0), Some(15));
+        assert_eq!(sim.feedback_value("s", 1), Some(7));
+        assert_eq!(sim.feedback_value("missing", 0), None);
+        assert_eq!(sim.cycles(), 6);
     }
 
     #[test]
@@ -1471,10 +1228,8 @@ mod tests {
         let iters: Vec<Vec<i64>> = (0..37)
             .map(|i| vec![(i * 31) % 211 - 100, (i * 17) % 97 - 48])
             .collect();
-        let flat: Vec<i64> = iters.iter().flatten().copied().collect();
-        let mut single = CompiledSim::new(&plan);
-        let mut want = Vec::new();
-        single.run_batch(&flat, iters.len(), &mut want).unwrap();
+        let flat: Vec<i64> = iters.concat();
+        let want = reference_flat(&nl, &iters);
         // Lane counts that do and do not divide 37, plus over-provisioned.
         for lanes in [1, 2, 8, 37, 64] {
             let mut got = Vec::new();
@@ -1533,13 +1288,10 @@ mod tests {
         // 5 iterations over 3 lanes: chunks of 2/2/1 — lane 2 bubbles
         // early while others are mid-flight. All divisors nonzero.
         let iters: Vec<Vec<i64>> = (0..5).map(|i| vec![i + 10, i + 1]).collect();
-        let flat: Vec<i64> = iters.iter().flatten().copied().collect();
         let mut out = Vec::new();
-        plan.run_batch_lanes(&flat, 5, 3, &mut out).unwrap();
-        let mut single = CompiledSim::new(&plan);
-        let mut want = Vec::new();
-        single.run_batch(&flat, 5, &mut want).unwrap();
-        assert_eq!(out, want);
+        plan.run_batch_lanes(&iters.concat(), 5, 3, &mut out)
+            .unwrap();
+        assert_eq!(out, reference_flat(&nl, &iters));
         // A valid zero divisor faults in the batched engine too.
         let bad: Vec<i64> = vec![4, 2, 9, 0, 5, 1];
         let mut out2 = Vec::new();

@@ -18,7 +18,7 @@
 //! per word and O(window) per firing, and allocates nothing per cycle.
 
 use crate::cells::Netlist;
-use crate::plan::{CompiledSim, SimPlan};
+use crate::plan::{BatchedSim, SimPlan};
 use crate::sim::SimError;
 use roccc_buffers::addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
 use roccc_buffers::bram::BramModel;
@@ -447,10 +447,11 @@ pub fn run_system_with_options(
     }
 
     // ----- main loop ----------------------------------------------------------
-    // Compile the netlist once; every cycle then runs the zero-allocation
-    // levelized engine instead of re-interpreting the cell graph.
+    // Compile the netlist once; every cycle then steps one lane of the
+    // zero-allocation levelized engine instead of re-interpreting the
+    // cell graph.
     let plan = SimPlan::compile(netlist)?;
-    let mut sim = CompiledSim::new(&plan);
+    let mut sim = BatchedSim::new(&plan, 1);
     let total_iters = kernel.total_iterations();
     let mut fired = 0u64;
     let mut cycles = 0u64;
@@ -501,12 +502,12 @@ pub fn run_system_with_options(
         }
 
         // 3. Step the data path.
-        let out_valid = sim.step(&args_buf, all_ready)?;
+        sim.step_lanes(&args_buf, &[all_ready])?;
 
         // 4. Retire valid outputs.
-        if out_valid {
+        if sim.lane_out_valid(0) {
             for lane in &mut out_lanes {
-                lane.retire(|port| sim.output(port))?;
+                lane.retire(|port| sim.output_lane(port, 0))?;
             }
         }
 
@@ -527,7 +528,7 @@ pub fn run_system_with_options(
         result.mem_writes += lane.merge_into(&mut result.arrays, &lane.array);
     }
     for name in &kernel.live_out {
-        if let Some(v) = sim.feedback_value(name) {
+        if let Some(v) = sim.feedback_value(name, 0) {
             result.scalars.insert(format!("{name}_final"), v);
             result.scalars.insert(name.clone(), v);
         }

@@ -22,7 +22,8 @@
 //!
 //! A refutation is only ever reported after its counterexample has been
 //! **replayed** concretely: the candidate input window is run from reset
-//! through both `IrMachine` and `CompiledSim`, and the divergence must
+//! through both `IrMachine` and the compiled netlist engine
+//! (`SimPlan::run_batch_lanes` at one lane), and the divergence must
 //! reproduce. The result is a [`Certificate`] with a per-obligation audit
 //! trail, rendered as stable JSON (`roccc-prove-v1`) and re-checkable
 //! from the artifact alone by `roccc_verify::verify_certificate` (the
@@ -42,7 +43,7 @@ use std::fmt;
 
 use roccc_cparse::types::IntType;
 use roccc_netlist::cells::Netlist;
-use roccc_netlist::plan::{CompiledSim, SimPlan};
+use roccc_netlist::plan::SimPlan;
 use roccc_suifvm::interp::IrMachine;
 use roccc_suifvm::ir::FunctionIr;
 use roccc_verify::{CertificateView, CounterexampleView, Diagnostic, ObligationView};
@@ -116,7 +117,8 @@ pub enum ObStatus {
     ProvedRange,
     /// Closed by the CDCL SAT fallback (UNSAT of the difference).
     ProvedSat,
-    /// Concretely refuted; the counterexample replays under `CompiledSim`.
+    /// Concretely refuted; the counterexample replays under the compiled
+    /// netlist engine.
     Refuted,
     /// Not decided within budget.
     Unknown,
@@ -309,17 +311,20 @@ impl Rng {
 /// nothing, and state is no longer comparable past it).
 fn replay(f: &FunctionIr, nl: &Netlist, windows: &[Vec<i64>]) -> Option<(usize, usize, i64, i64)> {
     let plan = SimPlan::compile(nl).ok()?;
-    let mut sim = CompiledSim::new(&plan);
-    let nl_out = sim.run_stream(windows).ok()?;
+    let mut nl_out = Vec::new();
+    plan.run_batch_lanes(&windows.concat(), windows.len(), 1, &mut nl_out)
+        .ok()?;
+    let n_out = plan.num_outputs();
     let mut m = IrMachine::new(f);
     for (w, win) in windows.iter().enumerate() {
         let ir_out = match m.run(win) {
             Ok(v) => v,
             Err(_) => return None,
         };
-        for (p, (&iv, nv)) in ir_out.iter().zip(nl_out.get(w)?.iter()).enumerate() {
-            if iv != *nv {
-                return Some((p, w, iv, *nv));
+        let nl_row = &nl_out[w * n_out..(w + 1) * n_out];
+        for (p, (&iv, &nv)) in ir_out.iter().zip(nl_row).enumerate() {
+            if iv != nv {
+                return Some((p, w, iv, nv));
             }
         }
     }

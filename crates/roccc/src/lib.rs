@@ -338,7 +338,8 @@ impl Compiled {
     }
 
     /// Compiles the netlist into a [`SimPlan`] for fast, zero-allocation
-    /// cycle stepping (`CompiledSim`). `run`/`run_with_bus` do this
+    /// cycle stepping on [`BatchedSim`], the one compiled engine (one lane
+    /// per cycle, or many lanes per pass). `run`/`run_with_bus` do this
     /// internally; call it directly to drive the data path yourself, e.g.
     /// for throughput measurement.
     ///
@@ -1048,7 +1049,7 @@ pub fn compile_with_area_budget(
 pub use roccc_cparse::{interp::Interpreter, CResult};
 pub use roccc_datapath::graph::NodeKind;
 pub use roccc_datapath::width_bits_saved;
-pub use roccc_netlist::{CompiledSim, NetlistSim};
+pub use roccc_netlist::{BatchedSim, NetlistSim};
 pub use roccc_prove::{
     certificate_json, certificate_report, check_certificate, prove, Certificate, Counterexample,
     ObKind, ObStatus, Obligation, ProveOptions, Verdict,

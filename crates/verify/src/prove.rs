@@ -4,8 +4,9 @@
 //! equivalent to the optimized SSA IR: per output port (and per feedback
 //! slot) it records an *obligation* discharged by rewriting, range facts,
 //! or the SAT fallback — or refuted with a concrete counterexample that
-//! was replayed through `CompiledSim`, or left honestly unknown. This
-//! module re-checks a certificate *structurally*, from the artifact alone:
+//! was replayed through the compiled netlist engine, or left honestly
+//! unknown. This module re-checks a certificate *structurally*, from the
+//! artifact alone:
 //!
 //! * `E001` — a value obligation is refuted: the netlist disagrees with
 //!   the IR on a concrete, replayable input window (error);
@@ -206,7 +207,7 @@ pub fn verify_certificate(view: &CertificateView) -> Vec<Diagnostic> {
             out.push(err(
                 "E004-malformed-certificate",
                 format!(
-                    "counterexample for '{}' does not diverge under CompiledSim replay",
+                    "counterexample for '{}' does not diverge under compiled-netlist replay",
                     cex.port
                 ),
             ));

@@ -15,7 +15,7 @@
 //!   FSMs in a VHDL library").
 //!
 //! The text is written in one pass into one buffer: the port sets of
-//! every node are computed once ([`node_ports`]), C names are lowercased
+//! every node are computed once (`node_ports`), C names are lowercased
 //! once ([`Names`]), and every fragment is formatted in place.
 
 use crate::writer::{Cast, Fmt, Lit, PortDir, VhdlType, VhdlWriter};

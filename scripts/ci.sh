@@ -22,6 +22,9 @@ cargo test --workspace --release -q
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "==> cargo doc (deny rustdoc warnings: no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> verify smoke (paper + generated kernels under deny)"
 cargo run --release --example verify_sweep
 verify_src="$(mktemp -t verify_smoke.XXXXXX.c)"

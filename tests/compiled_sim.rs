@@ -1,111 +1,40 @@
-//! Differential tests between the two simulation engines: the readable
-//! per-cycle reference interpreter (`NetlistSim`) and the levelized
-//! zero-allocation compiled engine (`CompiledSim`) must agree bit for bit
-//! — same outputs, same `out_valid` timing, same feedback-register state,
-//! same fault behaviour — on every paper kernel and on randomly generated
-//! expression kernels, across valid/bubble mixes where bubbles carry
-//! garbage arguments.
+//! The compiled engine's two stream drivers against the reference: a
+//! one-lane `BatchedSim` stepped cycle by cycle on the II launch grid
+//! (the `run_system` path) and `SimPlan::run_batch_lanes` (the prove
+//! replay path at one lane) must both retire exactly the rows that
+//! `NetlistSim::run_stream` does, on full valid streams for every paper
+//! kernel.
 
 use roccc_suite::ipcores::{benchmarks, table::compile_benchmark};
-use roccc_suite::netlist::{CompiledSim, Netlist, NetlistSim, SimPlan};
-use roccc_suite::roccc::{compile, CompileOptions};
-use roccc_suite::testrand::exprgen::gen_kernel_source;
+use roccc_suite::netlist::{BatchedSim, NetlistSim, SimError, SimPlan};
 use roccc_suite::testrand::XorShift64;
 
-/// Drives both engines in lock-step through `cycles` cycles of the same
-/// stream and asserts cycle-by-cycle equivalence. Bubble cycles carry
-/// raw 64-bit garbage in the argument slots (the hardware must ignore
-/// them); valid cycles carry in-range values.
-fn drive_differential(nl: &Netlist, name: &str, cycles: usize, seed: u64) {
-    let plan = SimPlan::compile(nl).expect("plan compiles");
-    let mut reference = NetlistSim::new(nl);
-    let mut compiled = CompiledSim::new(&plan);
-    let mut rng = XorShift64::new(seed);
-    let mut out_buf = vec![0i64; nl.outputs.len()];
-
-    for t in 0..cycles {
-        let valid = rng.gen_ratio(3, 4);
-        let args: Vec<i64> = nl
-            .inputs
-            .iter()
-            .map(|(_, ty)| {
-                if valid {
-                    rng.sample_int(*ty)
-                } else {
-                    // Garbage, possibly far out of range and zero-prone.
-                    rng.next_u64() as i64
-                }
-            })
-            .collect();
-
-        match (reference.step(&args, valid), compiled.step(&args, valid)) {
-            (Ok(r), Ok(out_valid)) => {
-                assert_eq!(
-                    r.out_valid, out_valid,
-                    "{name} cycle {t}: out_valid timing diverged"
-                );
-                assert_eq!(out_valid, compiled.out_valid(), "{name} cycle {t}");
-                compiled.read_outputs(&mut out_buf);
-                assert_eq!(r.outputs, out_buf, "{name} cycle {t}: outputs diverged");
-                for (k, v) in out_buf.iter().enumerate() {
-                    assert_eq!(*v, compiled.output(k), "{name} cycle {t}: output({k})");
-                }
-            }
-            (Err(e_ref), Err(e_comp)) => {
-                // Both engines fault on the same cycle with the same error
-                // (e.g. a valid iteration dividing by zero).
-                assert_eq!(
-                    format!("{e_ref:?}"),
-                    format!("{e_comp:?}"),
-                    "{name} cycle {t}: different faults"
-                );
-                return;
-            }
-            (r, c) => panic!("{name} cycle {t}: one engine faulted, the other not: {r:?} / {c:?}"),
+/// Steps a one-lane `BatchedSim` through `iters` the way
+/// `NetlistSim::run_stream` does: one launch every `ii` cycles, bubbles in
+/// between, then `latency + 2` drain cycles. Returns the retired rows.
+fn step_stream(plan: &SimPlan, iters: &[Vec<i64>]) -> Result<Vec<Vec<i64>>, SimError> {
+    let mut sim = BatchedSim::new(plan, 1);
+    let zeros = vec![0i64; plan.num_inputs()];
+    let ii = plan.ii() as usize;
+    let total = iters.len() * ii + plan.latency() as usize + 2;
+    let mut out = Vec::new();
+    for t in 0..total {
+        let iter = (t % ii == 0).then(|| iters.get(t / ii)).flatten();
+        let (args, valid) = match iter {
+            Some(a) => (a.as_slice(), true),
+            None => (zeros.as_slice(), false),
+        };
+        sim.step_lanes(args, &[valid])?;
+        if sim.lane_out_valid(0) {
+            let mut row = vec![0i64; plan.num_outputs()];
+            sim.read_outputs_lane(0, &mut row);
+            out.push(row);
         }
     }
-
-    assert_eq!(reference.cycles(), compiled.cycles(), "{name}: cycle count");
-    for (fname, _) in &nl.feedback_regs {
-        assert_eq!(
-            reference.feedback_value(fname),
-            compiled.feedback_value(fname),
-            "{name}: feedback register {fname} diverged after {cycles} cycles"
-        );
-    }
+    Ok(out)
 }
 
-/// Every Table 1 paper kernel, several hundred cycles, mixed bubbles.
-#[test]
-fn paper_kernels_differential() {
-    for (k, b) in benchmarks().iter().enumerate() {
-        let hw = compile_benchmark(b).expect("benchmark compiles");
-        drive_differential(&hw.netlist, b.name, 300, 0x7000 + k as u64);
-    }
-}
-
-/// Randomly generated straight-line expression kernels at several clock
-/// targets (deeper pipelines stress the occupancy/retire paths).
-#[test]
-fn generated_expression_kernels_differential() {
-    for case in 0..16u64 {
-        let mut rng = XorShift64::new(0x8000 + case);
-        let src = gen_kernel_source(&mut rng, 3);
-        let period = [1000.0f64, 6.0, 3.0][rng.gen_index(3)];
-        let hw = compile(
-            &src,
-            "k",
-            &CompileOptions {
-                target_period_ns: period,
-                ..CompileOptions::default()
-            },
-        )
-        .expect("generated kernel compiles");
-        drive_differential(&hw.netlist, &format!("expr_{case}"), 200, 0x9000 + case);
-    }
-}
-
-/// The batch API and the high-level stream API agree with the reference
+/// Per-cycle stepping and the batch driver agree with the reference
 /// engine on full valid streams for every paper kernel.
 #[test]
 fn run_stream_and_run_batch_agree_on_paper_kernels() {
@@ -119,9 +48,9 @@ fn run_stream_and_run_batch_agree_on_paper_kernels() {
             .collect();
 
         let reference = NetlistSim::new(nl).run_stream(&iters);
-        let streamed = CompiledSim::new(&plan).run_stream(&iters);
+        let streamed = step_stream(&plan, &iters);
         match (&reference, &streamed) {
-            (Ok(a), Ok(c)) => assert_eq!(a, c, "{}: run_stream diverged", b.name),
+            (Ok(a), Ok(c)) => assert_eq!(a, c, "{}: stepped stream diverged", b.name),
             (Err(a), Err(c)) => {
                 assert_eq!(format!("{a:?}"), format!("{c:?}"), "{}", b.name);
                 continue;
@@ -131,8 +60,8 @@ fn run_stream_and_run_batch_agree_on_paper_kernels() {
 
         let flat: Vec<i64> = iters.iter().flatten().copied().collect();
         let mut out_flat = Vec::new();
-        let retired = CompiledSim::new(&plan)
-            .run_batch(&flat, iters.len(), &mut out_flat)
+        let retired = plan
+            .run_batch_lanes(&flat, iters.len(), 1, &mut out_flat)
             .expect("batch runs");
         let expect = reference.unwrap();
         assert_eq!(retired, expect.len(), "{}: batch retire count", b.name);

@@ -14,7 +14,7 @@
 
 use roccc_suite::cparse::{frontend, Interpreter};
 use roccc_suite::ipcores::benchmarks;
-use roccc_suite::netlist::{CompiledSim, SimPlan};
+use roccc_suite::netlist::SimPlan;
 use roccc_suite::roccc::{compile, CompileOptions, Compiled};
 use roccc_suite::suifvm::IrMachine;
 use roccc_suite::testrand::exprgen::gen_kernel_source;
@@ -28,13 +28,23 @@ fn ranged(base: &CompileOptions) -> CompileOptions {
     }
 }
 
+/// Streams `cases` through the compiled netlist engine, one output row
+/// per case.
+fn simulate(hw: &Compiled, cases: &[Vec<i64>]) -> Vec<Vec<i64>> {
+    let plan = SimPlan::compile(&hw.netlist).expect("netlist compiles to a sim plan");
+    let mut flat = Vec::new();
+    plan.run_batch_lanes(&cases.concat(), cases.len(), 1, &mut flat)
+        .expect("netlist simulates");
+    flat.chunks(plan.num_outputs())
+        .map(<[i64]>::to_vec)
+        .collect()
+}
+
 /// Runs the compiled netlist over `cases` and compares every output row
 /// against a fresh IR interpreter fed the same sequence (feedback state
 /// evolves identically on both sides).
 fn assert_matches_interpreter(hw: &Compiled, cases: &[Vec<i64>], label: &str) {
-    let plan = SimPlan::compile(&hw.netlist).expect("netlist compiles to a sim plan");
-    let mut sim = CompiledSim::new(&plan);
-    let outs = sim.run_stream(cases).expect("netlist simulates");
+    let outs = simulate(hw, cases);
     assert_eq!(outs.len(), cases.len(), "{label}: one output row per case");
     let mut m = IrMachine::new(&hw.ir);
     for (args, hw_out) in cases.iter().zip(&outs) {
@@ -120,13 +130,8 @@ fn exprgen_range_narrow_is_equivalent() {
             .map(|_| (0..3).map(|_| rng.gen_range(-5000, 4999)).collect())
             .collect();
 
-        let run = |hw: &Compiled| {
-            let plan = SimPlan::compile(&hw.netlist).expect("sim plan");
-            let mut sim = CompiledSim::new(&plan);
-            sim.run_stream(&args_list).expect("simulates")
-        };
-        let plain_outs = run(&plain);
-        let narrow_outs = run(&narrow);
+        let plain_outs = simulate(&plain, &args_list);
+        let narrow_outs = simulate(&narrow, &args_list);
         assert_eq!(
             plain_outs, narrow_outs,
             "case {case} (src {src}): narrowed hardware diverged"

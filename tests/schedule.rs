@@ -9,7 +9,7 @@
 
 use roccc_suite::datapath::{DelayModel, ResourceBudget};
 use roccc_suite::ipcores::table::{benchmarks, compile_benchmark};
-use roccc_suite::netlist::{CompiledSim, Netlist, NetlistSim, SimPlan};
+use roccc_suite::netlist::{BatchedSim, Netlist, NetlistSim, SimPlan};
 use roccc_suite::roccc::{
     compile, compile_with_model, verify_compiled, CompileOptions, VerifyLevel,
 };
@@ -40,18 +40,14 @@ fn gen_iters(nl: &Netlist, n: usize, seed: u64) -> Vec<Vec<i64>> {
         .collect()
 }
 
-/// Runs `iters` through the reference interpreter, the compiled engine,
-/// and the batched engine at lanes {1, 8, 64}, asserting every engine
-/// retires the same rows.
+/// Runs `iters` through the reference interpreter and the compiled
+/// engine at lanes {1, 8, 64}, asserting every lane count retires the
+/// same rows.
 fn assert_engines_agree(nl: &Netlist, iters: &[Vec<i64>], name: &str) -> Vec<Vec<i64>> {
     let reference = NetlistSim::new(nl)
         .run_stream(iters)
         .expect("reference stream");
     let plan = SimPlan::compile(nl).expect("plan compiles");
-    let compiled = CompiledSim::new(&plan)
-        .run_stream(iters)
-        .expect("compiled stream");
-    assert_eq!(reference, compiled, "{name}: compiled engine diverged");
     let flat: Vec<i64> = iters.iter().flatten().copied().collect();
     let expect: Vec<i64> = reference.iter().flatten().copied().collect();
     for lanes in [1usize, 8, 64] {
@@ -163,18 +159,23 @@ fn forced_ii_two_is_bit_exact_across_engines() {
     let args: Vec<i64> = hw.netlist.inputs.iter().map(|_| 1).collect();
     let plan = SimPlan::compile(&hw.netlist).expect("plan compiles");
     let mut reference = NetlistSim::new(&hw.netlist);
-    let mut compiled = CompiledSim::new(&plan);
+    let mut compiled = BatchedSim::new(&plan, 1);
     assert!(reference.step(&args, true).is_ok(), "cycle 0 is aligned");
-    assert!(compiled.step(&args, true).is_ok(), "cycle 0 is aligned");
+    assert!(
+        compiled.step_lanes(&args, &[true]).is_ok(),
+        "cycle 0 is aligned"
+    );
     let e_ref = reference.step(&args, true).expect_err("cycle 1 misaligned");
-    let e_comp = compiled.step(&args, true).expect_err("cycle 1 misaligned");
+    let e_comp = compiled
+        .step_lanes(&args, &[true])
+        .expect_err("cycle 1 misaligned");
     assert_eq!(format!("{e_ref:?}"), format!("{e_comp:?}"));
 
     // Bubble cycles (garbage arguments, valid low) are free to land
     // anywhere, including through the prologue and epilogue; the engines
     // must stay in lock-step through the mix.
     let mut reference = NetlistSim::new(&hw.netlist);
-    let mut compiled = CompiledSim::new(&plan);
+    let mut compiled = BatchedSim::new(&plan, 1);
     let mut rng = XorShift64::new(0x1122);
     let mut out_buf = vec![0i64; hw.netlist.outputs.len()];
     for t in 0..200usize {
@@ -192,9 +193,13 @@ fn forced_ii_two_is_bit_exact_across_engines() {
             })
             .collect();
         let r = reference.step(&args, valid).expect("reference step");
-        let out_valid = compiled.step(&args, valid).expect("compiled step");
-        assert_eq!(r.out_valid, out_valid, "cycle {t}: out_valid diverged");
-        compiled.read_outputs(&mut out_buf);
+        compiled.step_lanes(&args, &[valid]).expect("compiled step");
+        assert_eq!(
+            r.out_valid,
+            compiled.lane_out_valid(0),
+            "cycle {t}: out_valid diverged"
+        );
+        compiled.read_outputs_lane(0, &mut out_buf);
         assert_eq!(r.outputs, out_buf, "cycle {t}: outputs diverged");
     }
 
