@@ -46,168 +46,10 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 pub mod hash;
+pub mod options;
 pub mod proto;
 
-/// How to treat loops before kernel extraction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UnrollStrategy {
-    /// Leave loops iterative: one pipeline iteration per loop iteration.
-    #[default]
-    Keep,
-    /// Fully unroll constant-bound loops (straight-line data path,
-    /// the paper's DCT-style 8-outputs-per-clock configuration).
-    Full,
-    /// Partially unroll by the given factor.
-    Partial(u64),
-}
-
-/// Compilation options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompileOptions {
-    /// Target clock period for the pipeliner, in nanoseconds
-    /// (default 7.0 ns ≈ 143 MHz, a typical Virtex-II -5 target).
-    pub target_period_ns: f64,
-    /// Loop unrolling strategy.
-    pub unroll: UnrollStrategy,
-    /// Strip-mine width: `Some(w)` (w ≥ 2) strip-mines every innermost
-    /// counted loop by `w` and fully unrolls the strip, so each remaining
-    /// iteration computes one whole strip fed from one smart-buffer line
-    /// (the paper's §2 strip-mining, with the strip matched to the memory
-    /// bus width). Applied before [`CompileOptions::unroll`]; `None` (and
-    /// widths < 2) leave loops untouched.
-    pub stripmine: Option<u64>,
-    /// Run the SSA-level scalar optimizations.
-    pub optimize: bool,
-    /// Run backward bit-width narrowing.
-    pub narrow: bool,
-    /// Run the forward value-range / known-bits analysis and let the
-    /// narrowing pass combine its proven intervals with backward demand
-    /// (`hw_bits = demand.min(range_bits)`), fold range-proven constants,
-    /// and stamp every data-path op with its range for the `W0xx`
-    /// soundness checks. Off by default: it is a strictly-more-aggressive
-    /// mode and changes the emitted hardware.
-    pub range_narrow: bool,
-    /// Apply loop fusion before extraction.
-    pub fuse: bool,
-    /// Modulo-schedule the pipelined loop body: `None` (default) keeps
-    /// plain latch pipelining; `Some(0)` schedules at MinII ("auto");
-    /// `Some(n)` starts the scheduler at initiation interval `n`. When
-    /// the scheduler cannot beat the body latency it falls back to latch
-    /// pipelining and records the reason in [`Compiled::schedule`].
-    pub pipeline_ii: Option<u64>,
-    /// How strictly the phase-indexed static verifier (`roccc-verify`)
-    /// gates the pipeline. Defaults to [`VerifyLevel::Warn`] in debug
-    /// builds (tests get the verifier for free) and [`VerifyLevel::Off`]
-    /// in release builds.
-    pub verify: VerifyLevel,
-    /// Run the per-compile translation validator (`roccc-prove`): a
-    /// symbolic equivalence check of the emitted netlist against the
-    /// optimized SSA IR, producing a [`Compiled::certificate`]. Its
-    /// findings surface through the `E0xx` diagnostic family and are
-    /// gated at least at [`VerifyLevel::Warn`] even when
-    /// [`CompileOptions::verify`] is `Off`.
-    pub prove: bool,
-    /// Restrict verifier findings to the listed diagnostic families
-    /// (comma-separated code letters, e.g. `"S,D,W,E"`). `None` keeps
-    /// every family. Orthogonal to [`CompileOptions::verify`], which
-    /// decides how the surviving findings gate the compile.
-    pub verify_families: Option<String>,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            target_period_ns: 7.0,
-            unroll: UnrollStrategy::Keep,
-            stripmine: None,
-            optimize: true,
-            narrow: true,
-            range_narrow: false,
-            fuse: false,
-            pipeline_ii: None,
-            verify: VerifyLevel::default(),
-            prove: false,
-            verify_families: None,
-        }
-    }
-}
-
-impl CompileOptions {
-    /// Canonical byte encoding of the options, stable across runs and
-    /// platforms. Two option sets encode identically iff they compile
-    /// identically, which makes this the options half of a
-    /// content-addressed cache key (the `roccc-serve` artifact cache
-    /// hashes `(source, function, canonical_bytes)`).
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(20);
-        // f64 periods with the same bit pattern pipeline identically.
-        v.extend_from_slice(&self.target_period_ns.to_bits().to_le_bytes());
-        match self.unroll {
-            UnrollStrategy::Keep => v.push(0),
-            UnrollStrategy::Full => v.push(1),
-            UnrollStrategy::Partial(k) => {
-                v.push(2);
-                v.extend_from_slice(&k.to_le_bytes());
-            }
-        }
-        // Strip-mining is part of the key: two configurations differing
-        // only in strip width compile to different hardware, and the
-        // serve cache / DSE memo must never alias them.
-        match self.stripmine {
-            None => v.push(0),
-            Some(w) => {
-                v.push(1);
-                v.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        v.push(u8::from(self.optimize));
-        v.push(u8::from(self.narrow));
-        v.push(u8::from(self.fuse));
-        v.push(u8::from(self.range_narrow));
-        v.push(match self.verify {
-            VerifyLevel::Off => 0,
-            VerifyLevel::Warn => 1,
-            VerifyLevel::Deny => 2,
-        });
-        // Modulo scheduling changes the emitted hardware (op slots, II),
-        // so the schedule request is part of the cache key.
-        match self.pipeline_ii {
-            None => v.push(0),
-            Some(t) => {
-                v.push(1);
-                v.extend_from_slice(&t.to_le_bytes());
-            }
-        }
-        // The prove flag and family filter don't change the hardware, but
-        // they change the artifact set (certificate, findings) the serve
-        // cache stores, so they must not alias.
-        v.push(u8::from(self.prove));
-        match &self.verify_families {
-            None => v.push(0),
-            Some(fam) => {
-                v.push(1);
-                let b = fam.as_bytes();
-                v.extend_from_slice(&(b.len() as u64).to_le_bytes());
-                v.extend_from_slice(b);
-            }
-        }
-        v
-    }
-
-    /// True when diagnostic family `family` (a code letter such as `'S'`
-    /// or `'E'`) passes the [`CompileOptions::verify_families`] filter.
-    pub fn family_enabled(&self, family: char) -> bool {
-        match &self.verify_families {
-            None => true,
-            Some(list) => list.split(',').any(|f| {
-                f.trim()
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.eq_ignore_ascii_case(&family))
-            }),
-        }
-    }
-}
+pub use options::{CompileOptions, UnrollStrategy};
 
 /// Wall-clock time spent in each phase of one [`compile_timed`] call.
 ///

@@ -16,6 +16,10 @@
 //! end
 //! ```
 //!
+//! Compile-option lines take their keys, switches and values from
+//! [`crate::options::OPTIONS`] (`roccc --help` lists them); a request
+//! writes only the options that differ from their defaults.
+//!
 //! Responses are a single header line, then for payload-carrying statuses
 //! exactly `len` raw bytes and a trailing newline:
 //!
@@ -30,7 +34,7 @@
 //! bounded queue is full and the request was never enqueued — clients
 //! should back off and retry.
 
-use crate::{CompileOptions, UnrollStrategy, VerifyLevel};
+use crate::CompileOptions;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -285,101 +289,22 @@ fn parse_csv(value: &str) -> Result<Vec<u64>, ProtoError> {
         .collect()
 }
 
-/// Writes the option lines shared by `compile` and `explore`.
+/// Writes one `key value` line per option that differs from its default
+/// (the keys and values of [`crate::options::OPTIONS`]).
 fn write_opts<W: Write>(w: &mut W, opts: &CompileOptions) -> io::Result<()> {
-    writeln!(w, "period {}", opts.target_period_ns)?;
-    match opts.unroll {
-        UnrollStrategy::Keep => {}
-        UnrollStrategy::Full => writeln!(w, "unroll full")?,
-        UnrollStrategy::Partial(k) => writeln!(w, "unroll {k}")?,
-    }
-    if let Some(width) = opts.stripmine {
-        writeln!(w, "stripmine {width}")?;
-    }
-    if !opts.optimize {
-        writeln!(w, "no-opt")?;
-    }
-    if !opts.narrow {
-        writeln!(w, "no-narrow")?;
-    }
-    if opts.fuse {
-        writeln!(w, "fuse")?;
-    }
-    if opts.range_narrow {
-        writeln!(w, "range-narrow")?;
-    }
-    if let Some(target) = opts.pipeline_ii {
-        if target == 0 {
-            writeln!(w, "pipeline-ii auto")?;
-        } else {
-            writeln!(w, "pipeline-ii {target}")?;
-        }
-    }
-    // Only written when explicit, so a request serialized by a
-    // debug client parses back identically in a release server
-    // (the default level is profile-dependent).
-    if opts.verify != VerifyLevel::default() {
-        writeln!(w, "verify {}", opts.verify)?;
-    }
-    if opts.prove {
-        writeln!(w, "prove")?;
-    }
-    if let Some(fam) = &opts.verify_families {
-        writeln!(w, "verify-families {}", escape(fam))?;
+    for (key, value) in opts.non_default() {
+        // One write per line: `roundtrip` writes to an unbuffered socket
+        // with Nagle off, where each write goes out as its own segment.
+        w.write_all(format!("{key} {}\n", escape(&value)).as_bytes())?;
     }
     Ok(())
 }
 
-/// Applies one `key value` option line to `opts`; `Ok(false)` when the key
-/// is not an option field.
-fn apply_opt_field(opts: &mut CompileOptions, key: &str, value: &str) -> Result<bool, ProtoError> {
-    match key {
-        "period" => {
-            opts.target_period_ns = value
-                .parse()
-                .map_err(|_| malformed(format!("bad period `{value}`")))?;
-        }
-        "unroll" => {
-            opts.unroll = if value == "full" {
-                UnrollStrategy::Full
-            } else {
-                UnrollStrategy::Partial(
-                    value
-                        .parse()
-                        .map_err(|_| malformed(format!("bad unroll `{value}`")))?,
-                )
-            };
-        }
-        "stripmine" => {
-            opts.stripmine = Some(
-                value
-                    .parse()
-                    .map_err(|_| malformed(format!("bad stripmine `{value}`")))?,
-            );
-        }
-        "no-opt" => opts.optimize = false,
-        "no-narrow" => opts.narrow = false,
-        "fuse" => opts.fuse = true,
-        "range-narrow" => opts.range_narrow = true,
-        "pipeline-ii" => {
-            opts.pipeline_ii = Some(if value == "auto" {
-                0
-            } else {
-                value
-                    .parse()
-                    .map_err(|_| malformed(format!("bad pipeline-ii `{value}`")))?
-            });
-        }
-        "verify" => {
-            opts.verify = value
-                .parse()
-                .map_err(|_| malformed(format!("bad verify level `{value}`")))?;
-        }
-        "prove" => opts.prove = true,
-        "verify-families" => opts.verify_families = Some(unescape(value)?),
-        _ => return Ok(false),
-    }
-    Ok(true)
+/// Applies one option line to `opts`: `key value`, or a bare switch.
+fn apply_opt(opts: &mut CompileOptions, key: &str, value: &str) -> Result<(), ProtoError> {
+    let value = unescape(value)?;
+    opts.set(key, Some(value.as_str()).filter(|v| !v.is_empty()))
+        .map_err(malformed)
 }
 
 fn read_line_capped<R: BufRead>(r: &mut R) -> Result<String, ProtoError> {
@@ -427,19 +352,12 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
                 if line == "end" {
                     break;
                 }
-                let (key, value) = match line.split_once(' ') {
-                    Some((k, v)) => (k, v),
-                    None => (line.as_str(), ""),
-                };
+                let (key, value) = line.split_once(' ').unwrap_or((&line, ""));
                 match key {
                     "function" => function = Some(unescape(value)?),
                     "emit" => emit = unescape(value)?,
                     "source" => source = Some(unescape(value)?),
-                    other => {
-                        if !apply_opt_field(&mut opts, other, value)? {
-                            return Err(malformed(format!("unknown field `{other}`")));
-                        }
-                    }
+                    other => apply_opt(&mut opts, other, value)?,
                 }
             }
             Ok(Request::Compile {
@@ -459,19 +377,12 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
                 if line == "end" {
                     break;
                 }
-                let (key, value) = match line.split_once(' ') {
-                    Some((k, v)) => (k, v),
-                    None => (line.as_str(), ""),
-                };
+                let (key, value) = line.split_once(' ').unwrap_or((&line, ""));
                 match key {
                     "emit" => emit = unescape(value)?,
                     "spec" => pipeline = Some(unescape(value)?),
                     "source" => source = Some(unescape(value)?),
-                    other => {
-                        if !apply_opt_field(&mut opts, other, value)? {
-                            return Err(malformed(format!("unknown field `{other}`")));
-                        }
-                    }
+                    other => apply_opt(&mut opts, other, value)?,
                 }
             }
             Ok(Request::Pipeline {
@@ -496,10 +407,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
                 if line == "end" {
                     break;
                 }
-                let (key, value) = match line.split_once(' ') {
-                    Some((k, v)) => (k, v),
-                    None => (line.as_str(), ""),
-                };
+                let (key, value) = line.split_once(' ').unwrap_or((&line, ""));
                 match key {
                     "function" => function = Some(unescape(value)?),
                     "emit" => emit = unescape(value)?,
@@ -521,11 +429,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
                                 .map_err(|_| malformed(format!("bad beam `{value}`")))?,
                         );
                     }
-                    other => {
-                        if !apply_opt_field(&mut opts, other, value)? {
-                            return Err(malformed(format!("unknown field `{other}`")));
-                        }
-                    }
+                    other => apply_opt(&mut opts, other, value)?,
                 }
             }
             Ok(Request::Explore {
@@ -647,6 +551,7 @@ pub fn roundtrip(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{UnrollStrategy, VerifyLevel};
     use std::io::Cursor;
 
     #[test]
@@ -798,6 +703,24 @@ mod tests {
             let mut buf = Vec::new();
             write_response(&mut buf, &resp).unwrap();
             assert_eq!(read_response(&mut Cursor::new(buf)).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn option_values_are_validated_like_the_command_line() {
+        // An unknown family letter would silently drop every finding.
+        for bad in [
+            "verify-families Q",
+            "verify-families S,Q",
+            "period NaN",
+            "period 0",
+            "period -1",
+        ] {
+            let req = format!("compile\nfunction f\n{bad}\nsource x\nend\n");
+            match read_request(&mut Cursor::new(req.into_bytes())) {
+                Err(ProtoError::Malformed(_)) => {}
+                other => panic!("`{bad}` accepted: {other:?}"),
+            }
         }
     }
 

@@ -61,61 +61,16 @@ mod tests {
         // The ISSUE's canonical pair: unroll factor 1 (Keep) vs 4.
         assert_ne!(cache_key(src, "f", &base), cache_key(src, "f", &unrolled));
 
-        // Every other option axis must also separate keys.
-        for variant in [
-            CompileOptions {
-                target_period_ns: 9.5,
-                ..base.clone()
-            },
-            CompileOptions {
-                unroll: UnrollStrategy::Full,
-                ..base.clone()
-            },
-            CompileOptions {
-                stripmine: Some(4),
-                ..base.clone()
-            },
-            CompileOptions {
-                optimize: false,
-                ..base.clone()
-            },
-            CompileOptions {
-                narrow: false,
-                ..base.clone()
-            },
-            CompileOptions {
-                fuse: true,
-                ..base.clone()
-            },
-            CompileOptions {
-                range_narrow: true,
-                ..base.clone()
-            },
-            CompileOptions {
-                verify: roccc::VerifyLevel::Deny,
-                ..base.clone()
-            },
-            CompileOptions {
-                pipeline_ii: Some(0),
-                ..base.clone()
-            },
-            CompileOptions {
-                pipeline_ii: Some(2),
-                ..base.clone()
-            },
-            CompileOptions {
-                prove: true,
-                ..base.clone()
-            },
-            CompileOptions {
-                verify_families: Some("S,D,E".into()),
-                ..base.clone()
-            },
-        ] {
+        // Every option axis must also separate keys: each table entry
+        // set to its example value.
+        for opt in roccc::options::OPTIONS {
+            let mut variant = base.clone();
+            variant.set(opt.key, Some(opt.example)).unwrap();
             assert_ne!(
                 cache_key(src, "f", &base),
                 cache_key(src, "f", &variant),
-                "{variant:?}"
+                "{}: {variant:?}",
+                opt.key
             );
         }
     }

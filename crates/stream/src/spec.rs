@@ -16,8 +16,9 @@
 //! * `pipeline` (required, once) — `|`-separated stage list, one stage
 //!   per C function, producers left of consumers;
 //! * `stage <name> k=v ...` — per-stage [`CompileOptions`] overrides on
-//!   top of the base options (`period`, `unroll`, `stripmine`,
-//!   `optimize`, `narrow`, `range-narrow`, `fuse`, `verify`);
+//!   top of the base options; every key and value comes from
+//!   [`roccc::options::OPTIONS`] (`roccc --help` lists them), e.g.
+//!   `unroll=4 pipeline-ii=auto prove=on`;
 //! * `bind a.X -> b.Y` — stream stage `a`'s output array `X` into stage
 //!   `b`'s input window `Y`. When a consumer has no explicit bind and
 //!   both sides of a consecutive stage pair have exactly one port, the
@@ -30,7 +31,7 @@
 //! * `#` starts a comment.
 
 use crate::StreamError;
-use roccc::{CompileOptions, UnrollStrategy, VerifyLevel};
+use roccc::CompileOptions;
 
 /// Per-stage entry of a parsed pipeline description.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,63 +52,10 @@ impl StageSpec {
     pub fn apply(&self, base: &CompileOptions) -> Result<CompileOptions, StreamError> {
         let mut o = base.clone();
         for (k, v) in &self.overrides {
-            match k.as_str() {
-                "period" => {
-                    o.target_period_ns = v
-                        .parse()
-                        .map_err(|_| spec_err(&self.name, k, v, "a number of ns"))?;
-                }
-                "unroll" => {
-                    o.unroll = match v.as_str() {
-                        "keep" => UnrollStrategy::Keep,
-                        "full" => UnrollStrategy::Full,
-                        n => UnrollStrategy::Partial(
-                            n.parse()
-                                .map_err(|_| spec_err(&self.name, k, v, "keep|full|<factor>"))?,
-                        ),
-                    };
-                }
-                "stripmine" => {
-                    o.stripmine = match v.as_str() {
-                        "off" => None,
-                        n => Some(
-                            n.parse()
-                                .map_err(|_| spec_err(&self.name, k, v, "off|<width>"))?,
-                        ),
-                    };
-                }
-                "optimize" => o.optimize = parse_bool(&self.name, k, v)?,
-                "narrow" => o.narrow = parse_bool(&self.name, k, v)?,
-                "range-narrow" => o.range_narrow = parse_bool(&self.name, k, v)?,
-                "fuse" => o.fuse = parse_bool(&self.name, k, v)?,
-                "verify" => {
-                    o.verify = v
-                        .parse::<VerifyLevel>()
-                        .map_err(|e| StreamError::Spec(format!("stage `{}`: {e}", self.name)))?;
-                }
-                other => {
-                    return Err(StreamError::Spec(format!(
-                        "stage `{}`: unknown option `{other}`",
-                        self.name
-                    )));
-                }
-            }
+            o.set(k, Some(v))
+                .map_err(|e| StreamError::Spec(format!("stage `{}`: {e}", self.name)))?;
         }
         Ok(o)
-    }
-}
-
-fn spec_err(stage: &str, key: &str, val: &str, want: &str) -> StreamError {
-    StreamError::Spec(format!(
-        "stage `{stage}`: option `{key}={val}` is not {want}"
-    ))
-}
-
-fn parse_bool(stage: &str, key: &str, val: &str) -> Result<bool, StreamError> {
-    match val {
-        "true" | "on" | "1" => Ok(true),
-        "false" | "off" | "0" => Ok(false),
-        _ => Err(spec_err(stage, key, val, "a boolean (on|off)")),
     }
 }
 
@@ -306,6 +254,7 @@ pub fn parse_spec(text: &str) -> Result<PipelineSpec, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roccc::{UnrollStrategy, VerifyLevel};
 
     #[test]
     fn parses_full_description() {

@@ -207,6 +207,14 @@ if ./target/release/roccc "${prove_src}" --function acc \
   echo "prove smoke: bogus verify family was not rejected" >&2
   exit 1
 fi
+# A NaN or zero clock period must be rejected, not silently built.
+for bad_period in NaN 0; do
+  if ./target/release/roccc "${prove_src}" --function acc \
+      --period "${bad_period}" --emit stats >/dev/null 2>&1; then
+    echo "prove smoke: --period ${bad_period} was not rejected" >&2
+    exit 1
+  fi
+done
 # A corrupted certificate must be rejected by the E-code family with a
 # nonzero exit (the example tampers with a real certificate and re-runs
 # the verifier from the artifact alone).
@@ -325,6 +333,16 @@ EOF
 ./target/release/roccc "${pipe_src}" --pipeline "${pipe_spec}" --deny-warnings \
   --emit vhdl | grep -q 'entity duo_pipeline is' \
   || { echo "pipeline smoke: no top-level pipeline entity" >&2; exit 1; }
+# A stage override can modulo-schedule one stage (the spec takes every
+# compile option key); the network must stay bit-exact.
+ii_spec="$(mktemp -t pipe_smoke_ii.XXXXXX.spec)"
+cat >"${ii_spec}" <<'EOF'
+pipeline scale | offset
+stage offset pipeline-ii=auto
+EOF
+./target/release/roccc "${pipe_src}" --pipeline "${ii_spec}" --deny-warnings \
+  --emit cosim | grep -q 'bit-exact vs chained single-kernel golden: yes' \
+  || { echo "pipeline smoke: pipeline-ii=auto stage not bit-exact" >&2; exit 1; }
 # A deliberately deadlocking topology (FIFO below the deadlock-free
 # minimum) must be rejected statically with the stable P-code.
 bad_spec="$(mktemp -t pipe_smoke_bad.XXXXXX.spec)"
@@ -340,7 +358,7 @@ if ./target/release/roccc "${pipe_src}" --pipeline "${bad_spec}" --verify \
 fi
 grep -q 'P003-undersized-fifo' "${bad_log}" \
   || { echo "pipeline smoke: rejection lacks the P003 code" >&2; exit 1; }
-rm -f "${pipe_src}" "${pipe_spec}" "${bad_spec}" "${bad_log}"
+rm -f "${pipe_src}" "${pipe_spec}" "${ii_spec}" "${bad_spec}" "${bad_log}"
 
 echo "==> bench_stream smoke (quick pipeline)"
 stream_out="$(mktemp -t bench_stream_smoke.XXXXXX.json)"

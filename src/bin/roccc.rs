@@ -2,53 +2,14 @@
 //!
 //! ```text
 //! roccc <input.c> --function <name> [options]
-//!
-//! Options:
-//!   --function <name>    kernel function to compile (required)
-//!   --period <ns>        target clock period (default 7.0)
-//!   --unroll <n|full>    unroll factor or full unrolling
-//!   --stripmine <w>      strip-mine width (strip fully unrolled)
-//!   --fuse               run loop fusion first
-//!   --no-opt             skip SSA-level scalar optimizations
-//!   --no-narrow          skip bit-width narrowing
-//!   --range-narrow       value-range analysis drives extra narrowing
-//!   --budget <slices>    pick the unroll factor by area budget
-//!   --pipeline-ii <auto|n>  modulo-schedule the loop body at initiation
-//!                        interval n (auto = the MinII lower bound)
-//!   --emit <what>        vhdl | dot | stats | ir | c | ranges | deps | deps-json |
-//!                        schedule | schedule-json | prove | prove-json | timings
-//!                        (default stats)
-//!   -o <file>            write output to a file instead of stdout
-//!   --verify             run the phase-indexed static verifier (warn)
-//!   --deny-warnings      verifier + lint findings of any severity fail
-//!   --prove              translation-validate the netlist against the IR
-//!                        (symbolic equivalence certificate; E-codes)
-//!   --verify-families <csv>  only report diagnostic families in the CSV
-//!                        list (letters from S,D,N,W,L,M,P,V,E)
-//!
-//! Design-space exploration (sweeps unroll × strip-mine × scalar-opt
-//! configurations and reports the Pareto frontier; `--emit` becomes
-//! `table` (default) or `json`):
-//!   --explore              run the DSE sweep instead of one compile
-//!   --unroll-factors <csv> unroll factors to sweep (default 1,2,4)
-//!   --strip-widths <csv>   strip-mine widths to sweep (default 0,2,4)
-//!   --scalar-both          sweep scalar optimization on AND off
-//!   --budget-slices <n>    prune candidates whose estimated area
-//!                          exceeds the budget (the paper's cut)
-//!   --beam <n>             fully score at most n candidates
-//!
-//! Streaming pipelines (compile several kernels from the same source
-//! into a process network; `--emit` becomes `stats` (default), `vhdl`,
-//! or `cosim`, which co-simulates the network on synthesized inputs and
-//! checks it bit-exact against chained single-kernel runs):
-//!   --pipeline <file>      pipeline description (stages, binds, fifos)
-//!
-//! Client mode (talk to a running `roccc-serve` daemon instead of
-//! compiling locally; `table-row` is additionally accepted for --emit):
-//!   --connect <host:port>  send the compile to the server
-//!   --metrics              (with --connect) print the server metrics
-//!   --shutdown             (with --connect) stop the server
 //! ```
+//!
+//! `roccc --help` lists every flag. Its compile-option rows are rendered
+//! from [`roccc::options::OPTIONS`], the table that also defines the
+//! serve protocol's option lines and a pipeline stage's overrides. Beside
+//! one compile, the driver runs a design-space sweep (`--explore`), a
+//! multi-kernel streaming pipeline (`--pipeline <file>`), or sends the
+//! request to a running `roccc-serve` daemon (`--connect <host:port>`).
 //!
 //! On `--emit vhdl`, structural lint findings from `roccc-vhdl` are
 //! reported as warnings on stderr; the exit code stays 0 unless
@@ -56,55 +17,28 @@
 //! spans where available and make the exit code nonzero on error.
 
 use roccc::proto::{self, Request, Response};
-use roccc::{
-    compile, compile_with_area_budget, CompileOptions, Compiled, UnrollStrategy, VerifyLevel,
-};
+use roccc::{compile, compile_with_area_budget, options, CompileOptions, Compiled, VerifyLevel};
 use roccc_synth::{fast_estimate, map_netlist, VirtexII};
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: roccc <input.c> --function <name> [options]
+const USAGE_HEAD: &str = "usage: roccc <input.c> --function <name> [options]
 
 options:
   --function, -f <name>  kernel function to compile (required)
-  --period <ns>          target clock period in ns (default 7.0)
-  --unroll <n|full>      unroll factor, or `full` for full unrolling
-  --stripmine <w>        strip-mine width w; the strip is fully
-                         unrolled and w drives the smart-buffer bus
-  --fuse                 run loop fusion before extraction
-  --no-opt               skip SSA-level scalar optimizations
-  --no-narrow            skip backward bit-width narrowing
-  --range-narrow         run the forward value-range analysis and let
-                         proven intervals narrow widths further
   --budget <slices>      pick the unroll factor by area budget
-  --pipeline-ii <auto|n> modulo-schedule the loop body under the modulo
-                         reservation table at initiation interval n;
-                         `auto` searches upward from the MinII lower
-                         bound (max of the recurrence and resource
-                         bounds). Implied by --emit schedule.
   --emit <what>          vhdl | dot | stats | ir | c | ranges | deps | deps-json |
                          schedule | schedule-json | prove | prove-json |
                          timings
                          (default stats; `timings` prints the per-phase
                          compile wall-clock breakdown)
   -o <file>              write output to a file instead of stdout
-  --verify               run the phase-indexed static verifier: errors
-                         fail the compile, warnings print to stderr
-  --deny-warnings        like --verify, but any finding (verifier or
-                         VHDL lint) fails the compile
-  --prove                translation-validate the compiled netlist
-                         against the SSA IR: a symbolic evaluator walks
-                         one steady-state window of each and a rewriter
-                         (SAT fallback) discharges the equivalence
-                         obligations; refutations surface as E001/E002
-                         with a replayed counterexample, residual
-                         unknowns as E003 warnings. Implied by
-                         --emit prove / prove-json.
-  --verify-families <csv> only report diagnostic families in the CSV
-                         list (letters from S,D,N,W,L,M,P,V,E);
-                         findings from other families are dropped
   --help, -h             print this help
 
+compile options:
+";
+
+const USAGE_TAIL: &str = "
 design-space exploration (--emit becomes table (default) | json):
   --explore              sweep unroll x strip-mine x scalar-opt and
                          report the (slices, cycles, clock) Pareto
@@ -164,217 +98,112 @@ fn parse_csv_u64(flag: &str, v: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+/// The number following `flag` on the command line.
+fn number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = args
+        .next()
+        .ok_or_else(|| format!("{flag} needs a number"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} expects a number, got `{v}`"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
-    let mut input = None;
-    let mut function = None;
-    let mut pipeline = None;
-    let mut opts = CompileOptions::default();
-    let mut budget = None;
-    let mut emit = None;
-    let mut output = None;
-    let mut connect = None;
-    let mut metrics = false;
-    let mut shutdown = false;
-    let mut explore = false;
-    let mut unroll_factors = vec![1, 2, 4];
-    let mut strip_widths = vec![0, 2, 4];
-    let mut scalar_both = false;
-    let mut budget_slices = None;
-    let mut beam = None;
-    let mut help = false;
+    let mut a = Args {
+        input: None,
+        function: None,
+        pipeline: None,
+        opts: CompileOptions::default(),
+        budget: None,
+        emit: None,
+        output: None,
+        connect: None,
+        metrics: false,
+        shutdown: false,
+        explore: false,
+        unroll_factors: vec![1, 2, 4],
+        strip_widths: vec![0, 2, 4],
+        scalar_both: false,
+        budget_slices: None,
+        beam: None,
+        help: false,
+    };
 
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--function" | "-f" => function = Some(args.next().ok_or("--function needs a name")?),
-            "--pipeline" => pipeline = Some(args.next().ok_or("--pipeline needs a file")?),
-            "--period" => {
-                opts.target_period_ns = args
-                    .next()
-                    .ok_or("--period needs a value")?
-                    .parse()
-                    .map_err(|_| "--period expects a number (ns)")?;
-            }
-            "--unroll" => {
-                let v = args.next().ok_or("--unroll needs a factor or `full`")?;
-                opts.unroll = if v == "full" {
-                    UnrollStrategy::Full
-                } else {
-                    UnrollStrategy::Partial(
-                        v.parse()
-                            .map_err(|_| "--unroll expects a number or `full`")?,
-                    )
-                };
-            }
-            "--fuse" => opts.fuse = true,
-            "--no-opt" => opts.optimize = false,
-            "--no-narrow" => opts.narrow = false,
-            "--range-narrow" => opts.range_narrow = true,
-            "--budget" => {
-                budget = Some(
-                    args.next()
-                        .ok_or("--budget needs a slice count")?
-                        .parse()
-                        .map_err(|_| "--budget expects a number")?,
-                )
-            }
-            "--pipeline-ii" => {
-                let v = args
-                    .next()
-                    .ok_or("--pipeline-ii needs `auto` or a number")?;
-                opts.pipeline_ii = if v == "auto" {
-                    Some(0)
-                } else {
-                    Some(
-                        v.parse()
-                            .map_err(|_| "--pipeline-ii expects a number or `auto`")?,
-                    )
-                };
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--function" | "-f" => a.function = Some(args.next().ok_or("--function needs a name")?),
+            "--pipeline" => a.pipeline = Some(args.next().ok_or("--pipeline needs a file")?),
+            "--budget" => a.budget = Some(number(&mut args, "--budget")?),
             "--emit" => {
-                emit = Some(args.next().ok_or(
+                a.emit = Some(args.next().ok_or(
                     "--emit needs vhdl|dot|stats|ir|c|ranges|deps|deps-json|\
                      schedule|schedule-json|prove|prove-json|timings",
                 )?)
             }
-            "-o" => output = Some(args.next().ok_or("-o needs a path")?),
-            "--stripmine" => {
-                opts.stripmine = Some(
-                    args.next()
-                        .ok_or("--stripmine needs a width")?
-                        .parse()
-                        .map_err(|_| "--stripmine expects a number")?,
-                )
-            }
-            "--explore" => explore = true,
+            "-o" => a.output = Some(args.next().ok_or("-o needs a path")?),
+            "--explore" => a.explore = true,
             "--unroll-factors" => {
                 let v = args.next().ok_or("--unroll-factors needs a CSV list")?;
-                unroll_factors = parse_csv_u64("--unroll-factors", &v)?;
+                a.unroll_factors = parse_csv_u64("--unroll-factors", &v)?;
             }
             "--strip-widths" => {
                 let v = args.next().ok_or("--strip-widths needs a CSV list")?;
-                strip_widths = parse_csv_u64("--strip-widths", &v)?;
+                a.strip_widths = parse_csv_u64("--strip-widths", &v)?;
             }
-            "--scalar-both" => scalar_both = true,
-            "--budget-slices" => {
-                budget_slices = Some(
-                    args.next()
-                        .ok_or("--budget-slices needs a slice count")?
-                        .parse()
-                        .map_err(|_| "--budget-slices expects a number")?,
-                )
+            "--scalar-both" => a.scalar_both = true,
+            "--budget-slices" => a.budget_slices = Some(number(&mut args, "--budget-slices")?),
+            "--beam" => a.beam = Some(number(&mut args, "--beam")?),
+            "--connect" => a.connect = Some(args.next().ok_or("--connect needs host:port")?),
+            "--metrics" => a.metrics = true,
+            "--shutdown" => a.shutdown = true,
+            // --deny-warnings is the stricter request; don't relax it.
+            "--verify" if a.opts.verify == VerifyLevel::Deny => {}
+            "--help" | "-h" => a.help = true,
+            other if options::apply_cli_arg(&mut a.opts, other, &mut args)? => {}
+            other if a.input.is_none() && !other.starts_with('-') => {
+                a.input = Some(other.to_string())
             }
-            "--beam" => {
-                beam = Some(
-                    args.next()
-                        .ok_or("--beam needs a width")?
-                        .parse()
-                        .map_err(|_| "--beam expects a number")?,
-                )
-            }
-            "--connect" => connect = Some(args.next().ok_or("--connect needs host:port")?),
-            "--metrics" => metrics = true,
-            "--shutdown" => shutdown = true,
-            "--verify" => {
-                // --deny-warnings is the stricter request; don't relax it.
-                if opts.verify != VerifyLevel::Deny {
-                    opts.verify = VerifyLevel::Warn;
-                }
-            }
-            "--deny-warnings" => opts.verify = VerifyLevel::Deny,
-            "--prove" => opts.prove = true,
-            "--verify-families" => {
-                let v = args.next().ok_or("--verify-families needs a CSV list")?;
-                for fam in v.split(',') {
-                    let fam = fam.trim();
-                    let ok = fam.len() == 1
-                        && fam
-                            .chars()
-                            .next()
-                            .is_some_and(|c| "SDNWLMPVE".contains(c.to_ascii_uppercase()));
-                    if !ok {
-                        return Err(format!(
-                            "--verify-families expects comma-separated family letters \
-                             from S,D,N,W,L,M,P,V,E, got `{fam}`"
-                        ));
-                    }
-                }
-                opts.verify_families = Some(v);
-            }
-            "--help" | "-h" => help = true,
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
     // Asking for the schedule artifact without an explicit target means
     // "schedule at auto/MinII": the artifact only exists when a modulo
     // schedule was actually requested.
-    if matches!(emit.as_deref(), Some("schedule" | "schedule-json")) && opts.pipeline_ii.is_none() {
-        opts.pipeline_ii = Some(0);
+    if matches!(a.emit.as_deref(), Some("schedule" | "schedule-json"))
+        && a.opts.pipeline_ii.is_none()
+    {
+        a.opts.pipeline_ii = Some(0);
     }
     // Asking for the proof artifact means "run the prover".
-    if matches!(emit.as_deref(), Some("prove" | "prove-json")) {
-        opts.prove = true;
+    if matches!(a.emit.as_deref(), Some("prove" | "prove-json")) {
+        a.opts.prove = true;
     }
-    if help {
+    if a.help {
         // Skip the required-argument checks: `roccc --help` alone is valid.
-        return Ok(Args {
-            input,
-            function,
-            pipeline,
-            opts,
-            budget,
-            emit,
-            output,
-            connect,
-            metrics,
-            shutdown,
-            explore,
-            unroll_factors,
-            strip_widths,
-            scalar_both,
-            budget_slices,
-            beam,
-            help,
-        });
+        return Ok(a);
     }
-    if (metrics || shutdown) && connect.is_none() {
+    if (a.metrics || a.shutdown) && a.connect.is_none() {
         return Err("--metrics/--shutdown require --connect (try --help)".to_string());
     }
-    if explore && budget.is_some() {
+    if a.explore && a.budget.is_some() {
         return Err(
             "--explore and --budget are mutually exclusive (use --budget-slices)".to_string(),
         );
     }
-    if pipeline.is_some() && (explore || budget.is_some()) {
+    if a.pipeline.is_some() && (a.explore || a.budget.is_some()) {
         return Err("--pipeline does not combine with --explore or --budget".to_string());
     }
-    let control = metrics || shutdown;
-    if !control && input.is_none() {
+    let control = a.metrics || a.shutdown;
+    if !control && a.input.is_none() {
         return Err("missing input file (try --help)".to_string());
     }
-    if !control && function.is_none() && pipeline.is_none() {
+    if !control && a.function.is_none() && a.pipeline.is_none() {
         return Err("missing --function (try --help)".to_string());
     }
-    Ok(Args {
-        input,
-        function,
-        pipeline,
-        opts,
-        budget,
-        emit,
-        output,
-        connect,
-        metrics,
-        shutdown,
-        explore,
-        unroll_factors,
-        strip_widths,
-        scalar_both,
-        budget_slices,
-        beam,
-        help,
-    })
+    Ok(a)
 }
 
 /// The effective `--emit` value: defaults depend on the mode.
@@ -621,16 +450,7 @@ fn run_pipeline(args: &Args, source: &str, spec_path: &str) -> Result<(), String
     match emit.as_str() {
         "vhdl" => {
             let text = roccc_stream::generate_pipeline_vhdl(&cp);
-            let findings = roccc_vhdl::lint::lint(&text);
-            for d in &findings {
-                eprintln!("{d}");
-            }
-            if args.opts.verify == VerifyLevel::Deny && !findings.is_empty() {
-                return Err(format!(
-                    "--deny-warnings set and the VHDL lint reported {} finding(s)",
-                    findings.len()
-                ));
-            }
+            lint_gate(&text, &args.opts)?;
             deliver(&args.output, &text)
         }
         "cosim" => {
@@ -769,132 +589,81 @@ fn finish_client_roundtrip(args: &Args, addr: &str, req: &Request) -> Result<(),
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if args.help {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(addr) = args.connect.clone() {
-        return match run_client(&args, &addr) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let input = args.input.as_deref().expect("parse_args checked input");
-    let source = match std::fs::read_to_string(input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(spec_path) = args.pipeline.clone() {
-        return match run_pipeline(&args, &source, &spec_path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let function = args
-        .function
-        .as_deref()
-        .expect("parse_args checked --function");
-
-    if args.explore {
-        return match run_explore(&args, &source, function) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `timings` needs the instrumented compile entry point, so it takes
-    // its own path instead of flowing through `render`.
-    if effective_emit(&args) == "timings" {
-        return match render_timings(&source, function, &args)
-            .and_then(|text| deliver(&args.output, &text))
-        {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let (hw, factor) = if let Some(budget) = args.budget {
-        match compile_with_area_budget(&source, function, &args.opts, budget) {
-            Ok(b) => (b.compiled, Some(b.factor)),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match compile(&source, function, &args.opts) {
-            Ok(c) => (c, None),
-            Err(e) => {
-                eprintln!("{}", render_error(&e, &source));
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
-    // Non-fatal verifier findings (collected under --verify) print with
-    // source spans resolved against the input file.
-    for d in &hw.diagnostics {
-        eprintln!("{}", d.render(Some(&source)));
-    }
-
-    let emit = effective_emit(&args);
-    let text = match render(&hw, &emit, factor) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Lint the generated VHDL: findings are warnings (stderr) and the
-    // artifact is still emitted — except under --deny-warnings, where
-    // any finding fails the run.
-    if emit == "vhdl" {
-        let findings = roccc_vhdl::lint::lint(&text);
-        for d in &findings {
-            eprintln!("{d}");
-        }
-        if args.opts.verify == VerifyLevel::Deny && !findings.is_empty() {
-            eprintln!(
-                "error: --deny-warnings set and the VHDL lint reported {} finding(s)",
-                findings.len()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    match deliver(&args.output, &text) {
+    match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
+}
+
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
+    if args.help {
+        print!("{USAGE_HEAD}{}{USAGE_TAIL}", options::cli_help());
+        return Ok(());
+    }
+    if let Some(addr) = &args.connect {
+        return run_client(&args, addr);
+    }
+
+    let input = args.input.as_deref().expect("parse_args checked input");
+    let source = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    if let Some(spec_path) = &args.pipeline {
+        return run_pipeline(&args, &source, spec_path);
+    }
+    let function = args
+        .function
+        .as_deref()
+        .expect("parse_args checked --function");
+    if args.explore {
+        return run_explore(&args, &source, function);
+    }
+    // `timings` needs the instrumented compile entry point, so it takes
+    // its own path instead of flowing through `render`.
+    if effective_emit(&args) == "timings" {
+        return render_timings(&source, function, &args)
+            .and_then(|text| deliver(&args.output, &text));
+    }
+
+    let (hw, factor) = match args.budget {
+        Some(budget) => compile_with_area_budget(&source, function, &args.opts, budget)
+            .map(|b| (b.compiled, Some(b.factor)))
+            .map_err(|e| e.to_string())?,
+        None => (
+            compile(&source, function, &args.opts).map_err(|e| render_error(&e, &source))?,
+            None,
+        ),
+    };
+    // Non-fatal verifier findings (collected under --verify) print with
+    // source spans resolved against the input file.
+    for d in &hw.diagnostics {
+        eprintln!("{}", d.render(Some(&source)));
+    }
+    let emit = effective_emit(&args);
+    let text = render(&hw, &emit, factor)?;
+    if emit == "vhdl" {
+        lint_gate(&text, &args.opts)?;
+    }
+    deliver(&args.output, &text)
+}
+
+/// Lints generated VHDL: findings are warnings (stderr) and the artifact
+/// is still emitted, except under --deny-warnings, where any finding
+/// fails the run.
+fn lint_gate(text: &str, opts: &CompileOptions) -> Result<(), String> {
+    let findings = roccc_vhdl::lint::lint(text);
+    for d in &findings {
+        eprintln!("{d}");
+    }
+    if opts.verify == VerifyLevel::Deny && !findings.is_empty() {
+        return Err(format!(
+            "error: --deny-warnings set and the VHDL lint reported {} finding(s)",
+            findings.len()
+        ));
+    }
+    Ok(())
 }
 
 fn render_error(e: &roccc::CompileError, source: &str) -> String {

@@ -1,12 +1,23 @@
-//! Compile-option encoding pins.
+//! Compile options across every surface.
 //!
 //! `CompileOptions::canonical_bytes` is the options half of every
 //! content-addressed key: the serve daemon's disk cache and the explore
-//! memo both hash it. These bytes were recorded before the option
-//! surfaces were rebuilt and must never change, or existing caches
-//! silently stop hitting (or, worse, alias).
+//! memo both hash it. The pinned bytes below were recorded before the
+//! option surfaces were derived from `roccc::options::OPTIONS` and must
+//! never change, or existing caches silently stop hitting (or, worse,
+//! alias). The other tests check that the command line, the serve
+//! protocol and a pipeline stage spell every option alike, that the
+//! spellings accepted before the table still parse, and that each
+//! surface rejects a bad period.
 
+use roccc_suite::roccc::hash::cache_key;
+use roccc_suite::roccc::options::{apply_cli_arg, OPTIONS};
+use roccc_suite::roccc::proto::{read_request, read_response, write_request, Request, Response};
 use roccc_suite::roccc::{CompileOptions, UnrollStrategy, VerifyLevel};
+use roccc_suite::serve::{start, ServerConfig};
+use roccc_suite::stream::{parse_spec, StreamError};
+use std::io::{BufReader, Cursor, Write};
+use std::net::TcpStream;
 
 /// The base options with one edit applied. `VerifyLevel::default()`
 /// depends on the build profile, so the base pins it to `Off` (the
@@ -145,5 +156,218 @@ fn canonical_bytes_are_pinned_over_an_option_grid() {
     ];
     for (label, opts, want) in grid {
         assert_eq!(hex(&opts.canonical_bytes()), want, "{label}: {opts:?}");
+    }
+}
+
+/// Options from command-line arguments, as `roccc` parses them.
+fn from_cli(args: &[&str]) -> Result<CompileOptions, String> {
+    let mut opts = CompileOptions::default();
+    let mut rest = args.iter().map(|a| a.to_string());
+    while let Some(arg) = rest.next() {
+        assert!(
+            apply_cli_arg(&mut opts, &arg, &mut rest)?,
+            "`{arg}` is no option"
+        );
+    }
+    Ok(opts)
+}
+
+/// Options from `key value` protocol lines of a compile request.
+fn from_proto(lines: &str) -> Result<CompileOptions, String> {
+    let text = format!("compile\nfunction f\n{lines}\nsource void f() {{}}\nend\n");
+    match read_request(&mut Cursor::new(text.into_bytes())) {
+        Ok(Request::Compile { opts, .. }) => Ok(opts),
+        Ok(other) => panic!("expected compile, got {other:?}"),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Options from the `key=value` overrides of a pipeline stage.
+fn from_spec(overrides: &str) -> Result<CompileOptions, StreamError> {
+    let spec = parse_spec(&format!("pipeline f\nstage f {overrides}\n"))?;
+    spec.stages[0].apply(&CompileOptions::default())
+}
+
+#[test]
+fn every_option_spells_alike_on_every_surface() {
+    let default = CompileOptions::default();
+    for opt in OPTIONS {
+        let mut want = default.clone();
+        want.set(opt.key, Some(opt.example)).unwrap();
+        assert_ne!(want, default, "{}: example is the default", opt.key);
+
+        // On the command line a key that is also a switch takes no value,
+        // so the example must be one of its switches.
+        let switch = opt.switches.iter().find(|(_, v)| *v == opt.example);
+        let cli = match switch {
+            Some((s, _)) => vec![format!("--{s}")],
+            None if opt.switches.iter().any(|(s, _)| *s == opt.key) => {
+                panic!("{}: example has no command-line spelling", opt.key)
+            }
+            None => vec![format!("--{}", opt.key), opt.example.to_string()],
+        };
+        let cli: Vec<&str> = cli.iter().map(String::as_str).collect();
+        assert_eq!(from_cli(&cli).unwrap(), want, "{}: command line", opt.key);
+        let line = format!("{} {}", opt.key, opt.example);
+        assert_eq!(from_proto(&line).unwrap(), want, "{}: protocol", opt.key);
+        let stage = format!("{}={}", opt.key, opt.example);
+        assert_eq!(from_spec(&stage).unwrap(), want, "{}: stage", opt.key);
+
+        // The protocol writes exactly the non-default options back.
+        assert_eq!(want.non_default(), vec![(opt.key, opt.example.to_string())]);
+        let req = Request::Compile {
+            source: "void f() {}".into(),
+            function: "f".into(),
+            opts: want.clone(),
+            emit: "stats".into(),
+        };
+        let mut buf = Vec::new();
+        write_request(&mut buf, &req).unwrap();
+        assert_eq!(
+            read_request(&mut Cursor::new(buf)).unwrap(),
+            req,
+            "{}",
+            opt.key
+        );
+
+        assert_ne!(
+            cache_key("void f() {}", "f", &want),
+            cache_key("void f() {}", "f", &default),
+            "{}: cache key",
+            opt.key
+        );
+    }
+}
+
+#[test]
+fn spellings_accepted_before_the_table_still_parse() {
+    let d = CompileOptions::default;
+    let cli = [
+        (
+            &["--no-opt"][..],
+            CompileOptions {
+                optimize: false,
+                ..d()
+            },
+        ),
+        (
+            &["--no-narrow"][..],
+            CompileOptions {
+                narrow: false,
+                ..d()
+            },
+        ),
+        (
+            &["--verify"][..],
+            CompileOptions {
+                verify: VerifyLevel::Warn,
+                ..d()
+            },
+        ),
+        (
+            &["--deny-warnings"][..],
+            CompileOptions {
+                verify: VerifyLevel::Deny,
+                ..d()
+            },
+        ),
+        (
+            &["--unroll", "full"][..],
+            CompileOptions {
+                unroll: UnrollStrategy::Full,
+                ..d()
+            },
+        ),
+    ];
+    for (args, want) in cli {
+        assert_eq!(from_cli(args).unwrap(), want, "{args:?}");
+    }
+    let proto = [
+        (
+            "no-opt",
+            CompileOptions {
+                optimize: false,
+                ..d()
+            },
+        ),
+        (
+            "pipeline-ii auto",
+            CompileOptions {
+                pipeline_ii: Some(0),
+                ..d()
+            },
+        ),
+    ];
+    for (line, want) in proto {
+        assert_eq!(from_proto(line).unwrap(), want, "{line}");
+    }
+    let spec = [
+        (
+            "optimize=off",
+            CompileOptions {
+                optimize: false,
+                ..d()
+            },
+        ),
+        ("unroll=keep", d()),
+        ("stripmine=off", d()),
+    ];
+    for (overrides, want) in spec {
+        assert_eq!(from_spec(overrides).unwrap(), want, "{overrides}");
+    }
+}
+
+#[test]
+fn cli_rejects_bad_periods() {
+    for bad in ["NaN", "0", "-1"] {
+        // Argument errors are reported before the input is read.
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_roccc"))
+            .args(["missing.c", "--function", "f", "--period", bad])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--period {bad} accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("positive number of ns"), "{stderr}");
+    }
+}
+
+#[test]
+fn daemon_rejects_bad_periods() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    for bad in [f64::NAN, 0.0, -1.0] {
+        let req = Request::Compile {
+            source: "void f(int a, int* o) { *o = a + 1; }".into(),
+            function: "f".into(),
+            opts: CompileOptions {
+                target_period_ns: bad,
+                ..CompileOptions::default()
+            },
+            emit: "stats".into(),
+        };
+        // One write: the daemon answers at the bad line without reading
+        // the rest, so a request written line by line could hit a closed
+        // socket before the reply is read.
+        let mut bytes = Vec::new();
+        write_request(&mut bytes, &req).unwrap();
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        stream.write_all(&bytes).unwrap();
+        match read_response(&mut BufReader::new(stream)).unwrap() {
+            Response::Err(msg) => assert!(msg.contains("positive number of ns"), "{msg}"),
+            other => panic!("period {bad} accepted: {other:?}"),
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn spec_rejects_bad_periods() {
+    for bad in ["NaN", "inf", "-inf", "0", "-0", "-1", "ns", ""] {
+        let err = from_spec(&format!("period={bad}")).unwrap_err();
+        assert!(matches!(err, StreamError::Spec(_)), "{err:?}");
+        assert!(err.to_string().contains("positive number of ns"), "{err}");
     }
 }

@@ -5,7 +5,7 @@
 //! for every `P0xx` composition diagnostic.
 
 use roccc_suite::ipcores::kernels;
-use roccc_suite::roccc::{CompileOptions, VerifyLevel};
+use roccc_suite::roccc::{CompileOptions, Verdict, VerifyLevel};
 use roccc_suite::stream::{
     chain_golden, compile_pipeline, parse_spec, pipeline_cache_key, run_cosim, StreamError,
 };
@@ -295,4 +295,23 @@ fn pipeline_cache_key_never_aliases_kernel_keys() {
             "pipeline key aliases the `{func}` kernel key"
         );
     }
+}
+
+/// A stage can ask for a modulo schedule and a proof certificate: the
+/// spec's keys are the compile-option table's.
+#[test]
+fn stage_overrides_schedule_and_prove_a_stage() {
+    let text = "pipeline scale | offset\nstage offset pipeline-ii=auto prove=on";
+    let spec = parse_spec(text).unwrap();
+    let cp = compile_pipeline(TWO_STAGE, &spec, &CompileOptions::default()).unwrap();
+    let (scale, offset) = (&cp.stages[0].compiled, &cp.stages[1].compiled);
+    assert!(scale.schedule.is_none() && scale.certificate.is_none());
+    assert!(offset.schedule.is_some(), "offset has no schedule");
+    let cert = offset
+        .certificate
+        .as_ref()
+        .expect("offset has no certificate");
+    assert_eq!(cert.verdict, Verdict::Equal, "{cert:?}");
+    // The scheduled stage still streams bit-exact.
+    assert_bit_exact(TWO_STAGE, text, &lanes_for("A", 32, 2, 11), "offset.C");
 }
