@@ -36,7 +36,7 @@
 
 use crate::CompileOptions;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -293,9 +293,7 @@ fn parse_csv(value: &str) -> Result<Vec<u64>, ProtoError> {
 /// (the keys and values of [`crate::options::OPTIONS`]).
 fn write_opts<W: Write>(w: &mut W, opts: &CompileOptions) -> io::Result<()> {
     for (key, value) in opts.non_default() {
-        // One write per line: `roundtrip` writes to an unbuffered socket
-        // with Nagle off, where each write goes out as its own segment.
-        w.write_all(format!("{key} {}\n", escape(&value)).as_bytes())?;
+        writeln!(w, "{key} {}", escape(&value))?;
     }
     Ok(())
 }
@@ -541,7 +539,9 @@ pub fn roundtrip(
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(io_timeout)?;
     stream.set_write_timeout(io_timeout)?;
-    let mut writer = stream.try_clone()?;
+    // Nagle is off, so each unbuffered write would leave as a segment of
+    // its own; buffer the request and send it in one go.
+    let mut writer = BufWriter::new(stream.try_clone()?);
     write_request(&mut writer, req)?;
     writer.flush()?;
     let mut reader = BufReader::new(stream);

@@ -12,12 +12,12 @@
 
 use roccc_suite::roccc::hash::cache_key;
 use roccc_suite::roccc::options::{apply_cli_arg, OPTIONS};
-use roccc_suite::roccc::proto::{read_request, read_response, write_request, Request, Response};
+use roccc_suite::roccc::proto::{read_request, roundtrip, write_request, Request, Response};
 use roccc_suite::roccc::{CompileOptions, UnrollStrategy, VerifyLevel};
 use roccc_suite::serve::{start, ServerConfig};
 use roccc_suite::stream::{parse_spec, StreamError};
-use std::io::{BufReader, Cursor, Write};
-use std::net::TcpStream;
+use std::io::Cursor;
+use std::time::Duration;
 
 /// The base options with one edit applied. `VerifyLevel::default()`
 /// depends on the build profile, so the base pins it to `Off` (the
@@ -348,14 +348,7 @@ fn daemon_rejects_bad_periods() {
             },
             emit: "stats".into(),
         };
-        // One write: the daemon answers at the bad line without reading
-        // the rest, so a request written line by line could hit a closed
-        // socket before the reply is read.
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, &req).unwrap();
-        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-        stream.write_all(&bytes).unwrap();
-        match read_response(&mut BufReader::new(stream)).unwrap() {
+        match roundtrip(handle.local_addr(), &req, Some(Duration::from_secs(60))).unwrap() {
             Response::Err(msg) => assert!(msg.contains("positive number of ns"), "{msg}"),
             other => panic!("period {bad} accepted: {other:?}"),
         }
