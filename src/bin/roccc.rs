@@ -7,7 +7,7 @@
 //! `roccc --help` lists every flag. Its compile-option rows are rendered
 //! from [`roccc::options::OPTIONS`], the table that also defines the
 //! serve protocol's option lines and a pipeline stage's overrides. Beside
-//! one compile, the driver runs a design-space sweep (`--explore`), a
+//! one compile, `roccc` runs a design-space sweep (`--explore`), a
 //! multi-kernel streaming pipeline (`--pipeline <file>`), or sends the
 //! request to a running `roccc-serve` daemon (`--connect <host:port>`).
 //!
