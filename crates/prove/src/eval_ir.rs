@@ -15,10 +15,9 @@
 //! certified *conditioned on fault-free IR runs*, which is also what the
 //! replay oracle enforces.
 
-use std::collections::HashMap;
-
 use roccc_suifvm::ir::{FunctionIr, Opcode, Terminator};
 
+use crate::hash::FxHashMap;
 use crate::term::{TOp, TermId, TermStore};
 
 /// Result of symbolically executing one IR window.
@@ -35,7 +34,7 @@ type Guard = Vec<(TermId, bool)>;
 /// Symbolically evaluates `f` over fresh lag-0 leaves in `store`.
 pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, String> {
     let order = f.reverse_postorder();
-    let pos: HashMap<u32, usize> = order.iter().enumerate().map(|(i, b)| (b.0, i)).collect();
+    let pos: FxHashMap<u32, usize> = order.iter().enumerate().map(|(i, b)| (b.0, i)).collect();
     // The window body must be acyclic: every edge goes forward in RPO.
     for &bid in &order {
         for succ in f.block(bid).term.successors() {
@@ -49,8 +48,8 @@ pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, Strin
     }
 
     let preds = f.predecessors();
-    let mut regs: HashMap<u32, TermId> = HashMap::new();
-    let mut guards: HashMap<u32, Guard> = HashMap::new();
+    let mut regs: FxHashMap<u32, TermId> = FxHashMap::default();
+    let mut guards: FxHashMap<u32, Guard> = FxHashMap::default();
     let mut next_state: Vec<TermId> = (0..f.feedback.len())
         .map(|s| store.fb(s as u32, 0))
         .collect();
@@ -92,7 +91,7 @@ pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, Strin
         }
 
         for i in &block.instrs {
-            let src = |k: usize, regs: &HashMap<u32, TermId>| -> Result<TermId, String> {
+            let src = |k: usize, regs: &FxHashMap<u32, TermId>| -> Result<TermId, String> {
                 regs.get(&i.srcs[k].0)
                     .copied()
                     .ok_or_else(|| format!("use of undefined {}", i.srcs[k]))
@@ -221,8 +220,8 @@ pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, Strin
 /// its branch literal when the terminator is conditional.
 fn edge_guard(
     f: &FunctionIr,
-    guards: &HashMap<u32, Guard>,
-    regs: &HashMap<u32, TermId>,
+    guards: &FxHashMap<u32, Guard>,
+    regs: &FxHashMap<u32, TermId>,
     pred: roccc_suifvm::ir::BlockId,
     succ: roccc_suifvm::ir::BlockId,
 ) -> Result<Guard, String> {

@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 use roccc_netlist::cells::{CellKind, Netlist};
 use roccc_suifvm::ir::{FunctionIr, Opcode};
 
-use crate::term::{TOp, TermId, TermStore};
+use crate::term::{TOp, TermId, TermMap, TermStore};
 
 /// Result of symbolically executing one netlist period.
 pub struct NlSymbols {
@@ -73,7 +73,7 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
 
     let mut terms: Vec<Option<TermId>> = vec![None; nl.cells.len()];
     let mut fact_elided: HashSet<TermId> = HashSet::new();
-    let mut lag_cache: HashMap<TermId, TermId> = HashMap::new();
+    let mut lag_cache: TermMap<TermId> = TermMap::new();
 
     // Only registers may be forward-referenced, so each pass resolves at
     // least the next unresolved non-register cell; bound passes anyway.

@@ -34,11 +34,11 @@
 pub mod blast;
 pub mod eval_ir;
 pub mod eval_nl;
+pub mod hash;
 pub mod rewrite;
 pub mod sat;
 pub mod term;
 
-use std::collections::HashMap;
 use std::fmt;
 
 use roccc_cparse::types::IntType;
@@ -50,7 +50,7 @@ use roccc_verify::{CertificateView, CounterexampleView, Diagnostic, ObligationVi
 
 use blast::SatOutcome;
 use rewrite::{equal_mod, NormCache};
-use term::{LagSet, TermId, TermStore};
+use term::{LagSet, TermId, TermMap, TermStore};
 
 /// Schema tag stamped on every certificate (kept in lockstep with
 /// [`roccc_verify::PROVE_SCHEMA`]).
@@ -358,6 +358,8 @@ struct Prover<'a> {
     opts: &'a ProveOptions,
     rng: Rng,
     fb_init: Vec<i64>,
+    /// Concrete-probe memo, reused (cleared) across probes.
+    eval_cache: TermMap<i64>,
 }
 
 impl<'a> Prover<'a> {
@@ -424,9 +426,10 @@ impl<'a> Prover<'a> {
         let cmp_ty = IntType::signed(bits.max(1));
         for _ in 0..64 {
             let vars = self.rng.window(self.f);
-            let mut cache = HashMap::new();
-            let lv = self.store.eval(l, &vars, &self.fb_init, &mut cache);
-            let rv = self.store.eval(r, &vars, &self.fb_init, &mut cache);
+            let cache = &mut self.eval_cache;
+            cache.clear();
+            let lv = self.store.eval(l, &vars, &self.fb_init, cache);
+            let rv = self.store.eval(r, &vars, &self.fb_init, cache);
             if cmp_ty.wrap(lv) != cmp_ty.wrap(rv) {
                 if let Some(cex) = self.confirm(vars) {
                     return (
@@ -624,8 +627,8 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
             }
         }
         Ok((ir, nls)) => {
-            let mut lag_cache = HashMap::new();
-            let mut strip_cache = HashMap::new();
+            let mut lag_cache = TermMap::new();
+            let mut strip_cache = TermMap::new();
 
             // Valid-grid obligations: every output cone must be uniform
             // at the plan latency, every next-state cone at its gate.
@@ -672,10 +675,11 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 f,
                 nl,
                 store,
-                norm: NormCache::new(),
+                norm: NormCache::default(),
                 opts,
                 rng,
                 fb_init,
+                eval_cache: TermMap::new(),
             };
 
             // Value obligations, lag-stripped into window-relative form.

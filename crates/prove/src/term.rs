@@ -25,9 +25,11 @@
 //! makes the states equal at reset and the next-state obligations keep
 //! them equal.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use roccc_cparse::types::IntType;
+
+use crate::hash::FxHashMap;
 
 /// Index of a term in its [`TermStore`].
 pub type TermId = u32;
@@ -125,11 +127,57 @@ pub enum LagSet {
     Mixed,
 }
 
+/// Dense side table keyed by [`TermId`]: one slot per interned term, so a
+/// memo lookup is an index instead of a hash. Grows on insert.
+#[derive(Debug, Clone)]
+pub struct TermMap<V> {
+    slots: Vec<Option<V>>,
+}
+
+impl<V: Copy> Default for TermMap<V> {
+    fn default() -> Self {
+        TermMap { slots: Vec::new() }
+    }
+}
+
+impl<V: Copy> TermMap<V> {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The value stored for `t`, if any.
+    #[inline]
+    pub fn get(&self, t: TermId) -> Option<V> {
+        self.slots.get(t as usize).copied().flatten()
+    }
+
+    /// Stores `v` for `t`.
+    #[inline]
+    pub fn insert(&mut self, t: TermId, v: V) {
+        let i = t as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = Some(v);
+    }
+
+    /// Forgets every entry (keeps the allocation).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+}
+
 /// Hash-consing store plus the leaf-type context needed by the interval
 /// analysis, the concrete evaluator, and the bit-blaster.
 pub struct TermStore {
     terms: Vec<Term>,
-    intern: HashMap<Term, TermId>,
+    /// Interned non-constant nodes. Their fields are the prover's own
+    /// ids and small tags, so the fast in-tree hasher suffices.
+    intern: FxHashMap<Term, TermId>,
+    /// Interned constants. Their values come from the kernel source, so
+    /// they keep the std hasher, which resists keys crafted to collide.
+    consts: HashMap<i64, TermId>,
     /// Input-port types, indexed by `Var::port` (sampling hints only — a
     /// `Var` itself is the raw, unwrapped argument word).
     pub var_tys: Vec<IntType>,
@@ -139,7 +187,9 @@ pub struct TermStore {
     pub luts: Vec<Vec<i64>>,
     /// Count of simplification-rule firings (reported as `rewrite_steps`).
     pub steps: u64,
-    intervals: HashMap<TermId, Option<(i128, i128)>>,
+    /// Memoized [`TermStore::interval`] results; an interval is only kept
+    /// when it fits i64, so the bounds are stored as `i64`.
+    intervals: TermMap<Option<(i64, i64)>>,
 }
 
 fn ty_bounds(ty: IntType) -> (i128, i128) {
@@ -151,29 +201,50 @@ impl TermStore {
     pub fn new(var_tys: Vec<IntType>, fb_tys: Vec<IntType>) -> Self {
         TermStore {
             terms: Vec::new(),
-            intern: HashMap::new(),
+            intern: FxHashMap::default(),
+            consts: HashMap::new(),
             var_tys,
             fb_tys,
             luts: Vec::new(),
             steps: 0,
-            intervals: HashMap::new(),
+            intervals: TermMap::new(),
         }
     }
 
     /// Interns `t`, returning its id.
     pub fn mk(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.intern.get(&t) {
+        let found = match t {
+            Term::Const(v) => self.consts.get(&v),
+            _ => self.intern.get(&t),
+        };
+        if let Some(&id) = found {
             return id;
         }
         let id = self.terms.len() as TermId;
-        self.terms.push(t.clone());
-        self.intern.insert(t, id);
+        match t {
+            Term::Const(v) => {
+                self.consts.insert(v, id);
+            }
+            _ => {
+                self.intern.insert(t.clone(), id);
+            }
+        }
+        self.terms.push(t);
         id
     }
 
     /// The node behind `id`.
     pub fn term(&self, id: TermId) -> &Term {
         &self.terms[id as usize]
+    }
+
+    /// Operands of `id` (empty for leaves and wraps). Recursive passes
+    /// index this slice instead of cloning the node.
+    pub(crate) fn args(&self, id: TermId) -> &[TermId] {
+        match &self.terms[id as usize] {
+            Term::Op { args, .. } => args,
+            _ => &[],
+        }
     }
 
     /// Number of interned nodes.
@@ -214,7 +285,8 @@ impl TermStore {
         self.mk(Term::Const(v))
     }
 
-    fn as_const(&self, id: TermId) -> Option<i64> {
+    /// The value of `id` when it is a constant.
+    pub(crate) fn as_const(&self, id: TermId) -> Option<i64> {
         match self.term(id) {
             Term::Const(v) => Some(*v),
             _ => None,
@@ -227,28 +299,41 @@ impl TermStore {
     /// `coeff * base` contributions (folding `Neg` and constant factors),
     /// sums coefficients wrapping, and drops zero terms.
     pub fn add(&mut self, args: Vec<TermId>) -> TermId {
-        let mut coeffs: HashMap<TermId, i64> = HashMap::new();
+        let mut contribs: Vec<(TermId, i64)> = Vec::with_capacity(args.len());
         let mut konst: i64 = 0;
         let mut stack = args;
         while let Some(a) = stack.pop() {
-            match self.term(a).clone() {
+            match *self.term(a) {
                 Term::Const(v) => konst = konst.wrapping_add(v),
-                Term::Op { op: TOp::Add, args } => stack.extend(args),
-                Term::Op { op: TOp::Neg, args } => {
+                Term::Op {
+                    op: TOp::Add,
+                    ref args,
+                } => stack.extend_from_slice(args),
+                Term::Op {
+                    op: TOp::Neg,
+                    ref args,
+                } => {
+                    let x = args[0];
                     self.steps += 1;
-                    let (c, base) = self.coeff_of(args[0]);
-                    let e = coeffs.entry(base).or_insert(0);
-                    *e = e.wrapping_sub(c);
+                    let (c, base) = self.coeff_of(x);
+                    contribs.push((base, c.wrapping_neg()));
                 }
                 _ => {
                     let (c, base) = self.coeff_of(a);
-                    let e = coeffs.entry(base).or_insert(0);
-                    *e = e.wrapping_add(c);
+                    contribs.push((base, c));
                 }
             }
         }
-        let mut parts: Vec<(TermId, i64)> = coeffs.into_iter().filter(|&(_, c)| c != 0).collect();
-        parts.sort_unstable_by_key(|&(b, _)| b);
+        // Merge the contributions per base (wrapping), dropping zeros.
+        contribs.sort_unstable_by_key(|&(b, _)| b);
+        let mut parts: Vec<(TermId, i64)> = Vec::with_capacity(contribs.len());
+        for (b, c) in contribs {
+            match parts.last_mut() {
+                Some((pb, pc)) if *pb == b => *pc = pc.wrapping_add(c),
+                _ => parts.push((b, c)),
+            }
+        }
+        parts.retain(|&(_, c)| c != 0);
         let mut out: Vec<TermId> = Vec::with_capacity(parts.len() + 1);
         if konst != 0 {
             out.push(self.cst(konst));
@@ -276,12 +361,16 @@ impl TermStore {
 
     /// Splits `t` into `(coefficient, base)` for sum collection.
     fn coeff_of(&mut self, t: TermId) -> (i64, TermId) {
-        if let Term::Op { op: TOp::Mul, args } = self.term(t).clone() {
+        if let Term::Op {
+            op: TOp::Mul,
+            ref args,
+        } = *self.term(t)
+        {
             if let Some(c) = self.as_const(args[0]) {
-                let rest = args[1..].to_vec();
-                let base = if rest.len() == 1 {
-                    rest[0]
+                let base = if args.len() == 2 {
+                    args[1]
                 } else {
+                    let rest = args[1..].to_vec();
                     self.mk(Term::Op {
                         op: TOp::Mul,
                         args: rest,
@@ -302,25 +391,38 @@ impl TermStore {
 
     /// Wrapping negation (distributes over sums, folds into products).
     pub fn neg(&mut self, a: TermId) -> TermId {
-        match self.term(a).clone() {
+        match *self.term(a) {
             Term::Const(v) => {
                 self.steps += 1;
                 self.cst(v.wrapping_neg())
             }
-            Term::Op { op: TOp::Neg, args } => {
+            Term::Op {
+                op: TOp::Neg,
+                ref args,
+            } => {
+                let x = args[0];
                 self.steps += 1;
-                args[0]
+                x
             }
-            Term::Op { op: TOp::Add, args } => {
+            Term::Op { op: TOp::Add, .. } => {
                 self.steps += 1;
-                let negd: Vec<TermId> = args.iter().map(|&x| self.mk_neg_raw(x)).collect();
+                let n = self.args(a).len();
+                let negd: Vec<TermId> = (0..n)
+                    .map(|i| {
+                        let x = self.args(a)[i];
+                        self.mk_neg_raw(x)
+                    })
+                    .collect();
                 self.add(negd)
             }
-            Term::Op { op: TOp::Mul, args } if self.as_const(args[0]).is_some() => {
+            Term::Op {
+                op: TOp::Mul,
+                ref args,
+            } if self.as_const(args[0]).is_some() => {
+                let mut v = args.to_vec();
                 self.steps += 1;
-                let c = self.as_const(args[0]).unwrap().wrapping_neg();
-                let mut v = vec![self.cst(c)];
-                v.extend_from_slice(&args[1..]);
+                let c = self.as_const(v[0]).unwrap().wrapping_neg();
+                v[0] = self.cst(c);
                 self.mul(v)
             }
             _ => self.mk_neg_raw(a),
@@ -340,13 +442,19 @@ impl TermStore {
         let mut factors: Vec<TermId> = Vec::new();
         let mut stack = args;
         while let Some(a) = stack.pop() {
-            match self.term(a).clone() {
+            match *self.term(a) {
                 Term::Const(v) => konst = konst.wrapping_mul(v),
-                Term::Op { op: TOp::Mul, args } => stack.extend(args),
-                Term::Op { op: TOp::Neg, args } => {
+                Term::Op {
+                    op: TOp::Mul,
+                    ref args,
+                } => stack.extend_from_slice(args),
+                Term::Op {
+                    op: TOp::Neg,
+                    ref args,
+                } => {
+                    stack.push(args[0]);
                     self.steps += 1;
                     konst = konst.wrapping_neg();
-                    stack.push(args[0]);
                 }
                 _ => factors.push(a),
             }
@@ -394,7 +502,7 @@ impl TermStore {
         let mut rest: Vec<TermId> = Vec::new();
         let mut stack = args;
         while let Some(a) = stack.pop() {
-            match self.term(a).clone() {
+            match *self.term(a) {
                 Term::Const(v) => {
                     konst = match op {
                         TOp::And => konst & v,
@@ -402,7 +510,7 @@ impl TermStore {
                         _ => konst ^ v,
                     }
                 }
-                Term::Op { op: o2, args } if o2 == op => stack.extend(args),
+                Term::Op { op: o2, ref args } if o2 == op => stack.extend_from_slice(args),
                 _ => rest.push(a),
             }
         }
@@ -444,14 +552,18 @@ impl TermStore {
 
     /// Bitwise complement.
     pub fn not(&mut self, a: TermId) -> TermId {
-        match self.term(a).clone() {
+        match *self.term(a) {
             Term::Const(v) => {
                 self.steps += 1;
                 self.cst(!v)
             }
-            Term::Op { op: TOp::Not, args } => {
+            Term::Op {
+                op: TOp::Not,
+                ref args,
+            } => {
+                let x = args[0];
                 self.steps += 1;
-                args[0]
+                x
             }
             _ => self.mk(Term::Op {
                 op: TOp::Not,
@@ -586,13 +698,14 @@ impl TermStore {
             return t;
         }
         // Bool(c) != 0  ⟺  c != 0: drop the coercion inside a mux guard.
-        let c = match self.term(c).clone() {
+        let c = match *self.term(c) {
             Term::Op {
                 op: TOp::Bool,
-                args,
+                ref args,
             } => {
+                let x = args[0];
                 self.steps += 1;
-                args[0]
+                x
             }
             _ => c,
         };
@@ -666,8 +779,8 @@ impl TermStore {
     /// Conservative value interval of `t` (treating leaves as ranging over
     /// their full port/slot types), or `None` when unbounded/unknown.
     pub fn interval(&mut self, t: TermId) -> Option<(i128, i128)> {
-        if let Some(v) = self.intervals.get(&t) {
-            return *v;
+        if let Some(v) = self.intervals.get(t) {
+            return v.map(|(lo, hi)| (lo as i128, hi as i128));
         }
         let r = self.interval_inner(t);
         // Every term denotes wrap64(mathematical value), while Add/Mul
@@ -677,12 +790,13 @@ impl TermStore {
         // non-negativity, the guarded-mux clamp, wrap elision) would apply
         // math-value bounds to a possibly-wrapped word.
         let r = r.filter(|&(lo, hi)| lo >= i64::MIN as i128 && hi <= i64::MAX as i128 && lo <= hi);
-        self.intervals.insert(t, r);
+        self.intervals
+            .insert(t, r.map(|(lo, hi)| (lo as i64, hi as i64)));
         r
     }
 
     fn interval_inner(&mut self, t: TermId) -> Option<(i128, i128)> {
-        match self.term(t).clone() {
+        match *self.term(t) {
             Term::Const(v) => Some((v as i128, v as i128)),
             // A `Var` is the raw argument word: unbounded.
             Term::Var { .. } => None,
@@ -702,17 +816,19 @@ impl TermStore {
                     _ => Some((tmin, tmax)),
                 }
             }
-            Term::Op { op, args } => self.interval_op(op, &args),
+            Term::Op { op, .. } => self.interval_op(op, t),
         }
     }
 
-    fn interval_op(&mut self, op: TOp, args: &[TermId]) -> Option<(i128, i128)> {
+    fn interval_op(&mut self, op: TOp, t: TermId) -> Option<(i128, i128)> {
+        let arg = |s: &Self, i: usize| s.args(t)[i];
+        let n = self.args(t).len();
         match op {
             TOp::Add => {
                 let mut lo = 0i128;
                 let mut hi = 0i128;
-                for &a in args {
-                    let (l, h) = self.interval(a)?;
+                for i in 0..n {
+                    let (l, h) = self.interval(arg(self, i))?;
                     lo = lo.checked_add(l)?;
                     hi = hi.checked_add(h)?;
                 }
@@ -720,8 +836,8 @@ impl TermStore {
             }
             TOp::Mul => {
                 let (mut lo, mut hi) = (1i128, 1i128);
-                for &a in args {
-                    let (l, h) = self.interval(a)?;
+                for i in 0..n {
+                    let (l, h) = self.interval(arg(self, i))?;
                     let cands = [
                         lo.checked_mul(l)?,
                         lo.checked_mul(h)?,
@@ -734,15 +850,15 @@ impl TermStore {
                 Some((lo, hi))
             }
             TOp::Neg => {
-                let (l, h) = self.interval(args[0])?;
+                let (l, h) = self.interval(arg(self, 0))?;
                 Some((h.checked_neg()?, l.checked_neg()?))
             }
             TOp::And => {
                 // The result's set bits are a subset of every operand's, so
                 // any operand known non-negative bounds it to [0, operand].
                 let mut hi: Option<i128> = None;
-                for &a in args {
-                    if let Some((l, h)) = self.interval(a) {
+                for i in 0..n {
+                    if let Some((l, h)) = self.interval(arg(self, i)) {
                         if l >= 0 {
                             hi = Some(hi.map_or(h, |m: i128| m.min(h)));
                         }
@@ -755,8 +871,8 @@ impl TermStore {
                 // power of two clearing every operand; or is also >= each.
                 let mut lo = 0i128;
                 let mut hi = 0i128;
-                for &a in args {
-                    let (l, h) = self.interval(a)?;
+                for i in 0..n {
+                    let (l, h) = self.interval(arg(self, i))?;
                     if l < 0 {
                         return None;
                     }
@@ -771,31 +887,31 @@ impl TermStore {
             TOp::Slt | TOp::Sle | TOp::Seq | TOp::Sne | TOp::Bool => Some((0, 1)),
             TOp::ShAmt => Some((0, 63)),
             TOp::Mux => {
-                let (mut tl, th) = self.interval(args[1])?;
-                let (el, eh) = self.interval(args[2])?;
+                let (c, then_arm, else_arm) = (arg(self, 0), arg(self, 1), arg(self, 2));
+                let (mut tl, th) = self.interval(then_arm)?;
+                let (el, eh) = self.interval(else_arm)?;
                 // Guard-aware clamp: a condition `a <= b` (or `a < b`) whose
                 // then-arm is canonically `b - a` proves that arm >= 0 (>= 1)
                 // — the pattern restoring dividers/square roots build.
                 if let Term::Op {
-                    op: c_op,
-                    args: c_args,
-                } = self.term(args[0]).clone()
+                    op: c_op @ (TOp::Sle | TOp::Slt),
+                    ref args,
+                } = *self.term(c)
                 {
-                    if matches!(c_op, TOp::Sle | TOp::Slt) {
-                        let diff = self.sub(c_args[1], c_args[0]);
-                        if diff == args[1] {
-                            tl = tl.max(if c_op == TOp::Slt { 1 } else { 0 });
-                        }
+                    let (a, b) = (args[0], args[1]);
+                    let diff = self.sub(b, a);
+                    if diff == then_arm {
+                        tl = tl.max(if c_op == TOp::Slt { 1 } else { 0 });
                     }
                 }
                 Some((tl.min(el), th.max(eh)))
             }
             TOp::Shr => {
-                let (l, h) = self.interval(args[0])?;
+                let (l, h) = self.interval(arg(self, 0))?;
                 // An arithmetic shift by a fixed amount is monotone (floor
                 // division by 2^k), so the bounds shift with the operand
                 // regardless of sign.
-                if let Term::Const(k) = *self.term(args[1]) {
+                if let Some(k) = self.as_const(arg(self, 1)) {
                     let k = k.clamp(0, 63) as u32;
                     return Some((l >> k, h >> k));
                 }
@@ -819,19 +935,14 @@ impl TermStore {
 
     /// Returns `t` with every leaf lag increased by `delta` (crossing a
     /// gateless pipeline register).
-    pub fn shift_lags(
-        &mut self,
-        t: TermId,
-        delta: u32,
-        cache: &mut HashMap<TermId, TermId>,
-    ) -> TermId {
+    pub fn shift_lags(&mut self, t: TermId, delta: u32, cache: &mut TermMap<TermId>) -> TermId {
         if delta == 0 {
             return t;
         }
-        if let Some(&r) = cache.get(&t) {
+        if let Some(r) = cache.get(t) {
             return r;
         }
-        let r = match self.term(t).clone() {
+        let r = match *self.term(t) {
             Term::Var { port, lag } => self.var(port, lag + delta),
             Term::FbVar { slot, lag } => self.fb(slot, lag + delta),
             Term::Const(_) => t,
@@ -843,21 +954,28 @@ impl TermStore {
                     arg: a,
                 })
             }
-            Term::Op { op, args } => {
-                let na: Vec<TermId> = args
-                    .iter()
-                    .map(|&a| self.shift_lags(a, delta, cache))
-                    .collect();
+            Term::Op { op, .. } => {
+                let n = self.args(t).len();
+                let mut na = Vec::with_capacity(n);
+                for i in 0..n {
+                    let a = self.args(t)[i];
+                    na.push(self.shift_lags(a, delta, cache));
+                }
                 self.mk(Term::Op { op, args: na })
             }
         };
+        // Renaming every leaf injectively keeps the set of values the
+        // term takes, so `t`'s interval holds for `r` as well.
+        if let (Some(iv), None) = (self.intervals.get(t), self.intervals.get(r)) {
+            self.intervals.insert(r, iv);
+        }
         cache.insert(t, r);
         r
     }
 
     /// Collects the set of leaf lags in `t`'s cone.
-    pub fn lags(&self, t: TermId, cache: &mut HashMap<TermId, LagSet>) -> LagSet {
-        if let Some(&r) = cache.get(&t) {
+    pub fn lags(&self, t: TermId, cache: &mut TermMap<LagSet>) -> LagSet {
+        if let Some(r) = cache.get(t) {
             return r;
         }
         let r = match self.term(t) {
@@ -866,7 +984,7 @@ impl TermStore {
             Term::Wrap { arg, .. } => self.lags(*arg, cache),
             Term::Op { args, .. } => {
                 let mut acc = LagSet::Empty;
-                for &a in args.clone().iter() {
+                for &a in args {
                     let la = self.lags(a, cache);
                     acc = match (acc, la) {
                         (LagSet::Empty, x) | (x, LagSet::Empty) => x,
@@ -885,11 +1003,11 @@ impl TermStore {
     }
 
     /// Returns `t` with every leaf lag reset to 0 (window-relative form).
-    pub fn strip_lags(&mut self, t: TermId, cache: &mut HashMap<TermId, TermId>) -> TermId {
-        if let Some(&r) = cache.get(&t) {
+    pub fn strip_lags(&mut self, t: TermId, cache: &mut TermMap<TermId>) -> TermId {
+        if let Some(r) = cache.get(t) {
             return r;
         }
-        let r = match self.term(t).clone() {
+        let r = match *self.term(t) {
             Term::Var { port, .. } => self.var(port, 0),
             Term::FbVar { slot, .. } => self.fb(slot, 0),
             Term::Const(_) => t,
@@ -901,8 +1019,13 @@ impl TermStore {
                     arg: a,
                 })
             }
-            Term::Op { op, args } => {
-                let na: Vec<TermId> = args.iter().map(|&a| self.strip_lags(a, cache)).collect();
+            Term::Op { op, .. } => {
+                let n = self.args(t).len();
+                let mut na = Vec::with_capacity(n);
+                for i in 0..n {
+                    let a = self.args(t)[i];
+                    na.push(self.strip_lags(a, cache));
+                }
                 self.mk(Term::Op { op, args: na })
             }
         };
@@ -911,11 +1034,14 @@ impl TermStore {
     }
 
     /// True when any node of `t`'s cone is in `set`.
-    pub fn cone_intersects(&self, t: TermId, set: &std::collections::HashSet<TermId>) -> bool {
-        let mut seen = std::collections::HashSet::new();
+    pub fn cone_intersects(&self, t: TermId, set: &HashSet<TermId>) -> bool {
+        if set.is_empty() {
+            return false;
+        }
+        let mut seen = vec![false; self.terms.len()];
         let mut stack = vec![t];
         while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
+            if std::mem::replace(&mut seen[x as usize], true) {
                 continue;
             }
             if set.contains(&x) {
@@ -937,17 +1063,11 @@ impl TermStore {
     /// ignored — all leaves read the same window. Division by zero and
     /// out-of-range lookups follow the benign netlist semantics (0), which
     /// is safe here because candidates are always confirmed by replay.
-    pub fn eval(
-        &self,
-        t: TermId,
-        vars: &[i64],
-        fbs: &[i64],
-        cache: &mut HashMap<TermId, i64>,
-    ) -> i64 {
-        if let Some(&v) = cache.get(&t) {
+    pub fn eval(&self, t: TermId, vars: &[i64], fbs: &[i64], cache: &mut TermMap<i64>) -> i64 {
+        if let Some(v) = cache.get(t) {
             return v;
         }
-        let v = match self.term(t).clone() {
+        let v = match *self.term(t) {
             Term::Const(v) => v,
             Term::Var { port, .. } => vars.get(port as usize).copied().unwrap_or(0),
             Term::FbVar { slot, .. } => fbs.get(slot as usize).copied().unwrap_or(0),
@@ -959,12 +1079,25 @@ impl TermStore {
                 };
                 ty.wrap(self.eval(arg, vars, fbs, cache))
             }
-            Term::Op { op, args } => {
-                let xs: Vec<i64> = args
-                    .iter()
-                    .map(|&a| self.eval(a, vars, fbs, cache))
-                    .collect();
-                eval_op(op, &xs, &self.luts)
+            Term::Op {
+                op: op @ (TOp::Add | TOp::Mul | TOp::And | TOp::Or | TOp::Xor),
+                ref args,
+            } => {
+                // n-ary: fold pairwise from the operator's identity.
+                let mut acc = eval_op(op, &[], &self.luts);
+                for &a in args {
+                    let x = self.eval(a, vars, fbs, cache);
+                    acc = eval_op(op, &[acc, x], &self.luts);
+                }
+                acc
+            }
+            Term::Op { op, ref args } => {
+                // Every other operator takes at most three operands.
+                let mut xs = [0i64; 3];
+                for (x, &a) in xs.iter_mut().zip(args) {
+                    *x = self.eval(a, vars, fbs, cache);
+                }
+                eval_op(op, &xs[..args.len()], &self.luts)
             }
         };
         cache.insert(t, v);
@@ -1125,7 +1258,7 @@ mod tests {
         // At a = b = 2^32 - 1 the wrapped product is negative: the shift
         // yields -2 and the retained u33 wrap restores 8589934590.
         let v = u32::MAX as i64;
-        let mut cache = HashMap::new();
+        let mut cache = TermMap::new();
         assert_eq!(s.eval(sh, &[v, v], &[], &mut cache), -2);
         assert_eq!(s.eval(w, &[v, v], &[], &mut cache), 8589934590);
     }
@@ -1146,7 +1279,7 @@ mod tests {
         let b = s.var(1, 0);
         let m = s.mul(vec![a, b]);
         let t = s.add(vec![m, a]);
-        let mut cache = HashMap::new();
+        let mut cache = TermMap::new();
         let v = s.eval(t, &[7, -3], &[], &mut cache);
         assert_eq!(v, 7i64.wrapping_mul(-3) + 7);
     }
@@ -1186,11 +1319,11 @@ mod tests {
         let a = s.var(0, 0);
         let b = s.var(1, 2);
         let t = s.add(vec![a, b]);
-        let mut c1 = HashMap::new();
+        let mut c1 = TermMap::new();
         let sh = s.shift_lags(t, 3, &mut c1);
-        let mut lc = HashMap::new();
+        let mut lc = TermMap::new();
         assert_eq!(s.lags(sh, &mut lc), LagSet::Mixed);
-        let mut c2 = HashMap::new();
+        let mut c2 = TermMap::new();
         let st = s.strip_lags(sh, &mut c2);
         let a0 = s.var(0, 0);
         let b0 = s.var(1, 0);

@@ -36,7 +36,7 @@
 
 use crate::CompileOptions;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -46,6 +46,10 @@ pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 
 /// Hard cap on a response payload (64 MiB).
 pub const MAX_PAYLOAD_BYTES: usize = 64 * 1024 * 1024;
+
+/// Hard cap on what [`read_request`] reads past a malformed line while
+/// looking for the request's `end` (64 MiB).
+pub const MAX_DRAIN_BYTES: usize = 64 * 1024 * 1024;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -321,16 +325,68 @@ fn read_line_capped<R: BufRead>(r: &mut R) -> Result<String, ProtoError> {
     Ok(line)
 }
 
-/// Reads one request from `r`.
+/// Line reader over one request that remembers whether the last line
+/// it returned was the `end` terminator.
+struct RequestLines<'a, R> {
+    r: &'a mut R,
+    at_end: bool,
+}
+
+impl<R: BufRead> RequestLines<'_, R> {
+    fn next(&mut self) -> Result<String, ProtoError> {
+        let line = read_line_capped(self.r)?;
+        self.at_end = line == "end";
+        Ok(line)
+    }
+}
+
+/// Reads and discards the rest of a malformed request through its `end`
+/// line, so the peer has finished writing before it reads the error (a
+/// peer still writing into a closed socket gets a broken pipe instead).
+/// Stops early at end of stream, on an I/O error such as the socket's
+/// read timeout, at a line over [`MAX_LINE_BYTES`], or after
+/// [`MAX_DRAIN_BYTES`] in all.
+fn drain_to_end<R: BufRead>(r: &mut R) {
+    let mut left = MAX_DRAIN_BYTES as u64;
+    let mut line = Vec::new();
+    while left > 0 {
+        line.clear();
+        let cap = left.min(MAX_LINE_BYTES as u64 + 1);
+        match r.by_ref().take(cap).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left -= n as u64,
+        }
+        // No newline: the line hit a cap, or the stream ended mid-line.
+        let Some(body) = line.strip_suffix(b"\n") else {
+            return;
+        };
+        if body.strip_suffix(b"\r").unwrap_or(body) == b"end" {
+            return;
+        }
+    }
+}
+
+/// Reads one request from `r`. A malformed request is still read through
+/// its `end` line (bounded, see [`MAX_DRAIN_BYTES`]) before the error is
+/// returned, so a reply to it reaches a peer that is still sending.
 ///
 /// # Errors
 ///
 /// [`ProtoError`] on I/O failure or a message outside the protocol.
 pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
-    let cmd = read_line_capped(r)?;
+    let mut lines = RequestLines { r, at_end: false };
+    let req = parse_request(&mut lines);
+    if matches!(req, Err(ProtoError::Malformed(_))) && !lines.at_end {
+        drain_to_end(lines.r);
+    }
+    req
+}
+
+fn parse_request<R: BufRead>(lines: &mut RequestLines<'_, R>) -> Result<Request, ProtoError> {
+    let cmd = lines.next()?;
     match cmd.as_str() {
         "metrics" | "ping" | "shutdown" => {
-            let end = read_line_capped(r)?;
+            let end = lines.next()?;
             if end != "end" {
                 return Err(malformed(format!("expected `end`, got `{end}`")));
             }
@@ -346,7 +402,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
             let mut emit = "stats".to_string();
             let mut opts = CompileOptions::default();
             loop {
-                let line = read_line_capped(r)?;
+                let line = lines.next()?;
                 if line == "end" {
                     break;
                 }
@@ -371,7 +427,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
             let mut emit = "stats".to_string();
             let mut opts = CompileOptions::default();
             loop {
-                let line = read_line_capped(r)?;
+                let line = lines.next()?;
                 if line == "end" {
                     break;
                 }
@@ -401,7 +457,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ProtoError> {
             let mut budget_slices = None;
             let mut beam = None;
             loop {
-                let line = read_line_capped(r)?;
+                let line = lines.next()?;
                 if line == "end" {
                     break;
                 }
@@ -722,6 +778,30 @@ mod tests {
                 other => panic!("`{bad}` accepted: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn malformed_request_is_read_through_its_end() {
+        // Each malformed request is consumed through its own `end`, so
+        // the next request on the stream parses cleanly.
+        let stream = "compile\nperiod NaN\nsource x\nfunction f\nend\n\
+                      ping\nbogus\nend\n\
+                      nonsense\nwith a body\nend\r\n\
+                      compile\nend\n\
+                      metrics\nend\n";
+        let mut r = Cursor::new(stream.as_bytes().to_vec());
+        for _ in 0..4 {
+            assert!(matches!(
+                read_request(&mut r),
+                Err(ProtoError::Malformed(_))
+            ));
+        }
+        assert_eq!(read_request(&mut r).unwrap(), Request::Metrics);
+        // A request cut off before its `end` drains to end of stream.
+        let cut = b"compile\nunroll banana\nsource x";
+        let mut r = Cursor::new(cut.to_vec());
+        assert!(read_request(&mut r).is_err());
+        assert_eq!(r.position(), cut.len() as u64);
     }
 
     #[test]

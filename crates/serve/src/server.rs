@@ -376,6 +376,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let req = match proto::read_request(&mut reader) {
         Ok(r) => r,
         Err(e) => {
+            // `read_request` has already drained a malformed request
+            // through its `end` (bounded), so a client that was still
+            // sending it reads this reply instead of a broken pipe.
             shared.metrics.errors.inc();
             let _ = proto::write_response(&mut writer, &Response::Err(e.to_string()));
             return;

@@ -227,16 +227,38 @@ fi
 grep -q 'E004-malformed-certificate' "${prove_log}" \
   || { echo "prove smoke: rejection lacks the E004 code" >&2; exit 1; }
 cargo run --release --example prove_smoke >/dev/null
-rm -f "${prove_src}" "${prove_log}"
+# The narrowed, scheduled udiv (Table 1's restoring divider) must certify
+# by rewriting alone: no obligation may fall back to SAT.
+udiv_src="$(mktemp -t prove_smoke_udiv.XXXXXX.c)"
+{
+  echo 'void udiv(uint8 n, uint8 d, uint8* q) {'
+  echo '  int rem = 0;'
+  echo '  int quo = 0;'
+  for k in 7 6 5 4 3 2 1 0; do
+    echo "  rem = (rem << 1) | ((n >> ${k}) & 1);"
+    echo '  quo = quo << 1;'
+    echo '  if (rem >= d) { rem = rem - d; quo = quo | 1; }'
+  done
+  echo '  *q = quo;'
+  echo '}'
+} >"${udiv_src}"
+./target/release/roccc "${udiv_src}" --function udiv --range-narrow \
+  --pipeline-ii auto --emit prove | grep -q ' 0 sat, 0 refuted, 0 unknown;' \
+  || { echo "prove smoke: udiv needed the SAT fallback" >&2; exit 1; }
+rm -f "${prove_src}" "${prove_log}" "${udiv_src}"
 
 echo "==> bench_prove smoke (certification cost on Table 1)"
 prove_out="$(mktemp -t bench_prove_smoke.XXXXXX.json)"
 cargo run --release -p roccc-bench --bin bench_prove -- --out "${prove_out}" \
   >/dev/null
-grep -q '"benchmark": "prove"' "${prove_out}" \
-  || { echo "bench_prove smoke: bad JSON" >&2; exit 1; }
-grep -q '"proved_sat"' "${prove_out}" \
-  || { echo "bench_prove smoke: missing proved_sat field" >&2; exit 1; }
+# Every verdict, discharge count, rewrite step, term count and certificate
+# size must match the committed artifact; only the wall-clock field may
+# differ.
+no_wall() { sed 's/"wall_ms": [0-9.]*, //' "$1"; }
+if ! diff <(no_wall BENCH_prove.json) <(no_wall "${prove_out}") >&2; then
+  echo "bench_prove: certification figures drifted from BENCH_prove.json" >&2
+  exit 1
+fi
 rm -f "${prove_out}"
 
 echo "==> roccc-serve smoke (daemon + client + metrics + shutdown)"

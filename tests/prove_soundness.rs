@@ -7,14 +7,18 @@
 //!   certify `EQUAL` with no residual `Unknown` obligation, under the
 //!   default options and again under `--range-narrow --pipeline-ii auto`,
 //!   and the certificate must re-check from the artifact alone.
+//!   Every obligation closes in the normalizing rewriter: none needs the
+//!   SAT fallback.
 //! * **Soundness under mutation** — planted netlist mutations (swapped
 //!   non-commutative operands, off-by-one constants, dropped balancing
-//!   registers) that are observable under differential simulation must be
-//!   refuted, never certified `EQUAL`, and refutations must carry a
-//!   counterexample that replays through both machines.
+//!   registers, a wrong quotient bit in udiv) that are observable under
+//!   differential simulation must be refuted, never certified `EQUAL`, and
+//!   refutations must carry a counterexample that replays through both
+//!   machines.
 
 use roccc_suite::ipcores::benchmarks;
-use roccc_suite::netlist::cells::{CellKind, Netlist};
+use roccc_suite::ipcores::kernels::udiv_source;
+use roccc_suite::netlist::cells::{Cell, CellId, CellKind, Netlist};
 use roccc_suite::prove::{
     differential_replay, prove, verify_certificate_diags, Certificate, ObStatus, ProveOptions,
     Verdict,
@@ -50,6 +54,12 @@ fn assert_proves_equal(name: &str, source: &str, func: &str, opts: &CompileOptio
             o.name,
             o.detail
         );
+        assert_ne!(
+            o.status,
+            ObStatus::ProvedSat,
+            "{name}: obligation `{}` needed the SAT fallback",
+            o.name
+        );
     }
     // Re-check the certificate from the artifact alone.
     let problems = check_certificate(cert, &hw.ir, &hw.netlist);
@@ -61,7 +71,8 @@ fn assert_proves_equal(name: &str, source: &str, func: &str, opts: &CompileOptio
     assert!(json.contains("\"schema\": \"roccc-prove-v1\""));
 }
 
-/// All nine Table 1 kernels certify EQUAL under their paper options.
+/// All nine Table 1 kernels certify EQUAL under their paper options, by
+/// rewriting alone.
 #[test]
 fn table1_kernels_prove_equal_default() {
     let rows = benchmarks();
@@ -72,7 +83,9 @@ fn table1_kernels_prove_equal_default() {
 }
 
 /// The same nine kernels certify EQUAL with range-driven narrowing and
-/// an auto modulo schedule — the prover must track both transforms.
+/// an auto modulo schedule — the prover must track both transforms, still
+/// without SAT (udiv's narrowed quotient closes by care narrowing through
+/// its `quo << 1` multipliers).
 #[test]
 fn table1_kernels_prove_equal_range_narrow_pipelined() {
     for b in &benchmarks() {
@@ -280,4 +293,140 @@ fn planted_mutations_are_refuted_with_replaying_counterexamples() {
             m.label()
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// udiv: a wrong quotient bit
+// ---------------------------------------------------------------------------
+
+/// A planted fault in one restoring-divide stage's `quo = quo | 1`.
+#[derive(Clone, Copy, Debug)]
+enum QuotientBit {
+    /// The stage sets two bits (`| 3`) instead of one.
+    OrThree,
+    /// The stage never sets its bit (the `Or` is bypassed).
+    DropOr,
+}
+
+/// The `Or` cells of `nl` with a constant-1 operand: `(cell, operand
+/// index of the constant)`. In udiv these are the quotient stages.
+fn or_one_sites(nl: &Netlist) -> Vec<(usize, usize)> {
+    let is_one = |id: CellId| {
+        let c = &nl.cells[id.0 as usize];
+        matches!(c.kind, CellKind::Const(v) if c.ty().wrap(v) == 1)
+    };
+    nl.cells
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| match c.kind {
+            CellKind::Op {
+                op: Opcode::Or,
+                ref srcs,
+                ..
+            } if srcs.len() == 2 => srcs.iter().position(|&s| is_one(s)).map(|k| (i, k)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Plants `fault` at the `Or` cell `site` (constant operand `k`) in a
+/// clone of `nl`. The compiler's range facts describe the unmutated
+/// netlist, so the mutant carries none.
+fn plant_quotient_fault(nl: &Netlist, (site, k): (usize, usize), fault: QuotientBit) -> Netlist {
+    let mut out = nl.clone();
+    out.ranges.iter_mut().for_each(|r| *r = None);
+    match fault {
+        QuotientBit::OrThree => {
+            // Sources must precede their users, so the new constant goes
+            // in front and every net id moves up by one.
+            let bump = |id: &mut CellId| id.0 += 1;
+            for c in &mut out.cells {
+                match &mut c.kind {
+                    CellKind::Op { srcs, .. } => srcs.iter_mut().for_each(bump),
+                    CellKind::Reg { d: Some(d), .. } => bump(d),
+                    _ => {}
+                }
+            }
+            out.outputs.iter_mut().for_each(|(_, _, n)| bump(n));
+            out.feedback_regs.iter_mut().for_each(|(_, n)| bump(n));
+            let or_cell = nl.cells[site];
+            out.cells.insert(
+                0,
+                Cell {
+                    kind: CellKind::Const(3),
+                    ..or_cell
+                },
+            );
+            out.ranges.insert(0, None);
+            if let CellKind::Op { ref mut srcs, .. } = out.cells[site + 1].kind {
+                srcs[k] = CellId(0);
+            }
+        }
+        QuotientBit::DropOr => {
+            let CellKind::Op { ref srcs, .. } = nl.cells[site].kind else {
+                unreachable!("site is an Or cell");
+            };
+            let (victim, keep) = (CellId(site as u32), srcs[1 - k]);
+            for c in &mut out.cells {
+                match &mut c.kind {
+                    CellKind::Op { srcs, .. } => srcs
+                        .iter_mut()
+                        .filter(|s| **s == victim)
+                        .for_each(|s| *s = keep),
+                    CellKind::Reg { d: Some(d), .. } if *d == victim => *d = keep,
+                    _ => {}
+                }
+            }
+            for (_, _, n) in &mut out.outputs {
+                if *n == victim {
+                    *n = keep;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A wrong `| 1` in any one quotient stage of udiv, under the default and
+/// the narrowed, scheduled options, is refuted with a replaying
+/// counterexample. Every such mutant is a real fault (each stage's bit is
+/// set by some input), so this holds whether or not a random differential
+/// screen happens to observe it. The care narrowing that closes the real
+/// udiv by rewriting must not absorb a wrong quotient bit.
+#[test]
+fn udiv_wrong_quotient_bit_is_refuted() {
+    let src = udiv_source();
+    let full = CompileOptions {
+        range_narrow: true,
+        pipeline_ii: Some(0),
+        ..CompileOptions::default()
+    };
+    let mut rng = XorShift64::new(0x0d1f);
+    let mut screened = 0usize;
+    for (label, opts) in [("default", CompileOptions::default()), ("full", full)] {
+        let hw = compile(&src, "udiv", &opts).expect("udiv compiles");
+        let sites = or_one_sites(&hw.netlist);
+        assert!(
+            sites.len() >= 7,
+            "{label}: expected a `| 1` per quotient stage, found {}",
+            sites.len()
+        );
+        for &site in &sites {
+            for fault in [QuotientBit::OrThree, QuotientBit::DropOr] {
+                let mutant = plant_quotient_fault(&hw.netlist, site, fault);
+                screened += observable(&hw.ir, &mutant, &mut rng) as usize;
+                let tag = format!("udiv {label} cell {} {fault:?}", site.0);
+                let cert = prove(&hw.ir, &mutant, "udiv-mutant", &ProveOptions::default());
+                assert_eq!(
+                    cert.verdict,
+                    Verdict::Refuted,
+                    "{tag}: mutant not refuted: {:#?}",
+                    cert.obligations
+                );
+                assert_cex_replays(&tag, &cert, &hw.ir, &mutant);
+            }
+        }
+    }
+    // The differential screen sees most of these faults too.
+    assert!(screened > 0, "no udiv quotient-bit mutant observable");
 }

@@ -7,9 +7,11 @@
 //! replies instead of taking the server down.
 
 use roccc_suite::ipcores::benchmarks;
-use roccc_suite::roccc::proto::{roundtrip, Request, Response};
+use roccc_suite::roccc::proto::{read_response, roundtrip, write_request, Request, Response};
 use roccc_suite::roccc::CompileOptions;
 use roccc_suite::serve::{start, CompileFn, ServerConfig};
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -537,5 +539,50 @@ fn explore_verb_sweeps_and_memoizes() {
         3,
         "rejected requests still counted"
     );
+    handle.shutdown();
+}
+
+/// A malformed compile request larger than a client's 8 KiB write buffer
+/// leaves in several writes. The daemon reads it through `end` before it
+/// answers, so the client finishes sending (no broken pipe) and reads a
+/// clean `err` reply; the daemon keeps serving.
+#[test]
+fn malformed_request_in_several_writes_gets_err() {
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let addr = handle.local_addr();
+
+    let mut good = Vec::new();
+    let req = compile_req(
+        &huge_kernel(1000),
+        "huge",
+        &CompileOptions::default(),
+        "vhdl",
+    );
+    write_request(&mut good, &req).unwrap();
+    let head = b"compile\n";
+    assert!(good.starts_with(head));
+    // The first option line is bad: everything after it is unread when
+    // the request is rejected.
+    let bad = [&head[..], b"period NaN\n", &good[head.len()..]].concat();
+    assert!(bad.len() > 3 * 8192, "request spans several writes");
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(IO_TIMEOUT).unwrap();
+    stream.set_write_timeout(IO_TIMEOUT).unwrap();
+    let mut w = stream.try_clone().unwrap();
+    for chunk in bad.chunks(4096) {
+        w.write_all(chunk)
+            .expect("daemon still reading the request");
+        w.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    match read_response(&mut BufReader::new(stream)).expect("reply arrives") {
+        Response::Err(msg) => assert!(msg.contains("period"), "names the bad line: {msg}"),
+        other => panic!("expected err, got {other:?}"),
+    }
+    assert!(handle.metrics().errors.get() >= 1);
+
+    let (pong, _) = expect_ok(roundtrip(addr, &Request::Ping, IO_TIMEOUT).unwrap());
+    assert_eq!(pong, b"pong\n");
     handle.shutdown();
 }
