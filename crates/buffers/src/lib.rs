@@ -1,11 +1,12 @@
-//! # roccc-buffers — smart buffers, address generators, controllers
+//! # roccc-buffers — smart buffers, address generators, BRAM model
 //!
 //! The I/O side of the paper's execution model (§4.1, Figure 2): data
 //! streams from a BRAM through a **smart buffer** that exploits
 //! sliding-window reuse ("two adjacent windows have four input data in
 //! common and only one new input data per window"), driven by
-//! **address generators** and a **higher-level controller**, all
-//! parameterized FSMs.
+//! **address generators**, all parameterized FSMs. The higher-level
+//! controller that fires, drains and retires windows is
+//! `roccc_netlist::system::run_system`.
 //!
 //! ```
 //! use roccc_buffers::addr::{AddressGen1d, DimScan};
@@ -27,10 +28,8 @@
 
 pub mod addr;
 pub mod bram;
-pub mod ctrl;
 pub mod smart;
 
 pub use addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
 pub use bram::BramModel;
-pub use ctrl::{CtrlOutputs, CtrlState, LoopController, ValidChain};
 pub use smart::{BufferStats, SmartBuffer1d, SmartBuffer2d, WindowBuffer};

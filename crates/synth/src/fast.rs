@@ -5,8 +5,8 @@
 //! used to steer loop unrolling under an area budget. This module is that
 //! estimator: it works directly on the data-path graph (no netlist, no
 //! register materialization, no timing analysis) using closed-form per-op
-//! costs, and is benchmarked against [`crate::map::map_netlist`] for both
-//! speed and accuracy in `roccc-bench`.
+//! costs. The fast-estimator section of the `table1` example compares it
+//! against [`crate::map::map_netlist`] on every Table 1 kernel.
 
 use crate::map::ResourceReport;
 use crate::model::VirtexII;

@@ -11,10 +11,14 @@
 //! The sections are independent, so each one compiles and simulates its
 //! kernels on its own scoped thread; the report prints in order once all
 //! are done.
+//!
+//! ```sh
+//! cargo run --release --example ablations
+//! ```
 
-use roccc::{compile_with_model, CompileOptions};
-use roccc_bench::fmt_report;
-use roccc_synth::{map_netlist, MultiplierStyle, VirtexII};
+use roccc_suite::ipcores;
+use roccc_suite::roccc::{self, compile_with_model, CompileOptions};
+use roccc_suite::synth::{map_netlist, MultiplierStyle, ResourceReport, VirtexII};
 use std::collections::HashMap;
 use std::fmt::Write;
 
@@ -39,6 +43,14 @@ fn main() {
     }
 }
 
+/// Formats a resource report on one line.
+fn fmt_report(r: &ResourceReport) -> String {
+    format!(
+        "{:>6} LUT {:>6} FF {:>5} slices {:>7.1} MHz",
+        r.luts, r.ffs, r.slices, r.fmax_mhz
+    )
+}
+
 fn d1_mux_vs_multiply() -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -55,11 +67,8 @@ fn d1_mux_vs_multiply() -> String {
         ..CompileOptions::default()
     };
     for (label, src) in [
-        ("if-else ", roccc_ipcores::kernels::mul_acc_source()),
-        (
-            "multiply",
-            roccc_ipcores::kernels::mul_acc_multiply_source(),
-        ),
+        ("if-else ", ipcores::kernels::mul_acc_source()),
+        ("multiply", ipcores::kernels::mul_acc_multiply_source()),
     ] {
         let hw = compile_with_model(&src, "mul_acc", &opts, &model).expect("compiles");
         let rep = map_netlist(&hw.netlist, &model);
@@ -80,7 +89,7 @@ fn d2_period_sweep() -> String {
         "\n== D2: pipeline target-period sweep (5-tap FIR data path) =="
     );
     let model = VirtexII::default();
-    let src = roccc_ipcores::kernels::fir_source();
+    let src = ipcores::kernels::fir_source();
     for period in [20.0, 10.0, 7.0, 5.0, 3.5] {
         let opts = CompileOptions {
             target_period_ns: period,
@@ -102,7 +111,7 @@ fn d3_narrowing() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "\n== D3: bit-width narrowing on/off ==");
     let model = VirtexII::default();
-    for b in roccc_ipcores::benchmarks() {
+    for b in ipcores::benchmarks() {
         if b.lut_row {
             continue;
         }
@@ -138,7 +147,7 @@ fn d4_smart_buffer() -> String {
         out,
         "\n== D4: smart-buffer reuse vs naive re-fetch (FIR window scan) =="
     );
-    let src = roccc_ipcores::kernels::fir_source();
+    let src = ipcores::kernels::fir_source();
     let hw = roccc::compile(&src, "fir", &CompileOptions::default()).expect("compiles");
     let mut arrays = HashMap::new();
     arrays.insert("A".to_string(), (0..128).collect::<Vec<i64>>());
@@ -198,16 +207,13 @@ fn d6_bit_macros() -> String {
         target_period_ns: 3.7,
         ..CompileOptions::default()
     };
-    let baseline = map_netlist(&roccc_ipcores::baselines::udiv(), &model);
+    let baseline = map_netlist(&ipcores::baselines::udiv(), &model);
     let _ = writeln!(out, "  hand-built divider     : {}", fmt_report(&baseline));
     for (label, src) in [
-        (
-            "plain C (int temps)    ",
-            roccc_ipcores::kernels::udiv_source(),
-        ),
+        ("plain C (int temps)    ", ipcores::kernels::udiv_source()),
         (
             "ROCCC_bits/cat + widths",
-            roccc_ipcores::kernels::udiv_bits_source(),
+            ipcores::kernels::udiv_bits_source(),
         ),
     ] {
         let hw = compile_with_model(&src, "udiv", &opts, &model).expect("compiles");

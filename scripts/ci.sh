@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# Offline CI: format check, release build, full test suite, and a bench
-# smoke run. Everything here works with no network access and an empty
-# cargo registry cache — the workspace has no external dependencies.
+# Offline CI: format check, release build, full test suite, CLI smokes,
+# and a perfbench count gate. Everything here works with no network
+# access and an empty cargo registry cache — the workspace has no
+# external dependencies.
 #
 #   scripts/ci.sh            # the full gate
-#   BENCH_CYCLES=50000 scripts/ci.sh   # heavier bench smoke
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-BENCH_CYCLES="${BENCH_CYCLES:-5000}"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -65,25 +63,10 @@ EOF
   >/dev/null
 rm -f "${case_src}"
 
-echo "==> bench smoke (${BENCH_CYCLES} cycles, 3 runs)"
-out="$(mktemp -t bench_sim_smoke.XXXXXX.json)"
-cargo run --release -p roccc-bench --bin bench_sim -- \
-  --cycles "${BENCH_CYCLES}" --runs 3 --out "${out}"
-grep -q '"benchmark"' "${out}" || { echo "bench smoke: bad JSON" >&2; exit 1; }
-rm -f "${out}"
-
 echo "==> table1 smoke"
-cargo run --release -p roccc-bench --bin table1 >/dev/null
+cargo run --release --example table1 >/dev/null
 
-echo "==> bench_width smoke (range-driven narrowing on Table 1)"
-width_out="$(mktemp -t bench_width_smoke.XXXXXX.json)"
-cargo run --release -p roccc-bench --bin bench_width -- --out "${width_out}" \
-  >/dev/null
-grep -q '"benchmark": "width-narrowing"' "${width_out}" \
-  || { echo "bench_width smoke: bad JSON" >&2; exit 1; }
-rm -f "${width_out}"
-
-echo "==> deps smoke (MinII artifacts, L-code gating, bench_ii)"
+echo "==> deps smoke (MinII artifacts, L-code gating)"
 # Every paper kernel's dependence report must render deny-clean with a
 # MinII line, through the real CLI.
 deps_src="$(mktemp -t deps_smoke.XXXXXX.c)"
@@ -122,13 +105,6 @@ fi
 grep -q 'L012-overlapping-writes' "${bad_deps_log}" \
   || { echo "deps smoke: rejection lacks the L012 code" >&2; exit 1; }
 rm -f "${deps_src}" "${bad_deps_src}" "${bad_deps_log}"
-ii_out="$(mktemp -t bench_ii_smoke.XXXXXX.json)"
-cargo run --release -p roccc-bench --bin bench_ii -- --out "${ii_out}" >/dev/null
-grep -q '"benchmark": "min-ii"' "${ii_out}" \
-  || { echo "bench_ii smoke: bad JSON" >&2; exit 1; }
-grep -q '"min_ii"' "${ii_out}" \
-  || { echo "bench_ii smoke: missing min_ii field" >&2; exit 1; }
-rm -f "${ii_out}"
 
 echo "==> schedule smoke (modulo scheduling, M-code gating)"
 # A scheduled fir must achieve II == MinII == 1 through the real CLI,
@@ -247,20 +223,6 @@ udiv_src="$(mktemp -t prove_smoke_udiv.XXXXXX.c)"
   || { echo "prove smoke: udiv needed the SAT fallback" >&2; exit 1; }
 rm -f "${prove_src}" "${prove_log}" "${udiv_src}"
 
-echo "==> bench_prove smoke (certification cost on Table 1)"
-prove_out="$(mktemp -t bench_prove_smoke.XXXXXX.json)"
-cargo run --release -p roccc-bench --bin bench_prove -- --out "${prove_out}" \
-  >/dev/null
-# Every verdict, discharge count, rewrite step, term count and certificate
-# size must match the committed artifact; only the wall-clock field may
-# differ.
-no_wall() { sed 's/"wall_ms": [0-9.]*, //' "$1"; }
-if ! diff <(no_wall BENCH_prove.json) <(no_wall "${prove_out}") >&2; then
-  echo "bench_prove: certification figures drifted from BENCH_prove.json" >&2
-  exit 1
-fi
-rm -f "${prove_out}"
-
 echo "==> roccc-serve smoke (daemon + client + metrics + shutdown)"
 serve_log="$(mktemp -t roccc_serve_smoke.XXXXXX.log)"
 ./target/release/roccc-serve --port 0 >"${serve_log}" 2>&1 &
@@ -319,16 +281,6 @@ EOF
   || { echo "explore smoke: bad JSON artifact" >&2; exit 1; }
 rm -f "${explore_src}"
 
-echo "==> bench_dse smoke (quick space)"
-dse_out="$(mktemp -t bench_dse_smoke.XXXXXX.json)"
-cargo run --release -p roccc-bench --bin bench_dse -- \
-  --quick --out "${dse_out}" >/dev/null
-grep -q '"benchmark": "dse-sweep"' "${dse_out}" \
-  || { echo "bench_dse smoke: bad JSON" >&2; exit 1; }
-grep -q '"rerun_hit_rate": 1.0000' "${dse_out}" \
-  || { echo "bench_dse smoke: memo re-run did not hit" >&2; exit 1; }
-rm -f "${dse_out}"
-
 echo "==> pipeline smoke (streaming process network)"
 # The wavelet | threshold | encode demo: deny-clean compile, bit-exact
 # co-simulation, and the derived-vs-empirical FIFO depth audit.
@@ -382,50 +334,23 @@ grep -q 'P003-undersized-fifo' "${bad_log}" \
   || { echo "pipeline smoke: rejection lacks the P003 code" >&2; exit 1; }
 rm -f "${pipe_src}" "${pipe_spec}" "${ii_spec}" "${bad_spec}" "${bad_log}"
 
-echo "==> bench_stream smoke (quick pipeline)"
-stream_out="$(mktemp -t bench_stream_smoke.XXXXXX.json)"
-cargo run --release -p roccc-bench --bin bench_stream -- \
-  --quick --out "${stream_out}" >/dev/null
-grep -q '"benchmark": "stream-pipeline"' "${stream_out}" \
-  || { echo "bench_stream smoke: bad JSON" >&2; exit 1; }
-grep -q '"overlap_speedup"' "${stream_out}" \
-  || { echo "bench_stream smoke: missing overlap_speedup" >&2; exit 1; }
-# The full wavelet | threshold | encode pipeline must reproduce every
-# cycle, firing, stall, starve, depth and peak figure of the committed
-# artifact; only the wall-clock fields may differ.
-cargo run --release -p roccc-bench --bin bench_stream -- \
-  --out "${stream_out}" >/dev/null
-if ! diff <(grep -v '"wall_' BENCH_stream.json) <(grep -v '"wall_' "${stream_out}") >&2; then
-  echo "bench_stream: pipeline figures drifted from BENCH_stream.json" >&2
-  exit 1
-fi
-rm -f "${stream_out}"
-
 echo "==> batched-sim differential smoke"
 cargo test --release -q --test batched_sim
 
-echo "==> explore parallel smoke (worker pool must not lose to sequential)"
-host_cpus="$(nproc 2>/dev/null || echo 1)"
-if [ "${host_cpus}" -ge 2 ]; then
-  par_out="$(mktemp -t bench_dse_par.XXXXXX.json)"
-  cargo run --release -p roccc-bench --bin bench_dse -- \
-    --kernels fir --factors 1,2,3,4 --strips 0,2 --out "${par_out}" >/dev/null
-  # First parallel_speedup in the file is the aggregate (per-kernel rows
-  # follow it).
-  speedup="$(sed -n 's/^  "parallel_speedup": \([0-9.]*\),$/\1/p' "${par_out}" | head -1)"
-  awk "BEGIN { exit !(${speedup:-0} >= 1.0) }" \
-    || { echo "explore parallel smoke: speedup ${speedup} < 1.0 on a ${host_cpus}-CPU host" >&2; exit 1; }
-  rm -f "${par_out}"
-else
-  echo "    (single-CPU host: 8 workers on 1 core only add contention; gate skipped)"
+echo "==> perfbench count gate (compile-table1 IR sizes and hardware quality)"
+# A short traced run of the benchmark. Its count and quality metrics repeat
+# exactly from run to run and seed to seed, so any drift is a change in
+# what the compiler generates, not in how fast it runs.
+pb_out="$(mktemp -t perfbench_counts.XXXXXX.txt)"
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
+  --bin bench -- --workload compile-table1 --seed 1 --seconds 2 --trace 1 \
+  >"${pb_out}"
+if ! diff scripts/perfbench_counts.txt \
+    <(awk 'NR == FNR { want[$1 " " $2]; next } ($1 " " $2) in want' \
+      scripts/perfbench_counts.txt "${pb_out}") >&2; then
+  echo "perfbench count gate: counts drifted from scripts/perfbench_counts.txt" >&2
+  exit 1
 fi
-
-echo "==> loadgen smoke (4 clients x 8 requests, in-process server)"
-lg_out="$(mktemp -t bench_serve_smoke.XXXXXX.json)"
-cargo run --release -p roccc-bench --bin loadgen -- \
-  --threads 4 --requests 8 --out "${lg_out}" >/dev/null
-grep -q '"dropped": 0' "${lg_out}" \
-  || { echo "loadgen smoke: dropped requests" >&2; exit 1; }
-rm -f "${lg_out}"
+rm -f "${pb_out}"
 
 echo "CI OK"

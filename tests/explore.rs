@@ -1,7 +1,8 @@
 //! Integration tests for `roccc-explore`, the design-space exploration
 //! engine: beam pruning must be a pure restriction of exhaustive search
 //! (an unbounded beam reproduces the exhaustive Pareto set), artifacts
-//! must be byte-deterministic across runs, the memo must serve a repeat
+//! must be byte-deterministic across runs and worker counts, the worker
+//! pool must actually compile in parallel, the memo must serve a repeat
 //! sweep entirely from cache, failures must be skip-reported instead of
 //! aborting, and every Table-1 kernel must yield a non-empty frontier
 //! with no dominated points.
@@ -11,7 +12,8 @@ use roccc_suite::explore::{
 };
 use roccc_suite::ipcores::{kernels, table::benchmarks};
 use roccc_suite::roccc::{CompileError, CompileOptions, UnrollStrategy};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn fir() -> (String, &'static str) {
     (kernels::fir_source(), "fir")
@@ -63,8 +65,9 @@ fn infinite_beam_matches_exhaustive_frontier() {
 }
 
 /// Two sweeps of the same space — fresh memos, parallel workers — must
-/// render byte-identical JSON artifacts: scheduling order must never
-/// leak into the artifact.
+/// render byte-identical JSON artifacts, and so must a sequential sweep:
+/// neither scheduling order nor the worker count may leak into the
+/// artifact.
 #[test]
 fn artifact_is_byte_deterministic() {
     let (source, function) = fir();
@@ -78,6 +81,57 @@ fn artifact_is_byte_deterministic() {
     let b = render_json(&sweep(&source, function, &space, &cfg));
     assert_eq!(a, b, "same sweep, different bytes");
     assert!(a.contains("\"schema\": \"roccc-explore-v1\""));
+    let sequential = ExploreConfig { workers: 1, ..cfg };
+    let c = render_json(&sweep(&source, function, &space, &sequential));
+    assert_eq!(a, c, "the worker count changed the artifact");
+}
+
+/// Sweeps a two-candidate space with `workers` threads through a compiler
+/// that records how many compiles are in flight at once. Each compile
+/// waits up to 2 s for a second one to arrive, so a pool that runs two
+/// compiles concurrently reaches a peak of 2 even on a one-CPU host.
+fn peak_compiles_in_flight(workers: usize) -> usize {
+    let (source, function) = fir();
+    // (in flight, peak)
+    let state = Arc::new((Mutex::new((0usize, 0usize)), Condvar::new()));
+    let hook = Arc::clone(&state);
+    let compiler: CompileFn = Arc::new(move |src, func, opts| {
+        let (lock, arrived) = &*hook;
+        let mut s = lock.lock().unwrap();
+        s.0 += 1;
+        s.1 = s.1.max(s.0);
+        arrived.notify_all();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while s.1 < 2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            s = arrived.wait_timeout(s, left).unwrap().0;
+        }
+        drop(s);
+        let result = roccc::compile_timed(src, func, opts);
+        lock.lock().unwrap().0 -= 1;
+        result
+    });
+    let space = Space::new(&[1, 2], &[0], false);
+    let cfg = ExploreConfig {
+        workers,
+        compiler: Some(compiler),
+        ..ExploreConfig::default()
+    };
+    let result = sweep(&source, function, &space, &cfg);
+    assert_eq!(result.stats.candidates, 2);
+    let (_, peak) = *state.0.lock().unwrap();
+    peak
+}
+
+/// Two workers compile two candidates at the same time; one worker never
+/// does.
+#[test]
+fn worker_pool_compiles_in_parallel() {
+    assert_eq!(peak_compiles_in_flight(2), 2);
+    assert_eq!(peak_compiles_in_flight(1), 1);
 }
 
 /// The paper's area cut: candidates whose fast estimate exceeds the

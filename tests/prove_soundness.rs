@@ -20,14 +20,15 @@ use roccc_suite::ipcores::benchmarks;
 use roccc_suite::ipcores::kernels::udiv_source;
 use roccc_suite::netlist::cells::{Cell, CellId, CellKind, Netlist};
 use roccc_suite::prove::{
-    differential_replay, prove, verify_certificate_diags, Certificate, ObStatus, ProveOptions,
-    Verdict,
+    certificate_json, differential_replay, prove, verify_certificate_diags, Certificate, ObStatus,
+    ProveOptions, Verdict,
 };
 use roccc_suite::roccc::{check_certificate, compile, CompileOptions};
 use roccc_suite::suifvm::ir::Opcode;
 use roccc_suite::suifvm::FunctionIr;
 use roccc_suite::testrand::exprgen::gen_kernel_source;
 use roccc_suite::testrand::XorShift64;
+use Verdict::Equal;
 
 /// Proves one benchmark under `opts` and asserts a clean EQUAL verdict.
 fn assert_proves_equal(name: &str, source: &str, func: &str, opts: &CompileOptions) {
@@ -94,6 +95,49 @@ fn table1_kernels_prove_equal_range_narrow_pipelined() {
         opts.pipeline_ii = Some(0); // auto: search up from MinII
         assert_proves_equal(b.name, &b.source, b.func, &opts);
     }
+}
+
+/// `(kernel, verdict, obligations, [proved_rewrite, proved_range,
+/// proved_sat, refuted, unknown], rewrite_steps, terms, cert_bytes)`.
+type ProveRow = (&'static str, Verdict, usize, [usize; 5], u64, usize, usize);
+
+/// One [`ProveRow`] per Table 1 kernel, proved with the default prover
+/// options on its paper-option compile. `cert_bytes` is the length of the
+/// JSON certificate.
+const PROVE_ROWS: [ProveRow; 9] = [
+    ("bit_correlator", Equal, 2, [2, 0, 0, 0, 0], 68, 154, 511),
+    ("mul_acc", Equal, 5, [5, 0, 0, 0, 0], 13, 34, 968),
+    ("udiv", Equal, 2, [2, 0, 0, 0, 0], 375, 821, 494),
+    ("square_root", Equal, 2, [2, 0, 0, 0, 0], 869, 2602, 507),
+    ("cos", Equal, 2, [2, 0, 0, 0, 0], 6, 7, 488),
+    ("arbitrary_lut", Equal, 2, [2, 0, 0, 0, 0], 6, 7, 504),
+    ("fir", Equal, 4, [4, 0, 0, 0, 0], 51, 201, 807),
+    ("dct", Equal, 16, [16, 0, 0, 0, 0], 187, 338, 2654),
+    ("wavelet", Equal, 8, [8, 0, 0, 0, 0], 326, 511, 1430),
+];
+
+/// The verdict, discharge mix, rewrite steps, term count and certificate
+/// size of each Table 1 proof are pinned.
+#[test]
+fn table1_prove_figures_are_pinned() {
+    let rows: Vec<_> = benchmarks()
+        .iter()
+        .map(|b| {
+            let c = compile(&b.source, b.func, &b.opts).expect("benchmark compiles");
+            let cert = prove(&c.ir, &c.netlist, b.name, &ProveOptions::default());
+            let (rewrite, range, sat, refuted, unknown) = cert.status_counts();
+            (
+                b.name,
+                cert.verdict,
+                cert.obligations.len(),
+                [rewrite, range, sat, refuted, unknown],
+                cert.rewrite_steps,
+                cert.terms,
+                certificate_json(&cert).len(),
+            )
+        })
+        .collect();
+    assert_eq!(rows, PROVE_ROWS);
 }
 
 // ---------------------------------------------------------------------------

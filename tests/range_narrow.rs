@@ -17,6 +17,7 @@ use roccc_suite::ipcores::benchmarks;
 use roccc_suite::netlist::SimPlan;
 use roccc_suite::roccc::{compile, CompileOptions, Compiled};
 use roccc_suite::suifvm::IrMachine;
+use roccc_suite::synth::{fast_estimate, VirtexII};
 use roccc_suite::testrand::exprgen::gen_kernel_source;
 use roccc_suite::testrand::XorShift64;
 use std::collections::HashMap;
@@ -66,23 +67,44 @@ fn input_cases(hw: &Compiled, rng: &mut XorShift64, n: usize) -> Vec<Vec<i64>> {
         .collect()
 }
 
+/// `(kernel, plain_bits, ranged_bits, plain_slices, ranged_slices)` for
+/// every Table 1 kernel: total operator bits and fast slice estimates
+/// under demand-only narrowing and with `range_narrow` on.
+const WIDTH_ROWS: [(&str, u64, u64, u64, u64); 9] = [
+    ("bit_correlator", 52, 47, 23, 20),
+    ("mul_acc", 184, 176, 91, 87),
+    ("udiv", 1579, 487, 284, 181),
+    ("square_root", 5023, 1969, 784, 314),
+    ("cos", 16, 15, 557, 557),
+    ("arbitrary_lut", 16, 16, 557, 557),
+    ("fir", 288, 288, 114, 114),
+    ("dct", 1726, 1011, 909, 539),
+    ("wavelet", 1390, 1320, 415, 396),
+];
+
 /// Every Table 1 kernel, compiled with range narrowing on, is bit-exact
-/// against the IR interpreter — and its data path never grows.
+/// against the IR interpreter — and its data path never grows. The bits
+/// and slices it saves on each kernel are pinned.
 #[test]
 fn table1_kernels_match_interpreter_with_range_narrow() {
+    let model = VirtexII::default();
+    let bits = |c: &Compiled| c.datapath.ops.iter().map(|o| o.hw_bits as u64).sum::<u64>();
+    let slices = |c: &Compiled| fast_estimate(&c.datapath, &model).slices;
+    let mut rows = Vec::new();
     for (i, b) in benchmarks().into_iter().enumerate() {
         let plain = compile(&b.source, b.func, &b.opts).expect("baseline compiles");
         let hw = compile(&b.source, b.func, &ranged(&b.opts)).expect("range-narrow compiles");
         let mut rng = XorShift64::new(0xD1F0 + i as u64);
         let cases = input_cases(&hw, &mut rng, 64);
         assert_matches_interpreter(&hw, &cases, b.name);
-        let bits = |c: &Compiled| c.datapath.ops.iter().map(|o| o.hw_bits as u64).sum::<u64>();
         assert!(
             bits(&hw) <= bits(&plain),
             "{}: range narrowing may never widen the data path",
             b.name
         );
+        rows.push((b.name, bits(&plain), bits(&hw), slices(&plain), slices(&hw)));
     }
+    assert_eq!(rows, WIDTH_ROWS);
 }
 
 /// The shift-subtract kernels are where ranges pay: relational facts

@@ -114,6 +114,67 @@ fn paper_streaming_kernels_achieve_min_ii() {
     assert_eq!(seen, 3, "all three streaming kernels exercised");
 }
 
+/// `(kernel, rec_mii, res_mii, min_ii, achieved_ii, body_latency,
+/// carried_edges, recurrences)`.
+type MinIiRow = (&'static str, u64, u64, u64, u64, u32, usize, usize);
+
+/// One [`MinIiRow`] per Table 1 kernel under its paper options. The
+/// bounds, body latency and dependence counts come from the unscheduled
+/// compile; `achieved_ii` is what the modulo scheduler reaches with
+/// `pipeline_ii` auto. Headroom (`body_latency - min_ii`) and steady-state
+/// throughput (`1 / achieved_ii` windows per cycle) follow.
+const MIN_II_ROWS: [MinIiRow; 9] = [
+    ("bit_correlator", 1, 1, 1, 1, 2, 0, 0),
+    ("mul_acc", 1, 1, 1, 1, 2, 0, 1),
+    ("udiv", 1, 1, 1, 1, 8, 0, 0),
+    ("square_root", 1, 1, 1, 1, 12, 0, 0),
+    ("cos", 1, 1, 1, 1, 1, 0, 0),
+    ("arbitrary_lut", 1, 1, 1, 1, 1, 0, 0),
+    ("fir", 1, 1, 1, 1, 3, 0, 0),
+    ("dct", 1, 1, 1, 1, 3, 0, 0),
+    ("wavelet", 1, 1, 1, 1, 3, 0, 0),
+];
+
+/// The MinII bounds and achieved II of all nine Table 1 kernels are
+/// pinned, and the paper's three streaming kernels show pipelining
+/// headroom (MinII below body latency) that the scheduler closes.
+#[test]
+fn table1_min_ii_figures_are_pinned() {
+    let rows: Vec<_> = benchmarks()
+        .iter()
+        .map(|b| {
+            let d = compile(&b.source, b.func, &b.opts)
+                .expect("benchmark compiles")
+                .deps;
+            let opts = CompileOptions {
+                pipeline_ii: Some(0),
+                ..b.opts.clone()
+            };
+            let s = compile(&b.source, b.func, &opts)
+                .expect("scheduled benchmark compiles")
+                .schedule
+                .expect("schedule artifact present");
+            (
+                b.name,
+                d.rec_mii,
+                d.res_mii,
+                d.min_ii,
+                s.ii,
+                d.body_latency,
+                d.edges.iter().filter(|e| e.carried).count(),
+                d.recurrences.len(),
+            )
+        })
+        .collect();
+    assert_eq!(rows, MIN_II_ROWS);
+    for (name, _, _, min_ii, achieved_ii, body_latency, ..) in rows {
+        if matches!(name, "fir" | "dct" | "wavelet") {
+            assert!(min_ii < u64::from(body_latency), "{name}: no headroom");
+            assert_eq!(achieved_ii, min_ii, "{name}: II above MinII");
+        }
+    }
+}
+
 /// Two independent 16-bit variable multiplies under a one-block budget:
 /// ResMII is 2, so the scheduler must emit a genuine II-2 schedule
 /// (II < body latency), the sims must reject misaligned launches, and

@@ -6,11 +6,13 @@
 //! observable count — cycles, firings, memory traffic, per-stage stall
 //! and starve counters and FIFO peaks — at the values the map-based
 //! buffers produced, for the three streaming Table 1 kernels and the
-//! `wavelet | threshold | encode` pipeline.
+//! `wavelet | threshold | encode` pipeline. The pipeline's channel depths
+//! and the cycles of its stages run one after another (the
+//! store-and-forward baseline the co-simulation overlaps) are pinned too.
 
 use roccc_suite::ipcores::{benchmarks, kernels};
 use roccc_suite::roccc::{compile, CompileOptions};
-use roccc_suite::stream::{compile_pipeline, parse_spec, run_cosim};
+use roccc_suite::stream::{compile_pipeline, parse_spec, run_cosim, CompiledPipeline};
 use roccc_suite::testrand::XorShift64;
 use std::collections::HashMap;
 
@@ -65,17 +67,23 @@ fn wide_bus_system_counts_are_pinned() {
 /// `(stage, fired, stall cycles, starve cycles)`.
 type StageRow = (String, u64, u64, u64);
 
-/// Co-simulates `wavelet | threshold | encode` (with `extra_spec`
-/// appended to the demo spec) over `lanes` seeded lanes and returns the
-/// cycles, per-stage `(name, fired, stall, starve)` and FIFO peaks.
-fn pipeline_counts(extra_spec: &str, lanes: usize) -> (u64, Vec<StageRow>, Vec<usize>) {
+/// Compiles `wavelet | threshold | encode` with `extra_spec` appended to
+/// the demo spec.
+fn wavelet_pipeline(extra_spec: &str) -> CompiledPipeline {
     let spec = parse_spec(&format!("{}{extra_spec}", kernels::wavelet_pipeline_spec())).unwrap();
-    let cp = compile_pipeline(
+    compile_pipeline(
         &kernels::wavelet_pipeline_source(),
         &spec,
         &CompileOptions::default(),
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Co-simulates `wavelet | threshold | encode` (with `extra_spec`
+/// appended to the demo spec) over `lanes` seeded lanes and returns the
+/// cycles, per-stage `(name, fired, stall, starve)` and FIFO peaks.
+fn pipeline_counts(extra_spec: &str, lanes: usize) -> (u64, Vec<StageRow>, Vec<usize>) {
+    let cp = wavelet_pipeline(extra_spec);
     let mut rng = XorShift64::new(23);
     let inputs: Vec<HashMap<String, Vec<i64>>> = (0..lanes)
         .map(|_| {
@@ -146,4 +154,37 @@ fn min_depth_pipeline_counts_are_pinned() {
             vec![60, 1],
         )
     );
+}
+
+/// The demo pipeline's channel `(min_depth, depth)` pairs, and the cycles
+/// of each stage run to completion on its own in pipeline order, each
+/// consumer reading its producer's finished output array. Their sum,
+/// 11928 cycles, is what the co-simulation's 4348 overlap.
+#[test]
+fn wavelet_pipeline_depths_and_stage_cycles_are_pinned() {
+    let cp = wavelet_pipeline("");
+    let depths: Vec<_> = cp.channels.iter().map(|c| (c.min_depth, c.depth)).collect();
+    assert_eq!(depths, [(60, 64), (1, 2)]);
+
+    let mut rng = XorShift64::new(23);
+    let x = (0..64 * 64).map(|_| rng.gen_range(-100, 100)).collect();
+    let mut arrays = HashMap::from([("X".to_string(), x)]);
+    let bus = cp.spec.bus_elems.max(1);
+    let cycles: Vec<u64> = cp
+        .stages
+        .iter()
+        .map(|st| {
+            let run = st
+                .compiled
+                .run_with_bus(&arrays, &HashMap::new(), bus)
+                .unwrap();
+            for o in &st.compiled.kernel.outputs {
+                let mut data = run.arrays.get(&o.array).cloned().unwrap_or_default();
+                data.resize(o.dims.iter().product(), 0);
+                arrays.insert(o.array.clone(), data);
+            }
+            run.cycles
+        })
+        .collect();
+    assert_eq!(cycles, [3728, 4100, 4100]);
 }
