@@ -6,7 +6,7 @@
 //! common and only one new input data per window"), driven by
 //! **address generators**, all parameterized FSMs. The higher-level
 //! controller that fires, drains and retires windows is
-//! `roccc_netlist::system::run_system`.
+//! `roccc_netlist::system::SystemStage`.
 //!
 //! ```
 //! use roccc_buffers::addr::{AddressGen1d, DimScan};

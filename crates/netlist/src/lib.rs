@@ -13,11 +13,13 @@
 //!   valid chain (readable, interprets the cell graph every cycle);
 //! * [`plan`] — the one *compiled* engine: one-time levelization into a
 //!   dense instruction stream ([`SimPlan`]) executed zero-allocation by
-//!   the lane-batched [`BatchedSim`] — what `run_system` (at one lane),
-//!   the co-simulator, prove's replay and the benches actually run,
-//!   checked against the [`sim`] reference in the differential suites;
-//! * [`system`] — whole-kernel runs with smart buffers and controllers,
-//!   producing throughput and memory-traffic numbers for the evaluation.
+//!   the lane-batched [`BatchedSim`] — what every [`SystemStage`], prove's
+//!   replay and the benches actually run, checked against the [`sim`]
+//!   reference in the differential suites;
+//! * [`system`] — [`SystemStage`], the one controller of a kernel (smart
+//!   buffers, II launch grid, fire, step, retire), which [`run_system`]
+//!   runs to completion for throughput and memory-traffic numbers and
+//!   the stream co-simulator runs under channel credits.
 
 #![warn(missing_docs)]
 
@@ -31,7 +33,4 @@ pub use cells::{Cell, CellId, CellKind, Netlist};
 pub use from_dp::netlist_from_datapath;
 pub use plan::{cell_stages, BatchedSim, SimPlan};
 pub use sim::{CycleResult, NetlistSim, SimError};
-pub use system::{
-    run_system, run_system_with_options, BramFeed, OutputLane, SystemError, SystemOptions,
-    SystemRun, WindowFeed,
-};
+pub use system::{run_system, store_addr_gens, Launch, SystemError, SystemRun, SystemStage};

@@ -1,21 +1,30 @@
 //! Whole-kernel system simulation (the paper's Figure 2 execution model).
 //!
-//! Instantiates, per input array, a BRAM + address generator + smart
-//! buffer; per output array, an output address generator + BRAM; plus the
-//! higher-level firing logic and the pipelined data-path netlist. Each
-//! simulated clock cycle: memory data lands in the smart buffers, a new
-//! iteration fires when every buffer has a valid window, and valid outputs
-//! retire into the output BRAMs.
+//! A [`SystemStage`] is the controller of one kernel over `lanes`
+//! independent lanes of one [`BatchedSim`]. Per lane it holds, for each
+//! input window, an address generator and a smart buffer fed by a BRAM
+//! (or by the caller, word by word); for each output write, a store
+//! address generator retiring into a BRAM (or handing `(addr, value)` to
+//! the caller); and the scalar constant inputs. Each clock cycle runs
+//! five steps:
 //!
-//! This is the cycle-accurate counterpart of running the kernel on the
-//! FPGA; integration tests check it word-for-word against the golden-model
-//! C interpreter, and the Table 1 harness reads its throughput numbers.
+//! 1. **land** — last cycle's BRAM beat and the caller's words reach the
+//!    smart buffers, which stage their next complete window;
+//! 2. **fire** — a lane may fire once every window is staged and the
+//!    cycle lands on the initiation-interval grid ([`Launch::Ready`]);
+//!    the caller decides whether it does (a stream channel withholds
+//!    the launch until it has credit for the burst);
+//! 3. **step** — every lane of the data path advances one clock;
+//! 4. **retire** — lanes whose pipeline output is valid store one value
+//!    per output write at the next store address;
+//! 5. **fetch** — the next beat of `bus` BRAM reads is issued.
 //!
-//! The memory side is shared with the stream co-simulator: a
-//! [`WindowFeed`] (address generator, smart buffer, slot-to-port map and
-//! staged window) per input window, a [`BramFeed`] when that window
-//! reads a BRAM, and an [`OutputLane`] per output write. Each costs O(1)
-//! per word and O(window) per firing, and allocates nothing per cycle.
+//! [`run_system`] runs one one-lane stage to completion; the stream
+//! co-simulator runs one stage per pipeline stage under channel credits.
+//! Integration tests check it word-for-word against the golden-model C
+//! interpreter, and the Table 1 harness reads its throughput numbers.
+//! Memory costs O(1) per word and O(window) per firing, and nothing is
+//! allocated per cycle.
 
 use crate::cells::Netlist;
 use crate::plan::{BatchedSim, SimPlan};
@@ -74,26 +83,23 @@ impl From<SimError> for SystemError {
 
 /// One input window's memory side, built once from `(Kernel,
 /// WindowSpec)`: the address generator of the window scan, the smart
-/// buffer, the map from window slot to data-path input port and one
-/// reusable slot for the staged window.
-pub struct WindowFeed {
+/// buffer, the map from window slot to data-path input port, one
+/// reusable slot for the staged window and, when the window reads a
+/// BRAM rather than the caller's words, that BRAM.
+struct WindowFeed {
     addrs: Peekable<Box<dyn Iterator<Item = i64>>>,
     buffer: Box<dyn WindowBuffer>,
     /// `(window slot, data-path input port)`; windows may be sparse.
     port_map: Vec<(usize, usize)>,
     window: Vec<i64>,
     staged: bool,
+    bram: Option<BramModel>,
 }
 
 impl WindowFeed {
-    /// Builds the feed for window `w` of `kernel`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SystemError`] for windows without reads, constant or
-    /// unknown index variables, more than two dimensions, or reads with
-    /// no data-path input port.
-    pub fn new(kernel: &Kernel, w: &WindowSpec) -> Result<Self, SystemError> {
+    /// Builds the feed for window `w` of `kernel`, reading a BRAM that
+    /// holds `memory`, or the caller's words when `memory` is `None`.
+    fn new(kernel: &Kernel, w: &WindowSpec, memory: Option<Vec<i64>>) -> Result<Self, SystemError> {
         let ndim = w
             .reads
             .first()
@@ -173,217 +179,427 @@ impl WindowFeed {
             port_map,
             window: vec![0; extent.iter().product()],
             staged: false,
+            bram: memory.map(BramModel::new),
         })
     }
 
-    /// The next flat address the window scan needs from memory.
-    fn next_addr(&mut self) -> Option<i64> {
-        self.addrs.next()
-    }
-
-    /// Accepts one word the scan fetched into the smart buffer.
-    fn push(&mut self, flat: i64, value: i64) {
-        self.buffer.push_flat(flat, value);
-    }
-
-    /// Offers one word of an in-order stream over the whole array: it is
-    /// accepted when it is the next address the scan needs and discarded
-    /// otherwise.
-    pub fn offer(&mut self, flat: i64, value: i64) {
-        if self.addrs.next_if_eq(&flat).is_some() {
-            self.buffer.push_flat(flat, value);
+    /// Lands last cycle's BRAM beat (the whole beat arrives together),
+    /// or up to `bus` of the caller's words from `pull`, in the smart
+    /// buffer, and stages the next complete window unless one is staged.
+    /// The caller's words are an in-order stream over the whole array:
+    /// a word is kept when it is the next address the scan needs and
+    /// discarded otherwise. Returns whether any word arrived.
+    fn land(&mut self, bus: usize, mut pull: impl FnMut() -> Option<(usize, i64)>) -> bool {
+        let mut arrived = false;
+        if let Some(bram) = &mut self.bram {
+            for (addr, v) in bram.clock_all() {
+                self.buffer.push_flat(addr as i64, v);
+                arrived = true;
+            }
+        } else {
+            for _ in 0..bus {
+                let Some((addr, v)) = pull() else { break };
+                if self.addrs.next_if_eq(&(addr as i64)).is_some() {
+                    self.buffer.push_flat(addr as i64, v);
+                }
+                arrived = true;
+            }
         }
-    }
-
-    /// Stages the next complete window, unless one is already staged.
-    pub fn stage(&mut self) {
         if !self.staged {
             self.staged = self.buffer.pop_window_into(&mut self.window);
         }
-    }
-
-    /// Whether a window is staged for the next firing.
-    pub fn is_staged(&self) -> bool {
-        self.staged
+        arrived
     }
 
     /// Drives the staged window onto its data-path ports in `args` and
     /// frees the slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no window is staged.
-    pub fn fire_into(&mut self, args: &mut [i64]) {
+    #[inline]
+    fn fire_into(&mut self, args: &mut [i64]) {
         assert!(self.staged, "firing without a staged window");
         for &(slot, port) in &self.port_map {
             args[port] = self.window[slot];
         }
         self.staged = false;
     }
-}
 
-/// A [`WindowFeed`] reading its input array from a BRAM.
-pub struct BramFeed {
-    bram: BramModel,
-    /// The window side.
-    pub feed: WindowFeed,
-}
-
-impl BramFeed {
-    /// Feeds `feed` from a BRAM holding `data`.
-    pub fn new(feed: WindowFeed, data: &[i64]) -> Self {
-        BramFeed {
-            bram: BramModel::new(data.to_vec()),
-            feed,
-        }
-    }
-
-    /// Lands last cycle's beat in the smart buffer (the whole beat
-    /// arrives together) and stages a window. Returns whether any word
-    /// landed.
-    pub fn land(&mut self) -> bool {
-        let mut landed = false;
-        for (addr, v) in self.bram.clock_all() {
-            self.feed.push(addr as i64, v);
-            landed = true;
-        }
-        self.feed.stage();
-        landed
-    }
-
-    /// Issues the next beat: up to `bus` reads of the scan's addresses.
-    pub fn fetch(&mut self, bus: usize) {
+    /// Issues the next beat: up to `bus` BRAM reads of the scan's
+    /// addresses.
+    #[inline]
+    fn fetch(&mut self, bus: usize) {
+        let Some(bram) = &mut self.bram else {
+            return;
+        };
         for _ in 0..bus {
-            match self.feed.next_addr() {
-                Some(a) => self.bram.issue_read(a as usize),
+            match self.addrs.next() {
+                Some(a) => bram.issue_read(a as usize),
                 None => break,
             }
         }
     }
 
     /// Words read from the BRAM so far.
-    pub fn reads(&self) -> u64 {
-        self.bram.traffic().0
+    fn reads(&self) -> u64 {
+        self.bram.as_ref().map_or(0, |b| b.traffic().0)
     }
 }
 
-/// One write of an output array retiring into its own BRAM.
-pub struct OutputLane {
-    /// Output array name.
-    pub array: String,
-    bram: BramModel,
-    addrs: OutputAddressGen,
-    /// Data-path output port feeding this lane.
-    port: usize,
-    remaining: u64,
-}
-
-impl OutputLane {
-    /// One lane per write of output `o` of `kernel`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SystemError`] for writes with no data-path output port
-    /// or store indices that are constant or not loop variables.
-    pub fn for_output(kernel: &Kernel, o: &OutputSpec) -> Result<Vec<Self>, SystemError> {
-        let out_ports = kernel.output_ports();
-        let mut lanes = Vec::new();
-        for wr in &o.writes {
-            let port = out_ports
+/// The store address generator of each write of output `o`, in write
+/// order. The system retires through these, and the stream layer derives
+/// its channel rates from them.
+///
+/// # Errors
+///
+/// Returns [`SystemError`] for store indices that are constant or not
+/// loop variables.
+pub fn store_addr_gens(
+    kernel: &Kernel,
+    o: &OutputSpec,
+) -> Result<Vec<OutputAddressGen>, SystemError> {
+    let row_width = if o.dims.len() == 2 { o.dims[1] } else { 1 };
+    o.writes
+        .iter()
+        .map(|wr| {
+            let dims = wr
+                .index
                 .iter()
-                .position(|(n, _)| n == &wr.scalar)
-                .ok_or_else(|| SystemError(format!("no output port for `{}`", wr.scalar)))?;
-            let mut dims = Vec::new();
-            for ai in &wr.index {
-                let var = ai.var.as_ref().ok_or_else(|| {
-                    SystemError("constant store indices are not supported".into())
-                })?;
-                let ld = kernel
-                    .dims
+                .map(|ai| {
+                    let var = ai.var.as_ref().ok_or_else(|| {
+                        SystemError(format!("store into `{}` uses a constant index", o.array))
+                    })?;
+                    let ld = kernel.dims.iter().find(|l| &l.var == var).ok_or_else(|| {
+                        SystemError(format!("store index var `{var}` is not a loop variable"))
+                    })?;
+                    Ok(DimScan {
+                        start: ld.start + ai.offset,
+                        bound: ld.bound + ai.offset,
+                        step: ld.step,
+                        extent: 1,
+                    })
+                })
+                .collect::<Result<_, SystemError>>()?;
+            Ok(OutputAddressGen::new(dims, 0, row_width))
+        })
+        .collect()
+}
+
+/// One write of an output array: its data-path output port, its store
+/// addresses and, unless the caller takes the values, its own BRAM.
+struct OutputWrite {
+    /// Index of the output array in `Kernel::outputs`.
+    output: usize,
+    array: String,
+    port: usize,
+    addrs: OutputAddressGen,
+    remaining: u64,
+    bram: Option<BramModel>,
+}
+
+impl OutputWrite {
+    /// One entry per write of output `oi` of `kernel`; `streamed` hands
+    /// the writes to the caller instead of a BRAM.
+    fn for_output(kernel: &Kernel, oi: usize, streamed: bool) -> Result<Vec<Self>, SystemError> {
+        let o = &kernel.outputs[oi];
+        let out_ports = kernel.output_ports();
+        let gens = store_addr_gens(kernel, o)?;
+        o.writes
+            .iter()
+            .zip(gens)
+            .map(|(wr, addrs)| {
+                let port = out_ports
                     .iter()
-                    .find(|l| &l.var == var)
-                    .ok_or_else(|| SystemError(format!("store index var `{var}` unknown")))?;
-                dims.push(DimScan {
-                    start: ld.start + ai.offset,
-                    bound: ld.bound + ai.offset,
-                    step: ld.step,
-                    extent: 1,
-                });
-            }
-            let row_width = if o.dims.len() == 2 { o.dims[1] } else { 1 };
-            let addrs = OutputAddressGen::new(dims, 0, row_width);
-            lanes.push(OutputLane {
-                array: o.array.clone(),
-                bram: BramModel::zeroed(o.dims.iter().product()),
-                remaining: addrs.total(),
-                addrs,
-                port,
-            });
-        }
-        Ok(lanes)
+                    .position(|(n, _)| n == &wr.scalar)
+                    .ok_or_else(|| SystemError(format!("no output port for `{}`", wr.scalar)))?;
+                Ok(OutputWrite {
+                    output: oi,
+                    array: o.array.clone(),
+                    port,
+                    remaining: addrs.total(),
+                    addrs,
+                    bram: (!streamed).then(|| BramModel::zeroed(o.dims.iter().product())),
+                })
+            })
+            .collect()
     }
+}
 
-    /// Stores still to come.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
+/// All per-lane state of a [`SystemStage`].
+struct Lane {
+    /// One feed per input window, in kernel order.
+    feeds: Vec<WindowFeed>,
+    /// One entry per output write, in kernel order.
+    outs: Vec<OutputWrite>,
+    fired: u64,
+}
 
-    /// Retires one valid iteration: stores the value of this lane's
-    /// output port (read through `output`) at the next store address.
-    /// Returns whether a store happened (false once the lane is full).
+/// What one lane of a [`SystemStage`] can do this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Launch {
+    /// Every iteration has fired.
+    Finished,
+    /// The cycle is off the initiation-interval grid.
+    OffGrid,
+    /// Some input window is not staged yet.
+    Starved,
+    /// Every window is staged on a grid cycle: the lane may fire.
+    Ready,
+}
+
+/// The steppable controller of one kernel over `lanes` lanes (see the
+/// module docs for the five steps of a cycle). A cycle is
+/// [`land`](Self::land), then [`fire`](Self::fire) for each lane the
+/// caller launches, then [`step`](Self::step).
+pub struct SystemStage<'p> {
+    sim: BatchedSim<'p>,
+    lanes: Vec<Lane>,
+    /// `(data-path input port, value)` of each scalar input.
+    consts: Vec<(usize, i64)>,
+    total: u64,
+    ii: u64,
+    bus: usize,
+    num_inputs: usize,
+    /// Row-major inputs of the next step: `args[lane * num_inputs + port]`.
+    args: Vec<i64>,
+    valid: Vec<bool>,
+}
+
+impl<'p> SystemStage<'p> {
+    /// Builds the stage of `kernel` on `plan` (compiled from the kernel's
+    /// pipelined data path) with one lane per entry of `memories`. Each
+    /// entry holds, per input window, the contents of the BRAM feeding
+    /// it, or `None` when the caller feeds it through
+    /// [`land`](Self::land). `streamed[o]` hands the writes of output
+    /// `o` to the caller of [`step`](Self::step) instead of a BRAM.
+    /// `scalars` supplies the scalar inputs, shared by all lanes. Each
+    /// beat fetches `bus` words per BRAM.
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError`] if the address generator runs dry early.
-    pub fn retire(&mut self, output: impl FnOnce(usize) -> i64) -> Result<bool, SystemError> {
-        if self.remaining == 0 {
-            return Ok(false);
+    /// Returns [`SystemError`] for straight-line kernels, missing
+    /// scalars and unsupported access shapes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memories` is empty, or if an entry of `memories` or
+    /// `streamed` does not match the kernel's window or output count.
+    pub fn new(
+        kernel: &Kernel,
+        plan: &'p SimPlan,
+        memories: Vec<Vec<Option<Vec<i64>>>>,
+        streamed: &[bool],
+        scalars: &HashMap<String, i64>,
+        bus: usize,
+    ) -> Result<Self, SystemError> {
+        if kernel.dims.is_empty() {
+            return Err(SystemError(
+                "straight-line kernels have no loop to stream; use NetlistSim directly".into(),
+            ));
         }
-        let addr = self
-            .addrs
-            .next()
-            .ok_or_else(|| SystemError("output address underflow".into()))?;
-        self.bram.write(addr as usize, output(self.port));
-        self.remaining -= 1;
-        Ok(true)
+        assert_eq!(streamed.len(), kernel.outputs.len(), "one flag per output");
+        let ports = kernel.input_ports();
+        let consts = kernel
+            .scalar_inputs
+            .iter()
+            .map(|(name, _)| {
+                let v = *scalars
+                    .get(name)
+                    .ok_or_else(|| SystemError(format!("missing scalar input `{name}`")))?;
+                let port = ports.iter().position(|(n, _)| n == name);
+                Ok((port.expect("scalar input is a port"), v))
+            })
+            .collect::<Result<_, SystemError>>()?;
+        let lanes = memories
+            .into_iter()
+            .map(|memory| {
+                assert_eq!(memory.len(), kernel.windows.len(), "one memory per window");
+                let feeds = kernel
+                    .windows
+                    .iter()
+                    .zip(memory)
+                    .map(|(w, m)| WindowFeed::new(kernel, w, m))
+                    .collect::<Result<_, _>>()?;
+                let mut outs = Vec::new();
+                for (oi, &s) in streamed.iter().enumerate() {
+                    outs.extend(OutputWrite::for_output(kernel, oi, s)?);
+                }
+                Ok(Lane {
+                    feeds,
+                    outs,
+                    fired: 0,
+                })
+            })
+            .collect::<Result<Vec<_>, SystemError>>()?;
+        let num_inputs = plan.num_inputs();
+        Ok(SystemStage {
+            sim: BatchedSim::new(plan, lanes.len()),
+            args: vec![0; num_inputs * lanes.len()],
+            valid: vec![false; lanes.len()],
+            lanes,
+            consts,
+            total: kernel.total_iterations(),
+            ii: plan.ii(),
+            bus: bus.max(1),
+            num_inputs,
+        })
     }
 
-    /// Merges this lane's BRAM into `arrays[key]` (several writes of one
-    /// array land in one image; non-zero words win) and returns the
-    /// number of words written.
-    pub fn merge_into(&self, arrays: &mut HashMap<String, Vec<i64>>, key: &str) -> u64 {
-        let data = self.bram.data();
-        let entry = arrays
-            .entry(key.to_string())
-            .or_insert_with(|| vec![0; data.len()]);
-        for (i, &v) in data.iter().enumerate() {
-            if v != 0 {
-                if i >= entry.len() {
-                    entry.resize(i + 1, 0);
-                }
-                entry[i] = v;
+    /// Iterations fired so far in lane `l`.
+    #[inline]
+    pub fn fired(&self, l: usize) -> u64 {
+        self.lanes[l].fired
+    }
+
+    /// Whether every lane has fired every iteration and retired every
+    /// store.
+    #[inline]
+    pub fn done(&self) -> bool {
+        self.lanes
+            .iter()
+            .all(|lane| lane.fired >= self.total && lane.outs.iter().all(|o| o.remaining == 0))
+    }
+
+    /// Step 1: lands last cycle's BRAM beats, takes up to `bus` words per
+    /// caller-fed window from `pull(lane, window)` (words the window scan
+    /// does not need are discarded), and stages each window. Returns
+    /// whether any word arrived.
+    pub fn land(&mut self, mut pull: impl FnMut(usize, usize) -> Option<(usize, i64)>) -> bool {
+        let mut arrived = false;
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            for (w, feed) in lane.feeds.iter_mut().enumerate() {
+                arrived |= feed.land(self.bus, || pull(l, w));
             }
         }
-        self.bram.traffic().1
+        arrived
+    }
+
+    /// Whether lane `l` may fire this cycle. Launches land on multiples
+    /// of the initiation interval, counted in this stage's own cycles.
+    #[inline]
+    pub fn launch_state(&self, l: usize) -> Launch {
+        let lane = &self.lanes[l];
+        if lane.fired >= self.total {
+            Launch::Finished
+        } else if self.ii > 1 && !self.sim.cycles().is_multiple_of(self.ii) {
+            Launch::OffGrid
+        } else if lane.feeds.is_empty() || !lane.feeds.iter().all(|f| f.staged) {
+            Launch::Starved
+        } else {
+            Launch::Ready
+        }
+    }
+
+    /// Step 2: fires lane `l`, driving its staged windows and the scalar
+    /// inputs onto the data path for the coming [`step`](Self::step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window of lane `l` is not staged.
+    #[inline]
+    pub fn fire(&mut self, l: usize) {
+        let row = &mut self.args[l * self.num_inputs..(l + 1) * self.num_inputs];
+        let lane = &mut self.lanes[l];
+        for feed in &mut lane.feeds {
+            feed.fire_into(row);
+        }
+        for &(port, v) in &self.consts {
+            row[port] = v;
+        }
+        lane.fired += 1;
+        self.valid[l] = true;
+    }
+
+    /// Steps 3–5: advances every lane one clock, retires the valid
+    /// lanes' outputs (a streamed write goes to `push(lane, output,
+    /// addr, value)`), and issues the next BRAM beat. Returns whether
+    /// anything retired.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError`] on data-path faults (such as division by
+    /// zero, or a launch off the initiation-interval grid) and on store
+    /// address underflow.
+    pub fn step(
+        &mut self,
+        mut push: impl FnMut(usize, usize, usize, i64),
+    ) -> Result<bool, SystemError> {
+        self.sim.step_lanes(&self.args, &self.valid)?;
+        // Only a firing writes `args`; otherwise they are still zero.
+        if self.valid.contains(&true) {
+            self.args.fill(0);
+            self.valid.fill(false);
+        }
+        let mut retired = false;
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            if self.sim.lane_out_valid(l) {
+                for out in lane.outs.iter_mut().filter(|o| o.remaining > 0) {
+                    let addr = out
+                        .addrs
+                        .next()
+                        .ok_or_else(|| SystemError("output address underflow".into()))?
+                        as usize;
+                    let value = self.sim.output_lane(out.port, l);
+                    match &mut out.bram {
+                        Some(bram) => bram.write(addr, value),
+                        None => push(l, out.output, addr, value),
+                    }
+                    out.remaining -= 1;
+                    retired = true;
+                }
+            }
+            for feed in &mut lane.feeds {
+                feed.fetch(self.bus);
+            }
+        }
+        Ok(retired)
+    }
+
+    /// Words read from the input BRAMs so far, over all lanes.
+    pub fn reads(&self) -> u64 {
+        self.lanes
+            .iter()
+            .flat_map(|lane| &lane.feeds)
+            .map(WindowFeed::reads)
+            .sum()
+    }
+
+    /// Merges lane `l`'s output BRAMs into `arrays`, keyed
+    /// `{prefix}{array}` (several writes of one array land in one image;
+    /// non-zero words win), and returns the number of words written.
+    pub fn merge_outputs(
+        &self,
+        l: usize,
+        prefix: &str,
+        arrays: &mut HashMap<String, Vec<i64>>,
+    ) -> u64 {
+        let mut writes = 0;
+        for out in &self.lanes[l].outs {
+            let Some(bram) = &out.bram else { continue };
+            let data = bram.data();
+            let entry = arrays
+                .entry([prefix, &out.array].concat())
+                .or_insert_with(|| vec![0; data.len()]);
+            for (i, &v) in data.iter().enumerate() {
+                if v != 0 {
+                    if i >= entry.len() {
+                        entry.resize(i + 1, 0);
+                    }
+                    entry[i] = v;
+                }
+            }
+            writes += bram.traffic().1;
+        }
+        writes
+    }
+
+    /// Current state of feedback register `name` in lane `l`.
+    pub fn feedback_value(&self, name: &str, l: usize) -> Option<i64> {
+        self.sim.feedback_value(name, l)
     }
 }
 
-/// System-level configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SystemOptions {
-    /// Words delivered per memory beat ("bus size ÷ data size" in the
-    /// paper's smart-buffer parameterization). 1 models a word-wide bus;
-    /// the paper's FIR uses 2 (16-bit bus, 8-bit data).
-    pub bus_elems: usize,
-}
-
-impl Default for SystemOptions {
-    fn default() -> Self {
-        SystemOptions { bus_elems: 1 }
-    }
-}
-
-/// Runs a kernel's generated hardware over concrete array contents.
+/// Runs a kernel's generated hardware over concrete array contents: one
+/// one-lane [`SystemStage`] run to completion, its BRAMs fetching
+/// `bus_elems` words per beat ("bus size ÷ data size" in the paper's
+/// smart-buffer parameterization; the paper's FIR uses 2).
 ///
 /// `arrays` supplies input arrays by parameter name; `scalars` supplies
 /// scalar live-in parameters. `netlist` must come from the kernel's
@@ -398,137 +614,56 @@ pub fn run_system(
     netlist: &Netlist,
     arrays: &HashMap<String, Vec<i64>>,
     scalars: &HashMap<String, i64>,
+    bus_elems: usize,
 ) -> Result<SystemRun, SystemError> {
-    run_system_with_options(kernel, netlist, arrays, scalars, SystemOptions::default())
-}
-
-/// [`run_system`] with explicit [`SystemOptions`] (bus width etc.).
-///
-/// # Errors
-///
-/// See [`run_system`].
-pub fn run_system_with_options(
-    kernel: &Kernel,
-    netlist: &Netlist,
-    arrays: &HashMap<String, Vec<i64>>,
-    scalars: &HashMap<String, i64>,
-    options: SystemOptions,
-) -> Result<SystemRun, SystemError> {
-    if kernel.dims.is_empty() {
-        return Err(SystemError(
-            "straight-line kernels have no loop to stream; use NetlistSim directly".into(),
-        ));
-    }
-
-    // ----- input lanes ------------------------------------------------------
-    let mut lanes: Vec<BramFeed> = Vec::new();
-    for w in &kernel.windows {
-        let data = arrays
-            .get(&w.array)
-            .ok_or_else(|| SystemError(format!("missing input array `{}`", w.array)))?;
-        lanes.push(BramFeed::new(WindowFeed::new(kernel, w)?, data));
-    }
-
-    // ----- scalar live-ins --------------------------------------------------
-    let ports = kernel.input_ports();
-    let mut const_inputs: Vec<(usize, i64)> = Vec::new();
-    for (name, _) in &kernel.scalar_inputs {
-        let v = *scalars
-            .get(name)
-            .ok_or_else(|| SystemError(format!("missing scalar input `{name}`")))?;
-        let port = ports.iter().position(|(n, _)| n == name);
-        const_inputs.push((port.expect("scalar input is a port"), v));
-    }
-
-    // ----- output lanes -----------------------------------------------------
-    let mut out_lanes: Vec<OutputLane> = Vec::new();
-    for o in &kernel.outputs {
-        out_lanes.extend(OutputLane::for_output(kernel, o)?);
-    }
-
-    // ----- main loop ----------------------------------------------------------
-    // Compile the netlist once; every cycle then steps one lane of the
-    // zero-allocation levelized engine instead of re-interpreting the
-    // cell graph.
+    let memory = kernel
+        .windows
+        .iter()
+        .map(|w| {
+            let data = arrays
+                .get(&w.array)
+                .ok_or_else(|| SystemError(format!("missing input array `{}`", w.array)))?;
+            Ok(Some(data.clone()))
+        })
+        .collect::<Result<Vec<_>, SystemError>>()?;
     let plan = SimPlan::compile(netlist)?;
-    let mut sim = BatchedSim::new(&plan, 1);
-    let total_iters = kernel.total_iterations();
-    let mut fired = 0u64;
-    let mut cycles = 0u64;
-    // Single argument buffer reused every cycle (zeroed, then window
-    // values written in for firing cycles).
-    let mut args_buf = vec![0i64; netlist.inputs.len()];
-    let ii = plan.ii();
-    let safety = 16 * total_iters * ii + 4096;
-    let mut drain = 0u32;
-    let drain_needed = netlist.latency + 2;
-    let bus = options.bus_elems.max(1);
+    let streamed = vec![false; kernel.outputs.len()];
+    let mut stage = SystemStage::new(kernel, &plan, vec![memory], &streamed, scalars, bus_elems)?;
 
+    let total_iters = kernel.total_iterations();
+    let safety = 16 * total_iters * plan.ii() + 4096;
+    let drain_needed = netlist.latency + 2;
+    let mut drain = 0u32;
+    let mut cycles = 0u64;
     // Run until every output array is written, all iterations have fired,
     // and the pipeline has drained (so feedback finals are settled).
-    while out_lanes.iter().any(|l| l.remaining() > 0) || fired < total_iters || drain < drain_needed
-    {
-        if fired >= total_iters {
+    while !stage.done() || drain < drain_needed {
+        if stage.fired(0) >= total_iters {
             drain += 1;
         }
         cycles += 1;
         if cycles > safety {
             return Err(SystemError(format!(
-                "system did not converge after {cycles} cycles ({fired}/{total_iters} fired)"
+                "system did not converge after {cycles} cycles ({}/{total_iters} fired)",
+                stage.fired(0)
             )));
         }
-
-        // 1. Memory data from last cycle lands in the smart buffers.
-        for lane in &mut lanes {
-            lane.land();
+        stage.land(|_, _| None);
+        if stage.launch_state(0) == Launch::Ready {
+            stage.fire(0);
         }
-
-        // 2. Fire when every lane has a window and the cycle lands on the
-        //    schedule's initiation interval (the sim has stepped
-        //    `cycles - 1` times at this point).
-        let all_ready = fired < total_iters
-            && !lanes.is_empty()
-            && lanes.iter().all(|l| l.feed.is_staged())
-            && (cycles - 1).is_multiple_of(ii);
-        args_buf.fill(0);
-        if all_ready {
-            for lane in &mut lanes {
-                lane.feed.fire_into(&mut args_buf);
-            }
-            for (port, v) in &const_inputs {
-                args_buf[*port] = *v;
-            }
-            fired += 1;
-        }
-
-        // 3. Step the data path.
-        sim.step_lanes(&args_buf, &[all_ready])?;
-
-        // 4. Retire valid outputs.
-        if sim.lane_out_valid(0) {
-            for lane in &mut out_lanes {
-                lane.retire(|port| sim.output_lane(port, 0))?;
-            }
-        }
-
-        // 5. Issue next input reads (one beat of `bus_elems` words).
-        for lane in &mut lanes {
-            lane.fetch(bus);
-        }
+        stage.step(|_, _, _, _| {})?;
     }
 
-    // Collect results.
     let mut result = SystemRun {
         cycles,
-        fired,
+        fired: stage.fired(0),
+        mem_reads: stage.reads(),
         ..SystemRun::default()
     };
-    result.mem_reads = lanes.iter().map(BramFeed::reads).sum();
-    for lane in &out_lanes {
-        result.mem_writes += lane.merge_into(&mut result.arrays, &lane.array);
-    }
+    result.mem_writes = stage.merge_outputs(0, "", &mut result.arrays);
     for name in &kernel.live_out {
-        if let Some(v) = sim.feedback_value(name, 0) {
+        if let Some(v) = stage.feedback_value(name, 0) {
             result.scalars.insert(format!("{name}_final"), v);
             result.scalars.insert(name.clone(), v);
         }

@@ -144,7 +144,7 @@ impl Compiled {
         arrays: &HashMap<String, Vec<i64>>,
         scalars: &HashMap<String, i64>,
     ) -> Result<SystemRun, SystemError> {
-        run_system(&self.kernel, &self.netlist, arrays, scalars)
+        run_system(&self.kernel, &self.netlist, arrays, scalars, 1)
     }
 
     /// [`Compiled::run`] with a wide memory bus delivering `bus_elems`
@@ -159,13 +159,7 @@ impl Compiled {
         scalars: &HashMap<String, i64>,
         bus_elems: usize,
     ) -> Result<SystemRun, SystemError> {
-        roccc_netlist::run_system_with_options(
-            &self.kernel,
-            &self.netlist,
-            arrays,
-            scalars,
-            roccc_netlist::SystemOptions { bus_elems },
-        )
+        run_system(&self.kernel, &self.netlist, arrays, scalars, bus_elems)
     }
 
     /// Generates the RTL VHDL for the data path (one component per node)
@@ -708,12 +702,7 @@ fn gate_findings(
     if findings.is_empty() {
         return Ok(());
     }
-    let fatal = match level {
-        VerifyLevel::Off => false,
-        VerifyLevel::Warn => findings.iter().any(|d| d.severity == Severity::Error),
-        VerifyLevel::Deny => true,
-    };
-    if fatal {
+    if level.is_fatal(&findings) {
         Err(CompileError::Verify(findings))
     } else {
         collected.extend(findings);

@@ -1,25 +1,25 @@
 //! Whole-pipeline co-simulation.
 //!
-//! Drives every stage's compiled data path (`BatchedSim`, one lane per
-//! independent input set) through the sized [`ChannelFifo`] channels,
-//! cycle by cycle:
+//! Runs one [`SystemStage`] per pipeline stage (`BatchedSim`, one lane
+//! per independent input set) and joins them through the sized
+//! [`ChannelFifo`] channels. Each stage steps through the five steps of
+//! the single-kernel system simulation every cycle, in pipeline order,
+//! with the channels on the caller's side of each step:
 //!
 //! 1. **land** — external BRAM reads arrive in the smart buffers;
 //!    channel pops (up to `bus` per cycle) feed consumer smart buffers,
 //!    discarding flat addresses outside the window scan;
-//! 2. **fire** — a stage lane fires when every input window is staged
-//!    *and* every output channel can reserve a full burst
-//!    (credit-based backpressure: a full FIFO stalls the producer and
-//!    the bubble propagates upstream as starvation);
+//! 2. **fire** — a stage lane fires when every input window is staged,
+//!    the cycle lands on its initiation-interval grid, *and* every
+//!    output channel can reserve a full burst (credit-based
+//!    backpressure: a full FIFO stalls the producer and the bubble
+//!    propagates upstream as starvation; an off-grid cycle counts as
+//!    neither);
 //! 3. **step** — all lanes of the stage advance one clock;
 //! 4. **retire** — lanes whose pipeline output is valid push their burst
 //!    into the output channels (at the statically derived store
 //!    addresses) and external output BRAMs;
 //! 5. **fetch** — external input BRAM reads are issued for next cycle.
-//!
-//! Input windows and external outputs are the single-kernel system
-//! simulation's own [`WindowFeed`], [`BramFeed`] and [`OutputLane`], so
-//! windows stage identically in both drivers.
 //!
 //! The run ends when every stage has fired all its iterations, every
 //! external output is fully written and every channel is drained. If no
@@ -30,9 +30,8 @@
 
 use crate::fifo::ChannelFifo;
 use crate::rate::output_addr_gens;
-use crate::{CompiledPipeline, StreamError};
-use roccc_buffers::addr::OutputAddressGen;
-use roccc_netlist::{BatchedSim, BramFeed, OutputLane, SimPlan, SystemError, WindowFeed};
+use crate::{CompiledPipeline, CompiledStage, StreamError};
+use roccc_netlist::{Launch, SimPlan, SystemStage};
 use std::collections::HashMap;
 
 /// Per-stage counters of one co-simulation.
@@ -76,117 +75,67 @@ impl CosimRun {
     }
 }
 
-/// An input window fed from a channel.
-struct FifoInLane {
-    chan: usize,
-    feed: WindowFeed,
-}
-
-/// An output array streamed into a channel.
-struct ChanOutLane {
-    chan: usize,
-    /// `(data-path output port, store address generator)` per write.
-    ports: Vec<(usize, OutputAddressGen)>,
-    remaining: u64,
-}
-
-/// All per-lane state of one stage.
-struct StageLane {
-    ext_in: Vec<BramFeed>,
-    fifo_in: Vec<FifoInLane>,
-    chan_out: Vec<ChanOutLane>,
-    ext_out: Vec<OutputLane>,
-    fired: u64,
-}
-
 /// Looks up `stage.array`-qualified data with a bare-name fallback.
 fn lookup<'m, T>(map: &'m HashMap<String, T>, stage: &str, name: &str) -> Option<&'m T> {
     map.get(&format!("{stage}.{name}"))
         .or_else(|| map.get(name))
 }
 
-fn sim_err(e: SystemError) -> StreamError {
-    StreamError::Sim(e.0)
+/// A copy of the external input array `array` of `stage`, checked against
+/// the window's declared size.
+fn external_input(
+    inputs: &HashMap<String, Vec<i64>>,
+    stage: &CompiledStage,
+    array: &str,
+    len: usize,
+) -> Result<Vec<i64>, StreamError> {
+    let data = lookup(inputs, &stage.name, array).ok_or_else(|| {
+        StreamError::Sim(format!(
+            "missing external input array `{}.{array}`",
+            stage.name
+        ))
+    })?;
+    if data.len() != len {
+        return Err(StreamError::Sim(format!(
+            "external input `{}.{array}` has {} elements, expected {len}",
+            stage.name,
+            data.len()
+        )));
+    }
+    Ok(data.clone())
 }
 
-/// Builds one stage's per-lane plumbing.
-fn build_stage_lane(
-    cp: &CompiledPipeline,
-    si: usize,
-    inputs: &HashMap<String, Vec<i64>>,
-) -> Result<StageLane, StreamError> {
-    let stage = &cp.stages[si];
-    let kernel = &stage.compiled.kernel;
-    let mut ext_in = Vec::new();
-    let mut fifo_in = Vec::new();
-    for w in &kernel.windows {
-        let chan = cp
-            .channels
-            .iter()
-            .position(|c| c.to_stage == si && c.to_array == w.array);
-        let feed = WindowFeed::new(kernel, w).map_err(sim_err)?;
-        match chan {
-            Some(chan) => fifo_in.push(FifoInLane { chan, feed }),
-            None => {
-                let data = lookup(inputs, &stage.name, &w.array).ok_or_else(|| {
-                    StreamError::Sim(format!(
-                        "missing external input array `{}.{}`",
-                        stage.name, w.array
-                    ))
-                })?;
-                let want: usize = w.dims.iter().product();
-                if data.len() != want {
-                    return Err(StreamError::Sim(format!(
-                        "external input `{}.{}` has {} elements, expected {want}",
-                        stage.name,
-                        w.array,
-                        data.len()
-                    )));
-                }
-                ext_in.push(BramFeed::new(feed, data));
-            }
-        }
-    }
+/// The scalar inputs of `stage`, each looked up as `stage.name` or a
+/// bare `name`.
+fn stage_scalars(stage: &CompiledStage, scalars: &HashMap<String, i64>) -> HashMap<String, i64> {
+    stage
+        .compiled
+        .kernel
+        .scalar_inputs
+        .iter()
+        .filter_map(|(name, _)| lookup(scalars, &stage.name, name).map(|&v| (name.clone(), v)))
+        .collect()
+}
 
-    let out_ports = kernel.output_ports();
-    let mut chan_out = Vec::new();
-    let mut ext_out = Vec::new();
-    for o in &kernel.outputs {
-        let chan = cp
-            .channels
-            .iter()
-            .position(|c| c.from_stage == si && c.from_array == o.array);
-        match chan {
-            Some(ci) => {
-                let gens = output_addr_gens(kernel, o).map_err(StreamError::Sim)?;
-                let mut pg = Vec::new();
-                for (wr, gen) in o.writes.iter().zip(gens) {
-                    let port = out_ports
-                        .iter()
-                        .position(|(n, _)| n == &wr.scalar)
-                        .ok_or_else(|| {
-                            StreamError::Sim(format!("no output port for `{}`", wr.scalar))
-                        })?;
-                    pg.push((port, gen));
-                }
-                let remaining = kernel.total_iterations();
-                chan_out.push(ChanOutLane {
-                    chan: ci,
-                    ports: pg,
-                    remaining,
-                });
-            }
-            None => ext_out.extend(OutputLane::for_output(kernel, o).map_err(sim_err)?),
-        }
+/// Reserves one `burst` in lane `l` of every `(channel, burst)` when all
+/// of them have room for it (credit-based backpressure), and returns
+/// whether it did.
+fn reserve_bursts(
+    fifos: &mut [Vec<ChannelFifo>],
+    bursts: impl Iterator<Item = (usize, usize)> + Clone,
+    l: usize,
+) -> bool {
+    if !bursts.clone().all(|(ci, b)| fifos[ci][l].can_reserve(b)) {
+        return false;
     }
+    for (ci, b) in bursts {
+        fifos[ci][l].reserve(b);
+    }
+    true
+}
 
-    Ok(StageLane {
-        ext_in,
-        fifo_in,
-        chan_out,
-        ext_out,
-        fired: 0,
-    })
+fn stage_err(stage: &CompiledStage, e: impl std::fmt::Display) -> StreamError {
+    StreamError::Sim(format!("stage `{}`: {e}", stage.name))
 }
 
 /// Co-simulates the whole pipeline over `lane_inputs.len()` independent
@@ -215,30 +164,63 @@ pub fn run_cosim(
     let plans: Vec<SimPlan> = cp
         .stages
         .iter()
-        .map(|s| {
-            SimPlan::compile(&s.compiled.netlist)
-                .map_err(|e| StreamError::Sim(format!("stage `{}`: {e}", s.name)))
-        })
+        .map(|s| SimPlan::compile(&s.compiled.netlist).map_err(|e| stage_err(s, e)))
         .collect::<Result<_, _>>()?;
-    let mut sims: Vec<BatchedSim> = plans.iter().map(|p| BatchedSim::new(p, lanes)).collect();
 
-    // Per-stage constant scalar inputs.
-    let mut const_inputs: Vec<Vec<(usize, i64)>> = Vec::new();
-    for stage in &cp.stages {
+    // Per stage, the channel feeding each window and draining each
+    // output, if any.
+    let mut chan_in: Vec<Vec<Option<usize>>> = Vec::with_capacity(cp.stages.len());
+    let mut chan_out: Vec<Vec<Option<usize>>> = Vec::with_capacity(cp.stages.len());
+    let mut stages = Vec::with_capacity(cp.stages.len());
+    for (si, (stage, plan)) in cp.stages.iter().zip(&plans).enumerate() {
         let kernel = &stage.compiled.kernel;
-        let ports = kernel.input_ports();
-        let mut consts = Vec::new();
-        for (name, _) in &kernel.scalar_inputs {
-            let v = *lookup(scalars, &stage.name, name).ok_or_else(|| {
-                StreamError::Sim(format!("missing scalar input `{}.{name}`", stage.name))
-            })?;
-            let port = ports
-                .iter()
-                .position(|(n, _)| n == name)
-                .expect("scalar input is a port");
-            consts.push((port, v));
+        let ins: Vec<Option<usize>> = kernel
+            .windows
+            .iter()
+            .map(|w| {
+                cp.channels
+                    .iter()
+                    .position(|c| c.to_stage == si && c.to_array == w.array)
+            })
+            .collect();
+        let outs: Vec<Option<usize>> = kernel
+            .outputs
+            .iter()
+            .map(|o| {
+                cp.channels
+                    .iter()
+                    .position(|c| c.from_stage == si && c.from_array == o.array)
+            })
+            .collect();
+        // A channel streams one burst per firing.
+        for (o, chan) in kernel.outputs.iter().zip(&outs) {
+            if chan.is_some() {
+                output_addr_gens(kernel, o).map_err(StreamError::Sim)?;
+            }
         }
-        const_inputs.push(consts);
+        let memories = lane_inputs
+            .iter()
+            .map(|inputs| {
+                kernel
+                    .windows
+                    .iter()
+                    .zip(&ins)
+                    .map(|(w, chan)| match chan {
+                        Some(_) => Ok(None),
+                        None => external_input(inputs, stage, &w.array, w.dims.iter().product())
+                            .map(Some),
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let streamed: Vec<bool> = outs.iter().map(Option::is_some).collect();
+        let scalars = stage_scalars(stage, scalars);
+        stages.push(
+            SystemStage::new(kernel, plan, memories, &streamed, &scalars, bus)
+                .map_err(|e| stage_err(stage, e.0))?,
+        );
+        chan_in.push(ins);
+        chan_out.push(outs);
     }
 
     // Per-channel, per-lane FIFOs.
@@ -252,16 +234,6 @@ pub fn run_cosim(
         })
         .collect();
 
-    // Per-stage, per-lane plumbing.
-    let mut stage_lanes: Vec<Vec<StageLane>> = Vec::new();
-    for si in 0..cp.stages.len() {
-        let mut per_lane = Vec::with_capacity(lanes);
-        for inputs in lane_inputs {
-            per_lane.push(build_stage_lane(cp, si, inputs)?);
-        }
-        stage_lanes.push(per_lane);
-    }
-
     let mut stats: Vec<StageStats> = cp
         .stages
         .iter()
@@ -271,38 +243,27 @@ pub fn run_cosim(
         })
         .collect();
 
-    let totals: Vec<u64> = cp
+    let max_latency = plans
+        .iter()
+        .map(|p| u64::from(p.latency()))
+        .max()
+        .unwrap_or(0);
+    let max_ii = plans.iter().map(SimPlan::ii).max().unwrap_or(1);
+    let safety: u64 = cp
         .stages
         .iter()
-        .map(|s| s.compiled.kernel.total_iterations())
-        .collect();
-    let max_latency = plans.iter().map(|p| p.latency()).max().unwrap_or(0) as u64;
-    let safety: u64 = totals
-        .iter()
-        .map(|t| 16 * t + 4096)
+        .zip(&plans)
+        .map(|(s, p)| 16 * s.compiled.kernel.total_iterations() * p.ii() + 4096)
         .sum::<u64>()
         .saturating_mul(lanes as u64)
         + cp.channels.iter().map(|c| c.len as u64).sum::<u64>() / bus as u64;
 
     let mut cycles = 0u64;
     let mut idle_streak = 0u64;
-    // Scratch buffers reused every cycle.
-    let mut args_rows: Vec<Vec<i64>> = plans
-        .iter()
-        .map(|p| vec![0i64; p.num_inputs() * lanes])
-        .collect();
-    let mut valid: Vec<bool> = vec![false; lanes];
-
     loop {
         // Done when everything fired, retired, and every channel drained.
-        let all_done = stage_lanes.iter().enumerate().all(|(si, per_lane)| {
-            per_lane.iter().all(|sl| {
-                sl.fired >= totals[si]
-                    && sl.ext_out.iter().all(|o| o.remaining() == 0)
-                    && sl.chan_out.iter().all(|o| o.remaining == 0)
-            })
-        }) && fifos.iter().flatten().all(ChannelFifo::drained);
-        if all_done {
+        if stages.iter().all(SystemStage::done) && fifos.iter().flatten().all(ChannelFifo::drained)
+        {
             break;
         }
         cycles += 1;
@@ -313,114 +274,52 @@ pub fn run_cosim(
         }
 
         let mut progress = false;
-        for si in 0..cp.stages.len() {
-            let num_inputs = plans[si].num_inputs();
-            let args = &mut args_rows[si];
-            args.fill(0);
+        for (si, stage) in stages.iter_mut().enumerate() {
+            // 1. Land external beats and channel pops. A landing external
+            // beat counts as progress: deep smart buffers (e.g. a 5x5
+            // window at one word per beat) legitimately spend hundreds of
+            // cycles filling before the first firing, and that must not
+            // read as a deadlock. Unneeded addresses are popped and
+            // discarded so the producer can always finish its stream.
+            progress |= stage.land(|l, w| {
+                let chan = chan_in[si][w].expect("a caller-fed window reads a channel");
+                fifos[chan][l].pop()
+            });
+
+            // 2. Fire the lanes that are ready and have output credit.
             for l in 0..lanes {
-                let sl = &mut stage_lanes[si][l];
-
-                // 1. Land external beats and channel pops. A landing
-                // external beat counts as progress: deep smart buffers
-                // (e.g. a 5x5 window at one word per beat) legitimately
-                // spend hundreds of cycles filling before the first
-                // firing, and that must not read as a deadlock.
-                for lane in &mut sl.ext_in {
-                    progress |= lane.land();
-                }
-                for lane in &mut sl.fifo_in {
-                    let fifo = &mut fifos[lane.chan][l];
-                    for _ in 0..bus {
-                        let Some((addr, v)) = fifo.pop() else { break };
-                        progress = true;
-                        // Unneeded addresses are popped and discarded so
-                        // the producer can always finish its stream.
-                        lane.feed.offer(addr as i64, v);
-                    }
-                    lane.feed.stage();
-                }
-
-                // 2. Fire decision (inputs staged + output credit).
-                let work_left = sl.fired < totals[si];
-                let inputs_ready = sl.ext_in.iter().all(|x| x.feed.is_staged())
-                    && sl.fifo_in.iter().all(|x| x.feed.is_staged())
-                    && (!sl.ext_in.is_empty() || !sl.fifo_in.is_empty());
-                let credit = sl
-                    .chan_out
-                    .iter()
-                    .all(|o| fifos[o.chan][l].can_reserve(o.ports.len()));
-                valid[l] = false;
-                if work_left {
-                    if !inputs_ready {
-                        stats[si].starve_cycles += 1;
-                    } else if !credit {
-                        stats[si].stall_cycles += 1;
-                    } else {
-                        let row = &mut args[l * num_inputs..(l + 1) * num_inputs];
-                        for lane in &mut sl.ext_in {
-                            lane.feed.fire_into(row);
+                match stage.launch_state(l) {
+                    Launch::Finished | Launch::OffGrid => {}
+                    Launch::Starved => stats[si].starve_cycles += 1,
+                    Launch::Ready => {
+                        let outs = chan_out[si].iter().flatten();
+                        let bursts = outs.map(|&ci| (ci, cp.channels[ci].burst));
+                        if reserve_bursts(&mut fifos, bursts, l) {
+                            stage.fire(l);
+                            stats[si].fired += 1;
+                            progress = true;
+                        } else {
+                            stats[si].stall_cycles += 1;
                         }
-                        for lane in &mut sl.fifo_in {
-                            lane.feed.fire_into(row);
-                        }
-                        for (port, v) in &const_inputs[si] {
-                            row[*port] = *v;
-                        }
-                        for o in &sl.chan_out {
-                            fifos[o.chan][l].reserve(o.ports.len());
-                        }
-                        sl.fired += 1;
-                        stats[si].fired += 1;
-                        valid[l] = true;
-                        progress = true;
                     }
                 }
             }
 
-            // 3. Step all lanes of this stage one clock.
-            sims[si]
-                .step_lanes(args, &valid)
-                .map_err(|e| StreamError::Sim(format!("stage `{}`: {e}", cp.stages[si].name)))?;
-
-            // 4. Retire valid lanes.
-            for l in 0..lanes {
-                if !sims[si].lane_out_valid(l) {
-                    continue;
-                }
-                let sl = &mut stage_lanes[si][l];
-                for o in &mut sl.chan_out {
-                    if o.remaining == 0 {
-                        continue;
-                    }
-                    for (port, gen) in &mut o.ports {
-                        let addr = gen
-                            .next()
-                            .ok_or_else(|| StreamError::Sim("output address underflow".into()))?;
-                        fifos[o.chan][l].push(addr as usize, sims[si].output_lane(*port, l));
-                    }
-                    o.remaining -= 1;
-                    progress = true;
-                }
-                for o in &mut sl.ext_out {
-                    progress |= o
-                        .retire(|port| sims[si].output_lane(port, l))
-                        .map_err(sim_err)?;
-                }
-            }
-
-            // 5. Issue next external reads.
-            for sl in &mut stage_lanes[si] {
-                for lane in &mut sl.ext_in {
-                    lane.fetch(bus);
-                }
-            }
+            // 3.–5. Step, retire into channels and BRAMs, fetch.
+            progress |= stage
+                .step(|l, o, addr, v| {
+                    let chan = chan_out[si][o].expect("a streamed output feeds a channel");
+                    fifos[chan][l].push(addr, v);
+                })
+                .map_err(|e| stage_err(&cp.stages[si], e.0))?;
         }
 
         if progress {
             idle_streak = 0;
         } else {
             idle_streak += 1;
-            if idle_streak > max_latency + 16 {
+            // A lane may wait up to II - 1 cycles for its launch grid.
+            if idle_streak > max_latency + 16 + (max_ii - 1) {
                 let mut stuck = String::new();
                 for (ci, c) in cp.channels.iter().enumerate() {
                     for (l, f) in fifos[ci].iter().enumerate() {
@@ -453,11 +352,8 @@ pub fn run_cosim(
     let mut mem_writes = 0u64;
     for l in 0..lanes {
         let mut arrays: HashMap<String, Vec<i64>> = HashMap::new();
-        for (stage, per_lane) in cp.stages.iter().zip(&stage_lanes) {
-            for o in &per_lane[l].ext_out {
-                let key = format!("{}.{}", stage.name, o.array);
-                mem_writes += o.merge_into(&mut arrays, &key);
-            }
+        for (stage, st) in cp.stages.iter().zip(&stages) {
+            mem_writes += st.merge_outputs(l, &format!("{}.", stage.name), &mut arrays);
         }
         lane_arrays.push(arrays);
     }
@@ -465,11 +361,9 @@ pub fn run_cosim(
     Ok(CosimRun {
         cycles,
         stages: stats,
-        fifo_peaks: cp
-            .channels
+        fifo_peaks: fifos
             .iter()
-            .enumerate()
-            .map(|(ci, _)| fifos[ci].iter().map(ChannelFifo::peak).max().unwrap_or(0))
+            .map(|per_lane| per_lane.iter().map(ChannelFifo::peak).max().unwrap_or(0))
             .collect(),
         lane_arrays,
         mem_writes,
@@ -511,28 +405,14 @@ pub fn chain_golden(
                             })?
                             .clone()
                     }
-                    None => lookup(inputs, &stage.name, &w.array)
-                        .ok_or_else(|| {
-                            StreamError::Sim(format!(
-                                "missing external input array `{}.{}`",
-                                stage.name, w.array
-                            ))
-                        })?
-                        .clone(),
+                    None => external_input(inputs, stage, &w.array, w.dims.iter().product())?,
                 };
                 arrays.insert(w.array.clone(), data);
             }
-            let mut stage_scalars = HashMap::new();
-            for (name, _) in &kernel.scalar_inputs {
-                let v = *lookup(scalars, &stage.name, name).ok_or_else(|| {
-                    StreamError::Sim(format!("missing scalar input `{}.{name}`", stage.name))
-                })?;
-                stage_scalars.insert(name.clone(), v);
-            }
             let run = stage
                 .compiled
-                .run_with_bus(&arrays, &stage_scalars, cp.spec.bus_elems.max(1))
-                .map_err(|e| StreamError::Sim(format!("stage `{}`: {e}", stage.name)))?;
+                .run_with_bus(&arrays, &stage_scalars(stage, scalars), cp.spec.bus_elems)
+                .map_err(|e| stage_err(stage, e))?;
             for o in &kernel.outputs {
                 let size: usize = o.dims.iter().product();
                 let mut data = run.arrays.get(&o.array).cloned().unwrap_or_default();

@@ -43,7 +43,7 @@ pub use spec::{parse_spec, BindSpec, FifoSpec, PipelineSpec, StageSpec};
 pub use vhdl::generate_pipeline_vhdl;
 
 use roccc::hash::Fnv64;
-use roccc::{CompileError, CompileOptions, Compiled, Diagnostic, Severity, VerifyLevel};
+use roccc::{CompileError, CompileOptions, Compiled, Diagnostic, VerifyLevel};
 use roccc_verify::pipeline::{BindView, ChannelView, PipelineView, PortView, StageView};
 use std::fmt;
 
@@ -259,18 +259,14 @@ pub fn compile_pipeline(
     // Run the P0xx composition checks over the plain-data view.
     let view = build_view(spec, &stages, &binds, &channels);
     let findings = roccc_verify::verify_pipeline(&view);
-    let mut diagnostics = Vec::new();
-    if base.verify != VerifyLevel::Off && !findings.is_empty() {
-        let fatal = match base.verify {
-            VerifyLevel::Off => false,
-            VerifyLevel::Warn => findings.iter().any(|d| d.severity == Severity::Error),
-            VerifyLevel::Deny => true,
-        };
-        if fatal {
-            return Err(StreamError::Verify(findings));
-        }
-        diagnostics.extend(findings);
+    if base.verify.is_fatal(&findings) {
+        return Err(StreamError::Verify(findings));
     }
+    let diagnostics = if base.verify == VerifyLevel::Off {
+        Vec::new()
+    } else {
+        findings
+    };
 
     Ok(CompiledPipeline {
         spec: spec.clone(),
@@ -418,7 +414,7 @@ pub fn stats_report(cp: &CompiledPipeline) -> String {
             st.name,
             st.compiled.kernel.total_iterations(),
             st.rates.latency,
-            st.rates.ii,
+            st.compiled.netlist.effective_ii(),
             st.rates.consumes.len(),
             st.rates.produces.len(),
         );

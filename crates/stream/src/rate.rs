@@ -30,8 +30,9 @@
 //! analysis falls back to `depth = len` — a whole-array buffer can never
 //! deadlock — and flags the channel (`P005-nonstatic-rate`).
 
-use roccc_buffers::addr::{DimScan, OutputAddressGen};
+use roccc_buffers::addr::OutputAddressGen;
 use roccc_hlir::kernel::{Kernel, OutputSpec, WindowSpec};
+use roccc_netlist::store_addr_gens;
 
 /// Statically derived production pattern of one stage output array.
 #[derive(Debug, Clone)]
@@ -81,15 +82,11 @@ pub struct StageRates {
     pub consumes: Vec<ConsumeRate>,
     /// Pipeline latency of the stage's data path, in cycles.
     pub latency: u32,
-    /// Initiation interval (cycles between firings at full throughput;
-    /// always 1 for the pipelined data paths this compiler emits —
-    /// backpressure and input starvation stretch it dynamically).
-    pub ii: u32,
 }
 
-/// Builds the per-write output address generators exactly as the
-/// single-kernel system simulation does, so channel address sequences
-/// and `run_system` retirement sequences can never disagree.
+/// The store address generators of `out` (the system simulation's own,
+/// [`store_addr_gens`]) when every write fires once per iteration, the
+/// shape a channel streams.
 ///
 /// # Errors
 ///
@@ -100,40 +97,17 @@ pub fn output_addr_gens(
     kernel: &Kernel,
     out: &OutputSpec,
 ) -> Result<Vec<OutputAddressGen>, String> {
-    let mut gens = Vec::new();
-    for wr in &out.writes {
-        let mut dims = Vec::new();
-        for ai in &wr.index {
-            let var = ai
-                .var
-                .as_ref()
-                .ok_or_else(|| format!("store into `{}` uses a constant index", out.array))?;
-            let ld = kernel
-                .dims
-                .iter()
-                .find(|l| &l.var == var)
-                .ok_or_else(|| format!("store index var `{var}` is not a loop variable"))?;
-            dims.push(DimScan {
-                start: ld.start + ai.offset,
-                bound: ld.bound + ai.offset,
-                step: ld.step,
-                extent: 1,
-            });
-        }
-        let row_width = if out.dims.len() == 2 { out.dims[1] } else { 1 };
-        let gen = OutputAddressGen::new(dims, 0, row_width);
-        if gen.total() != kernel.total_iterations() {
-            return Err(format!(
-                "store into `{}` does not fire once per iteration ({} stores, {} iterations)",
-                out.array,
-                gen.total(),
-                kernel.total_iterations()
-            ));
-        }
-        gens.push(gen);
-    }
+    let gens = store_addr_gens(kernel, out).map_err(|e| e.0)?;
     if gens.is_empty() {
         return Err(format!("output `{}` has no writes", out.array));
+    }
+    let iterations = kernel.total_iterations();
+    if let Some(gen) = gens.iter().find(|g| g.total() != iterations) {
+        return Err(format!(
+            "store into `{}` does not fire once per iteration ({} stores, {iterations} iterations)",
+            out.array,
+            gen.total(),
+        ));
     }
     Ok(gens)
 }
@@ -210,7 +184,8 @@ pub fn consume_rate(kernel: &Kernel, w: &WindowSpec) -> ConsumeRate {
     let extent = w.extent();
     let ndim = w.reads.first().map_or(0, |r| r.index.len());
     // First flat address: the minimum offset of the scan in each
-    // dimension, folded row-major (mirrors `build_lane`'s DimScans).
+    // dimension, folded row-major (mirrors the window scans of
+    // `roccc_netlist::SystemStage`).
     let first_addr = if ndim == 2 {
         let row_min = w.reads.iter().map(|r| r.index[0].offset).min().unwrap_or(0);
         let col_min = w.reads.iter().map(|r| r.index[1].offset).min().unwrap_or(0);
@@ -258,7 +233,6 @@ pub fn stage_rates(kernel: &Kernel, latency: u32) -> StageRates {
             .map(|w| consume_rate(kernel, w))
             .collect(),
         latency,
-        ii: 1,
     }
 }
 

@@ -184,6 +184,19 @@ pub enum VerifyLevel {
     Deny,
 }
 
+impl VerifyLevel {
+    /// Whether `findings` abort a compile at this level: never under
+    /// `Off`, on an error-severity finding under `Warn`, on any finding
+    /// under `Deny`.
+    pub fn is_fatal(&self, findings: &[Diagnostic]) -> bool {
+        match self {
+            VerifyLevel::Off => false,
+            VerifyLevel::Warn => findings.iter().any(|d| d.severity == Severity::Error),
+            VerifyLevel::Deny => !findings.is_empty(),
+        }
+    }
+}
+
 impl Default for VerifyLevel {
     /// `Warn` in debug builds (tests get the verifier for free), `Off`
     /// in release builds (production compiles opt in via `--verify`).
@@ -246,6 +259,18 @@ mod tests {
         assert!(d.render(Some(src)).ends_with("at 1:11"));
         // Without source, the raw byte range is printed.
         assert!(d.render(None).ends_with("bytes 10..12"));
+    }
+
+    #[test]
+    fn verify_level_gates_findings_by_severity() {
+        let w = Diagnostic::warning(Phase::Netlist, "N007-dead-cell", Loc::Cell(3), "dead");
+        let e = Diagnostic::error(Phase::Datapath, "D001-comb-cycle", Loc::Op(7), "cycle");
+        let (warned, failed) = ([w.clone()], [w, e]);
+        assert!(!VerifyLevel::Off.is_fatal(&failed));
+        assert!(!VerifyLevel::Warn.is_fatal(&warned));
+        assert!(VerifyLevel::Warn.is_fatal(&failed));
+        assert!(VerifyLevel::Deny.is_fatal(&warned));
+        assert!(!VerifyLevel::Deny.is_fatal(&[]));
     }
 
     #[test]

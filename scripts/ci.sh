@@ -317,6 +317,32 @@ EOF
 ./target/release/roccc "${pipe_src}" --pipeline "${ii_spec}" --deny-warnings \
   --emit cosim | grep -q 'bit-exact vs chained single-kernel golden: yes' \
   || { echo "pipeline smoke: pipeline-ii=auto stage not bit-exact" >&2; exit 1; }
+# A stage forced to II 2 whose body is deeper than two cycles launches on
+# its own initiation-interval grid inside the network: the stats row must
+# read II 2 and the co-simulation must stay bit-exact.
+ii2_src="$(mktemp -t pipe_smoke_ii2.XXXXXX.c)"
+cat >"${ii2_src}" <<'EOF'
+void scale(int A[32], int B[32]) {
+  for (int i = 0; i < 32; i = i + 1) { B[i] = A[i] * 3; }
+}
+void cubic(int B[32], int C[32]) {
+  for (int i = 0; i < 32; i = i + 1) { C[i] = ((B[i] * B[i] + 5) * B[i] + 9) * B[i] + 11; }
+}
+EOF
+ii2_spec="$(mktemp -t pipe_smoke_ii2.XXXXXX.spec)"
+cat >"${ii2_spec}" <<'EOF'
+pipeline scale | cubic
+stage cubic pipeline-ii=2
+EOF
+./target/release/roccc "${ii2_src}" --function cubic --pipeline-ii 2 --emit schedule \
+  | awk '/body latency/ { exit !($4 > 2) }' \
+  || { echo "pipeline smoke: II-2 stage body latency is not above 2" >&2; exit 1; }
+[ "$(./target/release/roccc "${ii2_src}" --pipeline "${ii2_spec}" --deny-warnings \
+  --emit stats | awk '$1 == "cubic" { print $4 }')" = 2 ] \
+  || { echo "pipeline smoke: stats row of the II-2 stage does not read II 2" >&2; exit 1; }
+./target/release/roccc "${ii2_src}" --pipeline "${ii2_spec}" --deny-warnings \
+  --emit cosim | grep -q 'bit-exact vs chained single-kernel golden: yes' \
+  || { echo "pipeline smoke: II-2 stage not bit-exact" >&2; exit 1; }
 # A deliberately deadlocking topology (FIFO below the deadlock-free
 # minimum) must be rejected statically with the stable P-code.
 bad_spec="$(mktemp -t pipe_smoke_bad.XXXXXX.spec)"
@@ -332,7 +358,8 @@ if ./target/release/roccc "${pipe_src}" --pipeline "${bad_spec}" --verify \
 fi
 grep -q 'P003-undersized-fifo' "${bad_log}" \
   || { echo "pipeline smoke: rejection lacks the P003 code" >&2; exit 1; }
-rm -f "${pipe_src}" "${pipe_spec}" "${ii_spec}" "${bad_spec}" "${bad_log}"
+rm -f "${pipe_src}" "${pipe_spec}" "${ii_spec}" "${ii2_src}" "${ii2_spec}" "${bad_spec}" \
+  "${bad_log}"
 
 echo "==> batched-sim differential smoke"
 cargo test --release -q --test batched_sim

@@ -7,7 +7,8 @@
 use roccc_suite::ipcores::kernels;
 use roccc_suite::roccc::{CompileOptions, Verdict, VerifyLevel};
 use roccc_suite::stream::{
-    chain_golden, compile_pipeline, parse_spec, pipeline_cache_key, run_cosim, StreamError,
+    chain_golden, compile_pipeline, parse_spec, pipeline_cache_key, run_cosim, stats_report,
+    StreamError,
 };
 use roccc_suite::testrand::XorShift64;
 use std::collections::HashMap;
@@ -314,4 +315,50 @@ fn stage_overrides_schedule_and_prove_a_stage() {
     assert_eq!(cert.verdict, Verdict::Equal, "{cert:?}");
     // The scheduled stage still streams bit-exact.
     assert_bit_exact(TWO_STAGE, text, &lanes_for("A", 32, 2, 11), "offset.C");
+}
+
+/// A stage scheduled at II 2 launches on its own II grid inside the
+/// network: the co-simulation stays bit-exact on one and three lanes,
+/// every stage fires all its iterations, the grid's off cycles count as
+/// neither stall nor starve, and the stats report prints the real II.
+#[test]
+fn stage_at_ii_two_cosimulates_on_its_launch_grid() {
+    let text = format!(
+        "{}stage wavelet pipeline-ii=2\n",
+        kernels::wavelet_pipeline_spec()
+    );
+    let spec = parse_spec(&text).unwrap();
+    let src = kernels::wavelet_pipeline_source();
+    let cp = compile_pipeline(&src, &spec, &CompileOptions::default()).unwrap();
+    let sched = cp.stages[0]
+        .compiled
+        .schedule
+        .as_ref()
+        .expect("wavelet schedule");
+    assert_eq!(sched.ii, 2);
+    assert_eq!(sched.fallback, None);
+    let report = stats_report(&cp);
+    let row = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("wavelet "))
+        .expect("wavelet row");
+    assert_eq!(row.split_whitespace().nth(3), Some("2"), "II column: {row}");
+
+    let scalars = HashMap::new();
+    for lanes in [1u64, 3] {
+        let inputs = lanes_for("X", 64 * 64, lanes as usize, 41);
+        let run = run_cosim(&cp, &inputs, &scalars).unwrap();
+        let golden = chain_golden(&cp, &inputs, &scalars).unwrap();
+        for (l, (got, want)) in run.lane_arrays.iter().zip(&golden).enumerate() {
+            assert_eq!(got.get("encode.E"), want.get("encode.E"), "lane {l}");
+        }
+        let fired: Vec<u64> = run.stages.iter().map(|s| s.fired).collect();
+        assert_eq!(fired, [841 * lanes, 4096 * lanes, 4096 * lanes]);
+        let w = &run.stages[0];
+        assert!(
+            w.fired + w.stall_cycles + w.starve_cycles <= run.cycles.div_ceil(2) * lanes,
+            "wavelet counted off-grid cycles: {w:?} in {} cycles",
+            run.cycles
+        );
+    }
 }

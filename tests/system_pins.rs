@@ -1,8 +1,10 @@
-//! Cycle pins for the two system drivers.
+//! Cycle pins for the system driver.
 //!
-//! The memory side of `run_system` and `run_cosim` (smart buffers, BRAM
-//! read port, channel FIFOs) is pure modelling: rewriting its data
-//! structures must not move a single cycle. These tests pin every
+//! `run_system` runs one `SystemStage` to completion and `run_cosim` runs
+//! one per pipeline stage under channel credits. Their memory side (smart
+//! buffers, BRAM read port, channel FIFOs) is pure modelling: rewriting
+//! its data structures or the driver around it must not move a single
+//! cycle. These tests pin every
 //! observable count — cycles, firings, memory traffic, per-stage stall
 //! and starve counters and FIFO peaks — at the values the map-based
 //! buffers produced, for the three streaming Table 1 kernels and the
