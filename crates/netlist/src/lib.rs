@@ -17,9 +17,10 @@
 //!   replay and the benches actually run, checked against the [`sim`]
 //!   reference in the differential suites;
 //! * [`system`] — [`SystemStage`], the one controller of a kernel (smart
-//!   buffers, II launch grid, fire, step, retire), which [`run_system`]
-//!   runs to completion for throughput and memory-traffic numbers and
-//!   the stream co-simulator runs under channel credits.
+//!   buffers, II launch grid, fire, step, retire; a feed-forward data
+//!   path that stores to BRAM is computed in 16-lane tiles), which
+//!   [`run_system`] runs to completion for throughput and memory-traffic
+//!   numbers and the stream co-simulator runs under channel credits.
 
 #![warn(missing_docs)]
 

@@ -649,7 +649,9 @@ fn fold_const(
 /// contiguous memory. Lanes are fully independent — lane `l` simulates
 /// its own copy of the datapath — which is exactly the shape differential
 /// suites and throughput drivers need: N test vectors through the same
-/// netlist. At one lane it is the per-cycle engine of `run_system`.
+/// netlist. At one lane per stage lane it is the per-cycle engine of a
+/// stepped `SystemStage`; at 16 lanes it computes a deferred stage's
+/// fired iterations in tiles.
 ///
 /// Bit-exactness: each lane computes precisely what
 /// [`NetlistSim`](crate::sim::NetlistSim) does, including wrap semantics,
@@ -663,7 +665,7 @@ pub struct BatchedSim<'p> {
     /// Slot-major SoA value buffer: `vals[slot * lanes + lane]`.
     vals: Vec<i64>,
     /// Per-lane next-state scratch for the two-phase register commit
-    /// (`reg_next[edge * lanes + lane]`).
+    /// (`reg_next[edge * lanes + lane]`); empty unless `chained_regs`.
     reg_next: Vec<i64>,
     /// Per-lane pipeline occupancy, stage-major
     /// (`occ[stage * lanes + lane]`; stage 0 = newest).
@@ -712,7 +714,14 @@ impl<'p> BatchedSim<'p> {
             plan,
             lanes,
             vals,
-            reg_next: vec![0; plan.edges.len() * lanes],
+            reg_next: vec![
+                0;
+                if chained_regs {
+                    plan.edges.len() * lanes
+                } else {
+                    0
+                }
+            ],
             occ: vec![false; plan.latency as usize * lanes],
             tmp: vec![0; lanes],
             chained_regs,
@@ -813,8 +822,8 @@ impl<'p> BatchedSim<'p> {
         // Dispatch on the common lane widths with a literal count so each
         // monomorphized body sees a constant trip count: the lane loops
         // then unroll to exact full-width vector ops with no remainder
-        // handling. One lane (the per-cycle `run_system` and cosim engine)
-        // collapses every lane loop to straight-line scalar code.
+        // handling. One lane (the per-cycle engine of a stepped system
+        // stage) collapses every lane loop to straight-line scalar code.
         match self.lanes {
             1 => self.step_impl(args_rows, valid, 1),
             4 => self.step_impl(args_rows, valid, 4),

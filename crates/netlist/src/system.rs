@@ -1,30 +1,48 @@
 //! Whole-kernel system simulation (the paper's Figure 2 execution model).
 //!
 //! A [`SystemStage`] is the controller of one kernel over `lanes`
-//! independent lanes of one [`BatchedSim`]. Per lane it holds, for each
-//! input window, an address generator and a smart buffer fed by a BRAM
-//! (or by the caller, word by word); for each output write, a store
-//! address generator retiring into a BRAM (or handing `(addr, value)` to
-//! the caller); and the scalar constant inputs. Each clock cycle runs
-//! five steps:
+//! independent lanes of its data path. Per lane it holds, for each input
+//! window, an address generator and a smart buffer fed by a BRAM (or by
+//! the caller, word by word); for each output write, a store address
+//! generator retiring into a BRAM (or handing `(addr, value)` to the
+//! caller); and the scalar constant inputs. Each clock cycle runs five
+//! steps:
 //!
 //! 1. **land** — last cycle's BRAM beat and the caller's words reach the
 //!    smart buffers, which stage their next complete window;
 //! 2. **fire** — a lane may fire once every window is staged and the
 //!    cycle lands on the initiation-interval grid ([`Launch::Ready`]);
 //!    the caller decides whether it does (a stream channel withholds
-//!    the launch until it has credit for the burst);
-//! 3. **step** — every lane of the data path advances one clock;
+//!    the launch until it has credit for the burst); a kernel that reads
+//!    no window fires on every grid cycle;
+//! 3. **step** — the data path advances one clock;
 //! 4. **retire** — lanes whose pipeline output is valid store one value
 //!    per output write at the next store address;
 //! 5. **fetch** — the next beat of `bus` BRAM reads is issued.
+//!
+//! The controller decides *when* an iteration fires and *where* its
+//! values go; only the data path decides *what* they are. Where that
+//! needs no past state — the plan has no feedback
+//! ([`SimPlan::has_feedback`]) and no output is streamed to the caller —
+//! the stage **defers** its data path. Steps 1, 2, 4 and 5 still run every
+//! cycle, on the stage's own cycle count, but step 3 only shifts a
+//! valid-bit register of the plan's latency: a fired window is queued,
+//! the register says when it retires, and the retire logs its store
+//! addresses. The queued iterations are computed 16 at a time (fewer if
+//! the whole run fires fewer) on one wide [`BatchedSim`] and written to
+//! the logged addresses in fire order. The last of them are computed in
+//! the step that retires the last iteration, so every output is written,
+//! and every fault reported, by the time [`SystemStage::done`] holds.
+//! Cycles, firings and memory traffic are those of a stepped data path.
+//! Stages with feedback or a streamed output step their data path, one
+//! lane per stage lane, every cycle.
 //!
 //! [`run_system`] runs one one-lane stage to completion; the stream
 //! co-simulator runs one stage per pipeline stage under channel credits.
 //! Integration tests check it word-for-word against the golden-model C
 //! interpreter, and the Table 1 harness reads its throughput numbers.
-//! Memory costs O(1) per word and O(window) per firing, and nothing is
-//! allocated per cycle.
+//! Memory costs O(1) per word, O(window) per firing and O(lanes ×
+//! latency) queued firings, and nothing is allocated per cycle.
 
 use crate::cells::Netlist;
 use crate::plan::{BatchedSim, SimPlan};
@@ -344,12 +362,256 @@ pub enum Launch {
     Ready,
 }
 
+/// Lanes of the wide simulation that computes a deferred stage's values
+/// (fewer when the whole run fires fewer iterations).
+const TILE_LANES: usize = 16;
+
+/// An empty pipeline stage in the valid-bit shift register, or a write
+/// with no store address left.
+const NONE: usize = usize::MAX;
+
+/// How a stage computes its data path's values.
+enum DataPath<'p> {
+    /// Stepped every cycle, one sim lane per stage lane.
+    Stepped {
+        sim: BatchedSim<'p>,
+        /// Row-major inputs of the next step: `args[lane * num_inputs + port]`.
+        args: Vec<i64>,
+        valid: Vec<bool>,
+    },
+    /// Queued at fire and computed in tiles.
+    Deferred(Tiles<'p>),
+    /// A deferred data path after its last iteration was written back;
+    /// the tile buffers are freed.
+    Written,
+}
+
+/// The data path of a stage whose plan has no feedback and whose outputs
+/// all go to BRAM. Such an iteration's values depend on its input window
+/// alone, so they need not be computed on the cycle it fires. Each fired
+/// window is queued in a ring of firings; a valid-bit shift register of
+/// the plan's latency carries it to the cycle it retires, where its store
+/// addresses are logged. Retired firings are computed a tile at a time on
+/// one wide [`BatchedSim`] of up to [`TILE_LANES`] lanes, and their
+/// values are written to the logged addresses in fire order.
+struct Tiles<'p> {
+    sim: BatchedSim<'p>,
+    /// Lanes of `sim`: a power of two.
+    width: usize,
+    /// Slots of the ring of firings: a power of two of at least `width`,
+    /// with room for every firing not yet written back.
+    cap: usize,
+    /// Slots of the ring of inputs: a power of two of at least `width`,
+    /// with room for every firing not yet sent into `sim`.
+    row_cap: usize,
+    num_inputs: usize,
+    num_outputs: usize,
+    num_writes: usize,
+    ii: u64,
+    /// Inputs of firing `f`: `rows[(f % row_cap) * num_inputs + port]`.
+    rows: Vec<i64>,
+    /// Stage lane of firing `f`: `lane[f % cap]`.
+    lane: Vec<usize>,
+    /// Store address of each write of retired firing `f`:
+    /// `addrs[(f % cap) * num_writes + write]`, [`NONE`] for no store.
+    addrs: Vec<usize>,
+    /// The valid-bit shift register: per stage lane, the firing that
+    /// retires at each of the next `latency` cycles (or [`NONE`]), one
+    /// row of `stage_lanes` entries per cycle modulo `latency`.
+    pipe: Vec<usize>,
+    /// Offset in `pipe` of the row this cycle's firings take, which the
+    /// step `latency` cycles later retires.
+    pipe_at: usize,
+    stage_lanes: usize,
+    /// Firings queued, retired, sent into `sim` and written back so far.
+    queued: usize,
+    retired: usize,
+    sent: usize,
+    written: usize,
+    /// Scratch: the valid lanes of a tile and one tile of outputs.
+    valid: Vec<bool>,
+    out: Vec<i64>,
+}
+
+impl<'p> Tiles<'p> {
+    /// Tiles for `lanes` stage lanes of `plan` that fire `firings` times
+    /// in all, with `num_writes` output writes per firing.
+    fn new(plan: &'p SimPlan, lanes: usize, firings: u64, num_writes: usize) -> Self {
+        let width = TILE_LANES.min(
+            usize::try_from(firings)
+                .unwrap_or(TILE_LANES)
+                .next_power_of_two(),
+        );
+        let latency = plan.latency() as usize;
+        // At a fire, up to `latency - 1` tiles are in `sim`, fewer than a
+        // tile of firings is retired but not sent, and each lane has fired
+        // at most `latency` times since its last retire.
+        let row_cap = (width + lanes * latency).next_power_of_two();
+        let cap = ((width + lanes) * latency).next_power_of_two();
+        let (num_inputs, num_outputs) = (plan.num_inputs(), plan.num_outputs());
+        Tiles {
+            sim: BatchedSim::new(plan, width),
+            width,
+            cap,
+            row_cap,
+            num_inputs,
+            num_outputs,
+            num_writes,
+            ii: plan.ii(),
+            rows: vec![0; row_cap * num_inputs],
+            lane: vec![0; cap],
+            addrs: vec![NONE; cap * num_writes],
+            pipe: vec![NONE; latency * lanes],
+            pipe_at: (1 % latency) * lanes,
+            stage_lanes: lanes,
+            queued: 0,
+            retired: 0,
+            sent: 0,
+            written: 0,
+            valid: vec![false; width],
+            out: vec![0; width * num_outputs],
+        }
+    }
+
+    /// Queues a firing of lane `l` and returns its input row, zeroed.
+    #[inline]
+    fn queue(&mut self, l: usize) -> &mut [i64] {
+        let f = self.queued;
+        assert!(
+            f - self.written < self.cap && f - self.sent < self.row_cap,
+            "tile ring overrun"
+        );
+        self.queued += 1;
+        self.pipe[self.pipe_at + l] = f;
+        self.lane[f & (self.cap - 1)] = l;
+        let slot = f & (self.row_cap - 1);
+        let args = &mut self.rows[slot * self.num_inputs..(slot + 1) * self.num_inputs];
+        args.fill(0);
+        args
+    }
+
+    /// Advances the shift register one cycle and retires the firings
+    /// whose pipeline output is now valid: each takes the next store
+    /// address of each write of its lane. Returns whether any word was
+    /// stored.
+    fn retire(&mut self, lanes: &mut [Lane]) -> Result<bool, SystemError> {
+        self.pipe_at += self.stage_lanes;
+        if self.pipe_at == self.pipe.len() {
+            self.pipe_at = 0;
+        }
+        let row = self.pipe_at;
+        let mut stored = false;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let f = std::mem::replace(&mut self.pipe[row + l], NONE);
+            if f == NONE {
+                continue;
+            }
+            let slot = f & (self.cap - 1);
+            let logged = &mut self.addrs[slot * self.num_writes..(slot + 1) * self.num_writes];
+            for (addr, out) in logged.iter_mut().zip(&mut lane.outs) {
+                *addr = if out.remaining > 0 {
+                    out.remaining -= 1;
+                    stored = true;
+                    out.addrs
+                        .next()
+                        .ok_or_else(|| SystemError("output address underflow".into()))?
+                        as usize
+                } else {
+                    NONE
+                };
+            }
+            self.retired += 1;
+        }
+        Ok(stored)
+    }
+
+    /// Computes the retired firings a full tile at a time.
+    fn flush(&mut self, lanes: &mut [Lane]) -> Result<(), SimError> {
+        while self.retired - self.sent >= self.width {
+            self.send(self.width, lanes)?;
+        }
+        Ok(())
+    }
+
+    /// Computes every queued firing and writes its values back, once
+    /// every iteration has fired. A firing still in the pipeline is
+    /// retired now with no store: it would find none left.
+    fn finish(&mut self, lanes: &mut [Lane]) -> Result<(), SimError> {
+        for f in &mut self.pipe {
+            if *f != NONE {
+                let slot = std::mem::replace(f, NONE) & (self.cap - 1);
+                self.addrs[slot * self.num_writes..(slot + 1) * self.num_writes].fill(NONE);
+            }
+        }
+        self.retired = self.queued;
+        self.flush(lanes)?;
+        if self.retired > self.sent {
+            self.send(self.retired - self.sent, lanes)?;
+        }
+        while self.written < self.sent {
+            self.clock(0, lanes)?;
+        }
+        Ok(())
+    }
+
+    /// Sends the next `n` retired firings into `sim` on its next grid
+    /// cycle.
+    fn send(&mut self, n: usize, lanes: &mut [Lane]) -> Result<(), SimError> {
+        while !self.sim.cycles().is_multiple_of(self.ii) {
+            self.clock(0, lanes)?;
+        }
+        self.clock(n, lanes)
+    }
+
+    /// Steps `sim` once with the next `n` firings in its first lanes
+    /// (none: a bubble) and writes back the tile that leaves the pipeline.
+    fn clock(&mut self, n: usize, lanes: &mut [Lane]) -> Result<(), SimError> {
+        // Tiles start on a multiple of `width` (only the last one is
+        // partial), so a tile is one slice of the ring. Lanes past `n`
+        // are bubbles, whatever rows they see.
+        let start = if n == 0 {
+            0
+        } else {
+            self.sent & (self.row_cap - 1)
+        };
+        let nin = self.num_inputs;
+        let args = &self.rows[start * nin..(start + self.width) * nin];
+        for (i, v) in self.valid.iter_mut().enumerate() {
+            *v = i < n;
+        }
+        self.sim.step_lanes(args, &self.valid)?;
+        self.sent += n;
+
+        let leaving = (0..self.width)
+            .take_while(|&l| self.sim.lane_out_valid(l))
+            .count();
+        let nout = self.num_outputs;
+        let out = &mut self.out[..leaving * nout];
+        self.sim.read_output_rows(leaving, out);
+        for i in 0..leaving {
+            let slot = (self.written + i) & (self.cap - 1);
+            let logged = &self.addrs[slot * self.num_writes..(slot + 1) * self.num_writes];
+            for (write, &addr) in lanes[self.lane[slot]].outs.iter_mut().zip(logged) {
+                if addr != NONE {
+                    let bram = write
+                        .bram
+                        .as_mut()
+                        .expect("a deferred stage stores to BRAM");
+                    bram.write(addr, out[i * nout + write.port]);
+                }
+            }
+        }
+        self.written += leaving;
+        Ok(())
+    }
+}
+
 /// The steppable controller of one kernel over `lanes` lanes (see the
 /// module docs for the five steps of a cycle). A cycle is
 /// [`land`](Self::land), then [`fire`](Self::fire) for each lane the
 /// caller launches, then [`step`](Self::step).
 pub struct SystemStage<'p> {
-    sim: BatchedSim<'p>,
+    datapath: DataPath<'p>,
     lanes: Vec<Lane>,
     /// `(data-path input port, value)` of each scalar input.
     consts: Vec<(usize, i64)>,
@@ -357,9 +619,8 @@ pub struct SystemStage<'p> {
     ii: u64,
     bus: usize,
     num_inputs: usize,
-    /// Row-major inputs of the next step: `args[lane * num_inputs + port]`.
-    args: Vec<i64>,
-    valid: Vec<bool>,
+    /// Cycles stepped so far.
+    cycle: u64,
 }
 
 impl<'p> SystemStage<'p> {
@@ -371,6 +632,9 @@ impl<'p> SystemStage<'p> {
     /// `o` to the caller of [`step`](Self::step) instead of a BRAM.
     /// `scalars` supplies the scalar inputs, shared by all lanes. Each
     /// beat fetches `bus` words per BRAM.
+    ///
+    /// A stage whose plan has no feedback and that streams no output
+    /// defers its data path: see the module docs.
     ///
     /// # Errors
     ///
@@ -395,6 +659,7 @@ impl<'p> SystemStage<'p> {
             ));
         }
         assert_eq!(streamed.len(), kernel.outputs.len(), "one flag per output");
+        assert!(!memories.is_empty(), "at least one lane");
         let ports = kernel.input_ports();
         let consts = kernel
             .scalar_inputs
@@ -407,6 +672,19 @@ impl<'p> SystemStage<'p> {
                 Ok((port.expect("scalar input is a port"), v))
             })
             .collect::<Result<_, SystemError>>()?;
+        let num_inputs = plan.num_inputs();
+        let n = memories.len();
+        let datapath = if plan.has_feedback() || streamed.contains(&true) {
+            DataPath::Stepped {
+                sim: BatchedSim::new(plan, n),
+                args: vec![0; num_inputs * n],
+                valid: vec![false; n],
+            }
+        } else {
+            let firings = kernel.total_iterations() * n as u64;
+            let writes = kernel.outputs.iter().map(|o| o.writes.len()).sum();
+            DataPath::Deferred(Tiles::new(plan, n, firings, writes))
+        };
         let lanes = memories
             .into_iter()
             .map(|memory| {
@@ -428,17 +706,15 @@ impl<'p> SystemStage<'p> {
                 })
             })
             .collect::<Result<Vec<_>, SystemError>>()?;
-        let num_inputs = plan.num_inputs();
         Ok(SystemStage {
-            sim: BatchedSim::new(plan, lanes.len()),
-            args: vec![0; num_inputs * lanes.len()],
-            valid: vec![false; lanes.len()],
+            datapath,
             lanes,
             consts,
             total: kernel.total_iterations(),
             ii: plan.ii(),
             bus: bus.max(1),
             num_inputs,
+            cycle: 0,
         })
     }
 
@@ -473,14 +749,15 @@ impl<'p> SystemStage<'p> {
 
     /// Whether lane `l` may fire this cycle. Launches land on multiples
     /// of the initiation interval, counted in this stage's own cycles.
+    /// A kernel that reads no window fires on every grid cycle.
     #[inline]
     pub fn launch_state(&self, l: usize) -> Launch {
         let lane = &self.lanes[l];
         if lane.fired >= self.total {
             Launch::Finished
-        } else if self.ii > 1 && !self.sim.cycles().is_multiple_of(self.ii) {
+        } else if self.ii > 1 && !self.cycle.is_multiple_of(self.ii) {
             Launch::OffGrid
-        } else if lane.feeds.is_empty() || !lane.feeds.iter().all(|f| f.staged) {
+        } else if !lane.feeds.iter().all(|f| f.staged) {
             Launch::Starved
         } else {
             Launch::Ready
@@ -495,7 +772,14 @@ impl<'p> SystemStage<'p> {
     /// Panics if a window of lane `l` is not staged.
     #[inline]
     pub fn fire(&mut self, l: usize) {
-        let row = &mut self.args[l * self.num_inputs..(l + 1) * self.num_inputs];
+        let row = match &mut self.datapath {
+            DataPath::Stepped { args, valid, .. } => {
+                valid[l] = true;
+                &mut args[l * self.num_inputs..(l + 1) * self.num_inputs]
+            }
+            DataPath::Deferred(tiles) => tiles.queue(l),
+            DataPath::Written => unreachable!("every iteration has fired"),
+        };
         let lane = &mut self.lanes[l];
         for feed in &mut lane.feeds {
             feed.fire_into(row);
@@ -504,47 +788,73 @@ impl<'p> SystemStage<'p> {
             row[port] = v;
         }
         lane.fired += 1;
-        self.valid[l] = true;
     }
 
-    /// Steps 3–5: advances every lane one clock, retires the valid
-    /// lanes' outputs (a streamed write goes to `push(lane, output,
-    /// addr, value)`), and issues the next BRAM beat. Returns whether
-    /// anything retired.
+    /// Steps 3–5: advances the data path one clock, retires the lanes
+    /// whose pipeline output is valid (a streamed write goes to
+    /// `push(lane, output, addr, value)`), and issues the next BRAM beat.
+    /// Returns whether anything retired.
     ///
     /// # Errors
     ///
     /// Returns [`SystemError`] on data-path faults (such as division by
     /// zero, or a launch off the initiation-interval grid) and on store
-    /// address underflow.
+    /// address underflow. A deferred stage reports a fault when the tile
+    /// holding the faulting iteration is computed, at the latest in the
+    /// step that retires the last iteration.
     pub fn step(
         &mut self,
         mut push: impl FnMut(usize, usize, usize, i64),
     ) -> Result<bool, SystemError> {
-        self.sim.step_lanes(&self.args, &self.valid)?;
-        // Only a firing writes `args`; otherwise they are still zero.
-        if self.valid.contains(&true) {
-            self.args.fill(0);
-            self.valid.fill(false);
-        }
-        let mut retired = false;
-        for (l, lane) in self.lanes.iter_mut().enumerate() {
-            if self.sim.lane_out_valid(l) {
-                for out in lane.outs.iter_mut().filter(|o| o.remaining > 0) {
-                    let addr = out
-                        .addrs
-                        .next()
-                        .ok_or_else(|| SystemError("output address underflow".into()))?
-                        as usize;
-                    let value = self.sim.output_lane(out.port, l);
-                    match &mut out.bram {
-                        Some(bram) => bram.write(addr, value),
-                        None => push(l, out.output, addr, value),
-                    }
-                    out.remaining -= 1;
-                    retired = true;
+        self.cycle += 1;
+        let retired = match &mut self.datapath {
+            DataPath::Stepped { sim, args, valid } => {
+                sim.step_lanes(args, valid)?;
+                // Only a firing writes `args`; otherwise they are still zero.
+                if valid.contains(&true) {
+                    args.fill(0);
+                    valid.fill(false);
                 }
+                let mut retired = false;
+                for (l, lane) in self.lanes.iter_mut().enumerate() {
+                    if !sim.lane_out_valid(l) {
+                        continue;
+                    }
+                    for out in lane.outs.iter_mut().filter(|o| o.remaining > 0) {
+                        let addr = out
+                            .addrs
+                            .next()
+                            .ok_or_else(|| SystemError("output address underflow".into()))?
+                            as usize;
+                        let value = sim.output_lane(out.port, l);
+                        match &mut out.bram {
+                            Some(bram) => bram.write(addr, value),
+                            None => push(l, out.output, addr, value),
+                        }
+                        out.remaining -= 1;
+                        retired = true;
+                    }
+                }
+                retired
             }
+            DataPath::Deferred(tiles) => {
+                let retired = tiles.retire(&mut self.lanes)?;
+                // Once every iteration has fired and retired, or every
+                // store is done (so the run may end), compute the rest.
+                let lanes = &self.lanes;
+                let fired = tiles.queued as u64 == self.total * lanes.len() as u64;
+                let stored = || lanes.iter().flat_map(|l| &l.outs).all(|o| o.remaining == 0);
+                if fired && (tiles.retired == tiles.queued || stored()) {
+                    tiles.finish(&mut self.lanes)?;
+                    self.datapath = DataPath::Written;
+                } else {
+                    tiles.flush(&mut self.lanes)?;
+                }
+                retired
+            }
+            DataPath::Written => false,
+        };
+        for lane in &mut self.lanes {
             for feed in &mut lane.feeds {
                 feed.fetch(self.bus);
             }
@@ -590,9 +900,13 @@ impl<'p> SystemStage<'p> {
         writes
     }
 
-    /// Current state of feedback register `name` in lane `l`.
+    /// Current state of feedback register `name` in lane `l` (a deferred
+    /// stage has none).
     pub fn feedback_value(&self, name: &str, l: usize) -> Option<i64> {
-        self.sim.feedback_value(name, l)
+        match &self.datapath {
+            DataPath::Stepped { sim, .. } => sim.feedback_value(name, l),
+            DataPath::Deferred(_) | DataPath::Written => None,
+        }
     }
 }
 

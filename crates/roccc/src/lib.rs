@@ -174,10 +174,13 @@ impl Compiled {
     }
 
     /// Compiles the netlist into a [`SimPlan`] for fast, zero-allocation
-    /// cycle stepping on [`BatchedSim`], the one compiled engine (one lane
+    /// simulation on [`BatchedSim`], the one compiled engine (one lane
     /// per cycle, or many lanes per pass). `run`/`run_with_bus` do this
-    /// internally; call it directly to drive the data path yourself, e.g.
-    /// for throughput measurement.
+    /// internally: a plan without feedback
+    /// ([`SimPlan::has_feedback`]) computes the fired iterations 16 lanes
+    /// at a time while the controller steps every cycle, and a plan with
+    /// feedback is stepped one lane per cycle. Call it directly to drive
+    /// the data path yourself, e.g. for throughput measurement.
     ///
     /// # Errors
     ///

@@ -15,7 +15,9 @@
 //!    backpressure: a full FIFO stalls the producer and the bubble
 //!    propagates upstream as starvation; an off-grid cycle counts as
 //!    neither);
-//! 3. **step** — all lanes of the stage advance one clock;
+//! 3. **step** — all lanes of the stage advance one clock (a stage
+//!    with no output channel and no feedback defers its data path into
+//!    16-lane tiles, see `roccc_netlist::system`);
 //! 4. **retire** — lanes whose pipeline output is valid push their burst
 //!    into the output channels (at the statically derived store
 //!    addresses) and external output BRAMs;

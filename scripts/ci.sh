@@ -364,14 +364,19 @@ rm -f "${pipe_src}" "${pipe_spec}" "${ii_spec}" "${ii2_src}" "${ii2_spec}" "${ba
 echo "==> batched-sim differential smoke"
 cargo test --release -q --test batched_sim
 
-echo "==> perfbench count gate (compile-table1 IR sizes and hardware quality)"
-# A short traced run of the benchmark. Its count and quality metrics repeat
-# exactly from run to run and seed to seed, so any drift is a change in
-# what the compiler generates, not in how fast it runs.
+echo "==> perfbench count gate (compile-table1 IR sizes and hardware quality, simulated cycles)"
+# A short traced run of the compile benchmark and a short run of the
+# simulation benchmark. Their count and quality metrics repeat exactly
+# from run to run and seed to seed, so any drift is a change in what the
+# compiler generates or in how many cycles the system driver and the
+# co-simulator take, not in how fast either runs.
 pb_out="$(mktemp -t perfbench_counts.XXXXXX.txt)"
 cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
   --bin bench -- --workload compile-table1 --seed 1 --seconds 2 --trace 1 \
   >"${pb_out}"
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
+  --bin bench -- --workload simulate-system --seed 1 --seconds 1 \
+  >>"${pb_out}"
 if ! diff scripts/perfbench_counts.txt \
     <(awk 'NR == FNR { want[$1 " " $2]; next } ($1 " " $2) in want' \
       scripts/perfbench_counts.txt "${pb_out}") >&2; then

@@ -1,6 +1,6 @@
 //! The compiled engine's two stream drivers against the reference: a
 //! one-lane `BatchedSim` stepped cycle by cycle on the II launch grid
-//! (what `SystemStage` does under `run_system`) and `SimPlan::run_batch_lanes` (the prove
+//! (what a stepped `SystemStage` does) and `SimPlan::run_batch_lanes` (the prove
 //! replay path at one lane) must both retire exactly the rows that
 //! `NetlistSim::run_stream` does, on full valid streams for every paper
 //! kernel.

@@ -253,3 +253,16 @@ fn wavelet_matches_golden() {
     let hw = compile_benchmark(&b).unwrap();
     check_streaming_kernel(&hw, &b.source, b.func, 109);
 }
+
+#[test]
+fn loop_without_input_window_fires_every_cycle() {
+    // No array is read, so no window ever stages: the controller fires on
+    // every grid cycle instead of waiting for one.
+    let src = "void k(int16 Y[16]) { int i; for (i = 0; i < 16; i = i + 1) { Y[i] = 7; } }";
+    let hw = roccc_suite::roccc::compile(src, "k", &Default::default()).unwrap();
+    assert!(hw.kernel.windows.is_empty());
+    check_streaming_kernel(&hw, src, "k", 110);
+    let run = hw.run(&HashMap::new(), &HashMap::new()).unwrap();
+    assert_eq!((run.fired, run.mem_reads, run.mem_writes), (16, 0, 16));
+    assert_eq!(run.cycles, 16 + hw.netlist.latency as u64 + 2);
+}

@@ -164,7 +164,10 @@ fn faults_propagate_out_of_the_whole_pipeline() {
     let inputs = lanes_for("A", 8, 2, 3);
     let err = run_cosim(&cp, &inputs, &HashMap::new()).unwrap_err();
     match err {
-        StreamError::Sim(msg) => assert!(msg.contains("divide"), "{msg}"),
+        StreamError::Sim(msg) => {
+            assert!(msg.contains("divide"), "{msg}");
+            assert!(msg.contains("division by zero"), "{msg}");
+        }
         other => panic!("expected Sim fault, got {other}"),
     }
 }

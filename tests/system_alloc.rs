@@ -4,9 +4,12 @@
 //! inside `run_system`. Growing a kernel's trip count fourfold must not
 //! change the tally: smart buffers reuse their lines, the BRAM read port
 //! drains in place, windows land in one slot per input lane and output
-//! addresses are computed without a scratch vector. Optimised builds may
-//! elide a short-lived temporary allocation altogether, so the check is
-//! strictest in the default (unoptimised) test profile.
+//! addresses are computed without a scratch vector. Both kernels are feed
+//! forward, so their values are computed in 16-lane tiles; both trip
+//! counts of each case send at least 16 tiles and wrap the rings of queued
+//! firings several times, so those rings are reused, not grown. Optimised
+//! builds may elide a short-lived temporary allocation altogether, so the
+//! check is strictest in the default (unoptimised) test profile.
 
 use roccc_suite::roccc::{compile, CompileOptions, Compiled};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,8 +77,9 @@ fn one_d_run_allocations_do_not_grow_with_trip_count() {
         )
     };
     let mut tallies = Vec::new();
-    for n in [64, 256] {
+    for n in [256, 1024] {
         let hw = compile(&fir(n), "fir", &CompileOptions::default()).unwrap();
+        assert!(!hw.sim_plan().unwrap().has_feedback(), "test premise");
         let arrays = HashMap::from([("A".to_string(), ramp(n + 4))]);
         tallies.push(run_allocs(&hw, &arrays));
     }
@@ -104,8 +108,9 @@ fn two_d_run_allocations_do_not_grow_with_trip_count() {
         )
     };
     let mut tallies = Vec::new();
-    for rows in [10, 40] {
+    for rows in [30, 120] {
         let hw = compile(&blur(rows), "blur", &CompileOptions::default()).unwrap();
+        assert!(!hw.sim_plan().unwrap().has_feedback(), "test premise");
         let arrays = HashMap::from([("X".to_string(), ramp(rows * 12))]);
         tallies.push(run_allocs(&hw, &arrays));
     }
