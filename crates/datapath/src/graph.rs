@@ -16,7 +16,7 @@
 use roccc_cparse::inline_vec::InlineVec;
 use roccc_cparse::intern::Symbol;
 use roccc_cparse::types::IntType;
-use roccc_suifvm::ir::{FeedbackSlot, LutTable, Opcode};
+use roccc_suifvm::ir::{FeedbackSlot, LutTable, Opcode, Violation};
 use roccc_suifvm::range::ValueRange;
 use std::fmt;
 
@@ -265,61 +265,173 @@ impl Datapath {
         s
     }
 
-    /// Verifies structural invariants: topological order, operand
-    /// resolvability, stage monotonicity, and feedback staging. Returns the
-    /// first violation.
-    pub fn verify(&self) -> Result<(), String> {
+    /// Every structural violation of the data path. The references and
+    /// operand counts come first (`D001`, `D002`, `D008`); when any of
+    /// them fails, they are all there is, since the staging checks read
+    /// through those references. Otherwise the staging violations: an
+    /// `LPR` off its slot's `SNX` stage (`D005`), an op staged out of
+    /// range (`D004`), a value consumed before its stage (`D003`).
+    pub fn violations(&self) -> Vec<Violation> {
+        let (mut refs, mut staging) = (Vec::new(), Vec::new());
+        let resolves = |v: Value| match v {
+            Value::Op(o) => (o.0 as usize) < self.ops.len(),
+            Value::Input(k) => k < self.inputs.len(),
+            Value::Const(_) => true,
+        };
         for (i, op) in self.ops.iter().enumerate() {
-            for src in &op.srcs {
+            let at = |code, message| Violation::at(code, i as u32, message);
+            let staged = op.stage < self.num_stages;
+            for &src in &op.srcs {
                 match src {
-                    Value::Op(o) => {
-                        if o.0 as usize >= i {
-                            return Err(format!(
-                                "op{i} uses op{} which is not earlier in topological order",
-                                o.0
-                            ));
-                        }
-                        let ps = self.ops[o.0 as usize].stage;
-                        if ps > op.stage {
-                            return Err(format!(
-                                "op{i} at stage {} consumes op{} from later stage {ps}",
-                                op.stage, o.0
-                            ));
-                        }
-                    }
-                    Value::Input(k) => {
-                        if *k >= self.inputs.len() {
-                            return Err(format!("op{i} reads missing input {k}"));
-                        }
-                    }
-                    Value::Const(_) => {}
+                    Value::Op(o) if o.0 as usize >= i => refs.push(at(
+                        D001_COMB_CYCLE,
+                        format!(
+                            "op{i} ({}) consumes {o}, closing a combinational cycle; only the \
+                             latched LPR->SNX feedback loop may cycle, and it lives in feedback \
+                             slots, not operand edges",
+                            op.op
+                        ),
+                    )),
+                    v if !resolves(v) => refs.push(at(
+                        D002_MISSING_REF,
+                        format!("op{i} ({}) reads nonexistent {v:?}", op.op),
+                    )),
+                    v if staged && self.stage_of(v) > op.stage => staging.push(at(
+                        D003_STAGE_INVERSION,
+                        format!(
+                            "op{i} at stage {} consumes {v:?} produced in later stage {}",
+                            op.stage,
+                            self.stage_of(v)
+                        ),
+                    )),
+                    _ => {}
                 }
             }
-            if op.node.0 as usize >= self.nodes.len() {
-                return Err(format!("op{i} references missing {}", op.node));
+            if !staged {
+                staging.push(at(
+                    D004_STAGE_RANGE,
+                    format!(
+                        "op{i} staged at {} but the pipeline has {} stage(s)",
+                        op.stage, self.num_stages
+                    ),
+                ));
             }
-            if op.stage >= self.num_stages {
-                return Err(format!(
-                    "op{i} stage {} out of range ({} stages)",
-                    op.stage, self.num_stages
+            if op.node.0 as usize >= self.nodes.len() {
+                refs.push(at(
+                    D002_MISSING_REF,
+                    format!("op{i} belongs to missing {}", op.node),
+                ));
+            }
+            let slot = usize::try_from(op.imm).ok();
+            match op.op {
+                Opcode::Lut if slot.is_none_or(|k| k >= self.luts.len()) => refs.push(at(
+                    D002_MISSING_REF,
+                    format!("op{i} names LUT table {} of {}", op.imm, self.luts.len()),
+                )),
+                Opcode::Lpr | Opcode::Snx => match slot.and_then(|k| self.feedback.get(k)) {
+                    None => refs.push(at(
+                        D002_MISSING_REF,
+                        format!(
+                            "op{i} ({}) names feedback slot {} of {}",
+                            op.op,
+                            op.imm,
+                            self.feedback.len()
+                        ),
+                    )),
+                    // An LPR must sit in the stage where the SNX of its
+                    // slot latches, otherwise one physical register would
+                    // be read and written in different pipeline phases of
+                    // the same iteration.
+                    Some((fb, snx_src))
+                        if op.op == Opcode::Lpr
+                            && resolves(*snx_src)
+                            && self.stage_of(*snx_src) != op.stage =>
+                    {
+                        staging.push(at(
+                            D005_FEEDBACK_STAGE_SPLIT,
+                            format!(
+                                "feedback slot {} ({}): LPR at stage {} but SNX latches at \
+                                 stage {}; the LPR->SNX path must land in a single stage",
+                                op.imm,
+                                fb.name,
+                                op.stage,
+                                self.stage_of(*snx_src)
+                            ),
+                        ))
+                    }
+                    Some(_) => {}
+                },
+                _ => {}
+            }
+            let want = op.op.arity();
+            if op.srcs.len() != want {
+                refs.push(at(
+                    D008_BAD_ARITY,
+                    format!(
+                        "op{i} ({}) has {} operands, expected {want}",
+                        op.op,
+                        op.srcs.len()
+                    ),
                 ));
             }
         }
-        // Every LPR and the SNX source of the same slot must share a stage.
-        for (slot_idx, (_, snx_src)) in self.feedback.iter().enumerate() {
-            let snx_stage = self.stage_of(*snx_src);
-            for op in &self.ops {
-                if op.op == Opcode::Lpr && op.imm == slot_idx as i64 && op.stage != snx_stage {
-                    return Err(format!(
-                        "feedback slot {slot_idx}: LPR at stage {} but SNX latches at stage {snx_stage}",
-                        op.stage
-                    ));
-                }
+        for (k, port) in self.outputs.iter().enumerate() {
+            if !resolves(port.value) {
+                refs.push(Violation::global(
+                    D002_MISSING_REF,
+                    format!(
+                        "output port {k} ({}) driven by nonexistent {:?}",
+                        port.name, port.value
+                    ),
+                ));
             }
         }
-        Ok(())
+        for (slot_idx, (slot, v)) in self.feedback.iter().enumerate() {
+            if !resolves(*v) {
+                refs.push(Violation::global(
+                    D002_MISSING_REF,
+                    format!(
+                        "feedback slot {slot_idx} ({}) latches nonexistent {v:?}",
+                        slot.name
+                    ),
+                ));
+            }
+        }
+        if refs.is_empty() {
+            staging
+        } else {
+            refs
+        }
+    }
+
+    /// Checks the structural invariants ([`Datapath::violations`]) and
+    /// returns the first violation's message.
+    ///
+    /// # Errors
+    ///
+    /// The message of the first violation, when there is one.
+    pub fn verify(&self) -> Result<(), String> {
+        Violation::first(self.violations())
     }
 }
+
+/// An operand edge closes a combinational cycle (a self or forward
+/// reference in the topological order). The only legal cycle, the
+/// latched `LPR→…→SNX` feedback loop, lives in [`Datapath::feedback`],
+/// not in operand edges.
+pub const D001_COMB_CYCLE: &str = "D001-comb-cycle";
+/// An operand, node, LUT table, feedback slot, output or feedback value
+/// names something out of range.
+pub const D002_MISSING_REF: &str = "D002-missing-ref";
+/// A value consumed in an earlier stage than the one producing it.
+pub const D003_STAGE_INVERSION: &str = "D003-stage-inversion";
+/// An op staged at or beyond `num_stages`.
+pub const D004_STAGE_RANGE: &str = "D004-stage-range";
+/// An `LPR` and the `SNX` source of the same slot placed in different
+/// stages (the latch would close over a partial iteration).
+pub const D005_FEEDBACK_STAGE_SPLIT: &str = "D005-feedback-stage-split";
+/// Wrong operand count for the opcode ([`Opcode::arity`]).
+pub const D008_BAD_ARITY: &str = "D008-bad-arity";
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,8 @@
 //! * [`pipeline`] — automatic latch placement from per-opcode delay
 //!   estimation, with the `LPR`/`SNX` feedback-latch rule (Figure 7);
 //! * [`narrow`] — backward bit-width narrowing from port sizes and opcodes;
-//! * [`eval`] — word-accurate evaluation for differential testing.
+//! * [`graph`] — the data-path graph and its structural invariants
+//!   ([`Datapath::violations`]).
 //!
 //! ```
 //! use roccc_cparse::parser::parse;
@@ -33,13 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod eval;
 pub mod graph;
 pub mod narrow;
 pub mod pipeline;
 
 pub use build::{build_datapath, build_datapath_ranged};
-pub use eval::DpMachine;
 pub use graph::{Datapath, DpNode, DpOp, NodeId, NodeKind, OpId, OutputPort, Value};
 pub use narrow::{narrow_widths, register_bits, width_bits_saved};
 pub use pipeline::{

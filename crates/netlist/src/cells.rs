@@ -9,7 +9,7 @@
 use roccc_cparse::inline_vec::InlineVec;
 use roccc_cparse::intern::Symbol;
 use roccc_cparse::types::IntType;
-use roccc_suifvm::ir::{LutTable, Opcode};
+use roccc_suifvm::ir::{LutTable, Opcode, Violation};
 use roccc_suifvm::range::ValueRange;
 use std::fmt;
 
@@ -190,47 +190,109 @@ impl Netlist {
             .sum()
     }
 
-    /// Structural check: combinational sources precede their users, all
-    /// registers are connected, and referenced ROMs/inputs exist.
-    pub fn verify(&self) -> Result<(), String> {
+    /// Every structural violation of the netlist. The references come
+    /// first (`N002`); when any of them fails, they are all there is.
+    /// Otherwise, cell by cell, undriven registers (`N001`) and
+    /// combinational cells reading later combinational cells (`N004`).
+    pub fn violations(&self) -> Vec<Violation> {
+        let (mut refs, mut order) = (Vec::new(), Vec::new());
+        let n = self.cells.len();
         for (i, c) in self.cells.iter().enumerate() {
+            let at = |code, message| Violation::at(code, i as u32, message);
             match &c.kind {
                 CellKind::Op { op, srcs, imm } => {
                     for s in srcs {
-                        if s.0 as usize >= self.cells.len() {
-                            return Err(format!("cell n{i} uses missing cell {s}"));
+                        match self.cells.get(s.0 as usize) {
+                            None => refs.push(at(
+                                N002_MISSING_REF,
+                                format!("cell n{i} ({op}) reads missing cell {s}"),
+                            )),
+                            Some(src)
+                                if s.0 as usize >= i
+                                    && !matches!(src.kind, CellKind::Reg { .. }) =>
+                            {
+                                order.push(at(
+                                    N004_COMB_ORDER,
+                                    format!("cell n{i} ({op}) reads later combinational cell {s}"),
+                                ))
+                            }
+                            Some(_) => {}
                         }
-                        if s.0 as usize >= i
-                            && !matches!(self.cells[s.0 as usize].kind, CellKind::Reg { .. })
-                        {
-                            return Err(format!("cell n{i} uses later combinational cell {s}"));
-                        }
                     }
-                    if *op == Opcode::Lut && (*imm as usize) >= self.roms.len() {
-                        return Err(format!("cell n{i} references missing ROM {imm}"));
+                    if *op == Opcode::Lut && (*imm < 0 || *imm as usize >= self.roms.len()) {
+                        refs.push(at(
+                            N002_MISSING_REF,
+                            format!("cell n{i} references ROM {imm} of {}", self.roms.len()),
+                        ));
                     }
                 }
-                CellKind::Reg { d, .. } => {
-                    if d.is_none() {
-                        return Err(format!("register n{i} has no data input"));
-                    }
-                }
-                CellKind::Input(k) => {
-                    if *k >= self.inputs.len() {
-                        return Err(format!("cell n{i} reads missing input {k}"));
-                    }
-                }
-                CellKind::Const(_) => {}
+                CellKind::Reg { d: None, .. } => order.push(at(
+                    N001_UNDRIVEN_REG,
+                    format!("register n{i} has no data input"),
+                )),
+                CellKind::Reg { d: Some(d), .. } if d.0 as usize >= n => refs.push(at(
+                    N002_MISSING_REF,
+                    format!("register n{i} driven by missing cell {d}"),
+                )),
+                CellKind::Input(k) if *k >= self.inputs.len() => refs.push(at(
+                    N002_MISSING_REF,
+                    format!("cell n{i} reads missing input port {k}"),
+                )),
+                _ => {}
             }
         }
         for (name, _, net) in &self.outputs {
-            if net.0 as usize >= self.cells.len() {
-                return Err(format!("output {name} driven by missing net {net}"));
+            if net.0 as usize >= n {
+                refs.push(Violation::global(
+                    N002_MISSING_REF,
+                    format!("output {name} driven by missing net {net}"),
+                ));
             }
         }
-        Ok(())
+        for (name, net) in &self.feedback_regs {
+            match self.cells.get(net.0 as usize) {
+                None => refs.push(Violation::global(
+                    N002_MISSING_REF,
+                    format!("feedback register {name} is missing net {net}"),
+                )),
+                Some(c) if !matches!(c.kind, CellKind::Reg { .. }) => refs.push(Violation::at(
+                    N002_MISSING_REF,
+                    net.0,
+                    format!("feedback net {name} ({net}) is not a register"),
+                )),
+                Some(_) => {}
+            }
+        }
+        if refs.is_empty() {
+            order
+        } else {
+            refs
+        }
+    }
+
+    /// Checks the structural invariants ([`Netlist::violations`]) and
+    /// returns the first violation's message.
+    ///
+    /// # Errors
+    ///
+    /// The message of the first violation, when there is one.
+    pub fn verify(&self) -> Result<(), String> {
+        Violation::first(self.violations())
     }
 }
+
+/// A register whose data input was never connected (an undriven wire
+/// after synthesis).
+pub const N001_UNDRIVEN_REG: &str = "N001-undriven-reg";
+/// A cell, ROM, input port, output net or feedback register index out of
+/// range, or a feedback net that is not a register. In this
+/// representation a net has exactly one driver by construction, so the
+/// multiply-driven failure mode becomes a reference to a driver that
+/// does not exist.
+pub const N002_MISSING_REF: &str = "N002-missing-ref";
+/// A combinational cell reading a later combinational cell (registers
+/// are the only legal backward edges).
+pub const N004_COMB_ORDER: &str = "N004-comb-order";
 
 #[cfg(test)]
 mod tests {

@@ -123,8 +123,9 @@ pub struct Compiled {
     /// fallback, its slots are already applied to [`Compiled::datapath`]
     /// and the netlist launches at its initiation interval.
     pub schedule: Option<Schedule>,
-    /// Non-fatal verifier findings collected during compilation (empty
-    /// when [`CompileOptions::verify`] is [`VerifyLevel::Off`]).
+    /// Non-fatal verifier findings collected during compilation. When
+    /// [`CompileOptions::verify`] is [`VerifyLevel::Off`], only the
+    /// certificate check's, which runs whenever the compile proves.
     pub diagnostics: Vec<Diagnostic>,
     /// Translation-validation certificate (`Some` iff the compile ran
     /// with [`CompileOptions::prove`] and the `E` family enabled): the
@@ -718,6 +719,10 @@ fn gate_findings(
 /// [`VerifyLevel`] the compile ran at. `roccc-serve` uses this to count
 /// findings into its `verify_findings_total` metric even for compiles
 /// that ran with verification off.
+///
+/// The certificate is not re-checked: a compile that proved gated that
+/// check at `Warn` or stricter, so its surviving findings are already
+/// the `E` entries of [`Compiled::diagnostics`].
 pub fn verify_compiled(c: &Compiled) -> Vec<Diagnostic> {
     let mut v = roccc_verify::verify_ir(&c.ir);
     if let Some(map) = &c.ranges {
@@ -729,11 +734,12 @@ pub fn verify_compiled(c: &Compiled) -> Vec<Diagnostic> {
     }
     v.extend(roccc_verify::verify_datapath(&c.datapath));
     v.extend(roccc_verify::verify_netlist(&c.netlist));
-    if let Some(cert) = &c.certificate {
-        v.extend(roccc_prove::verify_certificate_diags(
-            cert, &c.ir, &c.netlist,
-        ));
-    }
+    v.extend(
+        c.diagnostics
+            .iter()
+            .filter(|d| d.phase == Phase::Prove)
+            .cloned(),
+    );
     v
 }
 

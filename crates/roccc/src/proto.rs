@@ -51,11 +51,15 @@ pub const MAX_PAYLOAD_BYTES: usize = 64 * 1024 * 1024;
 /// looking for the request's `end` (64 MiB).
 pub const MAX_DRAIN_BYTES: usize = 64 * 1024 * 1024;
 
+/// Every artifact kind a compile request may `emit`, `|`-separated.
+pub const COMPILE_EMITS: &str =
+    "stats|vhdl|dot|ir|c|ranges|deps|deps-json|schedule|schedule-json|prove|prove-json|table-row";
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Compile `function` from `source` under `opts` and return the
-    /// artifact selected by `emit` (`stats|vhdl|dot|ir|c|table-row`).
+    /// artifact selected by `emit`, one of [`COMPILE_EMITS`].
     Compile {
         /// C source text.
         source: String,

@@ -488,11 +488,13 @@ fn render_artifact(entry: &CacheEntry, emit: &str) -> Result<Vec<u8>, String> {
             )
             .into_bytes())
         }
-        other => Err(format!(
-            "unknown emit `{other}` (stats|vhdl|dot|ir|c|ranges|deps|deps-json|\
-             schedule|schedule-json|table-row)"
-        )),
+        other => Err(unknown_emit(other)),
     }
+}
+
+/// The error for a compile `emit` outside [`proto::COMPILE_EMITS`].
+fn unknown_emit(emit: &str) -> String {
+    format!("unknown emit `{emit}` ({})", proto::COMPILE_EMITS)
 }
 
 /// The `stats` artifact: the CLI's summary plus lint findings and
@@ -578,26 +580,8 @@ fn handle_compile(
 
     // Validate the artifact kind up front so a bogus `emit` never costs
     // a compile.
-    if !matches!(
-        emit,
-        "stats"
-            | "vhdl"
-            | "dot"
-            | "ir"
-            | "c"
-            | "ranges"
-            | "deps"
-            | "deps-json"
-            | "schedule"
-            | "schedule-json"
-            | "prove"
-            | "prove-json"
-            | "table-row"
-    ) {
-        return Response::Err(format!(
-            "unknown emit `{emit}` (stats|vhdl|dot|ir|c|ranges|deps|deps-json|\
-             schedule|schedule-json|prove|prove-json|table-row)"
-        ));
+    if !proto::COMPILE_EMITS.split('|').any(|k| k == emit) {
+        return Response::Err(unknown_emit(emit));
     }
 
     loop {
@@ -631,6 +615,12 @@ fn handle_compile(
         // for it (bounded by our own deadline) and re-check the cache.
         let mut inflight = shared.inflight.lock().expect("inflight poisoned");
         if !inflight.contains(&key) {
+            // A twin may have finished between the cache probe above and
+            // this lock; it inserts before clearing its mark, so probe
+            // again under the lock before starting a second compile.
+            if shared.cache.get(key).is_some() {
+                continue;
+            }
             inflight.insert(key);
             break;
         }

@@ -125,6 +125,69 @@ impl Opcode {
     pub fn has_side_effects(&self) -> bool {
         matches!(self, Opcode::Snx)
     }
+
+    /// The operand count the opcode takes, in the IR and the data path
+    /// alike.
+    pub fn arity(&self) -> usize {
+        match self {
+            Opcode::Arg | Opcode::Ldc | Opcode::Lpr => 0,
+            Opcode::Mov
+            | Opcode::Cvt
+            | Opcode::Neg
+            | Opcode::Not
+            | Opcode::Bool
+            | Opcode::Lut
+            | Opcode::Snx => 1,
+            Opcode::Mux => 3,
+            _ => 2,
+        }
+    }
+}
+
+/// One structural violation of an IR level (SSA, data path or netlist):
+/// the stable diagnostic code `roccc-verify` reports it under, the index
+/// of the offending block, op or cell (`None` for whole-artifact
+/// findings), and a message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Stable code, e.g. `S004-multiple-def`.
+    pub code: &'static str,
+    /// Offending block, op or cell index.
+    pub at: Option<u32>,
+    /// What is wrong.
+    pub message: String,
+}
+
+impl Violation {
+    /// A violation at item `at`.
+    pub fn at(code: &'static str, at: u32, message: String) -> Self {
+        Violation {
+            code,
+            at: Some(at),
+            message,
+        }
+    }
+
+    /// A whole-artifact violation.
+    pub fn global(code: &'static str, message: String) -> Self {
+        Violation {
+            code,
+            at: None,
+            message,
+        }
+    }
+
+    /// The always-on checkers' result: the first violation's message.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation's message when there is one.
+    pub fn first(violations: Vec<Violation>) -> Result<(), String> {
+        violations
+            .into_iter()
+            .next()
+            .map_or(Ok(()), |v| Err(v.message))
+    }
 }
 
 impl fmt::Display for Opcode {

@@ -41,8 +41,8 @@ pub mod ssa;
 
 pub use deps::{analyze_deps, input_seed_ranges, res_mii, DepGraph, Recurrence, Resources};
 pub use interp::IrMachine;
-pub use ir::{Block, BlockId, FunctionIr, Instr, Opcode, Phi, Terminator, VReg};
+pub use ir::{Block, BlockId, FunctionIr, Instr, Opcode, Phi, Terminator, VReg, Violation};
 pub use lower::lower_function;
 pub use opt::optimize;
 pub use range::{analyze, analyze_with_inputs, fold_constant_ranges, RangeMap, ValueRange};
-pub use ssa::{to_ssa, verify_ssa};
+pub use ssa::{ssa_violations, to_ssa, verify_ssa};

@@ -174,65 +174,232 @@ impl<'a> Renamer<'a> {
     }
 }
 
-/// Checks the SSA invariants: every register defined at most once, and phi
-/// argument counts match predecessor counts. Returns a description of the
-/// first violation.
-pub fn verify_ssa(f: &FunctionIr) -> Result<(), String> {
-    let mut defined = vec![false; f.vreg_types.len()];
-    let mut define = |r: VReg| -> bool {
-        let slot = &mut defined[r.0 as usize];
-        !std::mem::replace(slot, true)
-    };
-    for b in &f.blocks {
-        for p in &b.phis {
-            if !define(p.dst) {
-                return Err(format!("{} defined more than once (phi)", p.dst));
+/// A terminator or phi argument names a block that does not exist, or
+/// the function has no blocks at all.
+pub const S001_BAD_EDGE: &str = "S001-bad-edge";
+/// A block's `id` disagrees with its index.
+pub const S002_BLOCK_ID_MISMATCH: &str = "S002-block-id-mismatch";
+/// A register was never allocated (`vreg_types` has no entry for it).
+pub const S003_INVALID_VREG: &str = "S003-invalid-vreg";
+/// A register assigned more than once (SSA form only).
+pub const S004_MULTIPLE_DEF: &str = "S004-multiple-def";
+/// A use (source, phi argument, branch condition or output register)
+/// with no definition anywhere.
+pub const S005_UNDEFINED_VREG: &str = "S005-undefined-vreg";
+/// A phi's argument list disagrees with its block's predecessors.
+pub const S007_PHI_ARITY: &str = "S007-phi-arity";
+/// A value-producing instruction without a destination (only `SNX` may
+/// omit one, and must).
+pub const S008_MISSING_DST: &str = "S008-missing-dst";
+/// Wrong operand count for the opcode ([`Opcode::arity`]).
+pub const S009_BAD_ARITY: &str = "S009-bad-arity";
+/// An `LPR`/`SNX` feedback slot or `LUT` table index out of range.
+pub const S010_BAD_SLOT: &str = "S010-bad-slot";
+
+/// Every structural violation of `f`, in a fixed order: the CFG shape
+/// (`S001`, `S002`; later checks index blocks by id, so a broken shape
+/// ends the walk), then block by block the definitions and instruction
+/// shapes (`S003`, `S004`, `S008`–`S010`), then phi arities (`S007`),
+/// and last the uses with no definition (`S005`). One dense table per
+/// register, no dominator tree: dominance of uses and reachability are
+/// `roccc-verify`'s (`S006`, `S011`).
+pub fn ssa_violations(f: &FunctionIr) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let nblocks = f.blocks.len();
+    if nblocks == 0 {
+        let message = "function has no blocks (no entry)".into();
+        return vec![Violation::global(S001_BAD_EDGE, message)];
+    }
+    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
+    for (i, b) in f.blocks.iter().enumerate() {
+        let mut report = |code, message| out.push(Violation::at(code, b.id.0, message));
+        if b.id.0 as usize != i {
+            report(
+                S002_BLOCK_ID_MISMATCH,
+                format!("block at index {i} carries id {}", b.id),
+            );
+        }
+        for s in b.term.successors() {
+            match preds.get_mut(s.0 as usize) {
+                Some(p) => p.push(b.id),
+                None => report(
+                    S001_BAD_EDGE,
+                    format!("terminator of {} targets missing block {s}", b.id),
+                ),
             }
         }
-        for i in &b.instrs {
-            if let Some(d) = i.dst {
-                if !define(d) {
-                    return Err(format!("{d} defined more than once"));
-                }
+        for p in &b.phis {
+            for (pred, _) in p.args.iter().filter(|(pred, _)| pred.0 as usize >= nblocks) {
+                report(
+                    S001_BAD_EDGE,
+                    format!("phi {} in {} names missing block {pred}", p.dst, b.id),
+                );
             }
         }
     }
-    let preds = f.predecessors();
+    if !out.is_empty() {
+        return out;
+    }
+
+    let nregs = f.vreg_types.len();
+    let valid = |out: &mut Vec<Violation>, r: VReg, what: &str, at: Option<u32>| {
+        let ok = (r.0 as usize) < nregs;
+        if !ok {
+            out.push(Violation {
+                code: S003_INVALID_VREG,
+                at,
+                message: format!("{what} names unallocated register {r}"),
+            });
+        }
+        ok
+    };
+    let mut defined = vec![false; nregs];
     for b in &f.blocks {
+        let at = Some(b.id.0);
+        let mut define = |out: &mut Vec<Violation>, d: VReg, phi: bool| {
+            let what = if phi {
+                "phi destination"
+            } else {
+                "destination"
+            };
+            if valid(out, d, what, at)
+                && std::mem::replace(&mut defined[d.0 as usize], true)
+                && f.is_ssa
+            {
+                let site = if phi { "phi in" } else { "in" };
+                let message = format!("{d} defined more than once ({site} {})", b.id);
+                out.push(Violation::at(S004_MULTIPLE_DEF, b.id.0, message));
+            }
+        };
         for p in &b.phis {
-            if p.args.len() != preds[b.id.0 as usize].len() {
-                return Err(format!(
-                    "phi in {} has {} args for {} predecessors",
+            define(&mut out, p.dst, true);
+            for (_, a) in &p.args {
+                valid(&mut out, *a, "phi argument", at);
+            }
+        }
+        for instr in &b.instrs {
+            if let Some(d) = instr.dst {
+                define(&mut out, d, false);
+            }
+            for s in &instr.srcs {
+                valid(&mut out, *s, "source operand", at);
+            }
+            instr_shape(&mut out, instr, b.id, f);
+        }
+        if let Terminator::Branch { cond, .. } = &b.term {
+            valid(&mut out, *cond, "branch condition", at);
+        }
+    }
+    for r in &f.output_srcs {
+        valid(&mut out, *r, "output register", None);
+    }
+
+    for b in &f.blocks {
+        let mut report = |message| out.push(Violation::at(S007_PHI_ARITY, b.id.0, message));
+        let bp = &preds[b.id.0 as usize];
+        for p in &b.phis {
+            if p.args.len() != bp.len() {
+                report(format!(
+                    "phi {} in {} has {} arguments for {} predecessors",
+                    p.dst,
                     b.id,
                     p.args.len(),
-                    preds[b.id.0 as usize].len()
+                    bp.len()
+                ));
+                continue;
+            }
+            for (pred, _) in p.args.iter().filter(|(pred, _)| !bp.contains(pred)) {
+                report(format!(
+                    "phi {} in {} names {pred}, which is not a predecessor",
+                    p.dst, b.id
                 ));
             }
         }
     }
-    // Every use must be defined somewhere (arguments included).
+
+    let undefined = |r: VReg| (r.0 as usize) < nregs && !defined[r.0 as usize];
+    let mut use_of = |r: VReg, block: BlockId| {
+        if undefined(r) {
+            let message = format!("{r} used in {block} but never defined");
+            out.push(Violation::at(S005_UNDEFINED_VREG, block.0, message));
+        }
+    };
     for b in &f.blocks {
-        for i in &b.instrs {
-            for s in &i.srcs {
-                if !defined[s.0 as usize] {
-                    return Err(format!("{s} used in {} but never defined", b.id));
-                }
-            }
-        }
         for p in &b.phis {
-            for (_, a) in &p.args {
-                if !defined[a.0 as usize] {
-                    return Err(format!("{a} used by phi in {} but never defined", b.id));
-                }
+            // A phi argument is a use at the end of its incoming edge.
+            for &(pred, a) in &p.args {
+                use_of(a, pred);
             }
         }
-    }
-    for r in &f.output_srcs {
-        if !defined[r.0 as usize] {
-            return Err(format!("output register {r} never defined"));
+        for instr in &b.instrs {
+            for &s in &instr.srcs {
+                use_of(s, b.id);
+            }
+        }
+        if let Terminator::Branch { cond, .. } = b.term {
+            use_of(cond, b.id);
         }
     }
-    Ok(())
+    for r in f.output_srcs.iter().filter(|r| undefined(**r)) {
+        let message = format!("output register {r} never defined");
+        out.push(Violation::global(S005_UNDEFINED_VREG, message));
+    }
+    out
+}
+
+/// Destination presence, operand count and immediate range of one
+/// instruction of `block`.
+fn instr_shape(out: &mut Vec<Violation>, instr: &Instr, block: BlockId, f: &FunctionIr) {
+    let mut report = |code, message| out.push(Violation::at(code, block.0, message));
+    match (instr.op, instr.dst) {
+        (Opcode::Snx, Some(d)) => report(
+            S008_MISSING_DST,
+            format!("snx in {block} must not produce a value, but writes {d}"),
+        ),
+        (Opcode::Snx, None) | (_, Some(_)) => {}
+        (op, None) => report(
+            S008_MISSING_DST,
+            format!("{op} in {block} has no destination register"),
+        ),
+    }
+    let want = instr.op.arity();
+    if instr.srcs.len() != want {
+        report(
+            S009_BAD_ARITY,
+            format!(
+                "{} in {block} has {} operands, expected {want}",
+                instr.op,
+                instr.srcs.len()
+            ),
+        );
+    }
+    let (what, len) = match instr.op {
+        Opcode::Lpr | Opcode::Snx => ("feedback slot", f.feedback.len()),
+        Opcode::Lut => ("table", f.luts.len()),
+        _ => return,
+    };
+    if instr.imm < 0 || instr.imm as usize >= len {
+        report(
+            S010_BAD_SLOT,
+            format!(
+                "{} in {block} names {what} {} of {len}",
+                instr.op, instr.imm
+            ),
+        );
+    }
+}
+
+/// Checks that `f` is in SSA form and keeps its structural invariants
+/// ([`ssa_violations`]), returning the first violation's message.
+///
+/// # Errors
+///
+/// The message of the first violation, when there is one.
+pub fn verify_ssa(f: &FunctionIr) -> Result<(), String> {
+    if !f.is_ssa {
+        return Err(format!("{} is not in SSA form", f.name));
+    }
+    Violation::first(ssa_violations(f))
 }
 
 #[cfg(test)]

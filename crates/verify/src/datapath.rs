@@ -8,7 +8,7 @@
 //! port-size-and-opcode narrowing, re-derived here independently).
 
 use crate::diag::{Diagnostic, Loc, Phase};
-use crate::ir::expected_arity;
+use roccc_datapath::graph::{D001_COMB_CYCLE, D002_MISSING_REF, D008_BAD_ARITY};
 use roccc_datapath::{Datapath, Value};
 use roccc_suifvm::ir::Opcode;
 
@@ -19,25 +19,18 @@ fn err(code: &'static str, op: u32, msg: String) -> Diagnostic {
 /// Runs every datapath-phase check over `dp` and returns the findings
 /// (empty = clean).
 ///
-/// * `D001-comb-cycle` — an operand edge closes a combinational cycle
-///   (self or forward reference in the topological order). The only
-///   legal cycle is the latched `LPR→…→SNX` feedback loop, which lives
-///   in [`Datapath::feedback`], not in operand edges;
-/// * `D002-missing-ref` — an operand, node, LUT table, feedback slot,
-///   output or feedback value names something out of range;
-/// * `D003-stage-inversion` — a value consumed in an earlier stage than
-///   the one producing it;
-/// * `D004-stage-range` — an op staged at or beyond `num_stages`;
-/// * `D005-feedback-stage-split` — an `LPR` and the `SNX` source of the
-///   same slot placed in different stages (the latch would close over a
-///   partial iteration);
+/// First come the structural violations of [`Datapath::violations`],
+/// the checks `Datapath::verify` runs on every compile, as errors under
+/// their own codes (`D001`–`D005`, `D008`; see the constants in
+/// [`roccc_datapath::graph`]). A broken reference or operand count
+/// (`D001`, `D002`, `D008`) ends the walk there. Then the widths:
+///
 /// * `D006-width-bounds` — `hw_bits` of 0 or wider than the exact type,
 ///   or a comparison not exactly 1 bit;
 /// * `D007-width-demand` — a producer narrower than what one of its
 ///   consumers observes, so narrowing changed the computed value (a
 ///   producer whose proven range fits its `hw_bits` is exempt: its wire
-///   holds the exact value no matter the demand);
-/// * `D008-bad-arity` — wrong operand count for the opcode.
+///   holds the exact value no matter the demand).
 ///
 /// When ops carry range annotations (range-driven narrowing was on), the
 /// `W0xx` family additionally checks the annotations themselves:
@@ -50,155 +43,17 @@ fn err(code: &'static str, op: u32, msg: String) -> Diagnostic {
 ///   (`lo > hi`, an inconsistent known-zero mask) or claims values outside
 ///   the op's declared sub-64-bit type.
 pub fn verify_datapath(dp: &Datapath) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let n = dp.ops.len();
-    let op_ok = |v: Value| match v {
-        Value::Op(o) => (o.0 as usize) < n,
-        Value::Input(k) => k < dp.inputs.len(),
-        Value::Const(_) => true,
-    };
-
-    // --- References and acyclicity (everything later depends on them) --
-    for (i, op) in dp.ops.iter().enumerate() {
-        for src in &op.srcs {
-            match *src {
-                Value::Op(o) if o.0 as usize >= i => out.push(err(
-                    "D001-comb-cycle",
-                    i as u32,
-                    format!(
-                        "op{i} ({}) consumes {o}, closing a combinational cycle; only the \
-                         latched LPR->SNX feedback loop may cycle, and it lives in feedback \
-                         slots, not operand edges",
-                        op.op
-                    ),
-                )),
-                v if !op_ok(v) => out.push(err(
-                    "D002-missing-ref",
-                    i as u32,
-                    format!("op{i} ({}) reads nonexistent {v:?}", op.op),
-                )),
-                _ => {}
-            }
-        }
-        if op.node.0 as usize >= dp.nodes.len() {
-            out.push(err(
-                "D002-missing-ref",
-                i as u32,
-                format!("op{i} belongs to missing {}", op.node),
-            ));
-        }
-        match op.op {
-            Opcode::Lut if op.imm < 0 || op.imm as usize >= dp.luts.len() => {
-                out.push(err(
-                    "D002-missing-ref",
-                    i as u32,
-                    format!("op{i} names LUT table {} of {}", op.imm, dp.luts.len()),
-                ));
-            }
-            Opcode::Lpr | Opcode::Snx if op.imm < 0 || op.imm as usize >= dp.feedback.len() => {
-                out.push(err(
-                    "D002-missing-ref",
-                    i as u32,
-                    format!(
-                        "op{i} ({}) names feedback slot {} of {}",
-                        op.op,
-                        op.imm,
-                        dp.feedback.len()
-                    ),
-                ));
-            }
-            _ => {}
-        }
-        let want = expected_arity(op.op);
-        if op.srcs.len() != want {
-            out.push(err(
-                "D008-bad-arity",
-                i as u32,
-                format!(
-                    "op{i} ({}) has {} operands, expected {want}",
-                    op.op,
-                    op.srcs.len()
-                ),
-            ));
-        }
-    }
-    for (k, port) in dp.outputs.iter().enumerate() {
-        if !op_ok(port.value) {
-            out.push(Diagnostic::error(
-                Phase::Datapath,
-                "D002-missing-ref",
-                Loc::None,
-                format!(
-                    "output port {k} ({}) driven by nonexistent {:?}",
-                    port.name, port.value
-                ),
-            ));
-        }
-    }
-    for (slot_idx, (slot, v)) in dp.feedback.iter().enumerate() {
-        if !op_ok(*v) {
-            out.push(Diagnostic::error(
-                Phase::Datapath,
-                "D002-missing-ref",
-                Loc::None,
-                format!(
-                    "feedback slot {slot_idx} ({}) latches nonexistent {v:?}",
-                    slot.name
-                ),
-            ));
-        }
-    }
-    // Staging and width logic below indexes through these references;
-    // bail while the graph shape itself is broken.
-    if !out.is_empty() {
+    let mut out: Vec<Diagnostic> = dp
+        .violations()
+        .into_iter()
+        .map(|v| Diagnostic::structural(Phase::Datapath, v))
+        .collect();
+    // The width logic below indexes through the references.
+    if out
+        .iter()
+        .any(|d| [D001_COMB_CYCLE, D002_MISSING_REF, D008_BAD_ARITY].contains(&d.code))
+    {
         return out;
-    }
-
-    // --- Stages ---------------------------------------------------------
-    for (i, op) in dp.ops.iter().enumerate() {
-        if op.stage >= dp.num_stages {
-            out.push(err(
-                "D004-stage-range",
-                i as u32,
-                format!(
-                    "op{i} staged at {} but the pipeline has {} stage(s)",
-                    op.stage, dp.num_stages
-                ),
-            ));
-            continue;
-        }
-        for src in &op.srcs {
-            let ps = dp.stage_of(*src);
-            if ps > op.stage {
-                out.push(err(
-                    "D003-stage-inversion",
-                    i as u32,
-                    format!(
-                        "op{i} at stage {} consumes {src:?} produced in later stage {ps}",
-                        op.stage
-                    ),
-                ));
-            }
-        }
-    }
-    // Latch balance: every LPR of a slot must sit in the stage where the
-    // SNX of that slot latches, otherwise one physical register would be
-    // read and written in different pipeline phases of the same iteration.
-    for (slot_idx, (slot, snx_src)) in dp.feedback.iter().enumerate() {
-        let snx_stage = dp.stage_of(*snx_src);
-        for (i, op) in dp.ops.iter().enumerate() {
-            if op.op == Opcode::Lpr && op.imm == slot_idx as i64 && op.stage != snx_stage {
-                out.push(err(
-                    "D005-feedback-stage-split",
-                    i as u32,
-                    format!(
-                        "feedback slot {slot_idx} ({}): LPR at stage {} but SNX latches at \
-                         stage {snx_stage}; the LPR->SNX path must land in a single stage",
-                        slot.name, op.stage
-                    ),
-                ));
-            }
-        }
     }
 
     // --- Widths ---------------------------------------------------------

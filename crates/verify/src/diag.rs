@@ -5,6 +5,7 @@
 //! `S004-multiple-def` or `N003-comb-loop`, so the CLI, the compile
 //! daemon and CI can report findings from every phase uniformly.
 
+use roccc_suifvm::Violation;
 use std::fmt;
 
 /// How bad a finding is.
@@ -137,6 +138,18 @@ impl Diagnostic {
             message: message.into(),
             loc,
         }
+    }
+
+    /// The error-severity finding for one structural violation of
+    /// `phase`'s IR, anchored at the violation's block, op or cell.
+    pub fn structural(phase: Phase, v: Violation) -> Self {
+        let loc = match (v.at, phase) {
+            (None, _) => Loc::None,
+            (Some(i), Phase::SuifVm) => Loc::Block(i),
+            (Some(i), Phase::Datapath) => Loc::Op(i),
+            (Some(i), _) => Loc::Cell(i),
+        };
+        Diagnostic::error(phase, v.code, loc, v.message)
     }
 
     /// Renders the diagnostic for terminal output. With `source`, a

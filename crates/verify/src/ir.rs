@@ -8,8 +8,8 @@
 
 use crate::diag::{Diagnostic, Loc, Phase};
 use roccc_suifvm::dom::DomInfo;
-use roccc_suifvm::ir::{BlockId, FunctionIr, Instr, Opcode, Terminator, VReg};
-use std::collections::HashMap;
+use roccc_suifvm::ir::{BlockId, FunctionIr, Terminator, VReg};
+use roccc_suifvm::ssa::{ssa_violations, S001_BAD_EDGE, S002_BLOCK_ID_MISMATCH};
 
 /// Where a register is defined inside its block.
 #[derive(Clone, Copy)]
@@ -20,202 +20,31 @@ enum DefSite {
     Instr(usize),
 }
 
-fn err(code: &'static str, loc: Loc, msg: String) -> Diagnostic {
-    Diagnostic::error(Phase::SuifVm, code, loc, msg)
-}
-
-/// The operand count an opcode requires, if fixed.
-pub(crate) fn expected_arity(op: Opcode) -> usize {
-    match op {
-        Opcode::Arg | Opcode::Ldc | Opcode::Lpr => 0,
-        Opcode::Mov
-        | Opcode::Cvt
-        | Opcode::Neg
-        | Opcode::Not
-        | Opcode::Bool
-        | Opcode::Lut
-        | Opcode::Snx => 1,
-        Opcode::Mux => 3,
-        _ => 2,
-    }
-}
-
 /// Runs every SuifVM-phase check over `f` and returns the findings
-/// (empty = clean). Checks marked *SSA* only run when `f.is_ssa`.
+/// (empty = clean).
 ///
-/// * `S001-bad-edge` — a terminator or phi argument names a block that
-///   does not exist;
-/// * `S002-block-id-mismatch` — a block's `id` disagrees with its index;
-/// * `S003-invalid-vreg` — a register was never allocated
-///   (`vreg_types` has no entry for it);
-/// * `S004-multiple-def` (*SSA*) — a register assigned more than once;
-/// * `S005-undefined-vreg` — a use (source, phi argument, branch
-///   condition or output register) with no definition anywhere;
-/// * `S006-undominated-use` (*SSA*) — a definition that does not
+/// First come the structural violations of [`ssa_violations`], the
+/// checks `roccc_suifvm::verify_ssa` runs on every compile, as errors
+/// under their own codes (`S001`–`S005`, `S007`–`S010`; see the
+/// constants in [`roccc_suifvm::ssa`]). A broken CFG shape (`S001`,
+/// `S002`) ends the walk there. Then:
+///
+/// * `S006-undominated-use` (SSA form only) — a definition that does not
 ///   dominate one of its uses;
-/// * `S007-phi-arity` — phi argument list disagrees with the block's
-///   predecessors;
-/// * `S008-missing-dst` — a value-producing instruction without a
-///   destination (only `SNX` may omit one);
-/// * `S009-bad-arity` — wrong operand count for the opcode;
-/// * `S010-bad-slot` — `LPR`/`SNX` feedback slot or `LUT` table index
-///   out of range;
 /// * `S011-unreachable-block` (warning) — a block the entry cannot reach.
 pub fn verify_ir(f: &FunctionIr) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let nblocks = f.blocks.len();
-    let nregs = f.vreg_types.len();
-    if nblocks == 0 {
-        out.push(err(
-            "S001-bad-edge",
-            Loc::None,
-            "function has no blocks (no entry)".into(),
-        ));
-        return out;
-    }
-
-    let block_ok = |b: BlockId| (b.0 as usize) < nblocks;
-    let reg_ok = |r: VReg| (r.0 as usize) < nregs;
-
-    // --- CFG shape -----------------------------------------------------
-    for (i, b) in f.blocks.iter().enumerate() {
-        let loc = Loc::Block(b.id.0);
-        if b.id.0 as usize != i {
-            out.push(err(
-                "S002-block-id-mismatch",
-                loc,
-                format!("block at index {i} carries id {}", b.id),
-            ));
-        }
-        for s in b.term.successors() {
-            if !block_ok(s) {
-                out.push(err(
-                    "S001-bad-edge",
-                    loc,
-                    format!("terminator of {} targets missing block {s}", b.id),
-                ));
-            }
-        }
-        for p in &b.phis {
-            for (pred, _) in &p.args {
-                if !block_ok(*pred) {
-                    out.push(err(
-                        "S001-bad-edge",
-                        loc,
-                        format!("phi {} in {} names missing block {pred}", p.dst, b.id),
-                    ));
-                }
-            }
-        }
-    }
-    // Later checks index blocks by id; bail out while the CFG itself is
-    // inconsistent rather than double-report from a corrupt shape.
+    let mut out: Vec<Diagnostic> = ssa_violations(f)
+        .into_iter()
+        .map(|v| Diagnostic::structural(Phase::SuifVm, v))
+        .collect();
     if out
         .iter()
-        .any(|d| d.code == "S001-bad-edge" || d.code == "S002-block-id-mismatch")
+        .any(|d| d.code == S001_BAD_EDGE || d.code == S002_BLOCK_ID_MISMATCH)
     {
         return out;
     }
 
-    // --- Register validity and definition sites ------------------------
-    let mut defs: HashMap<VReg, (BlockId, DefSite)> = HashMap::new();
-    let report_invalid = |out: &mut Vec<Diagnostic>, r: VReg, what: &str, loc: Loc| {
-        if !reg_ok(r) {
-            out.push(err(
-                "S003-invalid-vreg",
-                loc,
-                format!("{what} names unallocated register {r}"),
-            ));
-            false
-        } else {
-            true
-        }
-    };
-    for b in &f.blocks {
-        let loc = Loc::Block(b.id.0);
-        for p in &b.phis {
-            if report_invalid(&mut out, p.dst, "phi destination", loc)
-                && f.is_ssa
-                && defs.insert(p.dst, (b.id, DefSite::Phi)).is_some()
-            {
-                out.push(err(
-                    "S004-multiple-def",
-                    loc,
-                    format!("{} defined more than once (phi in {})", p.dst, b.id),
-                ));
-            } else if !f.is_ssa {
-                defs.entry(p.dst).or_insert((b.id, DefSite::Phi));
-            }
-            for (_, a) in &p.args {
-                report_invalid(&mut out, *a, "phi argument", loc);
-            }
-        }
-        for (i, instr) in b.instrs.iter().enumerate() {
-            if let Some(d) = instr.dst {
-                if report_invalid(&mut out, d, "destination", loc) {
-                    if f.is_ssa {
-                        if defs.insert(d, (b.id, DefSite::Instr(i))).is_some() {
-                            out.push(err(
-                                "S004-multiple-def",
-                                loc,
-                                format!("{d} defined more than once (in {})", b.id),
-                            ));
-                        }
-                    } else {
-                        defs.entry(d).or_insert((b.id, DefSite::Instr(i)));
-                    }
-                }
-            }
-            for s in &instr.srcs {
-                report_invalid(&mut out, *s, "source operand", loc);
-            }
-            check_instr_shape(&mut out, instr, b.id, f);
-        }
-        if let Terminator::Branch { cond, .. } = &b.term {
-            report_invalid(&mut out, *cond, "branch condition", loc);
-        }
-    }
-    for r in &f.output_srcs {
-        report_invalid(&mut out, *r, "output register", Loc::None);
-    }
-
-    // --- Phi arity vs. predecessors ------------------------------------
-    let preds = f.predecessors();
-    for b in &f.blocks {
-        let loc = Loc::Block(b.id.0);
-        let bp = &preds[b.id.0 as usize];
-        for p in &b.phis {
-            if p.args.len() != bp.len() {
-                out.push(err(
-                    "S007-phi-arity",
-                    loc,
-                    format!(
-                        "phi {} in {} has {} arguments for {} predecessors",
-                        p.dst,
-                        b.id,
-                        p.args.len(),
-                        bp.len()
-                    ),
-                ));
-            } else {
-                for (pred, _) in &p.args {
-                    if !bp.contains(pred) {
-                        out.push(err(
-                            "S007-phi-arity",
-                            loc,
-                            format!(
-                                "phi {} in {} names {pred}, which is not a predecessor",
-                                p.dst, b.id
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // --- Reachability ---------------------------------------------------
-    let mut reachable = vec![false; nblocks];
+    let mut reachable = vec![false; f.blocks.len()];
     let mut stack = vec![f.entry()];
     reachable[0] = true;
     while let Some(b) = stack.pop() {
@@ -237,21 +66,31 @@ pub fn verify_ir(f: &FunctionIr) -> Vec<Diagnostic> {
         }
     }
 
-    // --- Uses: defined, and (SSA) dominated by their definition ---------
-    let dom = f.is_ssa.then(|| DomInfo::compute(f));
-    let check_use = |out: &mut Vec<Diagnostic>, r: VReg, block: BlockId, at: DefSite| {
-        if !reg_ok(r) {
-            return; // already reported as S003
+    if f.is_ssa {
+        undominated_uses(f, &reachable, &mut out);
+    }
+    out
+}
+
+/// `S006`: every use of a register on the reachable CFG must be
+/// dominated by its definition. Unallocated and undefined registers are
+/// [`ssa_violations`]' findings and are skipped here.
+fn undominated_uses(f: &FunctionIr, reachable: &[bool], out: &mut Vec<Diagnostic>) {
+    let mut defs: Vec<Option<(BlockId, DefSite)>> = vec![None; f.vreg_types.len()];
+    for b in &f.blocks {
+        let phis = b.phis.iter().map(|p| (Some(p.dst), DefSite::Phi));
+        let instrs = b.instrs.iter().enumerate();
+        for (d, site) in phis.chain(instrs.map(|(i, instr)| (instr.dst, DefSite::Instr(i)))) {
+            if let Some(slot) = d.and_then(|d| defs.get_mut(d.0 as usize)) {
+                *slot = Some((b.id, site));
+            }
         }
-        let Some(&(def_block, def_site)) = defs.get(&r) else {
-            out.push(err(
-                "S005-undefined-vreg",
-                Loc::Block(block.0),
-                format!("{r} used in {block} but never defined"),
-            ));
+    }
+    let dom = DomInfo::compute(f);
+    let mut check_use = |r: VReg, block: BlockId, at: DefSite| {
+        let Some(&Some((def_block, def_site))) = defs.get(r.0 as usize) else {
             return;
         };
-        let Some(dom) = &dom else { return };
         if !reachable[block.0 as usize] {
             return; // dominance is meaningless off the reachable CFG
         }
@@ -265,7 +104,8 @@ pub fn verify_ir(f: &FunctionIr) -> Vec<Diagnostic> {
             dom.dominates(def_block, block)
         };
         if !dominated {
-            out.push(err(
+            out.push(Diagnostic::error(
+                Phase::SuifVm,
                 "S006-undominated-use",
                 Loc::Block(block.0),
                 format!(
@@ -279,88 +119,23 @@ pub fn verify_ir(f: &FunctionIr) -> Vec<Diagnostic> {
             // A phi argument is really a use at the end of the incoming
             // edge: the definition must dominate the predecessor.
             for (pred, a) in &p.args {
-                check_use(&mut out, *a, *pred, DefSite::Instr(usize::MAX));
+                check_use(*a, *pred, DefSite::Instr(usize::MAX));
             }
         }
         for (i, instr) in b.instrs.iter().enumerate() {
             for s in &instr.srcs {
-                check_use(&mut out, *s, b.id, DefSite::Instr(i));
+                check_use(*s, b.id, DefSite::Instr(i));
             }
         }
         if let Terminator::Branch { cond, .. } = &b.term {
-            check_use(&mut out, *cond, b.id, DefSite::Instr(usize::MAX));
+            check_use(*cond, b.id, DefSite::Instr(usize::MAX));
         }
     }
-    for r in &f.output_srcs {
-        if reg_ok(*r) && !defs.contains_key(r) {
-            out.push(err(
-                "S005-undefined-vreg",
-                Loc::None,
-                format!("output register {r} never defined"),
-            ));
-        }
-    }
-
-    out
 }
 
-/// Per-instruction shape checks (destination presence, operand count,
-/// immediate ranges).
-fn check_instr_shape(out: &mut Vec<Diagnostic>, instr: &Instr, block: BlockId, f: &FunctionIr) {
-    let loc = Loc::Block(block.0);
-    match (instr.op, instr.dst) {
-        (Opcode::Snx, Some(d)) => out.push(err(
-            "S008-missing-dst",
-            loc,
-            format!("snx in {block} must not produce a value, but writes {d}"),
-        )),
-        (Opcode::Snx, None) => {}
-        (op, None) => out.push(err(
-            "S008-missing-dst",
-            loc,
-            format!("{op} in {block} has no destination register"),
-        )),
-        _ => {}
-    }
-    let want = expected_arity(instr.op);
-    if instr.srcs.len() != want {
-        out.push(err(
-            "S009-bad-arity",
-            loc,
-            format!(
-                "{} in {block} has {} operands, expected {want}",
-                instr.op,
-                instr.srcs.len()
-            ),
-        ));
-    }
-    match instr.op {
-        Opcode::Lpr | Opcode::Snx if (instr.imm < 0 || instr.imm as usize >= f.feedback.len()) => {
-            out.push(err(
-                "S010-bad-slot",
-                loc,
-                format!(
-                    "{} in {block} names feedback slot {} of {}",
-                    instr.op,
-                    instr.imm,
-                    f.feedback.len()
-                ),
-            ));
-        }
-        Opcode::Lut if (instr.imm < 0 || instr.imm as usize >= f.luts.len()) => {
-            out.push(err(
-                "S010-bad-slot",
-                loc,
-                format!(
-                    "lut in {block} names table {} of {}",
-                    instr.imm,
-                    f.luts.len()
-                ),
-            ));
-        }
-        _ => {}
-    }
-}
+// The corrupt fixtures below build instructions by hand.
+#[cfg(test)]
+use roccc_suifvm::ir::{Instr, Opcode};
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,12 @@
 //! `N003-comb-loop`, …), so a transform bug surfaces as a named finding
 //! instead of silently becoming wrong VHDL.
 //!
+//! The structural codes of the first three families live in the IR
+//! crates, which check them on every compile (`verify_ssa`,
+//! `Datapath::verify`, `Netlist::verify`); the families report those
+//! crates' violations unchanged and add the checks that need more than
+//! the IR crate keeps.
+//!
 //! * [`verify_ir`] — CFG well-formedness and SSA invariants (`S0xx`);
 //! * [`verify_ranges`] — consistency of value-range annotations against
 //!   the SSA IR they describe (`W0xx`, IR half);

@@ -6,8 +6,8 @@
 //! to a ring oscillator, not the paper's pipelined data path.
 
 use crate::diag::{Diagnostic, Loc, Phase};
+use roccc_netlist::cells::N002_MISSING_REF;
 use roccc_netlist::{CellId, CellKind, Netlist};
-use roccc_suifvm::ir::Opcode;
 
 fn err(code: &'static str, cell: u32, msg: String) -> Diagnostic {
     Diagnostic::error(Phase::Netlist, code, Loc::Cell(cell), msg)
@@ -16,17 +16,14 @@ fn err(code: &'static str, cell: u32, msg: String) -> Diagnostic {
 /// Runs every netlist-phase check over `nl` and returns the findings
 /// (empty = clean).
 ///
-/// * `N001-undriven-reg` — a register whose data input was never
-///   connected (an undriven wire after synthesis);
-/// * `N002-missing-ref` — a cell, ROM, input port or output net index
-///   out of range (the multiply-driven analog: in this representation a
-///   net has exactly one driver by construction, so the failure mode is
-///   a reference to a driver that does not exist);
+/// First come the structural violations of [`Netlist::violations`], the
+/// checks `Netlist::verify` runs on every compile, as errors under their
+/// own codes (`N001`, `N002`, `N004`; see the constants in
+/// [`roccc_netlist::cells`]). A broken reference (`N002`) ends the walk
+/// there. Then:
+///
 /// * `N003-comb-loop` — a cycle through combinational cells only, with
 ///   no register on any edge to split it;
-/// * `N004-comb-order` — a combinational cell reading a later
-///   combinational cell (topological-order violation; registers are the
-///   only legal backward edges);
 /// * `N005-width-mismatch` — a register latching a wire of a different
 ///   width or signedness than its own (feedback latches are closed
 ///   through an explicit `CVT`, so any residual mismatch is a lowering
@@ -45,102 +42,16 @@ fn err(code: &'static str, cell: u32, msg: String) -> Diagnostic {
 ///   hold every value of that range, or annotated with an empty range.
 ///   Only emitted when range narrowing stamped annotations.
 pub fn verify_netlist(nl: &Netlist) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let n = nl.cells.len();
-    let ok = |c: CellId| (c.0 as usize) < n;
-
-    // --- References (everything later indexes through them) -------------
-    for (i, c) in nl.cells.iter().enumerate() {
-        match &c.kind {
-            CellKind::Op { op, srcs, imm } => {
-                for s in srcs {
-                    if !ok(*s) {
-                        out.push(err(
-                            "N002-missing-ref",
-                            i as u32,
-                            format!("cell n{i} ({op}) reads missing cell {s}"),
-                        ));
-                    }
-                }
-                if *op == Opcode::Lut && (*imm < 0 || *imm as usize >= nl.roms.len()) {
-                    out.push(err(
-                        "N002-missing-ref",
-                        i as u32,
-                        format!("cell n{i} references ROM {imm} of {}", nl.roms.len()),
-                    ));
-                }
-            }
-            CellKind::Reg { d: Some(d), .. } if !ok(*d) => {
-                out.push(err(
-                    "N002-missing-ref",
-                    i as u32,
-                    format!("register n{i} driven by missing cell {d}"),
-                ));
-            }
-            CellKind::Input(k) if *k >= nl.inputs.len() => {
-                out.push(err(
-                    "N002-missing-ref",
-                    i as u32,
-                    format!("cell n{i} reads missing input port {k}"),
-                ));
-            }
-            _ => {}
-        }
-    }
-    for (name, _, net) in &nl.outputs {
-        if !ok(*net) {
-            out.push(Diagnostic::error(
-                Phase::Netlist,
-                "N002-missing-ref",
-                Loc::None,
-                format!("output {name} driven by missing net {net}"),
-            ));
-        }
-    }
-    for (name, net) in &nl.feedback_regs {
-        if !ok(*net) {
-            out.push(Diagnostic::error(
-                Phase::Netlist,
-                "N002-missing-ref",
-                Loc::None,
-                format!("feedback register {name} is missing net {net}"),
-            ));
-        } else if !matches!(nl.cells[net.0 as usize].kind, CellKind::Reg { .. }) {
-            out.push(err(
-                "N002-missing-ref",
-                net.0,
-                format!("feedback net {name} ({net}) is not a register"),
-            ));
-        }
-    }
-    if !out.is_empty() {
+    let mut out: Vec<Diagnostic> = nl
+        .violations()
+        .into_iter()
+        .map(|v| Diagnostic::structural(Phase::Netlist, v))
+        .collect();
+    // Everything below indexes through the references.
+    if out.iter().any(|d| d.code == N002_MISSING_REF) {
         return out;
     }
-
-    // --- Drivers and ordering -------------------------------------------
-    for (i, c) in nl.cells.iter().enumerate() {
-        match &c.kind {
-            CellKind::Reg { d: None, .. } => out.push(err(
-                "N001-undriven-reg",
-                i as u32,
-                format!("register n{i} has no data input"),
-            )),
-            CellKind::Op { op, srcs, .. } => {
-                for s in srcs {
-                    if s.0 as usize >= i
-                        && !matches!(nl.cells[s.0 as usize].kind, CellKind::Reg { .. })
-                    {
-                        out.push(err(
-                            "N004-comb-order",
-                            i as u32,
-                            format!("cell n{i} ({op}) reads later combinational cell {s}"),
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
+    let n = nl.cells.len();
 
     // --- Combinational loops --------------------------------------------
     // DFS over combinational edges only; registers cut every legal cycle.
@@ -320,6 +231,10 @@ pub fn verify_netlist(nl: &Netlist) -> Vec<Diagnostic> {
 
     out
 }
+
+// The corrupt fixtures below build cells by hand.
+#[cfg(test)]
+use roccc_suifvm::ir::Opcode;
 
 #[cfg(test)]
 mod tests {

@@ -159,6 +159,28 @@ if [ -n "${stale}" ]; then
   exit 1
 fi
 
+echo "==> one owner per diagnostic code"
+# A code string literal ("S004-multiple-def") may appear in the non-test
+# source of one crate only (each file cut at its first `#[cfg(test)]`):
+# the crate whose check emits it. A second crate emitting or matching it
+# would be a second implementation. Prose mentions in docs are free.
+owned="$(for f in $(find crates/*/src src -name '*.rs' | sort); do
+  case "${f}" in
+    crates/*) crate="${f#crates/}"; crate="${crate%%/*}" ;;
+    *) crate=root ;;
+  esac
+  awk '/#\[cfg\(test\)\]/ { exit } { print }' "${f}" \
+    | { grep -oE "\"${code_re}\"" || true; } | tr -d '"' | sed "s|\$| ${crate}|"
+done | sort -u)"
+shared="$(printf '%s\n' "${owned}" | awk 'NF { n[$1]++ } END { for (c in n) if (n[c] > 1) print c }')"
+if [ -n "${shared}" ]; then
+  echo "diagnostic code owned by more than one crate:" >&2
+  for c in ${shared}; do
+    printf '%s\n' "${owned}" | awk -v c="${c}" '$1 == c { print "  " $0 }' >&2
+  done
+  exit 1
+fi
+
 echo "==> prove smoke (translation validation, E-code gating)"
 # A proved dct must certify EQUAL through the real CLI, deny-clean, and
 # the JSON artifact must carry the stable schema.

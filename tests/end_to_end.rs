@@ -16,7 +16,6 @@ fn sample(rng: &mut XorShift64, ty: roccc_suite::cparse::IntType) -> i64 {
 
 /// Differential test of a scalar (non-streaming) kernel.
 fn check_scalar_kernel(hw: &Compiled, source: &str, func: &str, iters: usize, seed: u64) {
-    let prog = frontend(source).expect("kernel parses");
     let mut rng = XorShift64::new(seed);
     let args_list: Vec<Vec<i64>> = (0..iters)
         .map(|_| {
@@ -27,9 +26,22 @@ fn check_scalar_kernel(hw: &Compiled, source: &str, func: &str, iters: usize, se
                 .collect()
         })
         .collect();
+    check_scalar_args(hw, source, func, &args_list);
+}
 
+/// Compiles the scalar kernel `func` of `source` with default options
+/// and checks it against the golden model on `args_list`.
+fn check_scalar_source(source: &str, func: &str, args_list: &[Vec<i64>]) {
+    let hw = roccc_suite::roccc::compile(source, func, &Default::default()).unwrap();
+    check_scalar_args(&hw, source, func, args_list);
+}
+
+/// Streams `args_list` through the netlist and compares every output
+/// with the golden model's.
+fn check_scalar_args(hw: &Compiled, source: &str, func: &str, args_list: &[Vec<i64>]) {
+    let prog = frontend(source).expect("kernel parses");
     let mut sim = NetlistSim::new(&hw.netlist);
-    let outs = sim.run_stream(&args_list).expect("simulation runs");
+    let outs = sim.run_stream(args_list).expect("simulation runs");
     assert_eq!(outs.len(), args_list.len());
 
     for (args, hw_out) in args_list.iter().zip(&outs) {
@@ -265,4 +277,95 @@ fn loop_without_input_window_fires_every_cycle() {
     let run = hw.run(&HashMap::new(), &HashMap::new()).unwrap();
     assert_eq!((run.fired, run.mem_reads, run.mem_writes), (16, 0, 16));
     assert_eq!(run.cycles, 16 + hw.netlist.latency as u64 + 2);
+}
+
+#[test]
+fn fir_data_path_matches_golden() {
+    // The fir loop body as a scalar kernel: one tap window per call.
+    check_scalar_source(
+        "void fir_dp(int A0, int A1, int A2, int A3, int A4, int* Tmp0) {
+           *Tmp0 = 3*A0 + 5*A1 + 7*A2 + 9*A3 - A4; }",
+        "fir_dp",
+        &[
+            vec![1, 2, 3, 4, 5],
+            vec![-10, 20, -30, 40, -50],
+            vec![0, 0, 0, 0, 0],
+            vec![1000000, -1000000, 7, 9, 11],
+        ],
+    );
+}
+
+#[test]
+fn if_else_matches_golden_on_both_arms() {
+    check_scalar_source(
+        "void if_else(int x1, int x2, int* x3, int* x4) {
+           int a; int c;
+           c = x1 - x2;
+           if (c < x2) { a = x1 * x1; } else { a = x1 * x2 + 3; }
+           c = c - a;
+           *x3 = c; *x4 = a; }",
+        "if_else",
+        &[
+            vec![5, 3],
+            vec![9, 2],
+            vec![0, 0],
+            vec![-7, 4],
+            vec![100, -100],
+        ],
+    );
+}
+
+#[test]
+fn narrow_output_ports_wrap_like_c() {
+    check_scalar_source(
+        "void f(uint8 a, uint8 b, uint8* o) { *o = a * b + 17; }",
+        "f",
+        &[vec![255, 255], vec![16, 16], vec![0, 9]],
+    );
+}
+
+#[test]
+fn lut_kernel_matches_golden() {
+    check_scalar_source(
+        "const uint16 tab[8] = {5, 10, 20, 40, 80, 160, 320, 640};
+         void f(uint3 i, uint16* o) { *o = tab[i] + 1; }",
+        "f",
+        &[vec![0], vec![3], vec![7]],
+    );
+}
+
+#[test]
+fn mul_acc_style_predication() {
+    check_scalar_source(
+        "void f(uint1 nd, int12 a, int12 b, int* o) {
+           int p = 0;
+           if (nd) { p = a * b; }
+           *o = p + 1; }",
+        "f",
+        &[vec![1, 100, -100], vec![0, 100, -100], vec![1, 2047, 2047]],
+    );
+}
+
+#[test]
+fn accumulator_streams_like_interpreter() {
+    // Every iteration stores the running sum, so each stored element is
+    // one feedback-latch state of the hardware.
+    let src = "void acc(int A[6], int C[6]) { int i; int s = 0;
+       for (i = 0; i < 6; i = i + 1) { s = s + A[i]; C[i] = s; } }";
+    let hw = roccc_suite::roccc::compile(src, "acc", &Default::default()).unwrap();
+    assert!(
+        !hw.datapath.feedback.is_empty(),
+        "the sum is a feedback latch"
+    );
+    check_streaming_kernel(&hw, src, "acc", 112);
+}
+
+#[test]
+fn division_by_zero_reports() {
+    let src = "void f(int a, int* o) { *o = 100 / a; }";
+    let hw = roccc_suite::roccc::compile(src, "f", &Default::default()).unwrap();
+    let err = NetlistSim::new(&hw.netlist).run_stream(&[vec![0]]);
+    assert_eq!(err.unwrap_err().0, "division by zero");
+    let ok = NetlistSim::new(&hw.netlist).run_stream(&[vec![5]]);
+    assert_eq!(ok.unwrap(), vec![vec![20]]);
 }

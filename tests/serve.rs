@@ -7,7 +7,9 @@
 //! replies instead of taking the server down.
 
 use roccc_suite::ipcores::benchmarks;
-use roccc_suite::roccc::proto::{read_response, roundtrip, write_request, Request, Response};
+use roccc_suite::roccc::proto::{
+    read_response, roundtrip, write_request, Request, Response, COMPILE_EMITS,
+};
 use roccc_suite::roccc::CompileOptions;
 use roccc_suite::serve::{start, CompileFn, ServerConfig};
 use std::io::{BufReader, Write};
@@ -584,5 +586,33 @@ fn malformed_request_in_several_writes_gets_err() {
 
     let (pong, _) = expect_ok(roundtrip(addr, &Request::Ping, IO_TIMEOUT).unwrap());
     assert_eq!(pong, b"pong\n");
+    handle.shutdown();
+}
+
+/// An unknown compile `emit` is refused before compiling, with an error
+/// that names every accepted kind.
+#[test]
+fn unknown_compile_emit_names_every_accepted_kind() {
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let addr = handle.local_addr();
+    let req = compile_req(
+        "void k(int a, int* o) { *o = a + 1; }",
+        "k",
+        &CompileOptions::default(),
+        "bogus",
+    );
+    match roundtrip(addr, &req, IO_TIMEOUT).expect("roundtrip") {
+        Response::Err(msg) => {
+            assert!(msg.contains("unknown emit `bogus`"), "{msg}");
+            for kind in COMPILE_EMITS.split('|') {
+                assert!(msg.contains(kind), "`{kind}` missing from: {msg}");
+            }
+            assert!(
+                msg.contains("prove-json") && msg.contains("table-row"),
+                "{msg}"
+            );
+        }
+        other => panic!("expected err, got {other:?}"),
+    }
     handle.shutdown();
 }

@@ -1,30 +1,40 @@
 //! Integration tests for the `roccc-verify` static verifier.
 //!
-//! Two directions, per the verifier's contract:
+//! Three directions:
 //!
 //! * **positive sweep** — every paper kernel and a battery of generated
 //!   kernels must compile *clean* under `VerifyLevel::Deny` (the level is
 //!   set explicitly because the default is profile-dependent);
 //! * **negative fixtures** — corrupting a compiled artifact must fire the
 //!   specific check that guards the broken invariant, for each check
-//!   family across all three phases (IR, data path, netlist).
+//!   family across all three phases (IR, data path, netlist);
+//! * **agreement** — on every corrupt fixture, each level's always-on
+//!   checker (`verify_ssa`, `Datapath::verify`, `Netlist::verify`) fails
+//!   exactly when its family reports a code that level's IR crate owns,
+//!   with that finding's message.
 //!
 //! Plus the feedback-staging regression: every `LPR → … → SNX` path of an
 //! accumulator kernel lands in a single pipeline stage, and breaking that
 //! fires `D005-feedback-stage-split`.
 
-use roccc_suite::datapath::{DpMachine, OpId, Value};
+use roccc_suite::datapath::{OpId, Value};
 use roccc_suite::hlir::deps::{DepKind, DimDist};
 use roccc_suite::ipcores::table::benchmarks;
-use roccc_suite::netlist::cells::{Cell, CellKind};
-use roccc_suite::roccc::{compile, compile_with_model, CompileOptions, VerifyLevel};
+use roccc_suite::netlist::cells::{Cell, CellId, CellKind};
+use roccc_suite::netlist::NetlistSim;
+use roccc_suite::prove::verify_certificate_diags;
+use roccc_suite::roccc::{
+    compile, compile_with_model, verify_compiled, CompileOptions, VerifyLevel,
+};
 use roccc_suite::suifvm::deps::DepEdge;
 use roccc_suite::suifvm::ir::{BlockId, Opcode, Terminator, VReg};
+use roccc_suite::suifvm::verify_ssa;
 use roccc_suite::synth::VirtexII;
 use roccc_suite::testrand::exprgen::gen_kernel_source;
 use roccc_suite::testrand::XorShift64;
 use roccc_suite::verify::{
-    verify_datapath, verify_deps, verify_ir, verify_netlist, Diagnostic, Severity,
+    verify_datapath, verify_deps, verify_ir, verify_netlist, verify_ranges, verify_schedule,
+    Diagnostic, Severity,
 };
 
 fn deny(period_ns: f64) -> CompileOptions {
@@ -93,9 +103,11 @@ fn generated_kernels_verify_clean_under_deny() {
     }
 }
 
-/// Bit-width soundness, dynamically: the narrowed data path computes the
-/// same outputs as the un-narrowed one under `datapath::eval` — the
-/// runtime counterpart of the static `D006`/`D007` width checks.
+/// Bit-width soundness, dynamically: the narrowed netlist computes the
+/// same outputs, and faults on the same cycles, as the un-narrowed one
+/// under `NetlistSim` — the runtime counterpart of the static
+/// `D006`/`D007` width checks. Eight back-to-back iterations, then
+/// bubbles until the last one has left the pipeline.
 #[test]
 fn narrowed_widths_preserve_eval_semantics() {
     for case in 0..24u64 {
@@ -111,16 +123,287 @@ fn narrowed_widths_preserve_eval_semantics() {
             },
         )
         .expect("compiles wide");
-        let mut m_n = DpMachine::new(&narrowed.datapath);
-        let mut m_w = DpMachine::new(&wide.datapath);
-        for _ in 0..8 {
-            let args: Vec<i64> = (0..3).map(|_| rng.gen_range(-5000, 4999)).collect();
+        assert_eq!(narrowed.netlist.latency, wide.netlist.latency);
+        let mut sim_n = NetlistSim::new(&narrowed.netlist);
+        let mut sim_w = NetlistSim::new(&wide.netlist);
+        let drain = narrowed.netlist.latency as usize + 1;
+        for step in 0..8 + drain {
+            let (args, valid): (Vec<i64>, bool) = if step < 8 {
+                ((0..3).map(|_| rng.gen_range(-5000, 4999)).collect(), true)
+            } else {
+                (vec![0; 3], false)
+            };
             assert_eq!(
-                m_n.step(&args),
-                m_w.step(&args),
-                "case {case} (src {src}) args {args:?}"
+                sim_n.step(&args, valid),
+                sim_w.step(&args, valid),
+                "case {case} (src {src}) step {step} args {args:?}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Agreement: the always-on checkers and the S/D/N families
+// ---------------------------------------------------------------------
+
+/// The codes each IR crate owns: its always-on checker
+/// (`verify_ssa`, `Datapath::verify`, `Netlist::verify`) runs them on
+/// every compile and the family reports them unchanged.
+const S_OWNED: &[&str] = &[
+    "S001-bad-edge",
+    "S002-block-id-mismatch",
+    "S003-invalid-vreg",
+    "S004-multiple-def",
+    "S005-undefined-vreg",
+    "S007-phi-arity",
+    "S008-missing-dst",
+    "S009-bad-arity",
+    "S010-bad-slot",
+];
+const D_OWNED: &[&str] = &[
+    "D001-comb-cycle",
+    "D002-missing-ref",
+    "D003-stage-inversion",
+    "D004-stage-range",
+    "D005-feedback-stage-split",
+    "D008-bad-arity",
+];
+const N_OWNED: &[&str] = &["N001-undriven-reg", "N002-missing-ref", "N004-comb-order"];
+
+/// `always_on` is `Err(m)` exactly when `family` reports an owned code,
+/// and `m` is the message of the first such finding.
+fn assert_agrees(
+    label: &str,
+    always_on: Result<(), String>,
+    family: &[Diagnostic],
+    owned: &[&str],
+) {
+    let first = family
+        .iter()
+        .find(|d| owned.contains(&d.code))
+        .map(|d| d.message.clone());
+    assert_eq!(always_on.err(), first, "{label}: {family:?}");
+}
+
+fn full(base: &CompileOptions) -> CompileOptions {
+    CompileOptions {
+        range_narrow: true,
+        pipeline_ii: Some(0),
+        prove: true,
+        ..base.clone()
+    }
+}
+
+/// Every corrupt fixture fires its code in the family, and the level's
+/// always-on checker agrees with the family on every fixture: the moved
+/// codes and the family-only ones (`S006`, `D006`, `N003`, `N006`) alike.
+#[test]
+fn always_on_checkers_agree_with_families_on_corrupt_fixtures() {
+    let scalar = compile(SCALAR, "k", &deny(4.0)).unwrap();
+    let branchy = compile(BRANCHY, "k", &deny(1000.0)).unwrap();
+    let acc = acc_compiled();
+
+    type IrFix = fn(&mut roccc_suite::suifvm::FunctionIr);
+    let ir_fixtures: [(&str, bool, IrFix); 11] = [
+        ("S001-bad-edge", false, |ir| {
+            let last = ir.blocks.len() - 1;
+            ir.blocks[last].term = Terminator::Jump(BlockId(99));
+        }),
+        ("S002-block-id-mismatch", false, |ir| {
+            ir.blocks[0].id = BlockId(7)
+        }),
+        ("S003-invalid-vreg", false, |ir| {
+            let i = ir.blocks[0].instrs.iter().position(|i| !i.srcs.is_empty());
+            ir.blocks[0].instrs[i.unwrap()].srcs[0] = VReg(u32::MAX);
+        }),
+        ("S004-multiple-def", false, |ir| {
+            let dup = *ir.blocks[0]
+                .instrs
+                .iter()
+                .find(|i| i.dst.is_some())
+                .unwrap();
+            ir.blocks[0].instrs.push(dup);
+        }),
+        ("S005-undefined-vreg", false, |ir| {
+            let ghost = VReg(ir.vreg_types.len() as u32);
+            ir.vreg_types.push(roccc_suite::cparse::IntType::int());
+            let i = ir.blocks[0].instrs.iter().position(|i| !i.srcs.is_empty());
+            ir.blocks[0].instrs[i.unwrap()].srcs[0] = ghost;
+        }),
+        ("S007-phi-arity", true, |ir| {
+            let phi = ir.blocks.iter_mut().flat_map(|b| b.phis.iter_mut()).next();
+            phi.unwrap().args.pop();
+        }),
+        ("S008-missing-dst", false, |ir| {
+            let last = ir.blocks[0].instrs.len() - 1;
+            ir.blocks[0].instrs[last].dst = None;
+        }),
+        ("S009-bad-arity", false, |ir| {
+            let i = ir.blocks[0].instrs.iter().position(|i| i.op == Opcode::Add);
+            ir.blocks[0].instrs[i.unwrap()].srcs.push(VReg(0));
+        }),
+        ("S010-bad-slot", false, |ir| {
+            let ty = roccc_suite::cparse::IntType::int();
+            let d = ir.new_vreg(ty);
+            let lpr = roccc_suite::suifvm::Instr::new(Opcode::Lpr, d, vec![], 3, ty);
+            ir.blocks[0].instrs.insert(0, lpr);
+        }),
+        ("S006-undominated-use", true, |ir| {
+            // Use a value defined in a branch arm from the entry block.
+            let arm = ir.blocks[1..]
+                .iter()
+                .flat_map(|b| &b.instrs)
+                .find_map(|i| i.dst);
+            let ty = roccc_suite::cparse::IntType::int();
+            let d = ir.new_vreg(ty);
+            let mov = roccc_suite::suifvm::Instr::new(Opcode::Mov, d, vec![arm.unwrap()], 0, ty);
+            ir.blocks[0].instrs.insert(0, mov);
+        }),
+        ("S011-unreachable-block", false, |ir| {
+            ir.new_block();
+        }),
+    ];
+    for (code, use_branchy, corrupt) in ir_fixtures {
+        let mut ir = if use_branchy { &branchy } else { &scalar }.ir.clone();
+        corrupt(&mut ir);
+        let family = verify_ir(&ir);
+        assert!(has(&family, code), "{code}: {family:?}");
+        assert_agrees(code, verify_ssa(&ir), &family, S_OWNED);
+    }
+
+    type DpFix = fn(&mut roccc_suite::datapath::Datapath);
+    let dp_fixtures: [(&str, bool, DpFix); 8] = [
+        ("D001-comb-cycle", false, |dp| {
+            let i = dp.ops.iter().position(|o| !o.srcs.is_empty()).unwrap();
+            dp.ops[i].srcs[0] = Value::Op(OpId(i as u32));
+        }),
+        ("D002-missing-ref", false, |dp| {
+            let i = dp.ops.iter().position(|o| !o.srcs.is_empty()).unwrap();
+            dp.ops[i].srcs[0] = Value::Input(99);
+        }),
+        ("D003-stage-inversion", false, |dp| {
+            let last = dp.ops.len() - 1;
+            dp.ops[last].stage = 0;
+        }),
+        ("D004-stage-range", false, |dp| {
+            let last = dp.ops.len() - 1;
+            dp.ops[last].stage = dp.num_stages + 3;
+        }),
+        ("D005-feedback-stage-split", true, |dp| {
+            let lpr = dp.ops.iter().position(|o| o.op == Opcode::Lpr).unwrap();
+            dp.ops[lpr].stage = (dp.ops[lpr].stage + 1) % dp.num_stages;
+        }),
+        ("D008-bad-arity", false, |dp| {
+            let i = dp.ops.iter().position(|o| o.srcs.len() == 2).unwrap();
+            dp.ops[i].srcs.push(Value::Const(0));
+        }),
+        ("D006-width-bounds", false, |dp| dp.ops[0].hw_bits = 0),
+        ("D007-width-demand", false, |dp| {
+            let Value::Op(id) = dp.outputs[0].value else {
+                panic!("output driven by an op");
+            };
+            dp.ops[id.0 as usize].hw_bits = 1;
+        }),
+    ];
+    for (code, use_acc, corrupt) in dp_fixtures {
+        let mut dp = if use_acc { &acc } else { &scalar }.datapath.clone();
+        assert!(dp.num_stages > 1, "deep pipeline expected");
+        corrupt(&mut dp);
+        let family = verify_datapath(&dp);
+        assert!(has(&family, code), "{code}: {family:?}");
+        assert_agrees(code, dp.verify(), &family, D_OWNED);
+    }
+
+    type NlFix = fn(&mut roccc_suite::netlist::Netlist);
+    let nl_fixtures: [(&str, NlFix); 6] = [
+        ("N001-undriven-reg", |nl| {
+            for c in &mut nl.cells {
+                if let CellKind::Reg { d, .. } = &mut c.kind {
+                    *d = None;
+                    return;
+                }
+            }
+        }),
+        ("N002-missing-ref", |nl| {
+            nl.add(not_cell(CellId(9999)));
+        }),
+        ("N004-comb-order", |nl| {
+            // Reads the constant added right after it: out of order, but
+            // no loop.
+            let next = CellId(nl.cells.len() as u32 + 1);
+            nl.add(not_cell(next));
+            nl.constant(3);
+        }),
+        ("N003-comb-loop", |nl| {
+            let me = CellId(nl.cells.len() as u32);
+            nl.add(not_cell(me));
+        }),
+        ("N006-width-bounds", |nl| nl.cells[0].width = 0),
+        ("N007-dead-cell", |nl| {
+            nl.constant(5);
+        }),
+    ];
+    for (code, corrupt) in nl_fixtures {
+        let mut nl = scalar.netlist.clone();
+        corrupt(&mut nl);
+        let family = verify_netlist(&nl);
+        assert!(has(&family, code), "{code}: {family:?}");
+        assert_agrees(code, nl.verify(), &family, N_OWNED);
+    }
+}
+
+fn not_cell(src: CellId) -> Cell {
+    Cell {
+        kind: CellKind::Op {
+            op: Opcode::Not,
+            srcs: [src].into(),
+            imm: 0,
+        },
+        width: 8,
+        signed: false,
+    }
+}
+
+/// On every Table 1 kernel under default and full options, both the
+/// always-on checkers and the families are clean.
+#[test]
+fn always_on_checkers_and_families_clean_on_paper_kernels() {
+    for b in benchmarks() {
+        let model = VirtexII::with_mult_style(b.mult_style);
+        for (set, opts) in [("default", b.opts.clone()), ("full", full(&b.opts))] {
+            let hw = compile_with_model(&b.source, b.func, &opts, &model)
+                .unwrap_or_else(|e| panic!("{}/{set}: {e}", b.name));
+            let label = format!("{}/{set}", b.name);
+            assert_eq!(verify_ssa(&hw.ir), Ok(()), "{label}");
+            assert_eq!(hw.datapath.verify(), Ok(()), "{label}");
+            assert_eq!(hw.netlist.verify(), Ok(()), "{label}");
+            assert_eq!(verify_ir(&hw.ir), vec![], "{label}");
+            assert_eq!(verify_datapath(&hw.datapath), vec![], "{label}");
+            assert_eq!(verify_netlist(&hw.netlist), vec![], "{label}");
+        }
+    }
+}
+
+/// `verify_compiled` takes the certificate findings from the compile
+/// instead of re-checking the certificate: on every Table 1 kernel under
+/// full options its output equals every family run afresh, a fresh
+/// certificate check included.
+#[test]
+fn verify_compiled_reuses_the_compile_certificate_check() {
+    for b in benchmarks() {
+        let model = VirtexII::with_mult_style(b.mult_style);
+        let hw = compile_with_model(&b.source, b.func, &full(&b.opts), &model)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let cert = hw.certificate.as_ref().expect("full options prove");
+        let mut fresh = verify_ir(&hw.ir);
+        fresh.extend(verify_ranges(&hw.ir, hw.ranges.as_ref().unwrap()));
+        fresh.extend(verify_deps(&hw.deps, &hw.kernel, &hw.ir));
+        let schedule = hw.schedule.as_ref().unwrap();
+        fresh.extend(verify_schedule(schedule, &hw.datapath, &hw.deps));
+        fresh.extend(verify_datapath(&hw.datapath));
+        fresh.extend(verify_netlist(&hw.netlist));
+        fresh.extend(verify_certificate_diags(cert, &hw.ir, &hw.netlist));
+        assert_eq!(verify_compiled(&hw), fresh, "{}", b.name);
     }
 }
 
