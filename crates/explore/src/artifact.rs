@@ -1,4 +1,5 @@
-//! Stable artifacts: the JSON frontier document and the human table.
+//! Stable artifacts: the JSON frontier document and the human table,
+//! declared once in [`ARTIFACTS`].
 //!
 //! The JSON rendering is deterministic byte-for-byte for a given sweep
 //! result: field order is fixed, floats use fixed-precision formatting,
@@ -7,7 +8,17 @@
 //! property the test suite pins.
 
 use crate::engine::{CandidateReport, ExploreResult, Status};
+use roccc::artifact::{Artifact, Table};
 use std::fmt::Write as _;
+
+/// The kind `roccc --explore` prints by default.
+pub const TABLE: &str = "table";
+
+/// Every artifact kind of a sweep.
+pub const ARTIFACTS: Table<ExploreResult> = &[
+    Artifact::new("json", "roccc-explore-v1 JSON", |r| Ok(render_json(r))),
+    Artifact::new(TABLE, "a row per candidate", |r| Ok(render_table(r))),
+];
 
 /// Escapes a string for a JSON literal.
 fn json_escape(s: &str) -> String {

@@ -17,7 +17,8 @@
 //! * [`pareto::frontier`] keeps the non-dominated points over
 //!   (slices, cycles, clock);
 //! * [`artifact::render_json`] emits a byte-stable JSON artifact,
-//!   [`artifact::render_table`] the human-readable view.
+//!   [`artifact::render_table`] the human-readable view; both are kinds
+//!   of [`artifact::ARTIFACTS`].
 //!
 //! Infeasible configurations (e.g. an unroll factor that does not divide
 //! the trip count, or a candidate rejected by the `deny` verifier) are
@@ -28,7 +29,7 @@ pub mod engine;
 pub mod pareto;
 pub mod space;
 
-pub use artifact::{render_json, render_table};
+pub use artifact::{render_json, render_table, ARTIFACTS, TABLE};
 pub use engine::{
     explore, CandidateReport, CompileFn, ExploreConfig, ExploreResult, ExploreStats, Memo,
     MemoEntry, Metrics, Status,

@@ -41,10 +41,14 @@ use roccc_hlir::extract::extract_kernel;
 use roccc_hlir::kernel::Kernel;
 use roccc_netlist::{netlist_from_datapath, run_system, Netlist, SimPlan, SystemError, SystemRun};
 use roccc_suifvm::{lower_function, optimize, to_ssa, FunctionIr};
+use roccc_verify::{
+    verify_datapath, verify_deps, verify_ir, verify_netlist, verify_ranges, verify_schedule,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
+pub mod artifact;
 pub mod hash;
 pub mod options;
 pub mod proto;
@@ -302,31 +306,6 @@ impl Compiled {
         s
     }
 
-    /// Human-readable modulo-schedule report (the `--emit schedule`
-    /// payload): achieved II against the MinII bounds, kernel stage
-    /// count, prologue/epilogue, MRT peak, and the slot assignment.
-    pub fn schedule_report(&self) -> String {
-        match &self.schedule {
-            Some(s) => s.report(&self.kernel.name),
-            None => "no schedule (compile with pipeline_ii)\n".to_string(),
-        }
-    }
-
-    /// Deterministic JSON rendering of the modulo schedule (schema
-    /// `roccc-schedule-v1`); `None` when the compile did not schedule.
-    pub fn schedule_json(&self) -> Option<String> {
-        self.schedule.as_ref().map(|s| s.to_json(&self.kernel.name))
-    }
-
-    /// Human-readable translation-validation report (the `--emit prove`
-    /// payload): verdict, per-obligation discharge trail, counterexample.
-    pub fn prove_report(&self) -> String {
-        match &self.certificate {
-            Some(c) => roccc_prove::certificate_report(c),
-            None => "no certificate (compile with prove)\n".to_string(),
-        }
-    }
-
     /// Deterministic JSON rendering of the certificate (schema
     /// `roccc-prove-v1`); `None` when the compile did not prove.
     pub fn prove_json(&self) -> Option<String> {
@@ -542,14 +521,8 @@ pub fn compile_with_model_timed(
         optimize(&mut ir);
     }
     roccc_suifvm::verify_ssa(&ir).map_err(CompileError::Backend)?;
-    let mut diagnostics = Vec::new();
-    if opts.verify != VerifyLevel::Off {
-        gate_findings(
-            opts.verify,
-            filter_families(opts, roccc_verify::verify_ir(&ir)),
-            &mut diagnostics,
-        )?;
-    }
+    let mut diags = Vec::new();
+    gate_phase(opts, &mut diags, || verify_ir(&ir))?;
 
     // Value-range analysis: seed input ports that carry counted-loop
     // indices with their trip bounds, analyze, fold range-proven
@@ -566,13 +539,7 @@ pub fn compile_with_model_timed(
             roccc_suifvm::verify_ssa(&ir).map_err(CompileError::Backend)?;
             map = roccc_suifvm::analyze_with_inputs(&ir, &input_ranges);
         }
-        if opts.verify != VerifyLevel::Off {
-            gate_findings(
-                opts.verify,
-                filter_families(opts, roccc_verify::verify_ranges(&ir, &map)),
-                &mut diagnostics,
-            )?;
-        }
+        gate_phase(opts, &mut diags, || verify_ranges(&ir, &map))?;
         ranges = Some(map);
     }
 
@@ -603,13 +570,7 @@ pub fn compile_with_model_timed(
     // The pipeline depth is the initiation interval the current hardware
     // achieves for loop-carried bodies — the MinII comparison baseline.
     deps.body_latency = datapath.num_stages;
-    if opts.verify != VerifyLevel::Off {
-        gate_findings(
-            opts.verify,
-            filter_families(opts, roccc_verify::verify_deps(&deps, &kernel, &ir)),
-            &mut diagnostics,
-        )?;
-    }
+    gate_phase(opts, &mut diags, || verify_deps(&deps, &kernel, &ir))?;
     // Modulo scheduling: slot assignment under the modulo reservation
     // table, applied to the data path unless the scheduler fell back to
     // latch pipelining (no overlap benefit / infeasible budget).
@@ -620,36 +581,18 @@ pub fn compile_with_model_timed(
             roccc_datapath::apply_modulo_schedule(&mut datapath, &s.slots, s.ii as u32, model)
                 .map_err(CompileError::Backend)?;
         }
-        if opts.verify != VerifyLevel::Off {
-            gate_findings(
-                opts.verify,
-                filter_families(opts, roccc_verify::verify_schedule(&s, &datapath, &deps)),
-                &mut diagnostics,
-            )?;
-        }
+        gate_phase(opts, &mut diags, || verify_schedule(&s, &datapath, &deps))?;
         schedule = Some(s);
     }
     datapath.verify().map_err(CompileError::Backend)?;
-    if opts.verify != VerifyLevel::Off {
-        gate_findings(
-            opts.verify,
-            filter_families(opts, roccc_verify::verify_datapath(&datapath)),
-            &mut diagnostics,
-        )?;
-    }
+    gate_phase(opts, &mut diags, || verify_datapath(&datapath))?;
     timings.datapath += t0.elapsed();
 
     // RTL netlist.
     let t0 = Instant::now();
     let netlist = netlist_from_datapath(&datapath);
     netlist.verify().map_err(CompileError::Backend)?;
-    if opts.verify != VerifyLevel::Off {
-        gate_findings(
-            opts.verify,
-            filter_families(opts, roccc_verify::verify_netlist(&netlist)),
-            &mut diagnostics,
-        )?;
-    }
+    gate_phase(opts, &mut diags, || verify_netlist(&netlist))?;
 
     // Translation validation: certify the netlist against the optimized
     // IR. Findings gate at least at `Warn` — asking for a proof and then
@@ -665,7 +608,7 @@ pub fn compile_with_model_timed(
         } else {
             opts.verify
         };
-        gate_findings(level, filter_families(opts, findings), &mut diagnostics)?;
+        gate_findings(level, filter_families(opts, findings), &mut diags)?;
     }
     timings.netlist += t0.elapsed();
 
@@ -678,7 +621,7 @@ pub fn compile_with_model_timed(
         ranges,
         deps,
         schedule,
-        diagnostics,
+        diagnostics: diags,
         certificate,
     })
 }
@@ -693,6 +636,19 @@ fn filter_families(opts: &CompileOptions, findings: Vec<Diagnostic>) -> Vec<Diag
         .into_iter()
         .filter(|d| d.code.chars().next().is_none_or(|c| opts.family_enabled(c)))
         .collect()
+}
+
+/// Runs one phase's `check` and gates its findings at
+/// [`CompileOptions::verify`]; the check does not run when that is `Off`.
+fn gate_phase(
+    opts: &CompileOptions,
+    collected: &mut Vec<Diagnostic>,
+    check: impl FnOnce() -> Vec<Diagnostic>,
+) -> Result<(), CompileError> {
+    if opts.verify == VerifyLevel::Off {
+        return Ok(());
+    }
+    gate_findings(opts.verify, filter_families(opts, check()), collected)
 }
 
 /// Applies a [`VerifyLevel`] to one phase's findings: fatal findings
@@ -724,16 +680,16 @@ fn gate_findings(
 /// check at `Warn` or stricter, so its surviving findings are already
 /// the `E` entries of [`Compiled::diagnostics`].
 pub fn verify_compiled(c: &Compiled) -> Vec<Diagnostic> {
-    let mut v = roccc_verify::verify_ir(&c.ir);
+    let mut v = verify_ir(&c.ir);
     if let Some(map) = &c.ranges {
-        v.extend(roccc_verify::verify_ranges(&c.ir, map));
+        v.extend(verify_ranges(&c.ir, map));
     }
-    v.extend(roccc_verify::verify_deps(&c.deps, &c.kernel, &c.ir));
+    v.extend(verify_deps(&c.deps, &c.kernel, &c.ir));
     if let Some(s) = &c.schedule {
-        v.extend(roccc_verify::verify_schedule(s, &c.datapath, &c.deps));
+        v.extend(verify_schedule(s, &c.datapath, &c.deps));
     }
-    v.extend(roccc_verify::verify_datapath(&c.datapath));
-    v.extend(roccc_verify::verify_netlist(&c.netlist));
+    v.extend(verify_datapath(&c.datapath));
+    v.extend(verify_netlist(&c.netlist));
     v.extend(
         c.diagnostics
             .iter()
@@ -1088,7 +1044,12 @@ mod tests {
             .certificate
             .as_ref()
             .expect("prove produces a certificate");
-        assert_eq!(cert.verdict, Verdict::Equal, "{}", hw.prove_report());
+        assert_eq!(
+            cert.verdict,
+            Verdict::Equal,
+            "{}",
+            roccc_prove::certificate_report(cert)
+        );
         assert!(cert
             .obligations
             .iter()

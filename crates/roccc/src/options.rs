@@ -318,7 +318,7 @@ pub const OPTIONS: &[OptionDef] = &[
         syntax: "<auto|n>",
         help: "modulo-schedule the loop body at initiation\n\
                interval n; `auto` searches upward from the\n\
-               MinII lower bound. Implied by --emit schedule",
+               MinII lower bound",
         example: "auto",
         parse: |o, v| {
             o.pipeline_ii = Some(match v {
@@ -341,7 +341,7 @@ pub const OPTIONS: &[OptionDef] = &[
         syntax: "<on|off>",
         help: "translation-validate the netlist against the\n\
                SSA IR (symbolic equivalence certificate;\n\
-               E-codes). Implied by --emit prove",
+               E-codes)",
         example: "on",
         parse: |o, v| parse_bool(v).map(|b| o.prove = b),
         format: |o| Some(on_off(o.prove)),

@@ -51,15 +51,12 @@ pub const MAX_PAYLOAD_BYTES: usize = 64 * 1024 * 1024;
 /// looking for the request's `end` (64 MiB).
 pub const MAX_DRAIN_BYTES: usize = 64 * 1024 * 1024;
 
-/// Every artifact kind a compile request may `emit`, `|`-separated.
-pub const COMPILE_EMITS: &str =
-    "stats|vhdl|dot|ir|c|ranges|deps|deps-json|schedule|schedule-json|prove|prove-json|table-row";
-
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Compile `function` from `source` under `opts` and return the
-    /// artifact selected by `emit`, one of [`COMPILE_EMITS`].
+    /// artifact selected by `emit`, a kind of
+    /// [`crate::artifact::ARTIFACTS`].
     Compile {
         /// C source text.
         source: String,
@@ -73,8 +70,8 @@ pub enum Request {
     /// Run a design-space exploration sweep over `function`: every
     /// combination of `unroll_factors` × `strip_widths` (0 = no
     /// strip-mining) × scalar-optimization settings, under the base
-    /// `opts`, returning the Pareto frontier rendered as `emit`
-    /// (`json|table`).
+    /// `opts`, returning the Pareto frontier rendered as `emit`, a kind
+    /// of `roccc_explore::ARTIFACTS`.
     Explore {
         /// C source text.
         source: String,
@@ -99,8 +96,9 @@ pub enum Request {
     /// Compile a multi-kernel streaming pipeline: `pipeline` is the
     /// pipeline-description text (the `--pipeline` file format) naming
     /// kernels defined in `source`; the reply is the artifact selected
-    /// by `emit` (`stats|vhdl`). Co-simulation stays client-side: it
-    /// needs lane input data, which the wire protocol does not carry.
+    /// by `emit`, a kind of `roccc_stream::ARTIFACTS` that is not local
+    /// only. Co-simulation stays client-side: it needs lane input data,
+    /// which the wire protocol does not carry.
     Pipeline {
         /// C source text holding every stage kernel.
         source: String,
@@ -403,7 +401,7 @@ fn parse_request<R: BufRead>(lines: &mut RequestLines<'_, R>) -> Result<Request,
         "compile" => {
             let mut source = None;
             let mut function = None;
-            let mut emit = "stats".to_string();
+            let mut emit = crate::artifact::STATS.to_string();
             let mut opts = CompileOptions::default();
             loop {
                 let line = lines.next()?;

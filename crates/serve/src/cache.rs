@@ -34,43 +34,49 @@ pub struct CacheEntry {
     pub timings: PhaseTimings,
 }
 
-struct Slot {
-    entry: Arc<CacheEntry>,
+struct Slot<E> {
+    entry: Arc<E>,
     last_used: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u64, Slot>,
+struct Shard<E> {
+    map: HashMap<u64, Slot<E>>,
 }
 
-/// A sharded LRU keyed by the 64-bit content hash.
-pub struct ShardedLru {
-    shards: Box<[Mutex<Shard>]>,
+/// A sharded LRU keyed by the 64-bit content hash, of compiled kernels
+/// unless told otherwise.
+pub struct ShardedLru<E = CacheEntry> {
+    shards: Box<[Mutex<Shard<E>>]>,
     cap_per_shard: usize,
     clock: AtomicU64,
 }
 
-impl ShardedLru {
+impl<E> ShardedLru<E> {
     /// Cache holding at most `capacity` entries across `shards` shards
     /// (both clamped to at least 1).
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let cap_per_shard = capacity.max(1).div_ceil(shards);
         ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        map: HashMap::new(),
+                    })
+                })
+                .collect(),
             cap_per_shard,
             clock: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
+    fn shard(&self, key: u64) -> &Mutex<Shard<E>> {
         // High bits: the FNV avalanche is weakest in the low bits.
         &self.shards[(key >> 57) as usize % self.shards.len()]
     }
 
     /// Looks up `key`, refreshing its recency on hit.
-    pub fn get(&self, key: u64) -> Option<Arc<CacheEntry>> {
+    pub fn get(&self, key: u64) -> Option<Arc<E>> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         let slot = shard.map.get_mut(&key)?;
@@ -80,7 +86,7 @@ impl ShardedLru {
 
     /// Inserts (or replaces) `key`, evicting the least-recently-used
     /// entry of the shard if it is full.
-    pub fn insert(&self, key: u64, entry: Arc<CacheEntry>) {
+    pub fn insert(&self, key: u64, entry: Arc<E>) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         if !shard.map.contains_key(&key) && shard.map.len() >= self.cap_per_shard {

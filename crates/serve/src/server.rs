@@ -21,10 +21,12 @@
 
 use crate::cache::{CacheEntry, DiskStore, ShardedLru};
 use crate::metrics::Metrics;
+use roccc::artifact::{self, Artifact};
 use roccc::hash::cache_key;
 use roccc::proto::{self, Request, Response};
 use roccc::{CompileError, CompileOptions, Compiled, PhaseTimings};
 use std::collections::{HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -161,56 +163,12 @@ struct Shared {
     /// domain-separated from single-kernel compile keys, and the entries
     /// are kept apart from [`Shared::cache`] so a burst of pipeline
     /// requests cannot evict hot single-kernel artifacts (or vice versa).
-    pipeline_cache: Mutex<PipelineCache>,
+    pipeline_cache: ShardedLru<PipelineEntry>,
 }
 
-/// One cached pipeline compile: both renderable artifacts, produced once
-/// when the compile lands.
-struct PipelineEntry {
-    stats: String,
-    vhdl: String,
-}
-
-/// Tiny bounded LRU for pipeline entries. Pipelines are far rarer than
-/// single-kernel compiles, so one mutex and a stamp scan is enough.
-struct PipelineCache {
-    map: std::collections::HashMap<u64, (Arc<PipelineEntry>, u64)>,
-    cap: usize,
-    clock: u64,
-}
-
-impl PipelineCache {
-    fn new(cap: usize) -> Self {
-        PipelineCache {
-            map: std::collections::HashMap::new(),
-            cap: cap.max(1),
-            clock: 0,
-        }
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<PipelineEntry>> {
-        self.clock += 1;
-        let stamp = self.clock;
-        let (entry, last_used) = self.map.get_mut(&key)?;
-        *last_used = stamp;
-        Some(Arc::clone(entry))
-    }
-
-    fn insert(&mut self, key: u64, entry: Arc<PipelineEntry>) {
-        self.clock += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| *k)
-            {
-                self.map.remove(&victim);
-            }
-        }
-        self.map.insert(key, (entry, self.clock));
-    }
-}
+/// One cached pipeline compile: every kind the daemon serves, rendered
+/// once when the compile lands.
+struct PipelineEntry(Vec<(&'static str, Result<String, String>)>);
 
 /// A running server; dropping the handle does **not** stop it — call
 /// [`ServerHandle::shutdown`] (or send the `shutdown` protocol command
@@ -287,7 +245,8 @@ pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         },
         stop: AtomicBool::new(false),
         explore_memo: roccc_explore::Memo::new(),
-        pipeline_cache: Mutex::new(PipelineCache::new(cfg.cache_cap.max(1).div_ceil(4))),
+        // Pipelines are far rarer than kernel compiles: one shard.
+        pipeline_cache: ShardedLru::new(cfg.cache_cap.max(1).div_ceil(4), 1),
         compiler,
         cfg,
     });
@@ -451,120 +410,58 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = proto::write_response(&mut writer, &resp);
 }
 
-/// Renders the artifact `emit` from a cached entry.
-fn render_artifact(entry: &CacheEntry, emit: &str) -> Result<Vec<u8>, String> {
-    match emit {
-        "vhdl" => Ok(entry.vhdl.clone().into_bytes()),
-        "dot" => Ok(entry.compiled.to_dot().into_bytes()),
-        "ir" => Ok(entry.compiled.ir.dump().into_bytes()),
-        "c" => Ok(format!(
-            "// Figure 3(b)-style rewritten kernel:\n{}\n// Exported data-path function:\n{}",
-            entry.compiled.kernel.rewritten.to_c(),
-            entry.compiled.kernel.dp_func.to_c()
-        )
-        .into_bytes()),
-        "stats" => Ok(render_stats(entry).into_bytes()),
-        "ranges" => Ok(entry.compiled.range_report().into_bytes()),
-        "deps" => Ok(entry.compiled.deps_report().into_bytes()),
-        "deps-json" => Ok(entry.compiled.deps_json().into_bytes()),
-        "schedule" => Ok(entry.compiled.schedule_report().into_bytes()),
-        "schedule-json" => entry
-            .compiled
-            .schedule_json()
-            .map(String::into_bytes)
-            .ok_or_else(|| "no schedule artifact (compile with pipeline-ii)".to_string()),
-        "prove" => Ok(entry.compiled.prove_report().into_bytes()),
-        "prove-json" => entry
-            .compiled
-            .prove_json()
-            .map(String::into_bytes)
-            .ok_or_else(|| "no proof certificate (compile with prove)".to_string()),
-        "table-row" => {
-            let model = roccc_synth::VirtexII::default();
-            let r = roccc_synth::map_netlist(&entry.compiled.netlist, &model);
-            Ok(format!(
-                "{} {} {} {} {:.1}\n",
-                entry.compiled.kernel.name, r.luts, r.ffs, r.slices, r.fmax_mhz
-            )
-            .into_bytes())
+/// The payload of `art` from a cached entry: the VHDL as rendered when
+/// the compile landed, `stats` with the daemon's service lines (verify
+/// findings, VHDL lint, compile time), any other kind from the table.
+fn payload(entry: &CacheEntry, art: &Artifact<Compiled>) -> Result<String, String> {
+    if art.kind == artifact::VHDL {
+        return Ok(entry.vhdl.clone());
+    }
+    let mut s = (art.render)(&entry.compiled)?;
+    if art.kind == artifact::STATS {
+        let _ = writeln!(s, "verify           : {} finding(s)", entry.verify.len());
+        for d in &entry.verify {
+            let _ = writeln!(s, "  {d}");
         }
-        other => Err(unknown_emit(other)),
+        let _ = writeln!(s, "vhdl lint        : {} warning(s)", entry.lint.len());
+        for w in &entry.lint {
+            let _ = writeln!(s, "  {w}");
+        }
+        let t = &entry.timings;
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let phases: Vec<String> = PhaseTimings::PHASES
+            .iter()
+            .enumerate()
+            .map(|(i, p)| format!("{p} {:.3}", ms(t.get(i))))
+            .collect();
+        let total = ms(t.total());
+        let _ = writeln!(
+            s,
+            "compile time     : {total:.3} ms ({})",
+            phases.join(" / ")
+        );
+    }
+    Ok(s)
+}
+
+/// An `ok` reply carrying a rendered artifact, or the render's error.
+fn reply(text: Result<String, String>, cached: bool) -> Response {
+    match text {
+        Ok(text) => Response::Ok {
+            payload: text.into_bytes(),
+            cached,
+        },
+        Err(e) => Response::Err(e),
     }
 }
 
-/// The error for a compile `emit` outside [`proto::COMPILE_EMITS`].
-fn unknown_emit(emit: &str) -> String {
-    format!("unknown emit `{emit}` ({})", proto::COMPILE_EMITS)
-}
-
-/// The `stats` artifact: the CLI's summary plus lint findings and
-/// compile-phase timings (per the service's observability contract).
-fn render_stats(entry: &CacheEntry) -> String {
-    let hw = &entry.compiled;
-    let model = roccc_synth::VirtexII::default();
-    let full = roccc_synth::map_netlist(&hw.netlist, &model);
-    let fast = roccc_synth::fast_estimate(&hw.datapath, &model);
-    let (soft, hard) = hw.datapath.node_census();
-    let mut s = String::new();
-    s.push_str(&format!("kernel           : {}\n", hw.kernel.name));
-    s.push_str(&format!(
-        "data path        : {} ops, {soft} soft + {hard} hard nodes, {} stages\n",
-        hw.datapath.ops.len(),
-        hw.datapath.num_stages
-    ));
-    s.push_str(&format!(
-        "outputs per cycle: {}\n",
-        hw.datapath.throughput_per_cycle()
-    ));
-    s.push_str(&format!(
-        "min II           : {} (rec {}, res {}), body latency {} cycle(s)\n",
-        hw.deps.min_ii, hw.deps.rec_mii, hw.deps.res_mii, hw.deps.body_latency
-    ));
-    if let Some(sched) = &hw.schedule {
-        s.push_str(&format!(
-            "achieved II      : {} ({})\n",
-            sched.ii,
-            if sched.fallback.is_some() {
-                "latch-pipeline fallback"
-            } else {
-                "modulo-scheduled"
-            }
-        ));
-    }
-    s.push_str(&format!(
-        "estimate (fast)  : {} LUT, {} FF, {} slices\n",
-        fast.luts, fast.ffs, fast.slices
-    ));
-    s.push_str(&format!(
-        "mapped (full)    : {} LUT, {} FF, {} slices, Fmax {:.0} MHz\n",
-        full.luts, full.ffs, full.slices, full.fmax_mhz
-    ));
-    s.push_str(&format!(
-        "verify           : {} finding(s)\n",
-        entry.verify.len()
-    ));
-    for d in &entry.verify {
-        s.push_str(&format!("  {d}\n"));
-    }
-    s.push_str(&format!(
-        "vhdl lint        : {} warning(s)\n",
-        entry.lint.len()
-    ));
-    for w in &entry.lint {
-        s.push_str(&format!("  {w}\n"));
-    }
-    let t = &entry.timings;
-    s.push_str(&format!(
-        "compile time     : {:.3} ms (parse {:.3} / hlir {:.3} / suifvm {:.3} / datapath {:.3} / netlist {:.3} / vhdl {:.3})\n",
-        t.total().as_secs_f64() * 1e3,
-        t.parse.as_secs_f64() * 1e3,
-        t.hlir.as_secs_f64() * 1e3,
-        t.suifvm.as_secs_f64() * 1e3,
-        t.datapath.as_secs_f64() * 1e3,
-        t.netlist.as_secs_f64() * 1e3,
-        t.vhdl.as_secs_f64() * 1e3,
-    ));
-    s
+/// The message of a caught panic's payload.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic payload".to_string())
 }
 
 fn handle_compile(
@@ -580,21 +477,16 @@ fn handle_compile(
 
     // Validate the artifact kind up front so a bogus `emit` never costs
     // a compile.
-    if !proto::COMPILE_EMITS.split('|').any(|k| k == emit) {
-        return Response::Err(unknown_emit(emit));
-    }
+    let art = match artifact::lookup(artifact::ARTIFACTS, emit, false, "") {
+        Ok(art) => art,
+        Err(e) => return Response::Err(e),
+    };
 
     loop {
         // Fast path: in-memory cache.
         if let Some(entry) = shared.cache.get(key) {
             shared.metrics.cache_hits.inc();
-            let resp = match render_artifact(&entry, emit) {
-                Ok(payload) => Response::Ok {
-                    payload,
-                    cached: true,
-                },
-                Err(e) => Response::Err(e),
-            };
+            let resp = reply(payload(&entry, art), true);
             shared.metrics.request_latency.observe(start.elapsed());
             return resp;
         }
@@ -651,18 +543,13 @@ fn handle_compile(
         "compile thread vanished without a result".to_string(),
     ));
     let resp = match outcome {
-        Outcome::Done(entry) => match render_artifact(&entry, emit) {
-            Ok(payload) => {
-                if let Some(disk) = &shared.disk {
-                    disk.put(key, emit, &payload);
-                }
-                Response::Ok {
-                    payload,
-                    cached: false,
-                }
+        Outcome::Done(entry) => {
+            let text = payload(&entry, art);
+            if let (Some(disk), Ok(text)) = (&shared.disk, &text) {
+                disk.put(key, emit, text.as_bytes());
             }
-            Err(e) => Response::Err(e),
-        },
+            reply(text, false)
+        }
         Outcome::Failed(msg) => Response::Err(msg),
         Outcome::Panicked(msg) => Response::Err(format!("compiler panicked: {msg}")),
         Outcome::TimedOut => {
@@ -696,9 +583,10 @@ fn handle_explore(
 ) -> Response {
     let start = Instant::now();
     shared.metrics.explore_requests.inc();
-    if !matches!(emit, "json" | "table") {
-        return Response::Err(format!("unknown explore emit `{emit}` (json|table)"));
-    }
+    let art = match artifact::lookup(roccc_explore::ARTIFACTS, emit, false, "explore ") {
+        Ok(art) => art,
+        Err(e) => return Response::Err(e),
+    };
 
     let space = roccc_explore::Space::new(unroll_factors, strip_widths, scalar_opt_both);
     let cfg = roccc_explore::ExploreConfig {
@@ -720,23 +608,11 @@ fn handle_explore(
                 .explore_pruned
                 .add((st.pruned_budget + st.pruned_beam) as u64);
             shared.metrics.explore_skipped.add(st.skipped as u64);
-            let payload = match emit {
-                "table" => roccc_explore::render_table(&result),
-                _ => roccc_explore::render_json(&result),
-            };
-            Response::Ok {
-                payload: payload.into_bytes(),
-                cached: false,
-            }
+            reply((art.render)(&result), false)
         }
         Err(panic) => {
             shared.metrics.panics.inc();
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic payload".to_string());
-            Response::Err(format!("explore panicked: {msg}"))
+            Response::Err(format!("explore panicked: {}", panic_message(&*panic)))
         }
     };
     shared.metrics.request_latency.observe(start.elapsed());
@@ -746,8 +622,8 @@ fn handle_explore(
 /// Compiles a streaming pipeline inline on the worker. A pipeline is a
 /// handful of ordinary kernel compiles plus plain-data composition
 /// checks, so it reuses the worker's panic isolation rather than the
-/// detached-thread watchdog machinery; both artifacts (`stats` and
-/// `vhdl`) are rendered once and cached under the topology-hashed key.
+/// detached-thread watchdog machinery; every served artifact is rendered
+/// once and cached under the topology-hashed key.
 fn handle_pipeline(
     shared: &Arc<Shared>,
     source: &str,
@@ -757,9 +633,10 @@ fn handle_pipeline(
 ) -> Response {
     let start = Instant::now();
     shared.metrics.pipeline_requests.inc();
-    if !matches!(emit, "stats" | "vhdl") {
-        return Response::Err(format!("unknown pipeline emit `{emit}` (stats|vhdl)"));
-    }
+    let art = match artifact::lookup(roccc_stream::ARTIFACTS, emit, false, "pipeline ") {
+        Ok(art) => art,
+        Err(e) => return Response::Err(e),
+    };
     let spec = match roccc_stream::parse_spec(pipeline) {
         Ok(s) => s,
         Err(e) => return Response::Err(e.to_string()),
@@ -769,23 +646,15 @@ fn handle_pipeline(
         Err(e) => return Response::Err(e.to_string()),
     };
 
-    let render = |entry: &PipelineEntry| match emit {
-        "vhdl" => entry.vhdl.clone().into_bytes(),
-        _ => entry.stats.clone().into_bytes(),
+    let served = |entry: &PipelineEntry| {
+        let found = entry.0.iter().find(|(kind, _)| *kind == art.kind);
+        found.expect("every served kind is rendered").1.clone()
     };
 
-    if let Some(entry) = shared
-        .pipeline_cache
-        .lock()
-        .expect("pipeline cache poisoned")
-        .get(key)
-    {
+    if let Some(entry) = shared.pipeline_cache.get(key) {
         shared.metrics.pipeline_cache_hits.inc();
         shared.metrics.request_latency.observe(start.elapsed());
-        return Response::Ok {
-            payload: render(&entry),
-            cached: true,
-        };
+        return reply(served(&entry), true);
     }
 
     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -797,29 +666,23 @@ fn handle_pipeline(
                 .metrics
                 .verify_findings
                 .add(cp.diagnostics.len() as u64);
-            let entry = Arc::new(PipelineEntry {
-                stats: roccc_stream::stats_report(&cp),
-                vhdl: roccc_stream::generate_pipeline_vhdl(&cp),
-            });
-            shared
-                .pipeline_cache
-                .lock()
-                .expect("pipeline cache poisoned")
-                .insert(key, Arc::clone(&entry));
-            Response::Ok {
-                payload: render(&entry),
-                cached: false,
-            }
+            let entry = Arc::new(PipelineEntry(
+                roccc_stream::ARTIFACTS
+                    .iter()
+                    .filter(|a| !a.local_only)
+                    .map(|a| (a.kind, (a.render)(&cp)))
+                    .collect(),
+            ));
+            shared.pipeline_cache.insert(key, Arc::clone(&entry));
+            reply(served(&entry), false)
         }
         Ok(Err(e)) => Response::Err(e.to_string()),
         Err(panic) => {
             shared.metrics.panics.inc();
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic payload".to_string());
-            Response::Err(format!("pipeline compile panicked: {msg}"))
+            Response::Err(format!(
+                "pipeline compile panicked: {}",
+                panic_message(&*panic)
+            ))
         }
     };
     shared.metrics.request_latency.observe(start.elapsed());
@@ -914,12 +777,7 @@ fn spawn_compile(
                 Err(panic) => {
                     shared.metrics.panics.inc();
                     shared.clear_inflight(key);
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "unknown panic payload".to_string());
-                    Outcome::Panicked(msg)
+                    Outcome::Panicked(panic_message(&*panic))
                 }
             };
             // The worker may already have timed out and gone; that's fine.

@@ -24,6 +24,10 @@
 //! * **VHDL top-level emission** instantiating the per-kernel entities
 //!   with FIFO glue ([`generate_pipeline_vhdl`]).
 //!
+//! [`ARTIFACTS`] declares what a compiled pipeline renders: the
+//! [`stats_report`], the VHDL, and the [`cosim_report`], which only a
+//! local run can produce.
+//!
 //! The FIFO sizing follows the polyhedral process-network tradition
 //! (Alias et al.): channel buffers fall out of the producer/consumer
 //! access patterns instead of guesswork.
@@ -42,9 +46,11 @@ pub use rate::{consume_rate, produce_rate, stage_rates, ConsumeRate, ProduceRate
 pub use spec::{parse_spec, BindSpec, FifoSpec, PipelineSpec, StageSpec};
 pub use vhdl::generate_pipeline_vhdl;
 
+use roccc::artifact::{Artifact, Table};
 use roccc::hash::Fnv64;
 use roccc::{CompileError, CompileOptions, Compiled, Diagnostic, VerifyLevel};
 use roccc_verify::pipeline::{BindView, ChannelView, PipelineView, PortView, StageView};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Errors from pipeline parsing, compilation, verification or
@@ -397,6 +403,23 @@ pub fn pipeline_cache_key(
     Ok(h.finish())
 }
 
+/// The kind `roccc --pipeline` prints by default.
+pub const STATS: &str = "stats";
+/// The kind of the pipeline's top-level VHDL.
+pub const VHDL: &str = "vhdl";
+
+/// Every artifact kind of a compiled pipeline.
+pub const ARTIFACTS: Table<CompiledPipeline> = &[
+    Artifact::new(STATS, "stages and FIFO depths", |cp| Ok(stats_report(cp))),
+    Artifact::new(VHDL, "the top entity with its FIFO glue", |cp| {
+        Ok(generate_pipeline_vhdl(cp))
+    }),
+    Artifact::new("cosim", "co-simulate, checked vs chained kernels", |cp| {
+        cosim_report(cp).map_err(|e| e.to_string())
+    })
+    .local(),
+];
+
 /// Human-readable stage/channel report (the `--pipeline` stats emit).
 pub fn stats_report(cp: &CompiledPipeline) -> String {
     use std::fmt::Write as _;
@@ -446,6 +469,92 @@ pub fn stats_report(cp: &CompiledPipeline) -> String {
         let _ = writeln!(s, "  {d}");
     }
     s
+}
+
+/// Deterministic inputs for [`cosim_report`]: every external
+/// (non-channel-fed) input array gets reproducible pseudo-random words in
+/// [-100, 100], every scalar live-in gets 1 (a safe divisor). One
+/// xorshift stream, fixed seed — two runs of the same pipeline see
+/// identical data.
+fn synth_inputs(cp: &CompiledPipeline) -> (HashMap<String, Vec<i64>>, HashMap<String, i64>) {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 201) as i64 - 100
+    };
+    let mut arrays = HashMap::new();
+    let mut scalars = HashMap::new();
+    for (si, st) in cp.stages.iter().enumerate() {
+        for c in &st.rates.consumes {
+            let channel_fed = cp
+                .channels
+                .iter()
+                .any(|ch| ch.to_stage == si && ch.to_array == c.array);
+            if !channel_fed {
+                arrays.insert(
+                    format!("{}.{}", st.name, c.array),
+                    (0..c.len).map(|_| next()).collect(),
+                );
+            }
+        }
+        for (name, _) in &st.compiled.kernel.scalar_inputs {
+            scalars.insert(format!("{}.{name}", st.name), 1);
+        }
+    }
+    (arrays, scalars)
+}
+
+/// Co-simulates the process network on synthesized inputs, checks it
+/// bit-exact against chained single-kernel golden runs, and reports the
+/// cycles, per-stage stalls and FIFO peaks (the `--pipeline` cosim emit).
+///
+/// # Errors
+///
+/// A simulation error, or [`StreamError::Sim`] naming the first output
+/// that diverged from the golden.
+pub fn cosim_report(cp: &CompiledPipeline) -> Result<String, StreamError> {
+    use std::fmt::Write as _;
+    let (arrays, scalars) = synth_inputs(cp);
+    let lanes = [arrays];
+    let run = run_cosim(cp, &lanes, &scalars)?;
+    let golden = chain_golden(cp, &lanes, &scalars)?;
+    for (key, data) in &run.lane_arrays[0] {
+        if golden[0].get(key) != Some(data) {
+            return Err(StreamError::Sim(format!(
+                "co-simulation diverged from the chained single-kernel golden on output `{key}`"
+            )));
+        }
+    }
+    let mut s = format!(
+        "pipeline `{}`: {} cycles, {:.4} outputs/cycle, {} output words\n  \
+         stage           fired   stalls  starves\n",
+        cp.spec.name,
+        run.cycles,
+        run.throughput(),
+        run.mem_writes
+    );
+    for st in &run.stages {
+        let _ = writeln!(
+            s,
+            "  {:<12} {:>8} {:>8} {:>8}",
+            st.name, st.fired, st.stall_cycles, st.starve_cycles
+        );
+    }
+    for (c, peak) in cp.channels.iter().zip(&run.fifo_peaks) {
+        let _ = writeln!(
+            s,
+            "  fifo {}.{} -> {}.{}: peak {peak}/{}",
+            cp.stages[c.from_stage].name,
+            c.from_array,
+            cp.stages[c.to_stage].name,
+            c.to_array,
+            c.depth
+        );
+    }
+    s.push_str("  bit-exact vs chained single-kernel golden: yes\n");
+    Ok(s)
 }
 
 #[cfg(test)]

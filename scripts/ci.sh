@@ -279,6 +279,21 @@ esac
 ./target/release/roccc --connect "${addr}" --metrics \
   | grep -q '^roccc_cache_hits_total 1$' \
   || { echo "serve smoke: metrics missing the cache hit" >&2; exit 1; }
+# The CLI and the daemon render through one artifact table: a local
+# render and a served one must be the same bytes.
+local_out="$(mktemp -t serve_smoke_local.XXXXXX)"
+served_out="$(mktemp -t serve_smoke_served.XXXXXX)"
+for kind in deps-json table-row; do
+  ./target/release/roccc "${smoke_src}" --function acc --emit "${kind}" >"${local_out}"
+  ./target/release/roccc "${smoke_src}" --function acc --connect "${addr}" \
+    --emit "${kind}" >"${served_out}" 2>/dev/null
+  if [ ! -s "${local_out}" ] || ! diff "${local_out}" "${served_out}" >&2; then
+    echo "serve smoke: --emit ${kind} differs between a local and a served compile" >&2
+    kill "${serve_pid}" 2>/dev/null || true
+    exit 1
+  fi
+done
+rm -f "${local_out}" "${served_out}"
 ./target/release/roccc --connect "${addr}" --shutdown >/dev/null
 wait "${serve_pid}"
 rm -f "${serve_log}" "${smoke_src}"

@@ -11,35 +11,43 @@
 //! multi-kernel streaming pipeline (`--pipeline <file>`), or sends the
 //! request to a running `roccc-serve` daemon (`--connect <host:port>`).
 //!
+//! `--emit <kind>` picks the artifact. The kinds of each mode, their
+//! help rows and the unknown-kind error come from one table per result:
+//! [`roccc::artifact::ARTIFACTS`] for a compile, `roccc_explore::ARTIFACTS`
+//! for a sweep and `roccc_stream::ARTIFACTS` for a pipeline. The daemon
+//! renders through the same tables, so a local and a served artifact are
+//! the same bytes; only the daemon's `stats` adds its service lines. The
+//! one CLI-only kind is `timings`, which needs the instrumented compile.
+//!
 //! On `--emit vhdl`, structural lint findings from `roccc-vhdl` are
 //! reported as warnings on stderr; the exit code stays 0 unless
 //! `--deny-warnings` is in effect. Verifier findings print with source
 //! spans where available and make the exit code nonzero on error.
 
+use roccc::artifact::{self, Artifact, ARTIFACTS};
 use roccc::proto::{self, Request, Response};
-use roccc::{compile, compile_with_area_budget, options, CompileOptions, Compiled, VerifyLevel};
-use roccc_synth::{fast_estimate, map_netlist, VirtexII};
+use roccc::{compile, compile_with_area_budget, options, CompileOptions, VerifyLevel};
+use roccc_explore::ExploreResult;
+use roccc_stream::CompiledPipeline;
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE_HEAD: &str = "usage: roccc <input.c> --function <name> [options]
+/// The CLI-only compile kind: it needs the instrumented compile, which
+/// no [`Artifact`] render has.
+const TIMINGS: &str = "timings";
+
+const USAGE: &str = "usage: roccc <input.c> --function <name> [options]
 
 options:
   --function, -f <name>  kernel function to compile (required)
   --budget <slices>      pick the unroll factor by area budget
-  --emit <what>          vhdl | dot | stats | ir | c | ranges | deps | deps-json |
-                         schedule | schedule-json | prove | prove-json |
-                         timings
-                         (default stats; `timings` prints the per-phase
-                         compile wall-clock breakdown)
-  -o <file>              write output to a file instead of stdout
+  --emit <kind>          the artifact to print (default stats):
+{compile kinds}  -o <file>              write output to a file instead of stdout
   --help, -h             print this help
 
 compile options:
-";
-
-const USAGE_TAIL: &str = "
-design-space exploration (--emit becomes table (default) | json):
+{compile options}
+design-space exploration (--emit default table):
   --explore              sweep unroll x strip-mine x scalar-opt and
                          report the (slices, cycles, clock) Pareto
                          frontier; infeasible configs are skip-reported
@@ -51,21 +59,38 @@ design-space exploration (--emit becomes table (default) | json):
                          exceeds n slices before mapping/simulation
   --beam <n>             fully score at most the n most promising
                          estimates (omit for exhaustive search)
-
-streaming pipelines (--emit becomes stats (default) | vhdl | cosim):
+  --emit <kind>          one of:
+{explore kinds}
+streaming pipelines (--emit default stats):
   --pipeline <file>      compile the multi-kernel pipeline described in
-                         <file> (stages are C functions in <input.c>);
-                         `cosim` co-simulates the process network on
-                         synthesized inputs and checks it bit-exact
-                         against chained single-kernel runs (local only)
-
-client mode (requires a running roccc-serve daemon; adds `table-row`
-to the accepted --emit values; --explore and --pipeline work over
---connect too):
+                         <file> (stages are C functions in <input.c>)
+  --emit <kind>          one of:
+{pipeline kinds}
+client mode (requires a running roccc-serve daemon; --explore and
+--pipeline work over --connect too; the daemon refuses local-only kinds):
   --connect <host:port>  send the compile to the server
   --metrics              (with --connect) print the server metrics
   --shutdown             (with --connect) stop the server
 ";
+
+/// The `roccc --help` text, its kind rows and compile options rendered
+/// from their tables.
+fn usage() -> String {
+    let compile_kinds = artifact::help_rows(ARTIFACTS)
+        + &artifact::help_row(TIMINGS, "per-phase compile wall-clock breakdown")
+        + &artifact::help_row("", "(local only)");
+    USAGE
+        .replace("{compile kinds}", &compile_kinds)
+        .replace("{compile options}", &options::cli_help())
+        .replace(
+            "{explore kinds}",
+            &artifact::help_rows(roccc_explore::ARTIFACTS),
+        )
+        .replace(
+            "{pipeline kinds}",
+            &artifact::help_rows(roccc_stream::ARTIFACTS),
+        )
+}
 
 struct Args {
     input: Option<String>,
@@ -137,12 +162,7 @@ fn parse_args() -> Result<Args, String> {
             "--function" | "-f" => a.function = Some(args.next().ok_or("--function needs a name")?),
             "--pipeline" => a.pipeline = Some(args.next().ok_or("--pipeline needs a file")?),
             "--budget" => a.budget = Some(number(&mut args, "--budget")?),
-            "--emit" => {
-                a.emit = Some(args.next().ok_or(
-                    "--emit needs vhdl|dot|stats|ir|c|ranges|deps|deps-json|\
-                     schedule|schedule-json|prove|prove-json|timings",
-                )?)
-            }
+            "--emit" => a.emit = Some(args.next().ok_or("--emit needs a kind (try --help)")?),
             "-o" => a.output = Some(args.next().ok_or("-o needs a path")?),
             "--explore" => a.explore = true,
             "--unroll-factors" => {
@@ -169,18 +189,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    // Asking for the schedule artifact without an explicit target means
-    // "schedule at auto/MinII": the artifact only exists when a modulo
-    // schedule was actually requested.
-    if matches!(a.emit.as_deref(), Some("schedule" | "schedule-json"))
-        && a.opts.pipeline_ii.is_none()
-    {
-        a.opts.pipeline_ii = Some(0);
-    }
-    // Asking for the proof artifact means "run the prover".
-    if matches!(a.emit.as_deref(), Some("prove" | "prove-json")) {
-        a.opts.prove = true;
-    }
     if a.help {
         // Skip the required-argument checks: `roccc --help` alone is valid.
         return Ok(a);
@@ -204,103 +212,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("missing --function (try --help)".to_string());
     }
     Ok(a)
-}
-
-/// The effective `--emit` value: defaults depend on the mode.
-fn effective_emit(args: &Args) -> String {
-    match &args.emit {
-        Some(e) => e.clone(),
-        None if args.explore => "table".to_string(),
-        None => "stats".to_string(),
-    }
-}
-
-fn render(hw: &Compiled, emit: &str, factor: Option<u64>) -> Result<String, String> {
-    match emit {
-        "vhdl" => Ok(hw.to_vhdl()),
-        "dot" => Ok(hw.to_dot()),
-        "ir" => Ok(hw.ir.dump()),
-        "c" => Ok(format!(
-            "// Figure 3(b)-style rewritten kernel:\n{}\n// Exported data-path function:\n{}",
-            hw.kernel.rewritten.to_c(),
-            hw.kernel.dp_func.to_c()
-        )),
-        "ranges" => Ok(hw.range_report()),
-        "deps" => Ok(hw.deps_report()),
-        "deps-json" => Ok(hw.deps_json()),
-        "schedule" => Ok(hw.schedule_report()),
-        "schedule-json" => hw
-            .schedule_json()
-            .ok_or_else(|| "no schedule artifact (compile with --pipeline-ii)".to_string()),
-        "prove" => Ok(hw.prove_report()),
-        "prove-json" => hw
-            .prove_json()
-            .ok_or_else(|| "no proof certificate (compile with --prove)".to_string()),
-        "stats" => {
-            let model = VirtexII::default();
-            let full = map_netlist(&hw.netlist, &model);
-            let fast = fast_estimate(&hw.datapath, &model);
-            let (soft, hard) = hw.datapath.node_census();
-            let mut s = String::new();
-            s.push_str(&format!("kernel           : {}\n", hw.kernel.name));
-            if let Some(f) = factor {
-                s.push_str(&format!("unroll factor    : {f} (area-budget driven)\n"));
-            }
-            s.push_str(&format!(
-                "loop nest        : {:?} ({} iterations)\n",
-                hw.kernel
-                    .dims
-                    .iter()
-                    .map(|d| format!("{}: {}..{} step {}", d.var, d.start, d.bound, d.step))
-                    .collect::<Vec<_>>(),
-                hw.kernel.total_iterations()
-            ));
-            s.push_str(&format!(
-                "windows          : {:?}\n",
-                hw.kernel
-                    .windows
-                    .iter()
-                    .map(|w| format!("{}{:?}", w.array, w.extent()))
-                    .collect::<Vec<_>>()
-            ));
-            s.push_str(&format!(
-                "feedback         : {:?}\n",
-                hw.kernel
-                    .feedback
-                    .iter()
-                    .map(|f| &f.name)
-                    .collect::<Vec<_>>()
-            ));
-            s.push_str(&format!(
-                "data path        : {} ops, {soft} soft + {hard} hard nodes, {} stages\n",
-                hw.datapath.ops.len(),
-                hw.datapath.num_stages
-            ));
-            s.push_str(&format!(
-                "outputs per cycle: {}\n",
-                hw.datapath.throughput_per_cycle()
-            ));
-            if let Some(sched) = &hw.schedule {
-                s.push_str(&format!(
-                    "initiation intvl : achieved {} (MinII {}, body latency {})\n",
-                    sched.ii, sched.min_ii, sched.body_latency
-                ));
-            }
-            s.push_str(&format!(
-                "estimate (fast)  : {} LUT, {} FF, {} slices\n",
-                fast.luts, fast.ffs, fast.slices
-            ));
-            s.push_str(&format!(
-                "mapped (full)    : {} LUT, {} FF, {} slices, Fmax {:.0} MHz\n",
-                full.luts, full.ffs, full.slices, full.fmax_mhz
-            ));
-            Ok(s)
-        }
-        other => Err(format!(
-            "unknown --emit `{other}` (vhdl|dot|stats|ir|c|ranges|deps|deps-json|\
-             schedule|schedule-json|prove|prove-json|timings)"
-        )),
-    }
 }
 
 /// The `timings` artifact: one instrumented compile (VHDL rendering
@@ -355,13 +266,12 @@ fn deliver(output: &Option<String>, text: &str) -> Result<(), String> {
 /// Local design-space exploration: sweep the configured space and emit
 /// the frontier artifact. An empty frontier (every candidate failed or
 /// was pruned away) is an error.
-fn run_explore(args: &Args, source: &str, function: &str) -> Result<(), String> {
-    let emit = effective_emit(args);
-    if !matches!(emit.as_str(), "table" | "json") {
-        return Err(format!(
-            "unknown --emit `{emit}` for --explore (table|json)"
-        ));
-    }
+fn run_explore(
+    args: &Args,
+    source: &str,
+    function: &str,
+    art: &Artifact<ExploreResult>,
+) -> Result<(), String> {
     let space =
         roccc_explore::Space::new(&args.unroll_factors, &args.strip_widths, args.scalar_both);
     let cfg = roccc_explore::ExploreConfig {
@@ -372,11 +282,7 @@ fn run_explore(args: &Args, source: &str, function: &str) -> Result<(), String> 
     };
     let memo = roccc_explore::Memo::new();
     let result = roccc_explore::explore(source, function, &args.opts, &space, &cfg, &memo);
-    let text = match emit.as_str() {
-        "json" => roccc_explore::render_json(&result),
-        _ => roccc_explore::render_table(&result),
-    };
-    deliver(&args.output, &text)?;
+    deliver(&args.output, &(art.render)(&result)?)?;
     if result.frontier.is_empty() {
         return Err(format!(
             "exploration produced an empty frontier: {} candidate(s), {} skipped, {} pruned",
@@ -388,192 +294,32 @@ fn run_explore(args: &Args, source: &str, function: &str) -> Result<(), String> 
     Ok(())
 }
 
-/// Deterministic input synthesis for `--pipeline --emit cosim`: every
-/// external (non-channel-fed) input array gets reproducible
-/// pseudo-random words in [-100, 100], every scalar live-in gets 1 (a
-/// safe divisor). One xorshift stream, fixed seed — two runs of the
-/// same pipeline see identical data.
-fn synth_pipeline_inputs(
-    cp: &roccc_stream::CompiledPipeline,
-) -> (
-    std::collections::HashMap<String, Vec<i64>>,
-    std::collections::HashMap<String, i64>,
-) {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % 201) as i64 - 100
-    };
-    let mut arrays = std::collections::HashMap::new();
-    let mut scalars = std::collections::HashMap::new();
-    for (si, st) in cp.stages.iter().enumerate() {
-        for c in &st.rates.consumes {
-            let channel_fed = cp
-                .channels
-                .iter()
-                .any(|ch| ch.to_stage == si && ch.to_array == c.array);
-            if !channel_fed {
-                arrays.insert(
-                    format!("{}.{}", st.name, c.array),
-                    (0..c.len).map(|_| next()).collect(),
-                );
-            }
-        }
-        for (name, _) in &st.compiled.kernel.scalar_inputs {
-            scalars.insert(format!("{}.{name}", st.name), 1);
-        }
-    }
-    (arrays, scalars)
-}
-
-/// Local `--pipeline` mode: compile the process network and emit stats,
-/// VHDL, or a co-simulation report checked against chained
-/// single-kernel golden runs.
-fn run_pipeline(args: &Args, source: &str, spec_path: &str) -> Result<(), String> {
-    let emit = effective_emit(args);
-    if !matches!(emit.as_str(), "stats" | "vhdl" | "cosim") {
-        return Err(format!(
-            "unknown --emit `{emit}` for --pipeline (stats|vhdl|cosim)"
-        ));
-    }
-    let spec_text =
-        std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-    let spec = roccc_stream::parse_spec(&spec_text).map_err(|e| e.to_string())?;
+/// Local `--pipeline` mode: compile the process network and emit the
+/// artifact `art` (stats, VHDL, or a co-simulation report checked
+/// against chained single-kernel golden runs).
+fn run_pipeline(
+    args: &Args,
+    source: &str,
+    spec_text: &str,
+    art: &Artifact<CompiledPipeline>,
+) -> Result<(), String> {
+    let spec = roccc_stream::parse_spec(spec_text).map_err(|e| e.to_string())?;
     let cp =
         roccc_stream::compile_pipeline(source, &spec, &args.opts).map_err(|e| e.to_string())?;
     // Non-fatal composition findings (warn level) go to stderr.
     for d in &cp.diagnostics {
         eprintln!("{d}");
     }
-    match emit.as_str() {
-        "vhdl" => {
-            let text = roccc_stream::generate_pipeline_vhdl(&cp);
-            lint_gate(&text, &args.opts)?;
-            deliver(&args.output, &text)
-        }
-        "cosim" => {
-            let (arrays, scalars) = synth_pipeline_inputs(&cp);
-            let lanes = [arrays];
-            let run = roccc_stream::run_cosim(&cp, &lanes, &scalars).map_err(|e| e.to_string())?;
-            let golden =
-                roccc_stream::chain_golden(&cp, &lanes, &scalars).map_err(|e| e.to_string())?;
-            for (key, data) in &run.lane_arrays[0] {
-                if golden[0].get(key) != Some(data) {
-                    return Err(format!(
-                        "co-simulation diverged from the chained single-kernel golden \
-                         on output `{key}`"
-                    ));
-                }
-            }
-            let mut s = String::new();
-            s.push_str(&format!(
-                "pipeline `{}`: {} cycles, {:.4} outputs/cycle, {} output words\n",
-                cp.spec.name,
-                run.cycles,
-                run.throughput(),
-                run.mem_writes
-            ));
-            s.push_str(&format!(
-                "  {:<12} {:>8} {:>8} {:>8}\n",
-                "stage", "fired", "stalls", "starves"
-            ));
-            for st in &run.stages {
-                s.push_str(&format!(
-                    "  {:<12} {:>8} {:>8} {:>8}\n",
-                    st.name, st.fired, st.stall_cycles, st.starve_cycles
-                ));
-            }
-            for (c, peak) in cp.channels.iter().zip(&run.fifo_peaks) {
-                s.push_str(&format!(
-                    "  fifo {}.{} -> {}.{}: peak {peak}/{}\n",
-                    cp.stages[c.from_stage].name,
-                    c.from_array,
-                    cp.stages[c.to_stage].name,
-                    c.to_array,
-                    c.depth
-                ));
-            }
-            s.push_str("  bit-exact vs chained single-kernel golden: yes\n");
-            deliver(&args.output, &s)
-        }
-        _ => deliver(&args.output, &roccc_stream::stats_report(&cp)),
+    let text = (art.render)(&cp)?;
+    if art.kind == roccc_stream::VHDL {
+        lint_gate(&text, &args.opts)?;
     }
-}
-
-/// Client mode: ship the request to a `roccc-serve` daemon.
-fn run_client(args: &Args, addr: &str) -> Result<(), String> {
-    let req = if args.metrics {
-        Request::Metrics
-    } else if args.shutdown {
-        Request::Shutdown
-    } else {
-        let input = args.input.as_deref().expect("parse_args checked input");
-        let source =
-            std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
-        if args.budget.is_some() {
-            return Err("--budget is not supported in --connect mode".to_string());
-        }
-        if effective_emit(args) == "timings" {
-            return Err(
-                "--emit timings is local-only; served compiles report per-phase \
-                 timings in the `--emit stats` artifact"
-                    .to_string(),
-            );
-        }
-        if let Some(spec_path) = &args.pipeline {
-            let emit = effective_emit(args);
-            if emit == "cosim" {
-                return Err(
-                    "--emit cosim is local-only (the wire protocol carries no lane \
-                     input data); ask the server for stats or vhdl"
-                        .to_string(),
-                );
-            }
-            let pipeline = std::fs::read_to_string(spec_path)
-                .map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-            return finish_client_roundtrip(
-                args,
-                addr,
-                &Request::Pipeline {
-                    source,
-                    pipeline,
-                    opts: args.opts.clone(),
-                    emit,
-                },
-            );
-        }
-        let function = args
-            .function
-            .clone()
-            .expect("parse_args checked --function");
-        if args.explore {
-            Request::Explore {
-                source,
-                function,
-                opts: args.opts.clone(),
-                unroll_factors: args.unroll_factors.clone(),
-                strip_widths: args.strip_widths.clone(),
-                scalar_opt_both: args.scalar_both,
-                budget_slices: args.budget_slices,
-                beam: args.beam,
-                emit: effective_emit(args),
-            }
-        } else {
-            Request::Compile {
-                source,
-                function,
-                opts: args.opts.clone(),
-                emit: effective_emit(args),
-            }
-        }
-    };
-    finish_client_roundtrip(args, addr, &req)
+    deliver(&args.output, &text)
 }
 
 /// Ships `req` to the daemon and delivers the reply.
-fn finish_client_roundtrip(args: &Args, addr: &str, req: &Request) -> Result<(), String> {
+fn send(args: &Args, req: &Request) -> Result<(), String> {
+    let addr = args.connect.as_deref().expect("client mode");
     let io_timeout = Some(Duration::from_secs(120));
     match proto::roundtrip(addr, req, io_timeout).map_err(|e| e.to_string())? {
         Response::Ok { payload, cached } => {
@@ -599,40 +345,91 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let mut args = parse_args()?;
     if args.help {
-        print!("{USAGE_HEAD}{}{USAGE_TAIL}", options::cli_help());
+        print!("{}", usage());
         return Ok(());
     }
-    if let Some(addr) = &args.connect {
-        return run_client(&args, addr);
+    if args.metrics {
+        return send(&args, &Request::Metrics);
     }
-
+    if args.shutdown {
+        return send(&args, &Request::Shutdown);
+    }
     let input = args.input.as_deref().expect("parse_args checked input");
     let source = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    // A client asks for what the daemon serves: no local-only kind.
+    let local = args.connect.is_none();
+    if !local && args.budget.is_some() {
+        return Err("--budget is not supported in --connect mode".to_string());
+    }
     if let Some(spec_path) = &args.pipeline {
-        return run_pipeline(&args, &source, spec_path);
+        let kind = args.emit.as_deref().unwrap_or(roccc_stream::STATS);
+        let art = artifact::lookup(roccc_stream::ARTIFACTS, kind, local, "pipeline ")?;
+        let pipeline = std::fs::read_to_string(spec_path)
+            .map_err(|e| format!("cannot read {spec_path}: {e}"))?;
+        if local {
+            return run_pipeline(&args, &source, &pipeline, art);
+        }
+        let req = Request::Pipeline {
+            source,
+            pipeline,
+            opts: args.opts.clone(),
+            emit: art.kind.to_string(),
+        };
+        return send(&args, &req);
     }
     let function = args
         .function
-        .as_deref()
+        .clone()
         .expect("parse_args checked --function");
     if args.explore {
-        return run_explore(&args, &source, function);
+        let kind = args.emit.as_deref().unwrap_or(roccc_explore::TABLE);
+        let art = artifact::lookup(roccc_explore::ARTIFACTS, kind, local, "explore ")?;
+        if local {
+            return run_explore(&args, &source, &function, art);
+        }
+        let req = Request::Explore {
+            source,
+            function,
+            opts: args.opts.clone(),
+            unroll_factors: args.unroll_factors.clone(),
+            strip_widths: args.strip_widths.clone(),
+            scalar_opt_both: args.scalar_both,
+            budget_slices: args.budget_slices,
+            beam: args.beam,
+            emit: art.kind.to_string(),
+        };
+        return send(&args, &req);
     }
-    // `timings` needs the instrumented compile entry point, so it takes
-    // its own path instead of flowing through `render`.
-    if effective_emit(&args) == "timings" {
-        return render_timings(&source, function, &args)
+    let kind = args.emit.as_deref().unwrap_or(artifact::STATS);
+    if local && kind == TIMINGS {
+        return render_timings(&source, &function, &args)
             .and_then(|text| deliver(&args.output, &text));
+    }
+    let art = artifact::find(ARTIFACTS, kind, local).ok_or_else(|| {
+        let cli_only = local.then_some(TIMINGS);
+        artifact::unknown("", kind, artifact::kinds(ARTIFACTS, local).chain(cli_only))
+    })?;
+    // Asking for the schedule (proof) artifact means "schedule at MinII"
+    // ("prove") unless that option was set.
+    art.imply(&mut args.opts);
+    if !local {
+        let req = Request::Compile {
+            source,
+            function,
+            opts: args.opts.clone(),
+            emit: art.kind.to_string(),
+        };
+        return send(&args, &req);
     }
 
     let (hw, factor) = match args.budget {
-        Some(budget) => compile_with_area_budget(&source, function, &args.opts, budget)
+        Some(budget) => compile_with_area_budget(&source, &function, &args.opts, budget)
             .map(|b| (b.compiled, Some(b.factor)))
             .map_err(|e| e.to_string())?,
         None => (
-            compile(&source, function, &args.opts).map_err(|e| render_error(&e, &source))?,
+            compile(&source, &function, &args.opts).map_err(|e| render_error(&e, &source))?,
             None,
         ),
     };
@@ -641,10 +438,17 @@ fn run() -> Result<(), String> {
     for d in &hw.diagnostics {
         eprintln!("{}", d.render(Some(&source)));
     }
-    let emit = effective_emit(&args);
-    let text = render(&hw, &emit, factor)?;
-    if emit == "vhdl" {
-        lint_gate(&text, &args.opts)?;
+    let mut text = (art.render)(&hw)?;
+    match (art.kind, factor) {
+        (artifact::VHDL, _) => lint_gate(&text, &args.opts)?,
+        (artifact::STATS, Some(f)) => {
+            let at = text.find('\n').map_or(0, |i| i + 1);
+            text.insert_str(
+                at,
+                &format!("unroll factor    : {f} (area-budget driven)\n"),
+            );
+        }
+        _ => {}
     }
     deliver(&args.output, &text)
 }

@@ -7,9 +7,8 @@
 //! replies instead of taking the server down.
 
 use roccc_suite::ipcores::benchmarks;
-use roccc_suite::roccc::proto::{
-    read_response, roundtrip, write_request, Request, Response, COMPILE_EMITS,
-};
+use roccc_suite::roccc::artifact::{self, ARTIFACTS};
+use roccc_suite::roccc::proto::{read_response, roundtrip, write_request, Request, Response};
 use roccc_suite::roccc::CompileOptions;
 use roccc_suite::serve::{start, CompileFn, ServerConfig};
 use std::io::{BufReader, Write};
@@ -604,7 +603,7 @@ fn unknown_compile_emit_names_every_accepted_kind() {
     match roundtrip(addr, &req, IO_TIMEOUT).expect("roundtrip") {
         Response::Err(msg) => {
             assert!(msg.contains("unknown emit `bogus`"), "{msg}");
-            for kind in COMPILE_EMITS.split('|') {
+            for kind in artifact::kinds(ARTIFACTS, false) {
                 assert!(msg.contains(kind), "`{kind}` missing from: {msg}");
             }
             assert!(
@@ -615,4 +614,97 @@ fn unknown_compile_emit_names_every_accepted_kind() {
         other => panic!("expected err, got {other:?}"),
     }
     handle.shutdown();
+}
+
+/// Every compile artifact kind renders the same bytes in process as the
+/// daemon serves, on fir and udiv under default and full options; an
+/// absent artifact is the same error. `stats` differs only by the
+/// daemon's service lines after the shared summary.
+#[test]
+fn local_renders_match_daemon_payloads_for_every_kind() {
+    use roccc_suite::ipcores::kernels::{fir_source, udiv_source};
+    let full = CompileOptions {
+        range_narrow: true,
+        pipeline_ii: Some(0),
+        prove: true,
+        ..CompileOptions::default()
+    };
+    let handle = start(ServerConfig::default()).expect("server starts");
+    let addr = handle.local_addr();
+    for (source, function) in [(fir_source(), "fir"), (udiv_source(), "udiv")] {
+        for (set, opts) in [
+            ("default", CompileOptions::default()),
+            ("full", full.clone()),
+        ] {
+            let hw = roccc::compile(&source, function, &opts).expect("compiles");
+            for art in ARTIFACTS {
+                let label = format!("{function} {set} {}", art.kind);
+                let req = compile_req(&source, function, &opts, art.kind);
+                let served = match roundtrip(addr, &req, IO_TIMEOUT).expect("roundtrip") {
+                    Response::Ok { payload, .. } => Ok(String::from_utf8(payload).unwrap()),
+                    Response::Err(msg) => Err(msg),
+                    other => panic!("{label}: {other:?}"),
+                };
+                let local = (art.render)(&hw);
+                if art.kind != artifact::STATS {
+                    assert_eq!(local, served, "{label}");
+                    continue;
+                }
+                let (local, served) = (local.unwrap(), served.unwrap());
+                let service = served
+                    .strip_prefix(&local)
+                    .unwrap_or_else(|| panic!("{label}: {served}\nlacks\n{local}"));
+                for line in service.lines() {
+                    assert!(
+                        [
+                            "verify           :",
+                            "vhdl lint        :",
+                            "compile time     :",
+                            "  "
+                        ]
+                        .iter()
+                        .any(|p| line.starts_with(p)),
+                        "{label}: not a service line: {line}"
+                    );
+                }
+            }
+        }
+    }
+    handle.shutdown();
+}
+
+/// The CLI renders every compile kind locally through the same table,
+/// `table-row` included, and refuses an unknown kind naming them all.
+#[test]
+fn cli_renders_every_kind_locally() {
+    let source = roccc_suite::ipcores::kernels::fir_source();
+    let path = std::env::temp_dir().join(format!("cli_kinds_{}.c", std::process::id()));
+    std::fs::write(&path, &source).unwrap();
+    let cli = |emit: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_roccc"))
+            .arg(&path)
+            .args(["--function", "fir", "--emit", emit])
+            .output()
+            .unwrap()
+    };
+    for art in ARTIFACTS {
+        let mut opts = CompileOptions::default();
+        art.imply(&mut opts);
+        let hw = roccc::compile(&source, "fir", &opts).expect("compiles");
+        let out = cli(art.kind);
+        assert!(out.status.success(), "{}: {out:?}", art.kind);
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            (art.render)(&hw).unwrap(),
+            "{}",
+            art.kind
+        );
+    }
+    let out = cli("bogus");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    for kind in artifact::kinds(ARTIFACTS, true).chain(["timings"]) {
+        assert!(stderr.contains(kind), "`{kind}` missing from: {stderr}");
+    }
+    std::fs::remove_file(&path).unwrap();
 }
