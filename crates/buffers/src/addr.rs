@@ -53,8 +53,11 @@ impl DimScan {
 #[derive(Debug, Clone)]
 pub struct AddressGen1d {
     scan: DimScan,
+    /// Window positions of the scan.
+    positions: u64,
+    /// Current window position and its first address.
     pos: u64,
-    offset: usize,
+    base: i64,
     /// Highest address already emitted (+1), for reuse skipping.
     next_fresh: i64,
     done: bool,
@@ -63,12 +66,14 @@ pub struct AddressGen1d {
 impl AddressGen1d {
     /// Creates the generator.
     pub fn new(scan: DimScan) -> Self {
+        let positions = scan.positions();
         AddressGen1d {
             scan,
+            positions,
             pos: 0,
-            offset: 0,
+            base: scan.start,
             next_fresh: i64::MIN,
-            done: scan.positions() == 0,
+            done: positions == 0,
         }
     }
 
@@ -86,28 +91,22 @@ impl AddressGen1d {
 impl Iterator for AddressGen1d {
     type Item = i64;
 
+    /// The first address of the current window an earlier (overlapping)
+    /// window has not fetched; once the window has none left, the next
+    /// window's. A call moves at most one window on unless the extent is
+    /// zero.
     fn next(&mut self) -> Option<i64> {
-        loop {
-            if self.done {
-                return None;
-            }
-            let base = self.scan.start + self.pos as i64 * self.scan.step;
-            if self.offset >= self.scan.extent {
-                self.offset = 0;
-                self.pos += 1;
-                if self.pos >= self.scan.positions() {
-                    self.done = true;
-                }
-                continue;
-            }
-            let addr = base + self.offset as i64;
-            self.offset += 1;
-            if addr >= self.next_fresh {
+        while !self.done {
+            let addr = self.base.max(self.next_fresh);
+            if addr < self.base + self.scan.extent as i64 {
                 self.next_fresh = addr + 1;
                 return Some(addr);
             }
-            // Already fetched by an earlier (overlapping) window: reuse.
+            self.pos += 1;
+            self.base += self.scan.step;
+            self.done = self.pos >= self.positions;
         }
+        None
     }
 }
 
@@ -116,24 +115,27 @@ impl Iterator for AddressGen1d {
 /// address exactly once.
 #[derive(Debug, Clone)]
 pub struct AddressGen2d {
-    /// Row dimension scan.
-    pub rows: DimScan,
-    /// Column dimension scan.
-    pub cols: DimScan,
-    /// Row width of the underlying array (flat row-major layout).
-    pub row_width: usize,
+    rows: DimScan,
+    cols: DimScan,
+    row_width: usize,
+    /// Last row and column any window touches.
+    row_last: i64,
+    col_last: i64,
     cur_row: i64,
     cur_col: i64,
     done: bool,
 }
 
 impl AddressGen2d {
-    /// Creates the generator.
+    /// Creates the generator for windows scanning `rows` × `cols` of an
+    /// array `row_width` words wide (flat row-major layout).
     pub fn new(rows: DimScan, cols: DimScan, row_width: usize) -> Self {
         let done = rows.positions() == 0 || cols.positions() == 0;
         AddressGen2d {
             cur_row: rows.start,
             cur_col: cols.start,
+            row_last: rows.last_touched(),
+            col_last: cols.last_touched(),
             rows,
             cols,
             row_width,
@@ -143,8 +145,8 @@ impl AddressGen2d {
 
     /// Flat addresses this generator will emit in total.
     pub fn total(&self) -> u64 {
-        let rows = (self.rows.last_touched() - self.rows.start + 1).max(0) as u64;
-        let cols = (self.cols.last_touched() - self.cols.start + 1).max(0) as u64;
+        let rows = (self.row_last - self.rows.start + 1).max(0) as u64;
+        let cols = (self.col_last - self.cols.start + 1).max(0) as u64;
         rows * cols
     }
 }
@@ -158,12 +160,10 @@ impl Iterator for AddressGen2d {
         }
         let addr = self.cur_row * self.row_width as i64 + self.cur_col;
         self.cur_col += 1;
-        if self.cur_col > self.cols.last_touched() {
+        if self.cur_col > self.col_last {
             self.cur_col = self.cols.start;
             self.cur_row += 1;
-            if self.cur_row > self.rows.last_touched() {
-                self.done = true;
-            }
+            self.done = self.cur_row > self.row_last;
         }
         Some(addr)
     }
@@ -359,6 +359,69 @@ mod tests {
             }
         }
         assert_eq!(gen.collect::<Vec<i64>>(), expect);
+    }
+
+    /// A random scan: start `lo..lo + 9`, 0–7 positions, stride 1–4 (so
+    /// some strides exceed the extent), extent 1–6.
+    fn random_scan(rng: &mut roccc_testutil::XorShift64, lo: i64) -> DimScan {
+        let start = rng.gen_range(lo, lo + 9);
+        let step = rng.gen_range(1, 5);
+        DimScan {
+            start,
+            bound: start + rng.gen_range(0, 8) * step - rng.gen_range(0, step),
+            step,
+            extent: rng.gen_range(1, 7) as usize,
+        }
+    }
+
+    /// Every index some window of `scan` reads.
+    fn touched(scan: DimScan) -> Vec<i64> {
+        let mut all: Vec<i64> = (scan.start..scan.bound)
+            .step_by(scan.step as usize)
+            .flat_map(|w| w..w + scan.extent as i64)
+            .collect();
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
+    #[test]
+    fn generators_emit_the_sorted_union_of_the_windows() {
+        let mut rng = roccc_testutil::XorShift64::new(0xadd7);
+        for case in 0..500 {
+            let scan = random_scan(&mut rng, -3);
+            let want = touched(scan);
+            let gen = AddressGen1d::new(scan);
+            assert_eq!(gen.total(), want.len() as u64, "case {case}: {scan:?}");
+            assert_eq!(gen.collect::<Vec<_>>(), want, "case {case}: {scan:?}");
+
+            // The 2-D generator streams every row and column of the box
+            // the windows span, gaps included: the union of the windows
+            // when no stride exceeds its extent.
+            let (rows, cols) = (random_scan(&mut rng, 0), random_scan(&mut rng, 0));
+            let row_width = (cols.last_touched() + 1).max(1) as usize + rng.gen_index(3);
+            let span = |s: DimScan| {
+                touched(s)
+                    .first()
+                    .map_or(0..0, |&a| a..s.last_touched() + 1)
+            };
+            let want: Vec<i64> = span(rows)
+                .flat_map(|r| span(cols).map(move |c| r * row_width as i64 + c))
+                .filter(|_| cols.positions() > 0)
+                .collect();
+            let gaps = |s: DimScan| s.step > s.extent as i64;
+            if !gaps(rows) && !gaps(cols) {
+                let union = touched(rows)
+                    .into_iter()
+                    .flat_map(|r| touched(cols).into_iter().map(move |c| (r, c)))
+                    .map(|(r, c)| r * row_width as i64 + c);
+                assert!(union.eq(want.iter().copied()), "case {case}");
+            }
+            let gen = AddressGen2d::new(rows, cols, row_width);
+            let ctx = format!("case {case}: {rows:?} × {cols:?} width {row_width}");
+            assert_eq!(gen.total(), want.len() as u64, "{ctx}");
+            assert_eq!(gen.collect::<Vec<_>>(), want, "{ctx}");
+        }
     }
 
     #[test]

@@ -4,9 +4,18 @@
 //! streams from a BRAM through a **smart buffer** that exploits
 //! sliding-window reuse ("two adjacent windows have four input data in
 //! common and only one new input data per window"), driven by
-//! **address generators**, all parameterized FSMs. The higher-level
-//! controller that fires, drains and retires windows is
-//! `roccc_netlist::system::SystemStage`.
+//! **address generators**, all parameterized FSMs.
+//!
+//! The smart buffers and the BRAM read port are the **reference model**
+//! of that side: they hold each word the way the hardware does. The
+//! controller that fires, drains and retires windows,
+//! `roccc_netlist::system::SystemStage`, keeps the same timing with
+//! counters (a window is staged once the count of landed stream words
+//! passes its last word, and gathered from memory when it fires); its tests
+//! drive it beside these models and require the same windows on the
+//! same cycles. The address generators filter a channel's words for it,
+//! the store address generator ([`OutputAddressGen`]) places its
+//! outputs and [`BramModel`]'s write port holds them.
 //!
 //! ```
 //! use roccc_buffers::addr::{AddressGen1d, DimScan};
@@ -32,4 +41,4 @@ pub mod smart;
 
 pub use addr::{AddressGen1d, AddressGen2d, DimScan, OutputAddressGen};
 pub use bram::BramModel;
-pub use smart::{BufferStats, SmartBuffer1d, SmartBuffer2d, WindowBuffer};
+pub use smart::{BufferStats, SmartBuffer1d, SmartBuffer2d};

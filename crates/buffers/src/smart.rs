@@ -36,20 +36,6 @@ impl BufferStats {
     }
 }
 
-/// The memory-facing side both smart buffers share: words go in by flat
-/// row-major address, complete windows come out into a caller-owned
-/// slot (row-major within the window), so a system driver can hold
-/// either buffer behind one interface and stage windows without
-/// allocating.
-pub trait WindowBuffer {
-    /// Accepts one word by flat row-major address.
-    fn push_flat(&mut self, flat: i64, value: i64);
-
-    /// Writes the next window into `out` if it is complete, sliding
-    /// forward by the stride. Returns whether a window was written.
-    fn pop_window_into(&mut self, out: &mut [i64]) -> bool;
-}
-
 /// 1-D sliding-window smart buffer.
 ///
 /// The live elements are one dense run of slots starting at index
@@ -119,7 +105,7 @@ impl SmartBuffer1d {
 
     /// Exports the next window if all of its elements are present,
     /// sliding forward by the stride and retiring dead elements (an
-    /// allocating convenience over [`WindowBuffer::pop_window_into`]).
+    /// allocating convenience over [`SmartBuffer1d::pop_window_into`]).
     pub fn pop_window(&mut self) -> Option<Vec<i64>> {
         let mut out = vec![0; self.window];
         self.pop_window_into(&mut out).then_some(out)
@@ -129,14 +115,11 @@ impl SmartBuffer1d {
     pub fn stats(&self) -> BufferStats {
         self.stats
     }
-}
 
-impl WindowBuffer for SmartBuffer1d {
-    fn push_flat(&mut self, flat: i64, value: i64) {
-        self.push(flat, value);
-    }
-
-    fn pop_window_into(&mut self, out: &mut [i64]) -> bool {
+    /// Writes the next window into `out` if all of its elements are
+    /// present, sliding forward by the stride and retiring dead elements.
+    /// Returns whether a window was written.
+    pub fn pop_window_into(&mut self, out: &mut [i64]) -> bool {
         let dead = (self.next_start - self.base).clamp(0, self.buf.len() as i64) as usize;
         self.buf.drain(..dead);
         self.base += dead as i64;
@@ -290,7 +273,7 @@ impl SmartBuffer2d {
     }
 
     /// Exports the next window (row-major within the window) if complete
-    /// (an allocating convenience over [`WindowBuffer::pop_window_into`]).
+    /// (an allocating convenience over [`SmartBuffer2d::pop_window_into`]).
     pub fn pop_window(&mut self) -> Option<Vec<i64>> {
         let mut out = vec![0; self.win_rows * self.win_cols];
         self.pop_window_into(&mut out).then_some(out)
@@ -300,14 +283,11 @@ impl SmartBuffer2d {
     pub fn stats(&self) -> BufferStats {
         self.stats
     }
-}
 
-impl WindowBuffer for SmartBuffer2d {
-    fn push_flat(&mut self, flat: i64, value: i64) {
-        SmartBuffer2d::push_flat(self, flat, value);
-    }
-
-    fn pop_window_into(&mut self, out: &mut [i64]) -> bool {
+    /// Writes the next window (row-major within the window) into `out`
+    /// if it is complete, sliding forward by the stride. Returns whether
+    /// a window was written.
+    pub fn pop_window_into(&mut self, out: &mut [i64]) -> bool {
         if self.next_r >= self.row_bound {
             return false;
         }

@@ -34,4 +34,7 @@ pub use cells::{Cell, CellId, CellKind, Netlist};
 pub use from_dp::netlist_from_datapath;
 pub use plan::{cell_stages, BatchedSim, SimPlan};
 pub use sim::{CycleResult, NetlistSim, SimError};
-pub use system::{run_system, store_addr_gens, Launch, SystemError, SystemRun, SystemStage};
+pub use system::{
+    run_system, store_addr_gens, window_scan, Launch, SystemError, SystemRun, SystemStage,
+    WindowScan,
+};

@@ -157,7 +157,7 @@ pub const ARTIFACTS: Table<Compiled> = &[
     Artifact::new("schedule", "the modulo schedule", |c: &Compiled| {
         match &c.schedule {
             Some(s) => Ok(s.report(&c.kernel.name)),
-            None => Ok("no schedule (compile with pipeline_ii)\n".to_string()),
+            None => Ok("no schedule (compile with pipeline-ii)\n".to_string()),
         }
     })
     .implying("pipeline-ii", "auto"),

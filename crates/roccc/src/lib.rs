@@ -203,7 +203,7 @@ impl Compiled {
         let mut s = String::new();
         match &self.ranges {
             None => {
-                s.push_str("no range analysis (compile with range_narrow)\n");
+                s.push_str("no range analysis (compile with range-narrow)\n");
             }
             Some(map) => {
                 let mut regs: Vec<_> = map.iter().collect();

@@ -6,18 +6,25 @@
 //! the single-kernel system simulation every cycle, in pipeline order,
 //! with the channels on the caller's side of each step:
 //!
-//! 1. **land** — external BRAM reads arrive in the smart buffers;
-//!    channel pops (up to `bus` per cycle) feed consumer smart buffers,
-//!    discarding flat addresses outside the window scan;
+//! 1. **land** — external BRAM beats arrive and channel pops (up to
+//!    `bus` per cycle) reach consumer windows, which keep the flat
+//!    addresses their scan needs and discard the rest; a window is
+//!    staged by counting the words landed, and holds the channel's words
+//!    over its live span only;
 //! 2. **fire** — a stage lane fires when every input window is staged,
 //!    the cycle lands on its initiation-interval grid, *and* every
 //!    output channel can reserve a full burst (credit-based
 //!    backpressure: a full FIFO stalls the producer and the bubble
 //!    propagates upstream as starvation; an off-grid cycle counts as
 //!    neither);
-//! 3. **step** — all lanes of the stage advance one clock (a stage
-//!    with no output channel and no feedback defers its data path into
-//!    16-lane tiles, see `roccc_netlist::system`);
+//! 3. **step** — all lanes of the stage advance one clock. Only a stage
+//!    whose plan has feedback, or that both reads a channel and streams
+//!    into one (the demo's `threshold`), steps its data path every cycle.
+//!    A feed-forward stage that reads only external BRAMs (the head
+//!    stage) computes its values ahead by iteration index, and a
+//!    feed-forward sink that reads a channel queues its firings and
+//!    computes them behind, both in 16-lane tiles (see
+//!    `roccc_netlist::system`);
 //! 4. **retire** — lanes whose pipeline output is valid push their burst
 //!    into the output channels (at the statically derived store
 //!    addresses) and external output BRAMs;

@@ -380,6 +380,18 @@ EOF
 ./target/release/roccc "${ii2_src}" --pipeline "${ii2_spec}" --deny-warnings \
   --emit cosim | grep -q 'bit-exact vs chained single-kernel golden: yes' \
   || { echo "pipeline smoke: II-2 stage not bit-exact" >&2; exit 1; }
+# Two words per beat, on the external BRAMs and the channels alike: both
+# networks must stay bit-exact.
+bus_spec="$(mktemp -t pipe_smoke_bus.XXXXXX.spec)"
+for spec in "${pipe_spec}" "${ii2_spec}"; do
+  src="${pipe_src}"
+  [ "${spec}" = "${ii2_spec}" ] && src="${ii2_src}"
+  { cat "${spec}"; echo 'bus 2'; } >"${bus_spec}"
+  ./target/release/roccc "${src}" --pipeline "${bus_spec}" --deny-warnings \
+    --emit cosim | grep -q 'bit-exact vs chained single-kernel golden: yes' \
+    || { echo "pipeline smoke: $(head -n 1 "${spec}") at bus 2 not bit-exact" >&2; exit 1; }
+done
+rm -f "${bus_spec}"
 # A deliberately deadlocking topology (FIFO below the deadlock-free
 # minimum) must be rejected statically with the stable P-code.
 bad_spec="$(mktemp -t pipe_smoke_bad.XXXXXX.spec)"

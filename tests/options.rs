@@ -7,9 +7,11 @@
 //! never change, or existing caches silently stop hitting (or, worse,
 //! alias). The other tests check that the command line, the serve
 //! protocol and a pipeline stage spell every option alike, that the
-//! spellings accepted before the table still parse, and that each
-//! surface rejects a bad period.
+//! spellings accepted before the table still parse, that each surface
+//! rejects a bad period, and that an artifact a compile lacks names the
+//! option to compile with by its key.
 
+use roccc_suite::roccc::artifact::ARTIFACTS;
 use roccc_suite::roccc::hash::cache_key;
 use roccc_suite::roccc::options::{apply_cli_arg, OPTIONS};
 use roccc_suite::roccc::proto::{read_request, roundtrip, write_request, Request, Response};
@@ -362,5 +364,32 @@ fn spec_rejects_bad_periods() {
         let err = from_spec(&format!("period={bad}")).unwrap_err();
         assert!(matches!(err, StreamError::Spec(_)), "{err:?}");
         assert!(err.to_string().contains("positive number of ns"), "{err}");
+    }
+}
+
+/// A default compile has no schedule, range analysis or certificate;
+/// each artifact that needs one says "compile with <key>", and the key
+/// must be an option the table parses.
+#[test]
+fn absent_artifacts_name_an_option_key() {
+    let source = roccc_suite::ipcores::kernels::fir_source();
+    let hw = roccc_suite::roccc::compile(&source, "fir", &CompileOptions::default()).unwrap();
+    let mut named = Vec::new();
+    for art in ARTIFACTS {
+        let report = (art.render)(&hw).unwrap_or_else(|e| e);
+        let Some((_, rest)) = report.split_once("compile with ") else {
+            continue;
+        };
+        let key = rest.split(')').next().unwrap().to_string();
+        let def = OPTIONS
+            .iter()
+            .find(|d| d.key == key)
+            .unwrap_or_else(|| panic!("`{}` names `{key}`, which no option is", art.kind));
+        (def.parse)(&mut CompileOptions::default(), def.example)
+            .unwrap_or_else(|e| panic!("`{}`: {key} {}: {e}", art.kind, def.example));
+        named.push(format!("{} {key}", art.kind));
+    }
+    for want in ["schedule pipeline-ii", "ranges range-narrow"] {
+        assert!(named.iter().any(|n| n == want), "`{want}` not in {named:?}");
     }
 }

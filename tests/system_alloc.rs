@@ -2,12 +2,13 @@
 //!
 //! A counting global allocator tallies the allocations this thread makes
 //! inside `run_system`. Growing a kernel's trip count fourfold must not
-//! change the tally: smart buffers reuse their lines, the BRAM read port
-//! drains in place, windows land in one slot per input lane and output
-//! addresses are computed without a scratch vector. Both kernels are feed
-//! forward, so their values are computed in 16-lane tiles; both trip
-//! counts of each case send at least 16 tiles and wrap the rings of queued
-//! firings several times, so those rings are reused, not grown. Optimised
+//! change the tally: a window feed counts the words its BRAM read port
+//! has issued and gathers each window from the BRAM's contents, and
+//! output addresses are computed without a scratch vector. Both kernels
+//! are feed forward and read only BRAMs, so their values are computed
+//! ahead in 16-lane tiles; both trip counts of each case send at least 16
+//! tiles and wrap the ring of computed rows several times, so that ring
+//! is reused, not grown. Optimised
 //! builds may elide a short-lived temporary allocation altogether, so the
 //! check is strictest in the default (unoptimised) test profile.
 

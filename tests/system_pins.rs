@@ -12,16 +12,26 @@
 //! and the cycles of its stages run one after another (the
 //! store-and-forward baseline the co-simulation overlaps) are pinned too.
 //!
-//! A stage with a feed-forward data path that stores to BRAM computes
-//! its values in tiles instead of stepping the data path per cycle. The
-//! differential tests below run such a stage in lockstep with the same
-//! kernel's stepped stage (one that streams its outputs) and require the
-//! same launches, retires, arrays and counts; a division fault must still
-//! be reported.
+//! A stage with a feed-forward data path that reads only BRAMs stages its
+//! windows by counting words and computes its values in tiles, whether it
+//! stores them or streams them, so no stage of the driver steps such a
+//! kernel any more. The differential tests below build the reference
+//! from the memory-side models instead: per window an address generator,
+//! a smart buffer and a BRAM read port, per write a store address
+//! generator, and a one-lane `BatchedSim` stepped on every cycle. A
+//! storing and a streaming stage run in lockstep with it and must launch,
+//! retire and finish alike on every cycle, the streaming stage must push
+//! what the reference stores on the cycle it stores it, and arrays and
+//! counts must agree; a division fault must still be reported.
 
+use roccc_suite::buffers::{
+    AddressGen1d, AddressGen2d, BramModel, OutputAddressGen, SmartBuffer1d, SmartBuffer2d,
+};
 use roccc_suite::cparse::{frontend, Interpreter};
 use roccc_suite::ipcores::{benchmarks, kernels};
-use roccc_suite::netlist::{Launch, SystemRun, SystemStage};
+use roccc_suite::netlist::{
+    store_addr_gens, window_scan, BatchedSim, Launch, SimPlan, SystemRun, SystemStage, WindowScan,
+};
 use roccc_suite::roccc::{compile, CompileOptions, Compiled};
 use roccc_suite::stream::{compile_pipeline, parse_spec, run_cosim, CompiledPipeline};
 use roccc_suite::testrand::exprgen::{gen_loop_kernel, gen_recurrence_kernel, LoopShape};
@@ -201,14 +211,225 @@ fn wavelet_pipeline_depths_and_stage_cycles_are_pinned() {
     assert_eq!(cycles, [3728, 4100, 4100]);
 }
 
-/// `run_system` with the data path stepped on every cycle: a one-lane
-/// stage that streams every output (so it cannot defer), its pushed words
-/// collected into arrays, run with `run_system`'s loop and drain. A
-/// second stage that stores to BRAM (and so defers) runs beside it, and
-/// every cycle both must launch, retire and finish alike.
-fn stepped_run(hw: &Compiled, arrays: &HashMap<String, Vec<i64>>, bus: usize) -> SystemRun {
+/// The smart buffer of a window scan.
+enum Smart {
+    One(SmartBuffer1d),
+    Two(SmartBuffer2d),
+}
+
+/// One window of the reference controller: the scan's address
+/// generator, a smart buffer and a BRAM read port, word by word.
+struct RefFeed {
+    addrs: Box<dyn Iterator<Item = i64>>,
+    buffer: Smart,
+    port_map: Vec<(usize, usize)>,
+    window: Vec<i64>,
+    staged: bool,
+    bram: BramModel,
+}
+
+impl RefFeed {
+    fn new(scan: WindowScan, data: Vec<i64>) -> Self {
+        let (addrs, buffer): (Box<dyn Iterator<Item = i64>>, _) = match scan.dims[..] {
+            [d] => (
+                Box::new(AddressGen1d::new(d)),
+                Smart::One(SmartBuffer1d::new(d.extent, d.step as usize, d.start)),
+            ),
+            [r, c] => (
+                Box::new(AddressGen2d::new(r, c, scan.row_width)),
+                Smart::Two(SmartBuffer2d::new(
+                    r.extent,
+                    c.extent,
+                    r.step as usize,
+                    c.step as usize,
+                    r.start,
+                    r.bound,
+                    c.start,
+                    c.bound,
+                    scan.row_width,
+                )),
+            ),
+            _ => unreachable!("one or two dimensions"),
+        };
+        RefFeed {
+            addrs,
+            buffer,
+            window: vec![0; scan.dims.iter().map(|d| d.extent).product()],
+            port_map: scan.port_map,
+            staged: false,
+            bram: BramModel::new(data),
+        }
+    }
+}
+
+/// One output write of the reference controller.
+struct RefStore {
+    output: usize,
+    port: usize,
+    addrs: OutputAddressGen,
+    remaining: u64,
+}
+
+/// The system driver's controller of one lane, built from the reference
+/// models: per window an address generator, a smart buffer and a BRAM
+/// read port; per output write a store address generator; and a one-lane
+/// `BatchedSim` stepped on every cycle. Stores go to one dense image per
+/// output array.
+struct Reference<'p> {
+    feeds: Vec<RefFeed>,
+    stores: Vec<RefStore>,
+    arrays: Vec<Vec<i64>>,
+    sim: BatchedSim<'p>,
+    args: Vec<i64>,
+    valid: bool,
+    fired: u64,
+    total: u64,
+    ii: u64,
+    bus: usize,
+    cycle: u64,
+    writes: u64,
+}
+
+impl<'p> Reference<'p> {
+    fn new(
+        hw: &Compiled,
+        plan: &'p SimPlan,
+        arrays: &HashMap<String, Vec<i64>>,
+        bus: usize,
+    ) -> Self {
+        let k = &hw.kernel;
+        let feeds = k
+            .windows
+            .iter()
+            .map(|w| RefFeed::new(window_scan(k, w).unwrap(), arrays[&w.array].clone()))
+            .collect();
+        let out_ports = k.output_ports();
+        let mut stores = Vec::new();
+        for (output, o) in k.outputs.iter().enumerate() {
+            for (wr, addrs) in o.writes.iter().zip(store_addr_gens(k, o).unwrap()) {
+                let port = out_ports.iter().position(|(n, _)| n == &wr.scalar).unwrap();
+                let remaining = addrs.total();
+                stores.push(RefStore {
+                    output,
+                    port,
+                    addrs,
+                    remaining,
+                });
+            }
+        }
+        Reference {
+            feeds,
+            stores,
+            arrays: k
+                .outputs
+                .iter()
+                .map(|o| vec![0; o.dims.iter().product()])
+                .collect(),
+            sim: BatchedSim::new(plan, 1),
+            args: vec![0; plan.num_inputs()],
+            valid: false,
+            fired: 0,
+            total: k.total_iterations(),
+            ii: plan.ii(),
+            bus,
+            cycle: 0,
+            writes: 0,
+        }
+    }
+
+    fn land(&mut self) {
+        for f in &mut self.feeds {
+            for (addr, v) in f.bram.clock_all() {
+                match &mut f.buffer {
+                    Smart::One(b) => b.push(addr as i64, v),
+                    Smart::Two(b) => b.push_flat(addr as i64, v),
+                }
+            }
+            if !f.staged {
+                f.staged = match &mut f.buffer {
+                    Smart::One(b) => b.pop_window_into(&mut f.window),
+                    Smart::Two(b) => b.pop_window_into(&mut f.window),
+                };
+            }
+        }
+    }
+
+    fn launch_state(&self) -> Launch {
+        if self.fired >= self.total {
+            Launch::Finished
+        } else if self.ii > 1 && !self.cycle.is_multiple_of(self.ii) {
+            Launch::OffGrid
+        } else if !self.feeds.iter().all(|f| f.staged) {
+            Launch::Starved
+        } else {
+            Launch::Ready
+        }
+    }
+
+    fn fire(&mut self) {
+        for f in &mut self.feeds {
+            assert!(f.staged);
+            for &(slot, port) in &f.port_map {
+                self.args[port] = f.window[slot];
+            }
+            f.staged = false;
+        }
+        self.valid = true;
+        self.fired += 1;
+    }
+
+    /// Steps, retires (each store is also handed to `push(output, addr,
+    /// value)`) and fetches; returns whether anything was stored.
+    fn step(&mut self, mut push: impl FnMut(usize, usize, i64)) -> Result<bool, String> {
+        self.cycle += 1;
+        self.sim
+            .step_lanes(&self.args, &[self.valid])
+            .map_err(|e| e.0)?;
+        self.args.fill(0);
+        self.valid = false;
+        let mut stored = false;
+        if self.sim.lane_out_valid(0) {
+            for st in self.stores.iter_mut().filter(|s| s.remaining > 0) {
+                let addr = st.addrs.next().ok_or("output address underflow")? as usize;
+                let v = self.sim.output_lane(st.port, 0);
+                self.arrays[st.output][addr] = v;
+                push(st.output, addr, v);
+                st.remaining -= 1;
+                self.writes += 1;
+                stored = true;
+            }
+        }
+        for f in &mut self.feeds {
+            for a in f.addrs.by_ref().take(self.bus) {
+                f.bram.issue_read(a as usize);
+            }
+        }
+        Ok(stored)
+    }
+
+    fn done(&self) -> bool {
+        self.fired >= self.total && self.stores.iter().all(|s| s.remaining == 0)
+    }
+
+    fn reads(&self) -> u64 {
+        self.feeds.iter().map(|f| f.bram.traffic().0).sum()
+    }
+}
+
+/// `(lane, output, addr, value)` of each streamed store.
+type Push = (usize, usize, usize, i64);
+
+/// Runs `hw` over `arrays` with `run_system`'s loop and drain on the
+/// reference controller, in lockstep with two system stages of the same
+/// kernel: one that stores to BRAM and one that streams every output.
+/// Every cycle all three must launch, retire and finish alike, and the
+/// streaming stage must push what the reference stores. Returns the
+/// reference's run, after checking both stages' traffic and the storing
+/// stage's arrays against it.
+fn reference_run(hw: &Compiled, arrays: &HashMap<String, Vec<i64>>, bus: usize) -> SystemRun {
     let kernel = &hw.kernel;
     let plan = hw.sim_plan().unwrap();
+    let mut reference = Reference::new(hw, &plan, arrays, bus);
     let memory: Vec<_> = kernel
         .windows
         .iter()
@@ -219,41 +440,62 @@ fn stepped_run(hw: &Compiled, arrays: &HashMap<String, Vec<i64>>, bus: usize) ->
         let memories = vec![memory.clone()];
         SystemStage::new(kernel, &plan, memories, &streamed, &HashMap::new(), bus).unwrap()
     };
-    let (mut stepped, mut deferred) = (stage(true), stage(false));
-    let mut run = SystemRun::default();
-    for o in &kernel.outputs {
-        run.arrays
-            .insert(o.array.clone(), vec![0; o.dims.iter().product()]);
-    }
-    let total = kernel.total_iterations();
+    let (mut stored, mut streamed) = (stage(false), stage(true));
+    let mut cycles = 0;
     let mut drain = 0;
-    while !stepped.done() || drain < hw.netlist.latency + 2 {
-        if stepped.fired(0) >= total {
+    let (mut want, mut got): (Vec<Push>, Vec<Push>) = (Vec::new(), Vec::new());
+    while !reference.done() || drain < hw.netlist.latency + 2 {
+        if reference.fired >= reference.total {
             drain += 1;
         }
-        run.cycles += 1;
-        stepped.land(|_, _| None);
-        deferred.land(|_, _| None);
-        let launch = stepped.launch_state(0);
-        assert_eq!(launch, deferred.launch_state(0), "cycle {}", run.cycles);
+        cycles += 1;
+        reference.land();
+        stored.land(|_, _| None);
+        streamed.land(|_, _| None);
+        let launch = reference.launch_state();
+        assert_eq!(launch, stored.launch_state(0), "cycle {cycles}");
+        assert_eq!(launch, streamed.launch_state(0), "cycle {cycles}");
         if launch == Launch::Ready {
-            stepped.fire(0);
-            deferred.fire(0);
+            reference.fire();
+            stored.fire(0);
+            streamed.fire(0);
         }
-        let retired = stepped
-            .step(|_, o, addr, v| {
-                run.arrays.get_mut(&kernel.outputs[o].array).unwrap()[addr] = v;
-                run.mem_writes += 1;
-            })
+        let retired = reference
+            .step(|o, addr, v| want.push((0, o, addr, v)))
             .unwrap();
-        assert_eq!(retired, deferred.step(|_, _, _, _| {}).unwrap());
-        assert_eq!(stepped.done(), deferred.done(), "cycle {}", run.cycles);
+        assert_eq!(retired, stored.step(|_, _, _, _| {}).unwrap());
+        assert_eq!(
+            retired,
+            streamed
+                .step(|l, o, addr, v| got.push((l, o, addr, v)))
+                .unwrap()
+        );
+        assert_eq!(got, want, "pushes by cycle {cycles}");
+        assert_eq!(reference.done(), stored.done(), "cycle {cycles}");
+        assert_eq!(reference.done(), streamed.done(), "cycle {cycles}");
     }
-    run.fired = stepped.fired(0);
-    run.mem_reads = stepped.reads();
-    let mut stored = HashMap::new();
-    assert_eq!(deferred.merge_outputs(0, "", &mut stored), run.mem_writes);
-    assert_eq!(stored, run.arrays);
+    let run = SystemRun {
+        arrays: kernel
+            .outputs
+            .iter()
+            .map(|o| o.array.clone())
+            .zip(reference.arrays.clone())
+            .collect(),
+        cycles,
+        fired: reference.fired,
+        mem_reads: reference.reads(),
+        mem_writes: reference.writes,
+        ..SystemRun::default()
+    };
+    assert_eq!((stored.fired(0), streamed.fired(0)), (run.fired, run.fired));
+    assert_eq!(
+        (stored.reads(), streamed.reads()),
+        (run.mem_reads, run.mem_reads)
+    );
+    let mut merged = HashMap::new();
+    assert_eq!(stored.merge_outputs(0, "", &mut merged), run.mem_writes);
+    assert_eq!(merged, run.arrays);
+    assert_eq!(got.len() as u64, run.mem_writes);
     run
 }
 
@@ -273,8 +515,10 @@ fn random_inputs(hw: &Compiled, seed: u64) -> HashMap<String, Vec<i64>> {
         .collect()
 }
 
-/// Asserts that `run_system` (which defers a feed-forward data path into
-/// tiles) and the stepped data path agree on every array and count.
+/// Asserts that `run_system` (which computes a feed-forward data path in
+/// tiles) and the reference controller's stepped data path agree on
+/// every array and count, with the per-cycle checks of
+/// [`reference_run`].
 fn assert_deferred_matches_stepped(hw: &Compiled, seed: u64, ctx: &str) {
     assert!(
         !hw.sim_plan().unwrap().has_feedback(),
@@ -283,7 +527,7 @@ fn assert_deferred_matches_stepped(hw: &Compiled, seed: u64, ctx: &str) {
     let arrays = random_inputs(hw, seed);
     for bus in [1, 4] {
         let deferred = hw.run_with_bus(&arrays, &HashMap::new(), bus).unwrap();
-        let stepped = stepped_run(hw, &arrays, bus);
+        let stepped = reference_run(hw, &arrays, bus);
         let counts = |r: &SystemRun| (r.cycles, r.fired, r.mem_reads, r.mem_writes);
         assert_eq!(counts(&deferred), counts(&stepped), "{ctx} bus {bus}");
         assert_eq!(deferred.arrays, stepped.arrays, "{ctx} bus {bus}");
@@ -368,6 +612,39 @@ fn deferred_division_fault_is_reported() {
         let arrays = HashMap::from([("A".to_string(), vec![100; 64]), ("B".to_string(), b)]);
         for bus in [1, 4] {
             let err = hw.run_with_bus(&arrays, &HashMap::new(), bus).unwrap_err();
+            assert_eq!(err.0, "division by zero", "zero divisor at {at}, bus {bus}");
+        }
+    }
+}
+
+/// A stage that streams its outputs and reads only BRAMs computes ahead
+/// too, and still reports a zero divisor.
+#[test]
+fn streamed_division_fault_is_reported() {
+    let src = "void q(int16 A[64], int16 B[64], int16 C[64]) { int i;
+      for (i = 0; i < 64; i = i + 1) { C[i] = A[i] / B[i]; } }";
+    let hw = compile(src, "q", &CompileOptions::default()).unwrap();
+    let plan = hw.sim_plan().unwrap();
+    for at in [0, 21, 63] {
+        let mut b: Vec<i64> = (0..64).map(|x| x % 7 + 1).collect();
+        b[at] = 0;
+        for bus in [1, 4] {
+            let memory = vec![vec![Some(vec![100; 64]), Some(b.clone())]];
+            let mut stage =
+                SystemStage::new(&hw.kernel, &plan, memory, &[true], &HashMap::new(), bus).unwrap();
+            let mut cycles = 0;
+            let err = loop {
+                cycles += 1;
+                assert!(cycles < 10_000, "zero divisor at {at}, bus {bus}: no fault");
+                stage.land(|_, _| None);
+                if stage.launch_state(0) == Launch::Ready {
+                    stage.fire(0);
+                }
+                match stage.step(|_, _, _, _| {}) {
+                    Ok(_) => assert!(!stage.done(), "zero divisor at {at}, bus {bus}: no fault"),
+                    Err(e) => break e,
+                }
+            };
             assert_eq!(err.0, "division by zero", "zero divisor at {at}, bus {bus}");
         }
     }
