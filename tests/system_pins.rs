@@ -649,3 +649,66 @@ fn streamed_division_fault_is_reported() {
         }
     }
 }
+
+/// Lanes of one stage may fire on different cycles: here lane 1 takes
+/// only every third launch it could. A stage that computes ahead in row
+/// order must still hand each lane its own values, stored or streamed.
+#[test]
+fn lanes_firing_out_of_step_keep_their_own_values() {
+    let b = benchmarks().into_iter().find(|b| b.name == "fir").unwrap();
+    let hw = compile(&b.source, b.func, &b.opts).unwrap();
+    let plan = hw.sim_plan().unwrap();
+    let kernel = &hw.kernel;
+    let inputs: Vec<_> = (0..2).map(|l| random_inputs(&hw, 40 + l)).collect();
+    let memories: Vec<Vec<_>> = inputs
+        .iter()
+        .map(|a| {
+            kernel
+                .windows
+                .iter()
+                .map(|w| Some(a[&w.array].clone()))
+                .collect()
+        })
+        .collect();
+    for streamed in [false, true] {
+        let flags = vec![streamed; kernel.outputs.len()];
+        let mut stage =
+            SystemStage::new(kernel, &plan, memories.clone(), &flags, &HashMap::new(), 1).unwrap();
+        let mut pushed: Vec<HashMap<String, Vec<i64>>> = vec![HashMap::new(); 2];
+        let mut ready = 0;
+        let mut cycles = 0;
+        while !stage.done() {
+            cycles += 1;
+            assert!(cycles < 10_000, "streamed {streamed}: no progress");
+            stage.land(|_, _| None);
+            if stage.launch_state(0) == Launch::Ready {
+                stage.fire(0);
+            }
+            if stage.launch_state(1) == Launch::Ready {
+                ready += 1;
+                if ready % 3 == 0 {
+                    stage.fire(1);
+                }
+            }
+            stage
+                .step(|l, o, addr, v| {
+                    let out = &kernel.outputs[o];
+                    let image = pushed[l]
+                        .entry(out.array.clone())
+                        .or_insert_with(|| vec![0; out.dims.iter().product()]);
+                    image[addr] = v;
+                })
+                .unwrap();
+        }
+        assert!(stage.fired(0) == stage.fired(1) && cycles > 2 * 134);
+        for (l, arrays) in inputs.iter().enumerate() {
+            let want = hw.run(arrays, &HashMap::new()).unwrap().arrays;
+            let mut got = HashMap::new();
+            stage.merge_outputs(l, "", &mut got);
+            if streamed {
+                got = std::mem::take(&mut pushed[l]);
+            }
+            assert_eq!(got, want, "lane {l}, streamed {streamed}");
+        }
+    }
+}
