@@ -26,7 +26,9 @@ use roccc_suite::prove::{
 use roccc_suite::roccc::{check_certificate, compile, CompileOptions};
 use roccc_suite::suifvm::ir::Opcode;
 use roccc_suite::suifvm::FunctionIr;
-use roccc_suite::testrand::exprgen::gen_kernel_source;
+use roccc_suite::testrand::exprgen::{
+    gen_kernel_source, gen_loop_kernel, gen_recurrence_kernel, LoopShape,
+};
 use roccc_suite::testrand::XorShift64;
 use Verdict::Equal;
 
@@ -152,6 +154,11 @@ enum Mutation {
     OffByOneConst,
     /// Bypass an ungated (pipeline-balancing) register.
     DropBalancingReg,
+    /// Put one extra ungated register in front of the first output.
+    DelayOutput,
+    /// Move the first feedback register's gate one stage later (one
+    /// earlier when it is already past stage 0).
+    ShiftGate,
 }
 
 impl Mutation {
@@ -160,6 +167,8 @@ impl Mutation {
             Mutation::SwapOperands => "swap-operands",
             Mutation::OffByOneConst => "off-by-one-const",
             Mutation::DropBalancingReg => "drop-balancing-reg",
+            Mutation::DelayOutput => "delay-output",
+            Mutation::ShiftGate => "shift-gate",
         }
     }
 }
@@ -244,6 +253,28 @@ fn mutate(nl: &Netlist, m: &Mutation) -> Option<Netlist> {
                 if *net == victim {
                     *net = d;
                 }
+            }
+        }
+        Mutation::DelayOutput => {
+            let net = out.outputs.first()?.2;
+            let delay = out.add(Cell {
+                kind: CellKind::Reg {
+                    d: Some(net),
+                    init: 0,
+                    stage_gate: None,
+                },
+                ..out.cells[net.0 as usize]
+            });
+            out.outputs[0].2 = delay;
+        }
+        Mutation::ShiftGate => {
+            let reg = out.feedback_regs.first()?.1;
+            if let CellKind::Reg {
+                stage_gate: Some(ref mut g),
+                ..
+            } = out.cells[reg.0 as usize].kind
+            {
+                *g = if *g == 0 { 1 } else { *g - 1 };
             }
         }
     }
@@ -337,6 +368,105 @@ fn planted_mutations_are_refuted_with_replaying_counterexamples() {
             m.label()
         );
     }
+}
+
+/// Mistimed netlists: an output read one cycle late (on generated
+/// kernels, recurrence kernels and mul_acc) and a feedback register
+/// latching one stage off (on mul_acc and the recurrence kernels). Every
+/// observable mutant is refuted with a replaying counterexample and an
+/// E001 or E002 finding (a delayed constant output differs only in its
+/// first window, which the differential pre-pass refutes), and some
+/// refutation finds a cone that is uniform at the wrong lag rather than
+/// mixed.
+#[test]
+fn timing_mutants_are_refuted_with_replaying_counterexamples() {
+    let mut subjects: Vec<(String, roccc_suite::roccc::Compiled)> = Vec::new();
+    for case in 0..8u64 {
+        let mut rng = XorShift64::new(0x7000 + case);
+        let src = gen_kernel_source(&mut rng, 3);
+        let opts = CompileOptions {
+            target_period_ns: [1000.0f64, 6.0, 3.0][rng.gen_index(3)],
+            ..CompileOptions::default()
+        };
+        if let Ok(hw) = compile(&src, "k", &opts) {
+            subjects.push((format!("gen{case}"), hw));
+        }
+    }
+    for seed in 4..10u64 {
+        let distance = 1 + seed % 4;
+        let mut rng = XorShift64::new(0x9e0 + seed);
+        let k = gen_recurrence_kernel(&mut rng, 2, distance, false);
+        for (set, ii) in [("default", None), ("auto", Some(0))] {
+            let opts = CompileOptions {
+                pipeline_ii: ii,
+                ..CompileOptions::default()
+            };
+            let hw = compile(&k.source, "k", &opts).expect("recurrence kernel compiles");
+            subjects.push((format!("rec{seed}/d{distance}/{set}"), hw));
+        }
+    }
+    let mul_acc = benchmarks()
+        .into_iter()
+        .find(|b| b.name == "mul_acc")
+        .expect("mul_acc is a Table 1 kernel");
+    for (set, narrow, ii) in [("default", false, None), ("full", true, Some(0))] {
+        let opts = CompileOptions {
+            range_narrow: narrow,
+            pipeline_ii: ii,
+            ..mul_acc.opts.clone()
+        };
+        let hw = compile(&mul_acc.source, mul_acc.func, &opts).expect("mul_acc compiles");
+        subjects.push((format!("mul_acc/{set}"), hw));
+    }
+
+    let mutations = [Mutation::DelayOutput, Mutation::ShiftGate];
+    let mut refuted_by_class = [0usize; 2];
+    let mut wrong_lag = 0usize;
+    let mut rng = XorShift64::new(0x71e);
+    for (name, hw) in &subjects {
+        for (mi, m) in mutations.iter().enumerate() {
+            let Some(mutant) = mutate(&hw.netlist, m) else {
+                continue;
+            };
+            if !observable(&hw.ir, &mutant, &mut rng) {
+                continue;
+            }
+            let label = format!("{name} {}", m.label());
+            let cert = prove(&hw.ir, &mutant, "mutant", &ProveOptions::default());
+            assert_eq!(
+                cert.verdict,
+                Verdict::Refuted,
+                "{label}: observable mutant not refuted: {:#?}",
+                cert.obligations
+            );
+            refuted_by_class[mi] += 1;
+            assert_cex_replays(&label, &cert, &hw.ir, &mutant);
+            let diags = verify_certificate_diags(&cert, &hw.ir, &mutant);
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.code.starts_with("E001") || d.code.starts_with("E002")),
+                "{label}: no E001/E002 finding: {diags:?}"
+            );
+            assert!(
+                !diags.iter().any(|d| d.code.starts_with("E004")),
+                "{label}: refutation flagged malformed: {diags:?}"
+            );
+            wrong_lag += cert
+                .obligations
+                .iter()
+                .filter(|o| o.status == ObStatus::Refuted && o.detail.contains(", expected "))
+                .count();
+        }
+    }
+    for (mi, m) in mutations.iter().enumerate() {
+        assert!(
+            refuted_by_class[mi] > 0,
+            "no observable {} mutant was refuted",
+            m.label()
+        );
+    }
+    assert!(wrong_lag > 0, "no refutation found a cone at the wrong lag");
 }
 
 // ---------------------------------------------------------------------------
@@ -473,4 +603,275 @@ fn udiv_wrong_quotient_bit_is_refuted() {
     }
     // The differential screen sees most of these faults too.
     assert!(screened > 0, "no udiv quotient-bit mutant observable");
+}
+
+// ---------------------------------------------------------------------------
+// Obligation pins
+// ---------------------------------------------------------------------------
+
+/// The inputs the obligation pin covers: `(label, source, function,
+/// options)`. Every Table 1 kernel under its paper options and again
+/// under `--range-narrow --pipeline-ii auto`; six recurrence kernels
+/// (distances 1–4) under `--pipeline-ii auto`; six stencil loops at
+/// three clock periods.
+fn pinned_compiles() -> Vec<(String, String, &'static str, CompileOptions)> {
+    let mut out = Vec::new();
+    for b in benchmarks() {
+        let full = CompileOptions {
+            range_narrow: true,
+            pipeline_ii: Some(0),
+            ..b.opts.clone()
+        };
+        out.push((
+            format!("{}/default", b.name),
+            b.source.clone(),
+            b.func,
+            b.opts,
+        ));
+        out.push((format!("{}/full", b.name), b.source, b.func, full));
+    }
+    for seed in 4..10u64 {
+        let distance = 1 + seed % 4;
+        let mut rng = XorShift64::new(0x9e0 + seed);
+        let k = gen_recurrence_kernel(&mut rng, 2, distance, false);
+        let opts = CompileOptions {
+            pipeline_ii: Some(0),
+            ..CompileOptions::default()
+        };
+        out.push((format!("rec{seed}/d{distance}"), k.source, "k", opts));
+    }
+    for seed in 0..6u64 {
+        let mut rng = XorShift64::new(0x10a0 + seed);
+        let k = gen_loop_kernel(&mut rng, 3, 1 + seed % 2, None, LoopShape::default());
+        let opts = CompileOptions {
+            target_period_ns: [1000.0f64, 6.0, 3.0][seed as usize % 3],
+            ..CompileOptions::default()
+        };
+        out.push((format!("loop{seed}"), k.source, "k", opts));
+    }
+    out
+}
+
+/// One line per certificate (`== label: verdict`) followed by one line
+/// per obligation: `name | kind | status | lag | detail`.
+fn obligation_lines(label: &str, cert: &Certificate) -> String {
+    let mut s = format!("== {label}: {}\n", cert.verdict);
+    for o in &cert.obligations {
+        let lag = o.lag.map_or("-".to_string(), |l| l.to_string());
+        s.push_str(&format!(
+            "{} | {} | {} | {lag} | {}\n",
+            o.name, o.kind, o.status, o.detail
+        ));
+    }
+    s
+}
+
+/// Every obligation's name, kind, status, recorded lag and detail, and
+/// every verdict, on the [`pinned_compiles`] inputs. No detail string
+/// embeds a rewrite-step count, so each is compared in full.
+const PINNED_OBLIGATIONS: &str = "\
+== bit_correlator/default: equal
+grid count | valid-grid | proved-rewrite | 2 | cone uniform at lag 2
+output count | output | proved-rewrite | 2 | normal forms coincide
+== bit_correlator/full: equal
+grid count | valid-grid | proved-rewrite | 2 | cone uniform at lag 2
+output count | output | proved-rewrite | 2 | normal forms coincide
+== mul_acc/default: equal
+grid acc_final | valid-grid | proved-rewrite | 2 | cone uniform at lag 2
+grid next acc | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+init acc | init | proved-rewrite | - | both reset to 0
+output acc_final | output | proved-rewrite | 2 | normal forms coincide
+next acc | next-state | proved-rewrite | 1 | normal forms coincide
+== mul_acc/full: equal
+grid acc_final | valid-grid | proved-rewrite | 2 | cone uniform at lag 2
+grid next acc | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+init acc | init | proved-rewrite | - | both reset to 0
+output acc_final | output | proved-rewrite | 2 | normal forms coincide
+next acc | next-state | proved-rewrite | 1 | normal forms coincide
+== udiv/default: equal
+grid q | valid-grid | proved-rewrite | 8 | cone uniform at lag 8
+output q | output | proved-rewrite | 8 | normal forms coincide
+== udiv/full: equal
+grid q | valid-grid | proved-rewrite | 8 | cone uniform at lag 8
+output q | output | proved-rewrite | 8 | normal forms coincide
+== square_root/default: equal
+grid r | valid-grid | proved-rewrite | 12 | cone uniform at lag 12
+output r | output | proved-rewrite | 12 | normal forms coincide
+== square_root/full: equal
+grid r | valid-grid | proved-rewrite | 12 | cone uniform at lag 12
+output r | output | proved-rewrite | 12 | normal forms coincide
+== cos/default: equal
+grid c | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output c | output | proved-rewrite | 1 | normal forms coincide
+== cos/full: equal
+grid c | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output c | output | proved-rewrite | 1 | normal forms coincide
+== arbitrary_lut/default: equal
+grid data | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output data | output | proved-rewrite | 1 | normal forms coincide
+== arbitrary_lut/full: equal
+grid data | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output data | output | proved-rewrite | 1 | normal forms coincide
+== fir/default: equal
+grid Tmp0 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp1 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+output Tmp0 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 3 | normal forms coincide
+== fir/full: equal
+grid Tmp0 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp1 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+output Tmp0 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 3 | normal forms coincide
+== dct/default: equal
+grid Tmp0 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp1 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp2 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp3 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp4 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp5 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp6 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp7 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+output Tmp0 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp2 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp3 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp4 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp5 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp6 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp7 | output | proved-rewrite | 3 | normal forms coincide
+== dct/full: equal
+grid Tmp0 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp1 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp2 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp3 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp4 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp5 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp6 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp7 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+output Tmp0 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp2 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp3 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp4 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp5 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp6 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp7 | output | proved-rewrite | 3 | normal forms coincide
+== wavelet/default: equal
+grid Tmp0 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp1 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp2 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp3 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+output Tmp0 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp2 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp3 | output | proved-rewrite | 3 | normal forms coincide
+== wavelet/full: equal
+grid Tmp0 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp1 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp2 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+grid Tmp3 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
+output Tmp0 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp2 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp3 | output | proved-rewrite | 3 | normal forms coincide
+== rec4/d1: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid next s0 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+init s0 | init | proved-rewrite | - | both reset to 0
+output Tmp0 | output | proved-rewrite | 1 | normal forms coincide
+next s0 | next-state | proved-rewrite | 0 | normal forms coincide
+== rec5/d2: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid next s0 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+grid next s1 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+init s0 | init | proved-rewrite | - | both reset to 0
+init s1 | init | proved-rewrite | - | both reset to 0
+output Tmp0 | output | proved-rewrite | 1 | normal forms coincide
+next s0 | next-state | proved-rewrite | 0 | normal forms coincide
+next s1 | next-state | proved-rewrite | 0 | normal forms coincide
+== rec6/d3: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid next s0 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+grid next s1 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+grid next s2 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+init s0 | init | proved-rewrite | - | both reset to 0
+init s1 | init | proved-rewrite | - | both reset to 0
+init s2 | init | proved-rewrite | - | both reset to 0
+output Tmp0 | output | proved-rewrite | 1 | normal forms coincide
+next s0 | next-state | proved-rewrite | 0 | normal forms coincide
+next s1 | next-state | proved-rewrite | 0 | normal forms coincide
+next s2 | next-state | proved-rewrite | 0 | normal forms coincide
+== rec7/d4: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid next s0 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+grid next s1 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+grid next s2 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+grid next s3 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+init s0 | init | proved-rewrite | - | both reset to 0
+init s1 | init | proved-rewrite | - | both reset to 0
+init s2 | init | proved-rewrite | - | both reset to 0
+init s3 | init | proved-rewrite | - | both reset to 0
+output Tmp0 | output | proved-rewrite | 1 | normal forms coincide
+next s0 | next-state | proved-rewrite | 0 | normal forms coincide
+next s1 | next-state | proved-rewrite | 0 | normal forms coincide
+next s2 | next-state | proved-rewrite | 0 | normal forms coincide
+next s3 | next-state | proved-rewrite | 0 | normal forms coincide
+== rec8/d1: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid next s0 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+init s0 | init | proved-rewrite | - | both reset to 0
+output Tmp0 | output | proved-rewrite | 1 | normal forms coincide
+next s0 | next-state | proved-rewrite | 0 | normal forms coincide
+== rec9/d2: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid next s0 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+grid next s1 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0
+init s0 | init | proved-rewrite | - | both reset to 0
+init s1 | init | proved-rewrite | - | both reset to 0
+output Tmp0 | output | proved-rewrite | 1 | normal forms coincide
+next s0 | next-state | proved-rewrite | 0 | normal forms coincide
+next s1 | next-state | proved-rewrite | 0 | normal forms coincide
+== loop0: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output Tmp0 | output | proved-sat | 1 | difference UNSAT
+== loop1: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid Tmp1 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output Tmp0 | output | proved-sat | 1 | difference UNSAT
+output Tmp1 | output | proved-rewrite | 1 | normal forms coincide
+== loop2: equal
+grid Tmp0 | valid-grid | proved-rewrite | 2 | cone uniform at lag 2
+output Tmp0 | output | proved-rewrite | 2 | normal forms coincide
+== loop3: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+grid Tmp1 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output Tmp0 | output | proved-rewrite | 1 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 1 | normal forms coincide
+== loop4: equal
+grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
+output Tmp0 | output | proved-sat | 1 | difference UNSAT
+== loop5: equal
+grid Tmp0 | valid-grid | proved-rewrite | 4 | cone uniform at lag 4
+grid Tmp1 | valid-grid | proved-rewrite | 4 | cone uniform at lag 4
+output Tmp0 | output | proved-rewrite | 4 | normal forms coincide
+output Tmp1 | output | proved-rewrite | 4 | normal forms coincide
+";
+
+/// The timing and value verdicts of every obligation are pinned: a change
+/// to how the prover computes them must reproduce each status, lag and
+/// detail exactly.
+#[test]
+fn obligation_statuses_are_pinned() {
+    let mut got = String::new();
+    for (label, source, func, opts) in pinned_compiles() {
+        let opts = CompileOptions {
+            prove: true,
+            ..opts
+        };
+        let hw = compile(&source, func, &opts)
+            .unwrap_or_else(|e| panic!("{label}: compile failed: {e}\n{source}"));
+        let cert = hw.certificate.as_ref().expect("prove was requested");
+        got.push_str(&obligation_lines(&label, cert));
+    }
+    assert_eq!(got, PINNED_OBLIGATIONS);
 }
