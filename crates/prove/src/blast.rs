@@ -24,8 +24,8 @@ pub enum SatOutcome {
     Equal,
     /// Candidate leaf assignment under which the sides may differ
     /// (must be confirmed by replay): `(var leaves, fb leaves)` keyed by
-    /// `(index, lag)`.
-    Candidate(HashMap<(u32, u32), i64>, HashMap<(u32, u32), i64>),
+    /// port and slot index.
+    Candidate(HashMap<u32, i64>, HashMap<u32, i64>),
     /// Budget exhausted.
     Unknown,
 }
@@ -503,11 +503,11 @@ pub fn sat_equal(
             let mut fbs_out = HashMap::new();
             for (&t, &b) in &bl.memo {
                 match store.term(t) {
-                    Term::Var { port, lag } => {
-                        vars_out.insert((*port, *lag), bl.leaf_value(b));
+                    Term::Var { port } => {
+                        vars_out.insert(*port, bl.leaf_value(b));
                     }
-                    Term::FbVar { slot, lag } => {
-                        fbs_out.insert((*slot, *lag), bl.leaf_value(b));
+                    Term::FbVar { slot } => {
+                        fbs_out.insert(*slot, bl.leaf_value(b));
                     }
                     _ => {}
                 }
@@ -532,8 +532,8 @@ mod tests {
         // (a + b) & 0xFF  ≡  (b + a) mod 2^8 — different term shapes on
         // purpose: build one side without the smart constructors.
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let raw_sum = s.mk(Term::Op {
             op: TOp::Add,
             args: vec![a, b],
@@ -554,14 +554,14 @@ mod tests {
     #[test]
     fn off_by_one_refuted_with_model() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let one = s.cst(1);
         let l = s.add(vec![a, one]);
         let (out, ..) = sat_equal(&s, l, a, 16, 100_000);
         let SatOutcome::Candidate(vars, _) = out else {
             panic!("expected a counterexample candidate");
         };
-        let av = vars.get(&(0, 0)).copied().unwrap_or(0);
+        let av = vars.get(&0).copied().unwrap_or(0);
         // The model must actually distinguish the sides at 16 bits.
         let w = IntType::signed(16);
         assert_ne!(w.wrap(av.wrapping_add(1)), w.wrap(av));
@@ -571,7 +571,7 @@ mod tests {
     fn negation_identity_proved() {
         // -(-a) ≡ a at full width, via raw nodes.
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let n1 = s.mk(Term::Op {
             op: TOp::Neg,
             args: vec![a],
@@ -588,8 +588,8 @@ mod tests {
     fn signed_compare_blasts_correctly() {
         // (a < b) is refutable and the model satisfies the claimed order.
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let l = s.mk(Term::Op {
             op: TOp::Slt,
             args: vec![a, b],
@@ -599,8 +599,8 @@ mod tests {
         let SatOutcome::Candidate(vars, _) = out else {
             panic!("expected candidate: a<b is not always true");
         };
-        let av = vars.get(&(0, 0)).copied().unwrap_or(0);
-        let bv = vars.get(&(1, 0)).copied().unwrap_or(0);
+        let av = vars.get(&0).copied().unwrap_or(0);
+        let bv = vars.get(&1).copied().unwrap_or(0);
         assert!(av >= bv, "model must violate a<b, got {av} < {bv}");
     }
 }

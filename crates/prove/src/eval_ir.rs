@@ -31,7 +31,7 @@ pub struct IrSymbols {
 /// One `(condition, polarity)` literal on the path guard of a block.
 type Guard = Vec<(TermId, bool)>;
 
-/// Symbolically evaluates `f` over fresh lag-0 leaves in `store`.
+/// Symbolically evaluates `f` over the window's leaves in `store`.
 pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, String> {
     let order = f.reverse_postorder();
     let pos: FxHashMap<u32, usize> = order.iter().enumerate().map(|(i, b)| (b.0, i)).collect();
@@ -50,9 +50,7 @@ pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, Strin
     let preds = f.predecessors();
     let mut regs: FxHashMap<u32, TermId> = FxHashMap::default();
     let mut guards: FxHashMap<u32, Guard> = FxHashMap::default();
-    let mut next_state: Vec<TermId> = (0..f.feedback.len())
-        .map(|s| store.fb(s as u32, 0))
-        .collect();
+    let mut next_state: Vec<TermId> = (0..f.feedback.len()).map(|s| store.fb(s as u32)).collect();
 
     for (idx, &bid) in order.iter().enumerate() {
         // Path guard: longest common prefix of the incoming edge guards.
@@ -98,7 +96,7 @@ pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, Strin
             };
             let v = match i.op {
                 Opcode::Arg => {
-                    let raw = store.var(i.imm as u32, 0);
+                    let raw = store.var(i.imm as u32);
                     store.wrap(f.inputs[i.imm as usize].1, raw)
                 }
                 Opcode::Ldc => store.cst(i.imm),
@@ -173,7 +171,7 @@ pub fn eval_ir(store: &mut TermStore, f: &FunctionIr) -> Result<IrSymbols, Strin
                     let (c, t, e) = (src(0, &regs)?, src(1, &regs)?, src(2, &regs)?);
                     store.mux(c, t, e)
                 }
-                Opcode::Lpr => store.fb(i.imm as u32, 0),
+                Opcode::Lpr => store.fb(i.imm as u32),
                 Opcode::Snx => {
                     let slot = i.imm as usize;
                     let ty = f.feedback[slot].ty;

@@ -1,4 +1,5 @@
-//! Symbolic execution of one II-period of the compiled netlist.
+//! Symbolic execution of one II-period of the compiled netlist: the value
+//! half of translation validation.
 //!
 //! Cells are evaluated in index order (with bounded re-passes, since only
 //! registers may be forward-referenced), mirroring `netlist::plan` wrap
@@ -6,41 +7,92 @@
 //! element-wrapped before the cell wrap, shifts clamp dynamic amounts to
 //! `0..=63`, and register commits wrap to the register type.
 //!
-//! Timing is tracked through leaf *lags*: crossing a gateless pipeline
-//! register adds one lag to every leaf of the fan-in cone; a gated feedback
-//! register reads as [`crate::term::Term::FbVar`] at its gate stage. An
-//! output port is correctly timed exactly when its cone is lag-uniform at
-//! the plan latency, and a feedback next-state cone when it is uniform at
-//! the register's gate stage — these become the valid-grid obligations.
+//! Registers are transparent: a gateless register's term is its driver's
+//! term wrapped to the register type, and a gated feedback register reads
+//! as [`crate::term::Term::FbVar`]. The leaves are the ones `eval_ir`
+//! uses, in the same store, so a netlist cone that keeps the IR's
+//! structure hash-conses onto the IR's term. When each value is computed
+//! is the timing half's question ([`crate::timing::cell_lags`]).
+//!
+//! Why dropping the timing from the terms is sound: a netlist cone whose
+//! cells all sit at one lag `l` computes the lag-0 cone over the window
+//! launched `l` stages earlier, i.e. the lag-0 cone with its leaves
+//! renamed injectively. Its transparent term is therefore exactly the
+//! window-relative term the value obligation compares, the one that
+//! shifting each leaf by its register count and then resetting every lag
+//! to 0 would have built. A cone whose cells sit at mixed lags, or at the
+//! wrong lag, is refuted by its valid-grid obligation before its value
+//! matters.
 //!
 //! Width-change absorption uses two tiers: the store's own interval
 //! analysis (always sound, trusts nothing), and the compiler's `nl.ranges`
 //! facts (`suifvm::range` known-bits results stamped onto cells). Terms
 //! whose wrap was elided only thanks to a compiler fact are recorded in
 //! [`NlSymbols::fact_elided`] so obligations closed through them can be
-//! reported as range-assisted rather than purely rewritten.
+//! reported as range-assisted rather than purely rewritten
+//! ([`NlSymbols::range_assisted`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use roccc_netlist::cells::{CellKind, Netlist};
 use roccc_suifvm::ir::{FunctionIr, Opcode};
 
-use crate::term::{TOp, TermId, TermMap, TermStore};
+use crate::term::{TOp, Term, TermId, TermStore};
 
 /// Result of symbolically executing one netlist period.
 pub struct NlSymbols {
-    /// Per-output-port terms (port wrap applied), with lags intact.
+    /// Per-output-port terms (port wrap applied).
     pub outputs: Vec<TermId>,
     /// Per-feedback-slot next-state terms (register wrap applied), indexed
-    /// like `f.feedback`, with lags intact.
+    /// like `f.feedback`.
     pub next_state: Vec<TermId>,
     /// Gate stage of each feedback register, indexed like `f.feedback`.
     pub gate_stages: Vec<u32>,
     /// `(netlist init, IR init)` per feedback slot, both wrapped.
     pub init_vals: Vec<(i64, i64)>,
     /// Terms standing unwrapped only because a compiler range fact proved
-    /// the value fits the cell type.
-    pub fact_elided: HashSet<TermId>,
+    /// the value fits the cell type, with the narrowest width whose wrap
+    /// was dropped.
+    pub fact_elided: HashMap<TermId, u8>,
+}
+
+impl NlSymbols {
+    /// True when `t`'s value rests on a wrap dropped for a compiler fact:
+    /// a fact-elided term is used in `t`'s cone other than directly under
+    /// a wrap to at most the dropped width, which re-applies the dropped
+    /// wrap (`wrap_b(wrap_B(x)) == wrap_b(x)` for `b <= B`).
+    pub fn range_assisted(&self, store: &TermStore, t: TermId) -> bool {
+        if self.fact_elided.is_empty() {
+            return false;
+        }
+        let push_children = |x: TermId, stack: &mut Vec<TermId>| match store.term(x) {
+            Term::Wrap { arg, .. } => stack.push(*arg),
+            Term::Op { args, .. } => stack.extend_from_slice(args),
+            _ => {}
+        };
+        let mut seen = vec![false; store.len()];
+        let mut stack = vec![t];
+        while let Some(x) = stack.pop() {
+            if std::mem::replace(&mut seen[x as usize], true) {
+                continue;
+            }
+            if self.fact_elided.contains_key(&x) {
+                return true;
+            }
+            match store.term(x) {
+                Term::Wrap { bits, arg, .. }
+                    if self
+                        .fact_elided
+                        .get(arg)
+                        .is_some_and(|&dropped| *bits <= dropped) =>
+                {
+                    push_children(*arg, &mut stack)
+                }
+                _ => push_children(x, &mut stack),
+            }
+        }
+        false
+    }
 }
 
 /// Symbolically evaluates `nl` over the same leaves `eval_ir` uses.
@@ -72,8 +124,7 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
     }
 
     let mut terms: Vec<Option<TermId>> = vec![None; nl.cells.len()];
-    let mut fact_elided: HashSet<TermId> = HashSet::new();
-    let mut lag_cache: TermMap<TermId> = TermMap::new();
+    let mut fact_elided: HashMap<TermId, u8> = HashMap::new();
 
     // Only registers may be forward-referenced, so each pass resolves at
     // least the next unresolved non-register cell; bound passes anyway.
@@ -88,7 +139,7 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
             let t = match &cell.kind {
                 CellKind::Const(v) => Some(store.cst(cell.ty().wrap(*v))),
                 CellKind::Input(k) => {
-                    let raw = store.var(*k as u32, 0);
+                    let raw = store.var(*k as u32);
                     Some(store.wrap(cell.ty(), raw))
                 }
                 CellKind::Reg {
@@ -96,15 +147,13 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
                     init,
                     stage_gate,
                 } => match (stage_gate, fb_slot.get(&(ci as u32))) {
-                    (Some(g), Some(&slot)) => Some(store.fb(slot as u32, *g)),
+                    (Some(_), Some(&slot)) => Some(store.fb(slot as u32)),
                     (Some(_), None) => {
                         return Err(format!("gated reg c{ci} is not a feedback register"))
                     }
                     (None, _) => match d {
-                        Some(dc) => terms[dc.0 as usize].map(|dt| {
-                            let shifted = store.shift_lags(dt, 1, &mut lag_cache);
-                            cell_wrap(store, nl, ci, shifted, &mut fact_elided)
-                        }),
+                        Some(dc) => terms[dc.0 as usize]
+                            .map(|dt| cell_wrap(store, nl, ci, dt, &mut fact_elided)),
                         // A dangling register holds its init forever.
                         None => Some(store.cst(cell.ty().wrap(*init))),
                     },
@@ -172,8 +221,8 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
         let ir_slot = &f.feedback[slot];
         init_vals[slot] = (cell.ty().wrap(*init), ir_slot.ty.wrap(ir_slot.init));
         let d = (*d).ok_or_else(|| format!("feedback reg c{} has no driver", cid.0))?;
-        // Commit wraps to the register type; no lag shift — the commit
-        // reads its driver in the gate cycle itself.
+        // Commit wraps to the register type; the commit reads its driver
+        // in the gate cycle itself.
         let dt = terms[d.0 as usize].unwrap();
         next_state[slot] = store.wrap(cell.ty(), dt);
     }
@@ -194,7 +243,7 @@ fn cell_wrap(
     nl: &Netlist,
     ci: usize,
     t: TermId,
-    fact_elided: &mut HashSet<TermId>,
+    fact_elided: &mut HashMap<TermId, u8>,
 ) -> TermId {
     let ty = nl.cells[ci].ty();
     let wrapped = store.wrap(ty, t);
@@ -203,7 +252,8 @@ fn cell_wrap(
     }
     if let Some(r) = nl.range_of(roccc_netlist::cells::CellId(ci as u32)) {
         if r.lo >= ty.min_value() && r.hi <= ty.max_value() {
-            fact_elided.insert(t);
+            let dropped = fact_elided.entry(t).or_insert(ty.bits);
+            *dropped = (*dropped).min(ty.bits);
             return t;
         }
     }

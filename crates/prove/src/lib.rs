@@ -9,9 +9,18 @@
 //! 1. [`eval_ir`](eval_ir::eval_ir) executes one steady-state window of
 //!    the SSA IR symbolically, producing a bit-vector term per output
 //!    port and per feedback next-state;
-//! 2. [`eval_nl`](eval_nl::eval_nl) executes one II-period of the
-//!    netlist over the *same* symbolic leaves, tracking pipeline timing
-//!    through leaf lags;
+//! 2. the netlist is read twice, once for timing and once for values.
+//!    [`cell_lags`](timing::cell_lags) is an integer dataflow over the
+//!    cells that gives each cell the register stages between a window's
+//!    launch and the cycle it computes that window's value; the
+//!    valid-grid obligations read these sets directly (an output cone
+//!    must sit uniformly at the plan latency, a next-state cone at its
+//!    register's gate stage). [`eval_nl`](eval_nl::eval_nl) then executes
+//!    one II-period of the netlist with registers transparent, over the
+//!    *same* symbolic leaves and in the same term store as the IR, so a
+//!    netlist cone that keeps the IR's structure hash-conses onto the
+//!    IR's term and its obligation closes by identity (the module docs of
+//!    `eval_nl` give the soundness argument);
 //! 3. each *obligation* (output value, next-state value, reset value,
 //!    valid-grid timing) is discharged by the normalizing rewriter
 //!    ([`rewrite::equal_mod`]) — constant folding, AC canonicalization,
@@ -38,6 +47,7 @@ pub mod hash;
 pub mod rewrite;
 pub mod sat;
 pub mod term;
+pub mod timing;
 
 use std::fmt;
 
@@ -50,7 +60,8 @@ use roccc_verify::{CertificateView, CounterexampleView, Diagnostic, ObligationVi
 
 use blast::SatOutcome;
 use rewrite::{equal_mod, NormCache};
-use term::{LagSet, TermId, TermMap, TermStore};
+use term::{TermId, TermMap, TermStore};
+use timing::{grid_cones, GridCone, LagSet};
 
 /// Schema tag stamped on every certificate (kept in lockstep with
 /// [`roccc_verify::PROVE_SCHEMA`]).
@@ -478,7 +489,7 @@ impl<'a> Prover<'a> {
             ),
             SatOutcome::Candidate(var_model, _fb_model) => {
                 let mut vars = vec![0i64; self.f.inputs.len()];
-                for (&(p, _), &v) in &var_model {
+                for (&p, &v) in &var_model {
                     if let Some(slot) = vars.get_mut(p as usize) {
                         *slot = v;
                     }
@@ -627,26 +638,18 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
             }
         }
         Ok((ir, nls)) => {
-            let mut lag_cache = TermMap::new();
-            let mut strip_cache = TermMap::new();
-
             // Valid-grid obligations: every output cone must be uniform
-            // at the plan latency, every next-state cone at its gate.
-            for (k, &t) in nls.outputs.iter().enumerate() {
-                let name = format!("grid {}", f.outputs[k].0);
-                obligations.push(grid_obligation(
-                    name,
-                    store.lags(t, &mut lag_cache),
-                    nl.latency,
-                ));
-            }
-            for (s, &t) in nls.next_state.iter().enumerate() {
-                let name = format!("grid next {}", f.feedback[s].name);
-                obligations.push(grid_obligation(
-                    name,
-                    store.lags(t, &mut lag_cache),
-                    nls.gate_stages[s],
-                ));
+            // at the plan latency, every next-state cone at its gate. A
+            // cone whose value is constant is timing-neutral. `eval_nl`
+            // matched every slot to its register, so the cones line up
+            // with the value terms.
+            let values = nls.outputs.iter().chain(&nls.next_state);
+            for (cone, &t) in grid_cones(f, nl).into_iter().zip(values) {
+                let lags = match store.as_const(t) {
+                    Some(_) => LagSet::Empty,
+                    None => cone.lags,
+                };
+                obligations.push(grid_obligation(cone.name, lags, cone.expected));
             }
 
             // Reset-state obligations: both machines must start equal.
@@ -682,7 +685,7 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 eval_cache: TermMap::new(),
             };
 
-            // Value obligations, lag-stripped into window-relative form.
+            // Value obligations over the window-relative terms.
             if ir.outputs.len() != nls.outputs.len() {
                 obligations.push(Obligation {
                     name: "outputs".into(),
@@ -699,14 +702,13 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 });
             }
             for (k, (&it, &nt)) in ir.outputs.iter().zip(nls.outputs.iter()).enumerate() {
-                let range_assisted = prover.store.cone_intersects(nt, &nls.fact_elided);
-                let stripped = prover.store.strip_lags(nt, &mut strip_cache);
+                let range_assisted = nls.range_assisted(&prover.store, nt);
                 let bits = f.outputs[k].1.bits;
                 let (ob, cex) = prover.discharge(
                     format!("output {}", f.outputs[k].0),
                     ObKind::Output,
                     it,
-                    stripped,
+                    nt,
                     bits,
                     range_assisted,
                     Some(nl.latency),
@@ -717,14 +719,13 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 }
             }
             for (s, (&it, &nt)) in ir.next_state.iter().zip(nls.next_state.iter()).enumerate() {
-                let range_assisted = prover.store.cone_intersects(nt, &nls.fact_elided);
-                let stripped = prover.store.strip_lags(nt, &mut strip_cache);
+                let range_assisted = nls.range_assisted(&prover.store, nt);
                 let bits = f.feedback[s].ty.bits;
                 let (ob, cex) = prover.discharge(
                     format!("next {}", f.feedback[s].name),
                     ObKind::NextState,
                     it,
-                    stripped,
+                    nt,
                     bits,
                     range_assisted,
                     Some(nls.gate_stages[s]),
@@ -787,7 +788,9 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
 
 /// Re-checks `cert` against the artifacts it talks about. Returns
 /// human-readable problems (empty = certificate is credible). The heavy
-/// part is re-replaying the counterexample; structural consistency is
+/// part is re-replaying the counterexample; the timing half is
+/// re-derived from the netlist ([`timing::cell_lags`]) and every proved
+/// grid obligation must record its cone's lag. Structural consistency is
 /// `roccc_verify::verify_certificate`'s job.
 pub fn check_certificate(cert: &Certificate, f: &FunctionIr, nl: &Netlist) -> Vec<String> {
     let mut problems = Vec::new();
@@ -806,6 +809,18 @@ pub fn check_certificate(cert: &Certificate, f: &FunctionIr, nl: &Netlist) -> Ve
             cert.ii,
             nl.ii.max(1)
         ));
+    }
+    let cones = grid_cones(f, nl);
+    for o in &cert.obligations {
+        if let Some(set) = rederived(o, &cones) {
+            if is_proved(o.status) && !set.agrees_with(o.lag) {
+                let lag = o.lag.map_or("none".to_string(), |l| l.to_string());
+                problems.push(format!(
+                    "{}: certificate records lag {lag}, but the netlist cone is {set}",
+                    o.name
+                ));
+            }
+        }
     }
     if let Some(cex) = &cert.counterexample {
         match replay(f, nl, &cex.windows) {
@@ -826,9 +841,30 @@ pub fn replay_counterexample(cert: &Certificate, f: &FunctionIr, nl: &Netlist) -
         .map(|cex| replay(f, nl, &cex.windows).is_some())
 }
 
+/// The re-derived lag set of grid obligation `o`, when `cones` has it.
+fn rederived(o: &Obligation, cones: &[GridCone]) -> Option<LagSet> {
+    if o.kind != ObKind::ValidGrid {
+        return None;
+    }
+    cones.iter().find(|c| c.name == o.name).map(|c| c.lags)
+}
+
+fn is_proved(status: ObStatus) -> bool {
+    matches!(
+        status,
+        ObStatus::ProvedRewrite | ObStatus::ProvedRange | ObStatus::ProvedSat
+    )
+}
+
 /// Maps a certificate into the plain-data view `roccc-verify` checks.
-/// `replay_diverged` carries the replay result when one was run.
-pub fn certificate_view(cert: &Certificate, replay_diverged: Option<bool>) -> CertificateView {
+/// `replay_diverged` carries the replay result when one was run, and
+/// `cones` the grid cones re-derived from the netlist ([`grid_cones`];
+/// empty when none were).
+pub fn certificate_view(
+    cert: &Certificate,
+    replay_diverged: Option<bool>,
+    cones: &[GridCone],
+) -> CertificateView {
     CertificateView {
         schema: cert.schema.clone(),
         kernel: cert.kernel.clone(),
@@ -841,6 +877,8 @@ pub fn certificate_view(cert: &Certificate, replay_diverged: Option<bool>) -> Ce
                 kind: o.kind.to_string(),
                 status: o.status.to_string(),
                 detail: o.detail.clone(),
+                lag: o.lag,
+                rederived: rederived(o, cones),
             })
             .collect(),
         counterexample: cert.counterexample.as_ref().map(|c| CounterexampleView {
@@ -855,14 +893,16 @@ pub fn certificate_view(cert: &Certificate, replay_diverged: Option<bool>) -> Ce
 }
 
 /// One-call path from certificate to `E0xx` diagnostics: replays the
-/// counterexample against the artifacts, then runs the structural checks.
+/// counterexample and re-derives the grid cones from the artifacts, then
+/// runs the structural checks.
 pub fn verify_certificate_diags(
     cert: &Certificate,
     f: &FunctionIr,
     nl: &Netlist,
 ) -> Vec<Diagnostic> {
     let replayed = replay_counterexample(cert, f, nl);
-    roccc_verify::verify_certificate(&certificate_view(cert, replayed))
+    let cones = grid_cones(f, nl);
+    roccc_verify::verify_certificate(&certificate_view(cert, replayed, &cones))
 }
 
 // ---------------------------------------------------------------------------
@@ -1058,7 +1098,7 @@ mod tests {
     #[test]
     fn view_round_trips_vocabulary() {
         let c = cert_with(&[ObStatus::ProvedSat, ObStatus::Unknown]);
-        let v = certificate_view(&c, None);
+        let v = certificate_view(&c, None, &[]);
         assert_eq!(v.obligations[0].status, "proved-sat");
         assert_eq!(v.obligations[1].status, "unknown");
         assert_eq!(v.obligations[0].kind, "output");

@@ -217,7 +217,8 @@ fn normalize_op(
     }
 }
 
-/// Proves `l ≡ r (mod 2^bits)` by normalization alone.
+/// Proves `l ≡ r (mod 2^bits)` by normalization alone; identical terms
+/// are equal without it.
 pub fn equal_mod(
     store: &mut TermStore,
     l: TermId,
@@ -225,7 +226,7 @@ pub fn equal_mod(
     bits: u8,
     cache: &mut NormCache,
 ) -> bool {
-    normalize(store, l, bits, cache) == normalize(store, r, bits, cache)
+    l == r || normalize(store, l, bits, cache) == normalize(store, r, bits, cache)
 }
 
 #[cfg(test)]
@@ -239,8 +240,8 @@ mod tests {
     #[test]
     fn wrap_absorbed_under_narrow_care() {
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let sum = s.add(vec![a, b]);
         // i32 wrap of (a + b), observed at 16 bits ≡ a + b at 16 bits.
         let wrapped = s.mk(Term::Wrap {
@@ -257,8 +258,8 @@ mod tests {
     #[test]
     fn coefficient_vanishes_mod_care() {
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let c256 = s.cst(256);
         let m = s.mul(vec![c256, b]);
         let l = s.add(vec![a, m]);
@@ -271,7 +272,7 @@ mod tests {
     #[test]
     fn masked_constant_sign_extends() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let mask = s.cst(0xFF);
         let masked = s.bitwise(TOp::And, vec![a, mask]);
         let mut c = NormCache::default();
@@ -282,7 +283,7 @@ mod tests {
     #[test]
     fn shr_constant_widens_operand_context() {
         let mut s = store();
-        let x = s.var(0, 0);
+        let x = s.var(0);
         let w = s.mk(Term::Wrap {
             bits: 24,
             signed: false,
@@ -300,7 +301,7 @@ mod tests {
     #[test]
     fn and_mask_narrows_other_operands() {
         let mut s = store();
-        let x = s.var(0, 0);
+        let x = s.var(0);
         let w = s.mk(Term::Wrap {
             bits: 8,
             signed: false,
@@ -323,7 +324,7 @@ mod tests {
         // The udiv quotient step: `Mul(2, Ws7(x))` at care 8 only sees
         // x's low 7 bits, which the 7-bit wrap leaves alone.
         let mut s = store();
-        let x = s.var(0, 0);
+        let x = s.var(0);
         let w7 = wrap(&mut s, 7, true, x);
         let two = s.cst(2);
         let l = s.mul(vec![two, w7]);
@@ -345,7 +346,7 @@ mod tests {
     #[test]
     fn negative_even_coefficient_narrows_like_positive() {
         let mut s = store();
-        let x = s.var(0, 0);
+        let x = s.var(0);
         let w7 = wrap(&mut s, 7, true, x);
         let m2 = s.cst(-2);
         let l = s.mul(vec![m2, w7]);
@@ -359,8 +360,8 @@ mod tests {
     fn constant_multiplier_narrows_every_factor() {
         // 4·x·y at care 8 needs 6 bits of each factor.
         let mut s = store();
-        let x = s.var(0, 0);
-        let y = s.var(1, 0);
+        let x = s.var(0);
+        let y = s.var(1);
         let wx = wrap(&mut s, 6, false, x);
         let wy = wrap(&mut s, 6, true, y);
         let four = s.cst(4);
@@ -374,7 +375,7 @@ mod tests {
     #[test]
     fn product_vanishes_when_shift_covers_care() {
         let mut s = store();
-        let x = s.var(0, 0);
+        let x = s.var(0);
         let c256 = s.cst(256);
         let l = s.mul(vec![c256, x]);
         let zero = s.cst(0);
@@ -386,7 +387,7 @@ mod tests {
     #[test]
     fn nested_wraps_collapse() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let big = s.cst(1i64 << 40);
         let sum = s.add(vec![a, big]);
         let w32 = s.mk(Term::Wrap {

@@ -3,13 +3,11 @@
 //!
 //! All terms denote 64-bit two's-complement words (`i64`); arithmetic is
 //! wrapping, exactly matching both `suifvm::interp::IrMachine` and the
-//! `netlist::plan` simulators. The two leaf kinds are *already-wrapped*
-//! values:
-//!
-//! - [`Term::Var`] — input port `port` as wrapped to the port type, carried
-//!   by the window launched `lag` register stages before the observer;
-//! - [`Term::FbVar`] — feedback slot state wrapped to the slot type, with
-//!   the same lag convention.
+//! `netlist::plan` simulators. There are two leaf kinds, both read from
+//! the current window: [`Term::Var`], an input port, and [`Term::FbVar`],
+//! a feedback slot's state. Timing is not part of a term: the netlist's
+//! registers are transparent to its value terms, and when each value is
+//! computed is [`crate::timing`]'s question.
 //!
 //! Smart constructors canonicalize on the way in: associative/commutative
 //! operators are flattened and sorted, sums are kept as linear combinations
@@ -25,7 +23,7 @@
 //! makes the states equal at reset and the next-state obligations keep
 //! them equal.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use roccc_cparse::types::IntType;
 
@@ -82,19 +80,15 @@ pub enum TOp {
 /// A node of the term DAG. Interned: equal nodes share one [`TermId`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
-    /// Raw 64-bit input-port word (see module docs for the lag convention).
+    /// Raw 64-bit input-port word.
     Var {
         /// Input port index into `FunctionIr::inputs`.
         port: u32,
-        /// Windows back from the current one this leaf is read at.
-        lag: u32,
     },
     /// Slot-type-wrapped feedback state (justified inductively).
     FbVar {
         /// Feedback slot index into `FunctionIr::feedback`.
         slot: u32,
-        /// Windows back from the current one this leaf is read at.
-        lag: u32,
     },
     /// Constant word.
     Const(i64),
@@ -114,17 +108,6 @@ pub enum Term {
         /// Operands, in operator order.
         args: Vec<TermId>,
     },
-}
-
-/// Leaf lags observed in a term cone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LagSet {
-    /// No `Var`/`FbVar` leaves (constant cone) — timing-neutral.
-    Empty,
-    /// Every leaf sits at the same lag.
-    Uniform(u32),
-    /// Leaves at differing lags — a valid-grid divergence.
-    Mixed,
 }
 
 /// Dense side table keyed by [`TermId`]: one slot per interned term, so a
@@ -271,13 +254,13 @@ impl TermStore {
     // ---- leaf and constant constructors -------------------------------
 
     /// Input-port leaf.
-    pub fn var(&mut self, port: u32, lag: u32) -> TermId {
-        self.mk(Term::Var { port, lag })
+    pub fn var(&mut self, port: u32) -> TermId {
+        self.mk(Term::Var { port })
     }
 
     /// Feedback-slot leaf.
-    pub fn fb(&mut self, slot: u32, lag: u32) -> TermId {
-        self.mk(Term::FbVar { slot, lag })
+    pub fn fb(&mut self, slot: u32) -> TermId {
+        self.mk(Term::FbVar { slot })
     }
 
     /// Constant word.
@@ -931,138 +914,13 @@ impl TermStore {
         }
     }
 
-    // ---- lag transforms -----------------------------------------------
-
-    /// Returns `t` with every leaf lag increased by `delta` (crossing a
-    /// gateless pipeline register).
-    pub fn shift_lags(&mut self, t: TermId, delta: u32, cache: &mut TermMap<TermId>) -> TermId {
-        if delta == 0 {
-            return t;
-        }
-        if let Some(r) = cache.get(t) {
-            return r;
-        }
-        let r = match *self.term(t) {
-            Term::Var { port, lag } => self.var(port, lag + delta),
-            Term::FbVar { slot, lag } => self.fb(slot, lag + delta),
-            Term::Const(_) => t,
-            Term::Wrap { bits, signed, arg } => {
-                let a = self.shift_lags(arg, delta, cache);
-                self.mk(Term::Wrap {
-                    bits,
-                    signed,
-                    arg: a,
-                })
-            }
-            Term::Op { op, .. } => {
-                let n = self.args(t).len();
-                let mut na = Vec::with_capacity(n);
-                for i in 0..n {
-                    let a = self.args(t)[i];
-                    na.push(self.shift_lags(a, delta, cache));
-                }
-                self.mk(Term::Op { op, args: na })
-            }
-        };
-        // Renaming every leaf injectively keeps the set of values the
-        // term takes, so `t`'s interval holds for `r` as well.
-        if let (Some(iv), None) = (self.intervals.get(t), self.intervals.get(r)) {
-            self.intervals.insert(r, iv);
-        }
-        cache.insert(t, r);
-        r
-    }
-
-    /// Collects the set of leaf lags in `t`'s cone.
-    pub fn lags(&self, t: TermId, cache: &mut TermMap<LagSet>) -> LagSet {
-        if let Some(r) = cache.get(t) {
-            return r;
-        }
-        let r = match self.term(t) {
-            Term::Var { lag, .. } | Term::FbVar { lag, .. } => LagSet::Uniform(*lag),
-            Term::Const(_) => LagSet::Empty,
-            Term::Wrap { arg, .. } => self.lags(*arg, cache),
-            Term::Op { args, .. } => {
-                let mut acc = LagSet::Empty;
-                for &a in args {
-                    let la = self.lags(a, cache);
-                    acc = match (acc, la) {
-                        (LagSet::Empty, x) | (x, LagSet::Empty) => x,
-                        (LagSet::Uniform(a), LagSet::Uniform(b)) if a == b => LagSet::Uniform(a),
-                        _ => LagSet::Mixed,
-                    };
-                    if acc == LagSet::Mixed {
-                        break;
-                    }
-                }
-                acc
-            }
-        };
-        cache.insert(t, r);
-        r
-    }
-
-    /// Returns `t` with every leaf lag reset to 0 (window-relative form).
-    pub fn strip_lags(&mut self, t: TermId, cache: &mut TermMap<TermId>) -> TermId {
-        if let Some(r) = cache.get(t) {
-            return r;
-        }
-        let r = match *self.term(t) {
-            Term::Var { port, .. } => self.var(port, 0),
-            Term::FbVar { slot, .. } => self.fb(slot, 0),
-            Term::Const(_) => t,
-            Term::Wrap { bits, signed, arg } => {
-                let a = self.strip_lags(arg, cache);
-                self.mk(Term::Wrap {
-                    bits,
-                    signed,
-                    arg: a,
-                })
-            }
-            Term::Op { op, .. } => {
-                let n = self.args(t).len();
-                let mut na = Vec::with_capacity(n);
-                for i in 0..n {
-                    let a = self.args(t)[i];
-                    na.push(self.strip_lags(a, cache));
-                }
-                self.mk(Term::Op { op, args: na })
-            }
-        };
-        cache.insert(t, r);
-        r
-    }
-
-    /// True when any node of `t`'s cone is in `set`.
-    pub fn cone_intersects(&self, t: TermId, set: &HashSet<TermId>) -> bool {
-        if set.is_empty() {
-            return false;
-        }
-        let mut seen = vec![false; self.terms.len()];
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if std::mem::replace(&mut seen[x as usize], true) {
-                continue;
-            }
-            if set.contains(&x) {
-                return true;
-            }
-            match self.term(x) {
-                Term::Wrap { arg, .. } => stack.push(*arg),
-                Term::Op { args, .. } => stack.extend(args.iter().copied()),
-                _ => {}
-            }
-        }
-        false
-    }
-
     // ---- concrete evaluation ------------------------------------------
 
     /// Evaluates `t` over one window: `vars[p]` is the (wrapped) value of
-    /// input port `p`, `fbs[s]` the (wrapped) state of slot `s`. Lags are
-    /// ignored — all leaves read the same window. Division by zero and
-    /// out-of-range lookups follow the benign netlist semantics (0), which
-    /// is safe here because candidates are always confirmed by replay.
+    /// input port `p`, `fbs[s]` the (wrapped) state of slot `s`. Division
+    /// by zero and out-of-range lookups follow the benign netlist semantics
+    /// (0), which is safe here because candidates are always confirmed by
+    /// replay.
     pub fn eval(&self, t: TermId, vars: &[i64], fbs: &[i64], cache: &mut TermMap<i64>) -> i64 {
         if let Some(v) = cache.get(t) {
             return v;
@@ -1191,8 +1049,8 @@ mod tests {
     #[test]
     fn add_is_commutative_and_folds() {
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let c2 = s.cst(2);
         let c3 = s.cst(3);
         let l = s.add(vec![a, c2, b, c3]);
@@ -1203,7 +1061,7 @@ mod tests {
     #[test]
     fn sub_cancels_and_coefficients_merge() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let z = s.sub(a, a);
         assert_eq!(s.term(z), &Term::Const(0));
         // a + a + a == 3*a
@@ -1216,7 +1074,7 @@ mod tests {
     #[test]
     fn shl_is_mul_by_power_of_two() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let k = s.cst(3);
         let sh = s.shl(a, k);
         let c8 = s.cst(8);
@@ -1227,7 +1085,7 @@ mod tests {
     #[test]
     fn wrap_drops_when_interval_fits() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let w32 = s.wrap(IntType::signed(32), a);
         assert_ne!(w32, a); // raw word: the first wrap matters
         let w40 = s.wrap(IntType::signed(40), w32);
@@ -1244,8 +1102,8 @@ mod tests {
         // discarded, so the 33-bit wrap after `>> 32` (the mulhi idiom's
         // width change) survives in the symbolic model.
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let x = s.wrap(IntType::unsigned(32), a);
         let y = s.wrap(IntType::unsigned(32), b);
         let m = s.mul(vec![x, y]);
@@ -1266,8 +1124,8 @@ mod tests {
     #[test]
     fn xor_pairs_cancel() {
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let x = s.bitwise(TOp::Xor, vec![a, b, a]);
         assert_eq!(x, b);
     }
@@ -1275,8 +1133,8 @@ mod tests {
     #[test]
     fn eval_matches_wrapping_semantics() {
         let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 0);
+        let a = s.var(0);
+        let b = s.var(1);
         let m = s.mul(vec![a, b]);
         let t = s.add(vec![m, a]);
         let mut cache = TermMap::new();
@@ -1287,9 +1145,9 @@ mod tests {
     #[test]
     fn or_interval_bounds_nonnegative_operands() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let x = s.wrap(IntType::unsigned(8), a); // [0, 255]
-        let b = s.var(1, 0);
+        let b = s.var(1);
         let y = s.wrap(IntType::unsigned(4), b); // [0, 15]
         let o = s.bitwise(TOp::Or, vec![x, y]);
         assert_eq!(s.interval(o), Some((0, 255)));
@@ -1301,9 +1159,9 @@ mod tests {
     #[test]
     fn guarded_subtract_mux_is_nonnegative() {
         let mut s = store();
-        let a = s.var(0, 0);
+        let a = s.var(0);
         let x = s.wrap(IntType::unsigned(8), a); // [0, 255]
-        let b = s.var(1, 0);
+        let b = s.var(1);
         let y = s.wrap(IntType::unsigned(8), b); // [0, 255]
         let c = s.op2(TOp::Sle, y, x); // y <= x
         let d = s.sub(x, y); // unguarded: [-255, 255]
@@ -1311,23 +1169,5 @@ mod tests {
         // ... but the restoring-step mux proves the subtract arm >= 0.
         let m = s.mux(c, d, x);
         assert_eq!(s.interval(m), Some((0, 255)));
-    }
-
-    #[test]
-    fn lag_shift_and_strip() {
-        let mut s = store();
-        let a = s.var(0, 0);
-        let b = s.var(1, 2);
-        let t = s.add(vec![a, b]);
-        let mut c1 = TermMap::new();
-        let sh = s.shift_lags(t, 3, &mut c1);
-        let mut lc = TermMap::new();
-        assert_eq!(s.lags(sh, &mut lc), LagSet::Mixed);
-        let mut c2 = TermMap::new();
-        let st = s.strip_lags(sh, &mut c2);
-        let a0 = s.var(0, 0);
-        let b0 = s.var(1, 0);
-        let expect = s.add(vec![a0, b0]);
-        assert_eq!(st, expect);
     }
 }

@@ -161,7 +161,8 @@ pub struct CompiledPipeline {
 ///
 /// [`StreamError::Stage`] when a stage fails to compile,
 /// [`StreamError::Spec`] for stages outside the streamable shape
-/// (straight-line kernels, loop-carried feedback), and
+/// (straight-line kernels, loop-carried feedback, an input window with no
+/// static scan), and
 /// [`StreamError::Verify`] for fatal composition findings.
 pub fn compile_pipeline(
     source: &str,
@@ -191,7 +192,7 @@ pub fn compile_pipeline(
                 s.name
             )));
         }
-        let rates = stage_rates(kernel, compiled.netlist.latency);
+        let rates = stage_rates(kernel, compiled.netlist.latency)?;
         stages.push(CompiledStage {
             name: s.name.clone(),
             opts,

@@ -32,7 +32,9 @@
 
 use roccc_buffers::addr::OutputAddressGen;
 use roccc_hlir::kernel::{Kernel, OutputSpec, WindowSpec};
-use roccc_netlist::store_addr_gens;
+use roccc_netlist::{store_addr_gens, window_scan};
+
+use crate::StreamError;
 
 /// Statically derived production pattern of one stage output array.
 #[derive(Debug, Clone)]
@@ -178,50 +180,39 @@ pub fn produce_rate(kernel: &Kernel, out: &OutputSpec) -> ProduceRate {
     }
 }
 
-/// Derives the consumption pattern of window `w`.
-pub fn consume_rate(kernel: &Kernel, w: &WindowSpec) -> ConsumeRate {
-    let len: usize = w.dims.iter().product::<usize>().max(1);
-    let extent = w.extent();
-    let ndim = w.reads.first().map_or(0, |r| r.index.len());
-    // First flat address: the minimum offset of the scan in each
-    // dimension, folded row-major (mirrors the window scans of
-    // `roccc_netlist::SystemStage`).
-    let first_addr = if ndim == 2 {
-        let row_min = w.reads.iter().map(|r| r.index[0].offset).min().unwrap_or(0);
-        let col_min = w.reads.iter().map(|r| r.index[1].offset).min().unwrap_or(0);
-        let row_start = dim_start_of(kernel, w, 0) + row_min;
-        let col_start = dim_start_of(kernel, w, 1) + col_min;
-        let row_width = if w.dims.len() == 2 {
-            w.dims[1] as i64
-        } else {
-            1
-        };
-        row_start * row_width + col_start
-    } else {
-        let min_off = w.reads.iter().map(|r| r.index[0].offset).min().unwrap_or(0);
-        dim_start_of(kernel, w, 0) + min_off
-    };
-    ConsumeRate {
+/// Derives the consumption pattern of window `w` from the scan the system
+/// driver runs ([`window_scan`]).
+///
+/// # Errors
+///
+/// [`StreamError::Spec`] when the window has no static scan: no reads, a
+/// constant or unknown index variable, more than two dimensions, or a
+/// read with no input port.
+pub fn consume_rate(kernel: &Kernel, w: &WindowSpec) -> Result<ConsumeRate, StreamError> {
+    let scan = window_scan(kernel, w).map_err(|e| StreamError::Spec(e.0))?;
+    // First flat address: the scan's first position in each dimension,
+    // folded row-major.
+    let first_addr = scan
+        .dims
+        .iter()
+        .fold(0, |addr, d| addr * scan.row_width as i64 + d.start);
+    Ok(ConsumeRate {
         array: w.array.clone(),
-        len,
+        len: w.dims.iter().product::<usize>().max(1),
         elem_bits: w.elem.bits,
         first_addr,
-        window_elems: extent.iter().product(),
-    }
-}
-
-fn dim_start_of(kernel: &Kernel, w: &WindowSpec, d: usize) -> i64 {
-    w.reads
-        .first()
-        .and_then(|r| r.index.get(d))
-        .and_then(|ai| ai.var.as_ref())
-        .and_then(|v| kernel.dims.iter().find(|l| &l.var == v))
-        .map_or(0, |l| l.start)
+        window_elems: w.extent().iter().product(),
+    })
 }
 
 /// Derives the full rate summary of a compiled stage.
-pub fn stage_rates(kernel: &Kernel, latency: u32) -> StageRates {
-    StageRates {
+///
+/// # Errors
+///
+/// [`StreamError::Spec`] when an input window has no static scan
+/// ([`consume_rate`]).
+pub fn stage_rates(kernel: &Kernel, latency: u32) -> Result<StageRates, StreamError> {
+    Ok(StageRates {
         produces: kernel
             .outputs
             .iter()
@@ -231,11 +222,10 @@ pub fn stage_rates(kernel: &Kernel, latency: u32) -> StageRates {
             .windows
             .iter()
             .map(|w| consume_rate(kernel, w))
-            .collect(),
+            .collect::<Result<_, _>>()?,
         latency,
-    }
+    })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,7 +244,7 @@ mod tests {
         assert_eq!(r.min_depth, 1);
         // Elements 17..20 of C[17]? No: C has exactly 17 elements, all written.
         assert!(r.write_mask.iter().all(|&m| m));
-        let c = consume_rate(&hw.kernel, &hw.kernel.windows[0]);
+        let c = consume_rate(&hw.kernel, &hw.kernel.windows[0]).unwrap();
         assert_eq!(c.first_addr, 0);
         assert_eq!(c.window_elems, 5);
         assert_eq!(c.len, 21);
@@ -297,7 +287,7 @@ mod tests {
               Y[i+1][j] = X[i][j];
               Y[i+1][j+1] = X[i+1][j+1]; } } }";
         let hw = compile(src, "wavelet", &CompileOptions::default()).unwrap();
-        let c = consume_rate(&hw.kernel, &hw.kernel.windows[0]);
+        let c = consume_rate(&hw.kernel, &hw.kernel.windows[0]).unwrap();
         assert_eq!(c.first_addr, 0);
         assert_eq!(c.len, 256);
     }

@@ -11,8 +11,10 @@
 //! * `E001` — a value obligation is refuted: the netlist disagrees with
 //!   the IR on a concrete, replayable input window (error);
 //! * `E002` — valid-grid divergence: an output or next-state cone is not
-//!   timed as one steady-state window (mixed or mis-placed leaf lags, a
-//!   latency/II mismatch, or differing reset state) (error);
+//!   timed as one steady-state window (mixed or mis-placed lags, a
+//!   latency/II mismatch, or differing reset state), or a proved grid
+//!   obligation records a lag its netlist cone does not have when the
+//!   timing is re-derived from the netlist (error);
 //! * `E003` — an obligation could not be proved or refuted within budget
 //!   (warning — the certificate is honest about `Unknown`);
 //! * `E004` — the certificate itself is malformed: unknown schema or
@@ -30,6 +32,41 @@ use crate::diag::{Diagnostic, Loc, Phase, Severity};
 /// The stable schema tag a well-formed certificate must carry.
 pub const PROVE_SCHEMA: &str = "roccc-prove-v1";
 
+/// The lags a netlist cone's cells sit at: how many register stages
+/// after the window's launch each of its values is computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LagSet {
+    /// No input or feedback state in the cone (constant) — timing-neutral.
+    Empty,
+    /// Every value of the cone sits at the same lag.
+    Uniform(u32),
+    /// Values at differing lags meet in the cone — a valid-grid divergence.
+    Mixed,
+}
+
+impl LagSet {
+    /// True when a grid obligation that records `lag` agrees with this
+    /// re-derived set. A recorded lag must be the set's uniform lag; no
+    /// lag claims a cone whose value is constant, which timing alone can
+    /// neither confirm nor refute.
+    pub fn agrees_with(self, lag: Option<u32>) -> bool {
+        match lag {
+            Some(l) => self == LagSet::Uniform(l),
+            None => true,
+        }
+    }
+}
+
+impl std::fmt::Display for LagSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LagSet::Empty => write!(f, "constant"),
+            LagSet::Uniform(l) => write!(f, "uniform at lag {l}"),
+            LagSet::Mixed => write!(f, "mixed"),
+        }
+    }
+}
+
 /// One proof obligation, as the checks need it.
 #[derive(Debug, Clone)]
 pub struct ObligationView {
@@ -42,6 +79,12 @@ pub struct ObligationView {
     pub status: String,
     /// Human-readable detail (lag sets, SAT budget, …).
     pub detail: String,
+    /// The lag the certificate records (grid obligations: the cone's
+    /// uniform lag; value obligations: the expected depth).
+    pub lag: Option<u32>,
+    /// For grid obligations, the cone's lag set as re-derived from the
+    /// netlist; `None` when no re-derivation was run.
+    pub rederived: Option<LagSet>,
 }
 
 /// A counterexample as recorded in a certificate.
@@ -201,6 +244,23 @@ pub fn verify_certificate(view: &CertificateView) -> Vec<Diagnostic> {
         }
     }
 
+    // E002 — a proved grid obligation must record the re-derived timing.
+    for o in view.obligations.iter().filter(|o| {
+        o.kind == "valid-grid" && o.status.starts_with("proved") && o.rederived.is_some()
+    }) {
+        let set = o.rederived.unwrap();
+        if !set.agrees_with(o.lag) {
+            out.push(err(
+                "E002-grid-divergence",
+                format!(
+                    "{}: certificate records lag {}, but the netlist cone is {set}",
+                    o.name,
+                    o.lag.map_or("none".to_string(), |l| l.to_string())
+                ),
+            ));
+        }
+    }
+
     // E004 — a recorded counterexample must replay.
     if let Some(cex) = &view.counterexample {
         if cex.replay_diverged == Some(false) {
@@ -247,6 +307,8 @@ mod tests {
             kind: kind.into(),
             status: status.into(),
             detail: "d".into(),
+            lag: None,
+            rederived: None,
         }
     }
 
@@ -311,6 +373,21 @@ mod tests {
         v.verdict = "refuted".into();
         v.obligations[1].status = "refuted".into();
         assert!(codes(&v).contains(&"E002-grid-divergence"));
+    }
+
+    #[test]
+    fn grid_lag_differing_from_the_netlist_is_e002() {
+        let mut v = clean();
+        v.obligations[1].lag = Some(3);
+        v.obligations[1].rederived = Some(LagSet::Uniform(3));
+        assert!(codes(&v).is_empty());
+        for set in [LagSet::Uniform(2), LagSet::Mixed, LagSet::Empty] {
+            v.obligations[1].rederived = Some(set);
+            assert_eq!(codes(&v), ["E002-grid-divergence"], "{set}");
+        }
+        // No recorded lag claims a constant cone: timing cannot refute it.
+        v.obligations[1].lag = None;
+        assert!(codes(&v).is_empty());
     }
 
     #[test]

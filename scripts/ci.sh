@@ -243,7 +243,28 @@ udiv_src="$(mktemp -t prove_smoke_udiv.XXXXXX.c)"
 ./target/release/roccc "${udiv_src}" --function udiv --range-narrow \
   --pipeline-ii auto --emit prove | grep -q ' 0 sat, 0 refuted, 0 unknown;' \
   || { echo "prove smoke: udiv needed the SAT fallback" >&2; exit 1; }
-rm -f "${prove_src}" "${prove_log}" "${udiv_src}"
+# So must Table 1's square root (the `crates/ipcores` source): the
+# largest certificate, and the compile that sets compile-table1's
+# worst_ms.
+sqrt_src="$(mktemp -t prove_smoke_sqrt.XXXXXX.c)"
+{
+  echo 'void square_root(uint24 x, uint12* r) {'
+  echo '  int rem = 0;'
+  echo '  int root = 0;'
+  echo '  int test = 0;'
+  for i in 0 1 2 3 4 5 6 7 8 9 10 11; do
+    echo "  rem = (rem << 2) | (((x >> $((2 * (11 - i) + 1))) & 1) << 1) | ((x >> $((2 * (11 - i)))) & 1);"
+    echo '  test = (root << 2) | 1;'
+    echo '  root = root << 1;'
+    echo '  if (rem >= test) { rem = rem - test; root = root | 1; }'
+  done
+  echo '  *r = root;'
+  echo '}'
+} >"${sqrt_src}"
+./target/release/roccc "${sqrt_src}" --function square_root --range-narrow \
+  --pipeline-ii auto --emit prove | grep -q ' 0 sat, 0 refuted, 0 unknown;' \
+  || { echo "prove smoke: square_root needed the SAT fallback" >&2; exit 1; }
+rm -f "${prove_src}" "${prove_log}" "${udiv_src}" "${sqrt_src}"
 
 echo "==> roccc-serve smoke (daemon + client + metrics + shutdown)"
 serve_log="$(mktemp -t roccc_serve_smoke.XXXXXX.log)"

@@ -7,8 +7,8 @@
 use roccc_suite::ipcores::kernels;
 use roccc_suite::roccc::{CompileOptions, Verdict, VerifyLevel};
 use roccc_suite::stream::{
-    chain_golden, compile_pipeline, parse_spec, pipeline_cache_key, run_cosim, stats_report,
-    StreamError,
+    chain_golden, compile_pipeline, parse_spec, pipeline_cache_key, run_cosim, stage_rates,
+    stats_report, StreamError,
 };
 use roccc_suite::testrand::XorShift64;
 use std::collections::HashMap;
@@ -363,5 +363,22 @@ fn stage_at_ii_two_cosimulates_on_its_launch_grid() {
             "wavelet counted off-grid cycles: {w:?} in {} cycles",
             run.cycles
         );
+    }
+}
+
+/// A window whose index variable is not a loop of the kernel has no
+/// scan: rate extraction refuses it with the system driver's error
+/// instead of assuming the scan starts at 0.
+#[test]
+fn unknown_window_index_var_fails_rate_extraction() {
+    let spec = parse_spec("pipeline scale | offset").unwrap();
+    let pipeline = compile_pipeline(TWO_STAGE, &spec, &CompileOptions::default()).unwrap();
+    let mut kernel = pipeline.stages[1].compiled.kernel.clone();
+    for read in &mut kernel.windows[0].reads {
+        read.index[0].var = Some("x".into());
+    }
+    match stage_rates(&kernel, 1) {
+        Err(StreamError::Spec(msg)) => assert_eq!(msg, "window index var `x` unknown"),
+        other => panic!("expected a spec error, got {other:?}"),
     }
 }

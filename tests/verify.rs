@@ -24,7 +24,7 @@ use roccc_suite::netlist::cells::{Cell, CellId, CellKind};
 use roccc_suite::netlist::NetlistSim;
 use roccc_suite::prove::verify_certificate_diags;
 use roccc_suite::roccc::{
-    compile, compile_with_model, verify_compiled, CompileOptions, VerifyLevel,
+    check_certificate, compile, compile_with_model, verify_compiled, CompileOptions, VerifyLevel,
 };
 use roccc_suite::suifvm::deps::DepEdge;
 use roccc_suite::suifvm::ir::{BlockId, Opcode, Terminator, VReg};
@@ -404,6 +404,36 @@ fn verify_compiled_reuses_the_compile_certificate_check() {
         fresh.extend(verify_netlist(&hw.netlist));
         fresh.extend(verify_certificate_diags(cert, &hw.ir, &hw.netlist));
         assert_eq!(verify_compiled(&hw), fresh, "{}", b.name);
+    }
+}
+
+/// A proved grid obligation whose recorded lag disagrees with the timing
+/// re-derived from the netlist fires `E002`, on an output grid and on a
+/// next-state grid of the accumulator; the certificate re-check reports
+/// it too.
+#[test]
+fn corrupt_certificate_grid_lag_fires_e002() {
+    let b = benchmarks()
+        .into_iter()
+        .find(|b| b.name == "mul_acc")
+        .expect("accumulator benchmark exists");
+    let hw = compile(&b.source, b.func, &full(&b.opts)).expect("accumulator compiles");
+    let cert = hw.certificate.as_ref().expect("full options prove");
+    assert!(verify_certificate_diags(cert, &hw.ir, &hw.netlist).is_empty());
+    for grid in ["grid acc_final", "grid next acc"] {
+        let mut bad = cert.clone();
+        let o = bad
+            .obligations
+            .iter_mut()
+            .find(|o| o.name == grid)
+            .expect("the accumulator has this grid obligation");
+        o.lag = o.lag.map(|l| l + 1);
+        let diags = verify_certificate_diags(&bad, &hw.ir, &hw.netlist);
+        assert!(has(&diags, "E002-grid-divergence"), "{grid}: {diags:?}");
+        assert!(
+            !check_certificate(&bad, &hw.ir, &hw.netlist).is_empty(),
+            "{grid}: the re-check passed"
+        );
     }
 }
 
