@@ -46,8 +46,6 @@ pub struct NlSymbols {
     /// Per-feedback-slot next-state terms (register wrap applied), indexed
     /// like `f.feedback`.
     pub next_state: Vec<TermId>,
-    /// Gate stage of each feedback register, indexed like `f.feedback`.
-    pub gate_stages: Vec<u32>,
     /// `(netlist init, IR init)` per feedback slot, both wrapped.
     pub init_vals: Vec<(i64, i64)>,
     /// Terms standing unwrapped only because a compiler range fact proved
@@ -204,20 +202,13 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
     }
 
     let mut next_state = vec![store.cst(0); f.feedback.len()];
-    let mut gate_stages = vec![0u32; f.feedback.len()];
     let mut init_vals = vec![(0i64, 0i64); f.feedback.len()];
     for &(_, cid) in &nl.feedback_regs {
         let slot = fb_slot[&cid.0];
         let cell = &nl.cells[cid.0 as usize];
-        let CellKind::Reg {
-            d,
-            init,
-            stage_gate,
-        } = &cell.kind
-        else {
+        let CellKind::Reg { d, init, .. } = &cell.kind else {
             return Err(format!("feedback cell c{} is not a register", cid.0));
         };
-        gate_stages[slot] = (*stage_gate).unwrap_or(0);
         let ir_slot = &f.feedback[slot];
         init_vals[slot] = (cell.ty().wrap(*init), ir_slot.ty.wrap(ir_slot.init));
         let d = (*d).ok_or_else(|| format!("feedback reg c{} has no driver", cid.0))?;
@@ -230,7 +221,6 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
     Ok(NlSymbols {
         outputs,
         next_state,
-        gate_stages,
         init_vals,
         fact_elided,
     })

@@ -643,13 +643,14 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
             // cone whose value is constant is timing-neutral. `eval_nl`
             // matched every slot to its register, so the cones line up
             // with the value terms.
+            let cones = grid_cones(f, nl);
             let values = nls.outputs.iter().chain(&nls.next_state);
-            for (cone, &t) in grid_cones(f, nl).into_iter().zip(values) {
+            for (cone, &t) in cones.iter().zip(values) {
                 let lags = match store.as_const(t) {
                     Some(_) => LagSet::Empty,
                     None => cone.lags,
                 };
-                obligations.push(grid_obligation(cone.name, lags, cone.expected));
+                obligations.push(grid_obligation(cone.name.clone(), lags, cone.expected));
             }
 
             // Reset-state obligations: both machines must start equal.
@@ -728,7 +729,7 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                     nt,
                     bits,
                     range_assisted,
-                    Some(nls.gate_stages[s]),
+                    Some(cones[nls.outputs.len() + s].expected),
                 );
                 obligations.push(ob);
                 if counterexample.is_none() {
