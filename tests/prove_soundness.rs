@@ -27,7 +27,7 @@ use roccc_suite::roccc::{check_certificate, compile, CompileOptions};
 use roccc_suite::suifvm::ir::Opcode;
 use roccc_suite::suifvm::FunctionIr;
 use roccc_suite::testrand::exprgen::{
-    gen_kernel_source, gen_loop_kernel, gen_recurrence_kernel, LoopShape,
+    gen_kernel_source, gen_loop_kernel, gen_recurrence_kernel, LoopShape, RecurrenceKernel,
 };
 use roccc_suite::testrand::XorShift64;
 use Verdict::Equal;
@@ -370,6 +370,20 @@ fn planted_mutations_are_refuted_with_replaying_counterexamples() {
     }
 }
 
+/// Six recurrence kernels, `(seed, distance, kernel)`, at distances 1–4.
+/// Seeds 4–9: seed 3 draws a body the backend refuses.
+fn recurrence_kernels() -> impl Iterator<Item = (u64, u64, RecurrenceKernel)> {
+    (4..10u64).map(|seed| {
+        let distance = 1 + seed % 4;
+        let mut rng = XorShift64::new(0x9e0 + seed);
+        (
+            seed,
+            distance,
+            gen_recurrence_kernel(&mut rng, 2, distance, false),
+        )
+    })
+}
+
 /// Mistimed netlists: an output read one cycle late (on generated
 /// kernels, recurrence kernels and mul_acc) and a feedback register
 /// latching one stage off (on mul_acc and the recurrence kernels). Every
@@ -392,10 +406,7 @@ fn timing_mutants_are_refuted_with_replaying_counterexamples() {
             subjects.push((format!("gen{case}"), hw));
         }
     }
-    for seed in 4..10u64 {
-        let distance = 1 + seed % 4;
-        let mut rng = XorShift64::new(0x9e0 + seed);
-        let k = gen_recurrence_kernel(&mut rng, 2, distance, false);
+    for (seed, distance, k) in recurrence_kernels() {
         for (set, ii) in [("default", None), ("auto", Some(0))] {
             let opts = CompileOptions {
                 pipeline_ii: ii,
@@ -630,10 +641,7 @@ fn pinned_compiles() -> Vec<(String, String, &'static str, CompileOptions)> {
         ));
         out.push((format!("{}/full", b.name), b.source, b.func, full));
     }
-    for seed in 4..10u64 {
-        let distance = 1 + seed % 4;
-        let mut rng = XorShift64::new(0x9e0 + seed);
-        let k = gen_recurrence_kernel(&mut rng, 2, distance, false);
+    for (seed, distance, k) in recurrence_kernels() {
         let opts = CompileOptions {
             pipeline_ii: Some(0),
             ..CompileOptions::default()
