@@ -22,22 +22,25 @@
 //! shifting each leaf by its register count and then resetting every lag
 //! to 0 would have built. A cone whose cells sit at mixed lags, or at the
 //! wrong lag, is refuted by its valid-grid obligation before its value
-//! matters.
+//! matters, even when its value is constant: at mixed lags a constant may
+//! come from a value cancelled against its own delayed copy
+//! (`x - x_delayed` folds to 0), which the hardware does not compute.
 //!
 //! Width-change absorption uses two tiers: the store's own interval
 //! analysis (always sound, trusts nothing), and the compiler's `nl.ranges`
-//! facts (`suifvm::range` known-bits results stamped onto cells). Terms
+//! facts (`suifvm::range` known-bits results stamped onto cells). Cells
 //! whose wrap was elided only thanks to a compiler fact are recorded in
 //! [`NlSymbols::fact_elided`] so obligations closed through them can be
 //! reported as range-assisted rather than purely rewritten
 //! ([`NlSymbols::range_assisted`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use roccc_netlist::cells::{CellKind, Netlist};
 use roccc_suifvm::ir::{FunctionIr, Opcode};
 
 use crate::term::{TOp, Term, TermId, TermStore};
+use crate::timing::LagSet;
 
 /// Result of symbolically executing one netlist period.
 pub struct NlSymbols {
@@ -48,45 +51,46 @@ pub struct NlSymbols {
     pub next_state: Vec<TermId>,
     /// `(netlist init, IR init)` per feedback slot, both wrapped.
     pub init_vals: Vec<(i64, i64)>,
-    /// Terms standing unwrapped only because a compiler range fact proved
-    /// the value fits the cell type, with the narrowest width whose wrap
-    /// was dropped.
-    pub fact_elided: HashMap<TermId, u8>,
+    /// `(cell, term)` for every cell whose wrap was dropped only because a
+    /// compiler range fact proved the value fits the cell type; `term` is
+    /// the unwrapped value the cell stands for.
+    pub fact_elided: Vec<(u32, TermId)>,
 }
 
 impl NlSymbols {
-    /// True when `t`'s value rests on a wrap dropped for a compiler fact:
-    /// a fact-elided term is used in `t`'s cone other than directly under
-    /// a wrap to at most the dropped width, which re-applies the dropped
-    /// wrap (`wrap_b(wrap_B(x)) == wrap_b(x)` for `b <= B`).
-    pub fn range_assisted(&self, store: &TermStore, t: TermId) -> bool {
-        if self.fact_elided.is_empty() {
+    /// True when a fact-elided term of a cell at `lag` (the obligation's
+    /// own cone lag, from [`crate::timing::cell_lags`]) lies in `t`'s
+    /// cone. Only the cone's last stage counts: an elision behind a later
+    /// register is not reported as range assistance.
+    pub fn range_assisted(
+        &self,
+        store: &TermStore,
+        t: TermId,
+        cell_lags: &[LagSet],
+        lag: LagSet,
+    ) -> bool {
+        let facts: HashSet<TermId> = self
+            .fact_elided
+            .iter()
+            .filter(|&&(c, _)| cell_lags.get(c as usize) == Some(&lag))
+            .map(|&(_, t)| t)
+            .collect();
+        if facts.is_empty() {
             return false;
         }
-        let push_children = |x: TermId, stack: &mut Vec<TermId>| match store.term(x) {
-            Term::Wrap { arg, .. } => stack.push(*arg),
-            Term::Op { args, .. } => stack.extend_from_slice(args),
-            _ => {}
-        };
         let mut seen = vec![false; store.len()];
         let mut stack = vec![t];
         while let Some(x) = stack.pop() {
             if std::mem::replace(&mut seen[x as usize], true) {
                 continue;
             }
-            if self.fact_elided.contains_key(&x) {
+            if facts.contains(&x) {
                 return true;
             }
             match store.term(x) {
-                Term::Wrap { bits, arg, .. }
-                    if self
-                        .fact_elided
-                        .get(arg)
-                        .is_some_and(|&dropped| *bits <= dropped) =>
-                {
-                    push_children(*arg, &mut stack)
-                }
-                _ => push_children(x, &mut stack),
+                Term::Wrap { arg, .. } => stack.push(*arg),
+                Term::Op { args, .. } => stack.extend_from_slice(args),
+                _ => {}
             }
         }
         false
@@ -122,7 +126,7 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
     }
 
     let mut terms: Vec<Option<TermId>> = vec![None; nl.cells.len()];
-    let mut fact_elided: HashMap<TermId, u8> = HashMap::new();
+    let mut fact_elided: Vec<(u32, TermId)> = Vec::new();
 
     // Only registers may be forward-referenced, so each pass resolves at
     // least the next unresolved non-register cell; bound passes anyway.
@@ -233,7 +237,7 @@ fn cell_wrap(
     nl: &Netlist,
     ci: usize,
     t: TermId,
-    fact_elided: &mut HashMap<TermId, u8>,
+    fact_elided: &mut Vec<(u32, TermId)>,
 ) -> TermId {
     let ty = nl.cells[ci].ty();
     let wrapped = store.wrap(ty, t);
@@ -242,8 +246,7 @@ fn cell_wrap(
     }
     if let Some(r) = nl.range_of(roccc_netlist::cells::CellId(ci as u32)) {
         if r.lo >= ty.min_value() && r.hi <= ty.max_value() {
-            let dropped = fact_elided.entry(t).or_insert(ty.bits);
-            *dropped = (*dropped).min(ty.bits);
+            fact_elided.push((ci as u32, t));
             return t;
         }
     }

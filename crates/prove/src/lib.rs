@@ -10,7 +10,7 @@
 //!    the SSA IR symbolically, producing a bit-vector term per output
 //!    port and per feedback next-state;
 //! 2. the netlist is read twice, once for timing and once for values.
-//!    [`cell_lags`](timing::cell_lags) is an integer dataflow over the
+//!    [`cell_lags`] is an integer dataflow over the
 //!    cells that gives each cell the register stages between a window's
 //!    launch and the cycle it computes that window's value; the
 //!    valid-grid obligations read these sets directly (an output cone
@@ -61,7 +61,7 @@ use roccc_verify::{CertificateView, CounterexampleView, Diagnostic, ObligationVi
 use blast::SatOutcome;
 use rewrite::{equal_mod, NormCache};
 use term::{TermId, TermMap, TermStore};
-use timing::{grid_cones, GridCone, LagSet};
+use timing::{cell_lags, grid_cones, GridCone, LagSet};
 
 /// Schema tag stamped on every certificate (kept in lockstep with
 /// [`roccc_verify::PROVE_SCHEMA`]).
@@ -640,15 +640,18 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
         Ok((ir, nls)) => {
             // Valid-grid obligations: every output cone must be uniform
             // at the plan latency, every next-state cone at its gate. A
-            // cone whose value is constant is timing-neutral. `eval_nl`
-            // matched every slot to its register, so the cones line up
-            // with the value terms.
-            let cones = grid_cones(f, nl);
+            // cone whose value is constant is timing-neutral unless its
+            // cells sit at mixed lags: with registers transparent,
+            // `x - x_delayed` folds to 0, which the hardware is not.
+            // `grid_cones` lists one cone per output port and per
+            // feedback slot, so the cones line up with the value terms.
+            let lags = cell_lags(nl);
+            let cones = grid_cones(f, nl, &lags);
             let values = nls.outputs.iter().chain(&nls.next_state);
             for (cone, &t) in cones.iter().zip(values) {
-                let lags = match store.as_const(t) {
-                    Some(_) => LagSet::Empty,
-                    None => cone.lags,
+                let lags = match (store.as_const(t), cone.lags) {
+                    (Some(_), l) if l != LagSet::Mixed => LagSet::Empty,
+                    (_, l) => l,
                 };
                 obligations.push(grid_obligation(cone.name.clone(), lags, cone.expected));
             }
@@ -703,7 +706,7 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 });
             }
             for (k, (&it, &nt)) in ir.outputs.iter().zip(nls.outputs.iter()).enumerate() {
-                let range_assisted = nls.range_assisted(&prover.store, nt);
+                let range_assisted = nls.range_assisted(&prover.store, nt, &lags, cones[k].lags);
                 let bits = f.outputs[k].1.bits;
                 let (ob, cex) = prover.discharge(
                     format!("output {}", f.outputs[k].0),
@@ -720,7 +723,8 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 }
             }
             for (s, (&it, &nt)) in ir.next_state.iter().zip(nls.next_state.iter()).enumerate() {
-                let range_assisted = nls.range_assisted(&prover.store, nt);
+                let cone = &cones[nls.outputs.len() + s];
+                let range_assisted = nls.range_assisted(&prover.store, nt, &lags, cone.lags);
                 let bits = f.feedback[s].ty.bits;
                 let (ob, cex) = prover.discharge(
                     format!("next {}", f.feedback[s].name),
@@ -729,7 +733,7 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                     nt,
                     bits,
                     range_assisted,
-                    Some(cones[nls.outputs.len() + s].expected),
+                    Some(cone.expected),
                 );
                 obligations.push(ob);
                 if counterexample.is_none() {
@@ -791,7 +795,8 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
 /// human-readable problems (empty = certificate is credible). The heavy
 /// part is re-replaying the counterexample; the timing half is
 /// re-derived from the netlist ([`timing::cell_lags`]) and every proved
-/// grid obligation must record its cone's lag. Structural consistency is
+/// grid obligation must record its cone's lag
+/// (`roccc_verify::verify_grid_lags`). Structural consistency is
 /// `roccc_verify::verify_certificate`'s job.
 pub fn check_certificate(cert: &Certificate, f: &FunctionIr, nl: &Netlist) -> Vec<String> {
     let mut problems = Vec::new();
@@ -811,18 +816,12 @@ pub fn check_certificate(cert: &Certificate, f: &FunctionIr, nl: &Netlist) -> Ve
             nl.ii.max(1)
         ));
     }
-    let cones = grid_cones(f, nl);
-    for o in &cert.obligations {
-        if let Some(set) = rederived(o, &cones) {
-            if is_proved(o.status) && !set.agrees_with(o.lag) {
-                let lag = o.lag.map_or("none".to_string(), |l| l.to_string());
-                problems.push(format!(
-                    "{}: certificate records lag {lag}, but the netlist cone is {set}",
-                    o.name
-                ));
-            }
-        }
-    }
+    let view = certificate_view(cert, None, &grid_cones(f, nl, &cell_lags(nl)));
+    problems.extend(
+        roccc_verify::verify_grid_lags(&view)
+            .into_iter()
+            .map(|d| d.message),
+    );
     if let Some(cex) = &cert.counterexample {
         match replay(f, nl, &cex.windows) {
             Some(_) => {}
@@ -848,13 +847,6 @@ fn rederived(o: &Obligation, cones: &[GridCone]) -> Option<LagSet> {
         return None;
     }
     cones.iter().find(|c| c.name == o.name).map(|c| c.lags)
-}
-
-fn is_proved(status: ObStatus) -> bool {
-    matches!(
-        status,
-        ObStatus::ProvedRewrite | ObStatus::ProvedRange | ObStatus::ProvedSat
-    )
 }
 
 /// Maps a certificate into the plain-data view `roccc-verify` checks.
@@ -902,7 +894,7 @@ pub fn verify_certificate_diags(
     nl: &Netlist,
 ) -> Vec<Diagnostic> {
     let replayed = replay_counterexample(cert, f, nl);
-    let cones = grid_cones(f, nl);
+    let cones = grid_cones(f, nl, &cell_lags(nl));
     roccc_verify::verify_certificate(&certificate_view(cert, replayed, &cones))
 }
 

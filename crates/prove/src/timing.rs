@@ -98,11 +98,12 @@ pub struct GridCone {
     pub expected: u32,
 }
 
-/// The grid cones of `nl` against `f`: every output port (at the plan
-/// latency), then every feedback slot of `f` whose register `nl` exposes
-/// (at the register's gate stage), in slot order.
-pub fn grid_cones(f: &FunctionIr, nl: &Netlist) -> Vec<GridCone> {
-    let lags = cell_lags(nl);
+/// The grid cones of `nl` against `f`, from its [`cell_lags`]: every output port (at the plan
+/// latency), then every feedback slot of `f` (at its register's gate
+/// stage), in slot order; one cone each, so they line up with the value
+/// terms. A slot with no feedback register in `nl` has no timing: its
+/// cone is `Mixed`, expected at 0.
+pub fn grid_cones(f: &FunctionIr, nl: &Netlist, lags: &[LagSet]) -> Vec<GridCone> {
     let set = |c: roccc_netlist::cells::CellId| lags.get(c.0 as usize).copied();
     let mut out = Vec::with_capacity(nl.outputs.len() + f.feedback.len());
     for (k, &(name, _, cid)) in nl.outputs.iter().enumerate() {
@@ -114,18 +115,23 @@ pub fn grid_cones(f: &FunctionIr, nl: &Netlist) -> Vec<GridCone> {
         });
     }
     for slot in &f.feedback {
-        let Some(&(_, cid)) = nl.feedback_regs.iter().find(|(n, _)| *n == slot.name) else {
-            continue;
-        };
-        let Some(CellKind::Reg { d, stage_gate, .. }) =
-            nl.cells.get(cid.0 as usize).map(|c| c.kind)
-        else {
-            continue;
+        let reg = nl
+            .feedback_regs
+            .iter()
+            .find(|(n, _)| *n == slot.name)
+            .and_then(|&(_, cid)| nl.cells.get(cid.0 as usize))
+            .and_then(|c| match c.kind {
+                CellKind::Reg { d, stage_gate, .. } => Some((d, stage_gate)),
+                _ => None,
+            });
+        let (lags, expected) = match reg {
+            Some((d, gate)) => (d.and_then(set).unwrap_or(LagSet::Mixed), gate.unwrap_or(0)),
+            None => (LagSet::Mixed, 0),
         };
         out.push(GridCone {
             name: format!("grid next {}", slot.name),
-            lags: d.and_then(set).unwrap_or(LagSet::Mixed),
-            expected: stage_gate.unwrap_or(0),
+            lags,
+            expected,
         });
     }
     out
@@ -220,6 +226,39 @@ mod tests {
         assert_eq!(
             cell_lags(&nl),
             [Uniform(1), Uniform(1), Uniform(0), Uniform(1)]
+        );
+    }
+
+    #[test]
+    fn every_feedback_slot_has_one_cone() {
+        use roccc_cparse::IntType;
+        use roccc_suifvm::ir::FeedbackSlot;
+        let mut f = FunctionIr::new("k");
+        for name in ["a", "b"] {
+            f.feedback.push(FeedbackSlot {
+                name: name.into(),
+                ty: IntType::signed(32),
+                init: 0,
+            });
+        }
+        let mut nl = netlist(vec![
+            cell(CellKind::Input(0)),
+            reg(Some(0), Some(0)),
+            reg(Some(0), Some(0)),
+        ]);
+        // Both registers carry slot `a`'s name; slot `b` has none.
+        nl.feedback_regs = vec![("a".into(), CellId(1)), ("a".into(), CellId(2))];
+        let cones = grid_cones(&f, &nl, &cell_lags(&nl));
+        let next: Vec<_> = cones
+            .iter()
+            .map(|c| (c.name.as_str(), c.lags, c.expected))
+            .collect();
+        assert_eq!(
+            next,
+            [
+                ("grid next a", LagSet::Uniform(0), 0),
+                ("grid next b", LagSet::Mixed, 0)
+            ]
         );
     }
 

@@ -64,8 +64,8 @@ pub use pipeline::{
     StageView,
 };
 pub use prove::{
-    prove_code_severity, verify_certificate, CertificateView, CounterexampleView, LagSet,
-    ObligationView, PROVE_SCHEMA,
+    prove_code_severity, verify_certificate, verify_grid_lags, CertificateView, CounterexampleView,
+    LagSet, ObligationView, PROVE_SCHEMA,
 };
 pub use ranges::{verify_fresh_ranges, verify_ranges};
 pub use schedule::verify_schedule;

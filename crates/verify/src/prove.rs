@@ -45,14 +45,17 @@ pub enum LagSet {
 }
 
 impl LagSet {
-    /// True when a grid obligation that records `lag` agrees with this
-    /// re-derived set. A recorded lag must be the set's uniform lag; no
-    /// lag claims a cone whose value is constant, which timing alone can
-    /// neither confirm nor refute.
+    /// True when a proved grid obligation that records `lag` agrees with
+    /// this re-derived set. A recorded lag must be the set's uniform lag.
+    /// No lag claims a cone whose value is constant, which timing alone
+    /// can neither confirm nor refute unless the cells sit at mixed lags:
+    /// a value constant only because delayed and undelayed copies of one
+    /// input cancel is no constant in hardware, so a mixed cone never
+    /// agrees.
     pub fn agrees_with(self, lag: Option<u32>) -> bool {
         match lag {
             Some(l) => self == LagSet::Uniform(l),
-            None => true,
+            None => self != LagSet::Mixed,
         }
     }
 }
@@ -137,6 +140,28 @@ const STATUSES: [&str; 5] = [
     "unknown",
 ];
 const VERDICTS: [&str; 3] = ["equal", "refuted", "unknown"];
+
+/// `E002` for every proved grid obligation whose recorded lag disagrees
+/// with the cone's lag set as re-derived from the netlist
+/// ([`ObligationView::rederived`]); obligations with no re-derived set
+/// are not compared. Part of [`verify_certificate`].
+pub fn verify_grid_lags(view: &CertificateView) -> Vec<Diagnostic> {
+    view.obligations
+        .iter()
+        .filter(|o| o.kind == "valid-grid" && o.status.starts_with("proved"))
+        .filter_map(|o| {
+            let set = o.rederived.filter(|set| !set.agrees_with(o.lag))?;
+            Some(err(
+                "E002-grid-divergence",
+                format!(
+                    "{}: certificate records lag {}, but the netlist cone is {set}",
+                    o.name,
+                    o.lag.map_or("none".to_string(), |l| l.to_string())
+                ),
+            ))
+        })
+        .collect()
+}
 
 /// Runs every certificate check. Returns all findings (empty = clean);
 /// severities follow the registry in the module docs.
@@ -244,22 +269,7 @@ pub fn verify_certificate(view: &CertificateView) -> Vec<Diagnostic> {
         }
     }
 
-    // E002 — a proved grid obligation must record the re-derived timing.
-    for o in view.obligations.iter().filter(|o| {
-        o.kind == "valid-grid" && o.status.starts_with("proved") && o.rederived.is_some()
-    }) {
-        let set = o.rederived.unwrap();
-        if !set.agrees_with(o.lag) {
-            out.push(err(
-                "E002-grid-divergence",
-                format!(
-                    "{}: certificate records lag {}, but the netlist cone is {set}",
-                    o.name,
-                    o.lag.map_or("none".to_string(), |l| l.to_string())
-                ),
-            ));
-        }
-    }
+    out.extend(verify_grid_lags(view));
 
     // E004 — a recorded counterexample must replay.
     if let Some(cex) = &view.counterexample {
@@ -385,9 +395,15 @@ mod tests {
             v.obligations[1].rederived = Some(set);
             assert_eq!(codes(&v), ["E002-grid-divergence"], "{set}");
         }
-        // No recorded lag claims a constant cone: timing cannot refute it.
+        // No recorded lag claims a constant cone: timing cannot refute it
+        // unless the cone is mixed.
         v.obligations[1].lag = None;
-        assert!(codes(&v).is_empty());
+        for set in [LagSet::Uniform(2), LagSet::Empty] {
+            v.obligations[1].rederived = Some(set);
+            assert!(codes(&v).is_empty(), "{set}");
+        }
+        v.obligations[1].rederived = Some(LagSet::Mixed);
+        assert_eq!(codes(&v), ["E002-grid-divergence"]);
     }
 
     #[test]

@@ -480,6 +480,86 @@ fn timing_mutants_are_refuted_with_replaying_counterexamples() {
     assert!(wrong_lag > 0, "no refutation found a cone at the wrong lag");
 }
 
+/// A cone whose register-transparent value folds to a constant is no
+/// constant in hardware when its cells sit at mixed lags: the output
+/// `x == K ? x - x_delayed : 0` reads as `0` once the register is
+/// transparent, exactly what the IR's `A[i] - A[i]` computes, and the
+/// differential pre-pass almost never draws `x == K`. Its grid
+/// obligation must be refuted as mixed, and a certificate claiming it
+/// proved as a constant cone must be an E002 finding.
+#[test]
+fn a_mixed_cone_whose_value_folds_to_a_constant_is_refuted() {
+    let src = "void k(int A[16], int C[16]) { int i;
+      for (i = 0; i < 16; i = i + 1) { C[i] = A[i] - A[i]; } }";
+    let hw = compile(src, "k", &CompileOptions::default()).expect("kernel compiles");
+    let mut nl = hw.netlist.clone();
+    let ty = nl.inputs[0].1;
+    let cell = |kind, bits, signed| Cell {
+        kind,
+        width: bits,
+        signed,
+    };
+    let op = |op, srcs: &[CellId]| CellKind::Op {
+        op,
+        srcs: srcs.into(),
+        imm: 0,
+    };
+    let x = nl.add(cell(CellKind::Input(0), ty.bits, ty.signed));
+    let delayed = nl.add(cell(
+        CellKind::Reg {
+            d: Some(x),
+            init: 0,
+            stage_gate: None,
+        },
+        ty.bits,
+        ty.signed,
+    ));
+    let diff = nl.add(cell(op(Opcode::Sub, &[x, delayed]), ty.bits, ty.signed));
+    let k = nl.add(cell(CellKind::Const(12345), ty.bits, ty.signed));
+    let hit = nl.add(cell(op(Opcode::Seq, &[x, k]), 1, false));
+    let zero = nl.add(cell(CellKind::Const(0), ty.bits, ty.signed));
+    let out = nl.add(cell(
+        op(Opcode::Mux, &[hit, diff, zero]),
+        ty.bits,
+        ty.signed,
+    ));
+    nl.outputs[0].2 = out;
+
+    let cert = prove(&hw.ir, &nl, "folded-mix", &ProveOptions::default());
+    assert_eq!(
+        cert.verdict,
+        Verdict::Refuted,
+        "{}",
+        certificate_json(&cert)
+    );
+    let grid = cert
+        .obligations
+        .iter()
+        .position(|o| o.name.starts_with("grid "))
+        .expect("a grid obligation");
+    assert_eq!(cert.obligations[grid].status, ObStatus::Refuted);
+    assert!(
+        cert.obligations[grid].detail.starts_with("mixed"),
+        "{}",
+        cert.obligations[grid].detail
+    );
+
+    // The same certificate claiming a constant cone does not re-check.
+    let mut forged = cert.clone();
+    forged.verdict = Verdict::Equal;
+    forged.counterexample = None;
+    for o in &mut forged.obligations {
+        o.status = ObStatus::ProvedRewrite;
+    }
+    forged.obligations[grid].lag = None;
+    forged.obligations[grid].detail = "constant cone (timing-neutral)".into();
+    let diags = verify_certificate_diags(&forged, &hw.ir, &nl);
+    assert!(
+        diags.iter().any(|d| d.code == "E002-grid-divergence"),
+        "{diags:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // udiv: a wrong quotient bit
 // ---------------------------------------------------------------------------
@@ -676,10 +756,7 @@ fn obligation_lines(label: &str, cert: &Certificate) -> String {
 
 /// Every obligation's name, kind, status, recorded lag and detail, and
 /// every verdict, on the [`pinned_compiles`] inputs. No detail string
-/// embeds a rewrite-step count, so each is compared in full. udiv's
-/// narrowed output is `proved-range`: its rewrite proof rests on the
-/// range facts that drop the wraps of the restoring subtracts (without
-/// them the obligation needs the SAT fallback).
+/// embeds a rewrite-step count, so each is compared in full.
 const PINNED_OBLIGATIONS: &str = "\
 == bit_correlator/default: equal
 grid count | valid-grid | proved-rewrite | 2 | cone uniform at lag 2
@@ -704,7 +781,7 @@ grid q | valid-grid | proved-rewrite | 8 | cone uniform at lag 8
 output q | output | proved-rewrite | 8 | normal forms coincide
 == udiv/full: equal
 grid q | valid-grid | proved-rewrite | 8 | cone uniform at lag 8
-output q | output | proved-range | 8 | normal forms coincide (range-fact assisted)
+output q | output | proved-rewrite | 8 | normal forms coincide
 == square_root/default: equal
 grid r | valid-grid | proved-rewrite | 12 | cone uniform at lag 12
 output r | output | proved-rewrite | 12 | normal forms coincide
