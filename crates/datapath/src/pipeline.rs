@@ -158,37 +158,43 @@ pub fn pipeline_datapath(
         arrival[i] = t;
     }
 
-    // Feedback constraint: all ops on LPR→SNX paths share one stage.
+    // Feedback constraint: each slot's pinned ops share one stage. Moving
+    // them later can push an op of another slot's set later too, so merge
+    // and repair until neither changes a stage; stages only grow and
+    // never past the greedy maximum, so this ends.
     let mut feedback_constrained = false;
-    for slot in 0..dp.feedback.len() {
-        let cycle = feedback_cycle_ops(dp, slot);
-        if cycle.is_empty() {
-            continue;
-        }
-        let m = cycle.iter().map(|&i| dp.ops[i].stage).max().unwrap_or(0);
-        let needs_fix = cycle.iter().any(|&i| dp.ops[i].stage != m);
-        if needs_fix {
-            feedback_constrained = true;
-            for &i in &cycle {
-                dp.ops[i].stage = m;
-            }
-        }
-    }
-
-    // Repair stage monotonicity after the feedback merge.
     loop {
-        let mut changed = false;
-        for i in 0..n {
-            let mut min_stage = dp.ops[i].stage;
-            for s in dp.ops[i].srcs {
-                min_stage = min_stage.max(dp.stage_of(s));
-            }
-            if min_stage != dp.ops[i].stage {
-                dp.ops[i].stage = min_stage;
-                changed = true;
+        let mut merged = false;
+        for slot in 0..dp.feedback.len() {
+            let cycle = feedback_cycle_ops(dp, slot);
+            let m = cycle.iter().map(|&i| dp.ops[i].stage).max().unwrap_or(0);
+            for &i in &cycle {
+                if dp.ops[i].stage != m {
+                    dp.ops[i].stage = m;
+                    merged = true;
+                }
             }
         }
-        if !changed {
+        feedback_constrained |= merged;
+
+        // Repair stage monotonicity after the feedback merge.
+        loop {
+            let mut changed = false;
+            for i in 0..n {
+                let mut min_stage = dp.ops[i].stage;
+                for s in dp.ops[i].srcs {
+                    min_stage = min_stage.max(dp.stage_of(s));
+                }
+                if min_stage != dp.ops[i].stage {
+                    dp.ops[i].stage = min_stage;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        if !merged {
             break;
         }
     }
@@ -205,10 +211,17 @@ pub fn pipeline_datapath(
     }
 }
 
-/// Indices of every op on an `LPR → … → SNX` path of feedback slot
-/// `slot` — the recurrence cycle a modulo scheduler must never stretch
-/// (moving any of these ops would widen the feedback span and break the
-/// single-latch rule the netlist relies on).
+/// Indices of the ops of feedback slot `slot` that must share the stage
+/// where its SNX latches, since one register is read (LPR) and written
+/// (SNX) in one pipeline phase of an iteration. The pipeliner merges them
+/// into one stage and a modulo scheduler never moves them apart.
+///
+/// * When the SNX value reads the slot's LPR, they are every op on an
+///   `LPR → … → SNX` path: the recurrence cycle (moving any of them would
+///   widen the feedback span and break the single-latch rule the netlist
+///   relies on).
+/// * When it does not, as in a delay line whose slot takes another slot's
+///   value, they are the slot's LPRs and the op producing the SNX value.
 pub fn feedback_cycle_ops(dp: &Datapath, slot: usize) -> Vec<usize> {
     let n = dp.ops.len();
     let lprs: Vec<usize> = dp
@@ -252,7 +265,12 @@ pub fn feedback_cycle_ops(dp: &Datapath, slot: usize) -> Vec<usize> {
         }
     }
     let mut cycle: Vec<usize> = fwd.intersection(&bwd).copied().collect();
+    if cycle.is_empty() && !lprs.is_empty() {
+        cycle = lprs;
+        cycle.push(snx_op.0 as usize);
+    }
     cycle.sort_unstable();
+    cycle.dedup();
     cycle
 }
 

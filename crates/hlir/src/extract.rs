@@ -14,11 +14,13 @@
 //!   data-path, while the loop statement and the load/store code drive the
 //!   controller and smart-buffer generators.
 
-use crate::fold::{fold_expr, fold_program};
-use crate::inline::inline_program;
+use crate::fold::{fold_block, fold_node};
+use crate::inline::{callee_names, inline_program};
 use crate::kernel::*;
 use crate::loops::{contains_loop, recognize, CanonLoop};
-use crate::subst::{collect_var_reads, map_block_exprs, rename_vars_block};
+use crate::subst::{
+    collect_var_reads, for_each_block_expr, map_expr_mut, map_stmt_exprs_mut, rename_vars_stmt,
+};
 use roccc_cparse::ast::intrinsics;
 use roccc_cparse::ast::*;
 use roccc_cparse::error::{CError, CResult, Stage};
@@ -32,9 +34,13 @@ fn err(span: Span, msg: impl Into<String>) -> CError {
 
 /// Extracts the hardware kernel from function `func_name` of `program`.
 ///
-/// The program is inlined and constant-folded first. The function must be
-/// either straight-line scalar code, or a 1- or 2-deep canonical loop nest
-/// with affine array accesses.
+/// Extraction works on its own copy of that function, next to the
+/// program's globals: calls into other defined functions are inlined
+/// first (only then is the whole program copied), and the copy is
+/// constant-folded and checked by semantic analysis in place. The other
+/// functions take no part. The function must be either straight-line
+/// scalar code, or a 1- or 2-deep canonical loop nest with affine array
+/// accesses.
 ///
 /// # Errors
 ///
@@ -42,18 +48,32 @@ fn err(span: Span, msg: impl Into<String>) -> CError {
 /// analysis, or falls outside the supported shape (non-affine indices,
 /// array accesses in straight-line code, loops deeper than two, …).
 pub fn extract_kernel(program: &Program, func_name: &str) -> CResult<Kernel> {
-    let program = fold_program(&inline_program(program));
+    let mut program = kernel_program(program, func_name);
+    for item in &mut program.items {
+        if let Item::Function(f) = item {
+            fold_block(&mut f.body);
+        }
+    }
     let sema = roccc_cparse::sema::check(&program)?;
-    let f = program
-        .function(func_name)
+    let pos = program
+        .items
+        .iter()
+        .position(|i| matches!(i, Item::Function(f) if f.name == func_name))
         .ok_or_else(|| err(Span::dummy(), format!("unknown function `{func_name}`")))?;
+    let Item::Function(mut f) = program.items.remove(pos) else {
+        unreachable!("`pos` is a function item")
+    };
     // Transformations such as partial unrolling with a remainder wrap their
     // result in a bare block; splice those so the loop partition below sees
     // the loop (and reports accurate diagnostics for what surrounds it).
-    let f = &Function {
-        body: flatten_top_blocks(&f.body),
-        ..f.clone()
-    };
+    // Only a body that holds such a block is copied.
+    if f.body
+        .stmts
+        .iter()
+        .any(|s| matches!(s.kind, StmtKind::Block(_)))
+    {
+        f.body.stmts = top_level_stmts(&f.body).into_iter().cloned().collect();
+    }
     let info = &sema.functions[func_name];
 
     // Partition top-level statements: prologue / loop / epilogue.
@@ -64,12 +84,39 @@ pub fn extract_kernel(program: &Program, func_name: &str) -> CResult<Kernel> {
         .position(|s| matches!(s.kind, StmtKind::For { .. }));
 
     match loop_pos {
-        None => extract_straight_line(&program, f, info),
+        None => extract_straight_line(f),
         Some(pos) => {
             check_epilogue_shape(&f.body.stmts[pos + 1..])?;
-            extract_loop_kernel(&program, f, info, pos)
+            extract_loop_kernel(&program, &f, info, pos)
         }
     }
+}
+
+/// The program extraction reads: the globals of `program` and a copy of
+/// function `func_name` (absent when `program` has none), in source
+/// order. When that function calls another defined function, the copy is
+/// taken from the inlined program, the one case in which inlining changes
+/// it. Other functions are left out: no pass of extraction reads them.
+fn kernel_program(program: &Program, func_name: &str) -> Program {
+    let calls_defined = program.function(func_name).is_some_and(|f| {
+        callee_names(&f.body)
+            .iter()
+            .any(|c| program.function(c).is_some())
+    });
+    let keep = |i: &Item| match i {
+        Item::Global(_) => true,
+        Item::Function(f) => f.name == func_name,
+    };
+    let items = if calls_defined {
+        inline_program(program)
+            .items
+            .into_iter()
+            .filter(keep)
+            .collect()
+    } else {
+        program.items.iter().filter(|i| keep(i)).cloned().collect()
+    };
+    Program { items }
 }
 
 /// The shape half of extract's epilogue rule: only `*p = v` exports and
@@ -83,7 +130,9 @@ pub fn extract_kernel(program: &Program, func_name: &str) -> CResult<Kernel> {
 /// # Errors
 ///
 /// `unsupported statement after the kernel loop`, at that statement.
-pub(crate) fn check_epilogue_shape(epilogue: &[Stmt]) -> CResult<()> {
+pub(crate) fn check_epilogue_shape<'a>(
+    epilogue: impl IntoIterator<Item = &'a Stmt>,
+) -> CResult<()> {
     for s in epilogue {
         match &s.kind {
             StmtKind::Assign {
@@ -110,11 +159,7 @@ fn scalar_ty(info: &roccc_cparse::sema::FunctionInfo, name: &str) -> Option<IntT
 // Straight-line kernels (fully unrolled or naturally scalar).
 // ---------------------------------------------------------------------------
 
-fn extract_straight_line(
-    program: &Program,
-    f: &Function,
-    info: &roccc_cparse::sema::FunctionInfo,
-) -> CResult<Kernel> {
+fn extract_straight_line(f: Function) -> CResult<Kernel> {
     // No loops anywhere, no array parameters.
     if contains_loop(&f.body) {
         return Err(err(
@@ -153,7 +198,6 @@ fn extract_straight_line(
         ..f.clone()
     };
 
-    let _ = (program, info);
     Ok(Kernel {
         name: f.name.clone(),
         dims: vec![],
@@ -164,24 +208,26 @@ fn extract_straight_line(
         feedback: vec![],
         live_out: vec![],
         dp_func,
-        rewritten: f.clone(),
+        rewritten: f,
     })
 }
 
-/// Splices bare `{ … }` statements into their parent at the top level only
-/// (loop and branch bodies are left alone).
-pub(crate) fn flatten_top_blocks(b: &Block) -> Block {
-    let mut stmts = Vec::new();
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Block(inner) => stmts.extend(flatten_top_blocks(inner).stmts),
-            _ => stmts.push(s.clone()),
+/// The statements of `b` with each bare `{ … }` at the top level spliced
+/// into its parent (loop and branch bodies are left alone), borrowed.
+/// Extraction partitions the kernel body as this leaves it, and the unroll
+/// gate reads it to predict extraction's refusals.
+pub(crate) fn top_level_stmts(b: &Block) -> Vec<&Stmt> {
+    fn push<'a>(b: &'a Block, out: &mut Vec<&'a Stmt>) {
+        for s in &b.stmts {
+            match &s.kind {
+                StmtKind::Block(inner) => push(inner, out),
+                _ => out.push(s),
+            }
         }
     }
-    Block {
-        stmts,
-        span: b.span,
-    }
+    let mut out = Vec::with_capacity(b.stmts.len());
+    push(b, &mut out);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +287,7 @@ fn extract_loop_kernel(
             "kernel loop is not in canonical counted form",
         )
     })?;
-    let (dims, body) = recognize_nest(&l1)?;
+    let (dims, body) = recognize_nest(l1)?;
     if contains_loop(&body) {
         return Err(err(
             loop_stmt.span,
@@ -302,7 +348,7 @@ fn extract_loop_kernel(
         compute: Vec::new(),
         error: None,
     };
-    for s in &body.stmts {
+    for s in body.stmts {
         rewriter.stmt(s);
     }
     if let Some(e) = rewriter.error {
@@ -370,13 +416,9 @@ fn extract_loop_kernel(
     }
     let body_reads: HashSet<String> = body_reads.into_iter().collect();
     let mut body_writes = Vec::new();
-    crate::subst::collect_scalar_writes(
-        &Block {
-            stmts: compute.clone(),
-            span: body.span,
-        },
-        &mut body_writes,
-    );
+    for s in &compute {
+        crate::subst::collect_scalar_writes_stmt(s, &mut body_writes);
+    }
     let body_writes: HashSet<String> = body_writes.into_iter().collect();
 
     let mut feedback = Vec::new();
@@ -441,33 +483,35 @@ fn extract_loop_kernel(
     scalar_inputs.sort();
 
     // -- substitute propagated constants --------------------------------------
-    let compute: Vec<Stmt> = compute
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
-            for (name, v) in &const_prologue {
-                s = crate::subst::subst_var_stmt(&s, name, &Expr::int(*v, s.span));
-            }
-            crate::subst::map_stmt_exprs(&s, &mut |e| fold_expr(&e))
-        })
-        .collect();
+    // All of them in one walk, folding as it goes: the replacements are
+    // literals, so each node folds once its operands are substituted.
+    let mut compute = compute;
+    for s in &mut compute {
+        map_stmt_exprs_mut(s, &mut |e| {
+            map_expr_mut(e, &mut |x| match &x.kind {
+                ExprKind::Var(n) => match const_prologue.get(n) {
+                    Some(v) => Expr::int(*v, x.span),
+                    None => x,
+                },
+                _ => fold_node(x),
+            })
+        });
+    }
 
     // -- build the data-path function (Figure 3 (c) / 4 (c)) -------------------
+    let rewritten_compute = compute.clone();
     let dp_func = build_dp_func(
         f,
-        info,
         &windows,
         &outputs,
         &scalar_inputs,
         &feedback,
         &live_out,
-        &compute,
-    )?;
+        compute,
+    );
 
     // -- build the rewritten function (Figure 3 (b)) ----------------------------
-    let rewritten = build_rewritten(
-        f, info, &windows, &outputs, &feedback, &compute, loop_pos, &dims,
-    )?;
+    let rewritten = build_rewritten(f, &windows, &outputs, rewritten_compute, loop_pos, &dims);
 
     Ok(Kernel {
         name: f.name.clone(),
@@ -485,8 +529,8 @@ fn extract_loop_kernel(
 
 /// Recognizes a 1- or 2-deep nest rooted at `l1`, returning normalized
 /// dimensions (outermost first) and the innermost body.
-fn recognize_nest(l1: &CanonLoop) -> CResult<(Vec<LoopDim>, Block)> {
-    let dim1 = to_dim(l1)?;
+fn recognize_nest(l1: CanonLoop) -> CResult<(Vec<LoopDim>, Block)> {
+    let dim1 = to_dim(&l1)?;
     // A 2-deep nest is a body consisting solely of one canonical loop
     // (allowing leading declarations of the inner induction variable).
     let inner_candidates: Vec<&Stmt> = l1
@@ -501,7 +545,7 @@ fn recognize_nest(l1: &CanonLoop) -> CResult<(Vec<LoopDim>, Block)> {
             return Ok((vec![dim1, dim2], l2.body));
         }
     }
-    Ok((vec![dim1], l1.body.clone()))
+    Ok((vec![dim1], l1.body))
 }
 
 fn to_dim(l: &CanonLoop) -> CResult<LoopDim> {
@@ -527,46 +571,40 @@ fn collect_array_reads(
     out: &mut BTreeMap<String, Vec<Vec<AffineIndex>>>,
 ) -> CResult<()> {
     let mut error = None;
-    // Reads occur in every expression position, so walk each top-level
-    // expression bottom-up with `map_expr` to reach nested `ArrayIndex`
-    // nodes.
-    let mut visit_top = |top: Expr| -> Expr {
-        let _ = crate::subst::map_expr(&top, &mut |e| {
-            if let ExprKind::ArrayIndex { name, indices } = &e.kind {
-                if arrays.contains_key(name) {
-                    match indices
-                        .iter()
-                        .map(|ix| affine(ix, loop_vars))
-                        .collect::<Option<Vec<_>>>()
-                    {
-                        Some(aff) => out.entry(name.clone()).or_default().push(aff),
-                        None => {
-                            if error.is_none() {
-                                error = Some(err(
-                                    e.span,
-                                    format!(
-                                        "non-affine index into `{name}`; ROCCC requires `i + c` form"
-                                    ),
-                                ));
-                            }
+    // Reads occur in every expression position, so visit every node
+    // bottom-up to reach nested `ArrayIndex` nodes.
+    for_each_block_expr(b, &mut |e| {
+        if let ExprKind::ArrayIndex { name, indices } = &e.kind {
+            if arrays.contains_key(name) {
+                match indices
+                    .iter()
+                    .map(|ix| affine(ix, loop_vars))
+                    .collect::<Option<Vec<_>>>()
+                {
+                    Some(aff) => out.entry(name.clone()).or_default().push(aff),
+                    None => {
+                        if error.is_none() {
+                            error = Some(err(
+                                e.span,
+                                format!(
+                                    "non-affine index into `{name}`; ROCCC requires `i + c` form"
+                                ),
+                            ));
                         }
                     }
-                } else if !const_tables.contains(name) {
-                    // Local array or unknown: leave to the back end (LUT
-                    // for const tables) — locals are rejected here.
-                    if error.is_none() {
-                        error = Some(err(
-                            e.span,
-                            format!("array `{name}` is neither a parameter nor a const table"),
-                        ));
-                    }
+                }
+            } else if !const_tables.contains(name) {
+                // Local array or unknown: leave to the back end (LUT
+                // for const tables) — locals are rejected here.
+                if error.is_none() {
+                    error = Some(err(
+                        e.span,
+                        format!("array `{name}` is neither a parameter nor a const table"),
+                    ));
                 }
             }
-            e
-        });
-        top
-    };
-    let _ = map_block_exprs(b, &mut visit_top);
+        }
+    });
     // Remove entries that are exclusively writes: handled by the rewriter.
     match error {
         Some(e) => Err(e),
@@ -618,28 +656,27 @@ struct BodyRewriter<'a> {
 }
 
 impl<'a> BodyRewriter<'a> {
-    fn stmt(&mut self, s: &Stmt) {
-        match &s.kind {
+    fn stmt(&mut self, s: Stmt) {
+        let span = s.span;
+        match s.kind {
             StmtKind::Assign {
                 target: LValue::ArrayElem { name, indices },
                 op: None,
                 value,
-            } if self.array_params.contains_key(name) => {
+            } if self.array_params.contains_key(&name) => {
                 // Array write: becomes `Tmp<k> = value`.
                 let aff = indices
                     .iter()
                     .map(|ix| affine(ix, self.loop_vars))
                     .collect::<Option<Vec<_>>>();
                 let Some(aff) = aff else {
-                    self.error.get_or_insert(err(
-                        s.span,
-                        format!("non-affine store index into `{name}`"),
-                    ));
+                    self.error
+                        .get_or_insert(err(span, format!("non-affine store index into `{name}`")));
                     return;
                 };
                 let scalar = format!("Tmp{}", self.tmp_counter);
                 self.tmp_counter += 1;
-                let (elem, _) = self.array_params[name];
+                let (elem, _) = self.array_params[&name];
                 let init = self.expr(value);
                 self.compute.push(Stmt {
                     kind: StmtKind::Decl {
@@ -647,18 +684,18 @@ impl<'a> BodyRewriter<'a> {
                         ty: CType::Int(elem),
                         init: Some(init),
                     },
-                    span: s.span,
+                    span,
                 });
                 self.outputs
-                    .entry(name.clone())
+                    .entry(name)
                     .or_default()
                     .push(OutputWrite { scalar, index: aff });
             }
             StmtKind::Assign { target, op, value } => {
-                if let LValue::ArrayElem { name, .. } = target {
+                if let LValue::ArrayElem { name, .. } = &target {
                     if self.array_params.contains_key(name) {
                         self.error.get_or_insert(err(
-                            s.span,
+                            span,
                             "compound assignment to output arrays is not supported",
                         ));
                         return;
@@ -666,23 +703,15 @@ impl<'a> BodyRewriter<'a> {
                 }
                 let value = self.expr(value);
                 self.compute.push(Stmt {
-                    kind: StmtKind::Assign {
-                        target: target.clone(),
-                        op: *op,
-                        value,
-                    },
-                    span: s.span,
+                    kind: StmtKind::Assign { target, op, value },
+                    span,
                 });
             }
             StmtKind::Decl { name, ty, init } => {
-                let init = init.as_ref().map(|e| self.expr(e));
+                let init = init.map(|e| self.expr(e));
                 self.compute.push(Stmt {
-                    kind: StmtKind::Decl {
-                        name: name.clone(),
-                        ty: ty.clone(),
-                        init,
-                    },
-                    span: s.span,
+                    kind: StmtKind::Decl { name, ty, init },
+                    span,
                 });
             }
             StmtKind::If {
@@ -692,55 +721,55 @@ impl<'a> BodyRewriter<'a> {
             } => {
                 // Array writes inside branches would need predicated stores;
                 // reject them, but allow scalar computation.
-                if block_writes_arrays(then_blk, self.array_params)
+                if block_writes_arrays(&then_blk, self.array_params)
                     || else_blk
                         .as_ref()
                         .is_some_and(|b| block_writes_arrays(b, self.array_params))
                 {
                     self.error.get_or_insert(err(
-                        s.span,
+                        span,
                         "array stores inside branches are not supported; compute into a scalar and store unconditionally",
                     ));
                     return;
                 }
                 let cond = self.expr(cond);
                 let then_blk = self.rewrite_block(then_blk);
-                let else_blk = else_blk.as_ref().map(|b| self.rewrite_block(b));
+                let else_blk = else_blk.map(|b| self.rewrite_block(b));
                 self.compute.push(Stmt {
                     kind: StmtKind::If {
                         cond,
                         then_blk,
                         else_blk,
                     },
-                    span: s.span,
+                    span,
                 });
             }
             StmtKind::Block(b) => {
                 let inner = self.rewrite_block(b);
                 self.compute.push(Stmt {
                     kind: StmtKind::Block(inner),
-                    span: s.span,
+                    span,
                 });
             }
             StmtKind::Expr(e) => {
                 let e = self.expr(e);
                 self.compute.push(Stmt {
                     kind: StmtKind::Expr(e),
-                    span: s.span,
+                    span,
                 });
             }
             StmtKind::Return(_) | StmtKind::For { .. } | StmtKind::While { .. } => {
                 self.error.get_or_insert(err(
-                    s.span,
+                    span,
                     "unsupported statement inside the kernel loop body",
                 ));
             }
         }
     }
 
-    fn rewrite_block(&mut self, b: &Block) -> Block {
+    fn rewrite_block(&mut self, b: Block) -> Block {
         let saved = std::mem::take(&mut self.compute);
-        for s in &b.stmts {
+        for s in b.stmts {
             self.stmt(s);
         }
         let stmts = std::mem::replace(&mut self.compute, saved);
@@ -750,8 +779,8 @@ impl<'a> BodyRewriter<'a> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> Expr {
-        crate::subst::map_expr(e, &mut |x| {
+    fn expr(&mut self, mut e: Expr) -> Expr {
+        map_expr_mut(&mut e, &mut |x| {
             if let ExprKind::ArrayIndex { name, indices } = &x.kind {
                 if self.array_params.contains_key(name) {
                     if let Some(aff) = indices
@@ -766,7 +795,8 @@ impl<'a> BodyRewriter<'a> {
                 }
             }
             x
-        })
+        });
+        e
     }
 }
 
@@ -838,17 +868,15 @@ fn collect_stmt_reads_full(s: &Stmt, out: &mut Vec<String>) {
 }
 
 /// Builds the exported data-path function (Figure 3 (c) / 4 (c)).
-#[allow(clippy::too_many_arguments)]
 fn build_dp_func(
     f: &Function,
-    info: &roccc_cparse::sema::FunctionInfo,
     windows: &[WindowSpec],
     outputs: &[OutputSpec],
     scalar_inputs: &[(String, IntType)],
     feedback: &[FeedbackVar],
     live_out: &[String],
-    compute: &[Stmt],
-) -> CResult<Function> {
+    mut compute: Vec<Stmt>,
+) -> Function {
     let sp = f.span;
     let mut params = Vec::new();
     for w in windows {
@@ -924,30 +952,28 @@ fn build_dp_func(
         .iter()
         .flat_map(|o| o.writes.iter().map(|w| w.scalar.clone()))
         .collect();
-    let compute_block = rename_vars_block(
-        &Block {
-            stmts: compute.to_vec(),
-            span: sp,
-        },
-        &fb_rename,
-    );
-    for s in compute_block.stmts {
-        match &s.kind {
+    if !fb_rename.is_empty() {
+        compute
+            .iter_mut()
+            .for_each(|s| rename_vars_stmt(s, &fb_rename));
+    }
+    for s in compute {
+        match s.kind {
             StmtKind::Decl {
                 name,
                 init: Some(init),
                 ..
-            } if out_scalars.contains(name) => {
+            } if out_scalars.contains(&name) => {
                 stmts.push(Stmt {
                     kind: StmtKind::Assign {
-                        target: LValue::Deref(name.clone()),
+                        target: LValue::Deref(name),
                         op: None,
-                        value: init.clone(),
+                        value: init,
                     },
                     span: s.span,
                 });
             }
-            _ => stmts.push(s),
+            kind => stmts.push(Stmt { kind, span: s.span }),
         }
     }
 
@@ -977,14 +1003,13 @@ fn build_dp_func(
         });
     }
 
-    let _ = info;
-    Ok(Function {
+    Function {
         name: format!("{}_dp", f.name),
         ret: CType::Void,
         params,
         body: Block { stmts, span: sp },
         span: sp,
-    })
+    }
 }
 
 /// Builds the Figure 3 (b)-style function: same signature as the original,
@@ -992,16 +1017,13 @@ fn build_dp_func(
 #[allow(clippy::too_many_arguments)]
 fn build_rewritten(
     f: &Function,
-    info: &roccc_cparse::sema::FunctionInfo,
     windows: &[WindowSpec],
     outputs: &[OutputSpec],
-    feedback: &[FeedbackVar],
-    compute: &[Stmt],
+    compute: Vec<Stmt>,
     loop_pos: usize,
     dims: &[LoopDim],
-) -> CResult<Function> {
+) -> Function {
     let sp = f.span;
-    let _ = (info, feedback);
 
     let mut body_stmts: Vec<Stmt> = Vec::new();
     // Loads.
@@ -1025,7 +1047,7 @@ fn build_rewritten(
         }
     }
     // Compute.
-    body_stmts.extend(compute.iter().cloned());
+    body_stmts.extend(compute);
     // Stores.
     for o in outputs {
         for w in &o.writes {
@@ -1050,18 +1072,24 @@ fn build_rewritten(
         span: sp,
     };
     for dim in dims.iter().rev() {
-        let l = CanonLoop {
+        // `to_stmt` copies the body: build the header around an empty one
+        // and move the nest in.
+        let mut l = CanonLoop {
             var: dim.var.clone(),
             decl_ty: None,
             start: dim.start,
             bound: dim.bound,
             cmp: BinOp::Lt,
             step: dim.step,
-            body: nest,
+            body: Block::default(),
             span: sp,
-        };
+        }
+        .to_stmt();
+        if let StmtKind::For { body, .. } = &mut l.kind {
+            *body = nest;
+        }
         nest = Block {
-            stmts: vec![l.to_stmt()],
+            stmts: vec![l],
             span: sp,
         };
     }
@@ -1092,15 +1120,18 @@ fn build_rewritten(
         }
     }
     stmts.extend(nest.stmts);
-    stmts.extend(f.body.stmts[loop_pos + 1..].to_vec());
+    stmts.extend_from_slice(&f.body.stmts[loop_pos + 1..]);
 
-    Ok(Function {
+    Function {
+        name: f.name.clone(),
+        ret: f.ret.clone(),
+        params: f.params.clone(),
         body: Block {
             stmts,
             span: f.body.span,
         },
-        ..f.clone()
-    })
+        span: f.span,
+    }
 }
 
 fn affine_to_expr(a: &AffineIndex, sp: Span) -> Expr {

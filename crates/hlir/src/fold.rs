@@ -5,56 +5,55 @@
 //! before unrolling and scalar replacement; the back end (`roccc-suifvm`)
 //! folds again at the IR level after other passes expose more constants.
 
-use crate::subst::{map_block_exprs, map_expr};
+use crate::subst::{map_block_exprs_mut, map_expr_mut};
 use roccc_cparse::ast::*;
 
 /// Folds constants in every function of the program.
 pub fn fold_program(p: &Program) -> Program {
-    Program {
-        items: p
-            .items
-            .iter()
-            .map(|item| match item {
-                Item::Function(f) => Item::Function(fold_function(f)),
-                g => g.clone(),
-            })
-            .collect(),
+    let mut p = p.clone();
+    for item in &mut p.items {
+        if let Item::Function(f) = item {
+            fold_block(&mut f.body);
+        }
     }
+    p
 }
 
 /// Folds constants in one function.
 pub fn fold_function(f: &Function) -> Function {
-    Function {
-        body: fold_block(&f.body),
-        ..f.clone()
-    }
+    let mut f = f.clone();
+    fold_block(&mut f.body);
+    f
 }
 
-/// Folds constants in a block.
-pub fn fold_block(b: &Block) -> Block {
-    map_block_exprs(b, &mut |e| fold_expr(&e))
+/// Folds constants in a block, in place.
+pub fn fold_block(b: &mut Block) {
+    map_block_exprs_mut(b, &mut fold_expr)
 }
 
-/// Folds an expression bottom-up: literal arithmetic is evaluated and
-/// algebraic identities are applied (`x*1 → x`, `x+0 → x`, `x*0 → 0`,
-/// `x<<0 → x`, `x&0 → 0`, `1?a:b → a`, …).
+/// Folds an expression bottom-up, in place: literal arithmetic is
+/// evaluated and algebraic identities are applied (`x*1 → x`, `x+0 → x`,
+/// `x*0 → 0`, `x<<0 → x`, `x&0 → 0`, `1?a:b → a`, …).
 ///
 /// ```
 /// use roccc_cparse::{parser::parse, ast::StmtKind};
 /// use roccc_hlir::fold::fold_expr;
 ///
 /// let prog = parse("int f(int x) { return x * 1 + 2 * 3; }").unwrap();
-/// let e = match &prog.function("f").unwrap().body.stmts[0].kind {
+/// let mut e = match &prog.function("f").unwrap().body.stmts[0].kind {
 ///     StmtKind::Return(Some(e)) => e.clone(),
 ///     _ => unreachable!(),
 /// };
-/// assert_eq!(fold_expr(&e).to_c(), "(x + 6)");
+/// fold_expr(&mut e);
+/// assert_eq!(e.to_c(), "(x + 6)");
 /// ```
-pub fn fold_expr(e: &Expr) -> Expr {
-    map_expr(e, &mut fold_node)
+pub fn fold_expr(e: &mut Expr) {
+    map_expr_mut(e, &mut fold_node)
 }
 
-fn fold_node(e: Expr) -> Expr {
+/// Folds one node whose operands are already folded: the post-order step
+/// of [`fold_expr`], for walks that rewrite other nodes in the same pass.
+pub fn fold_node(e: Expr) -> Expr {
     let span = e.span;
     match &e.kind {
         ExprKind::Unary { op, operand } => {

@@ -336,14 +336,13 @@ fn array_accesses(b: &Block) -> (HashSet<String>, HashSet<String>) {
 
 fn fuse_pair(a: &CanonLoop, b: &CanonLoop) -> CanonLoop {
     // Rename b's induction variable to a's (headers are identical).
-    let renamed: Vec<Stmt> = b
-        .body
-        .stmts
-        .iter()
-        .map(|s| crate::subst::subst_var_stmt(s, &b.var, &Expr::var(a.var.clone(), b.span)))
-        .collect();
     let mut stmts = a.body.stmts.clone();
-    stmts.extend(renamed);
+    let first = stmts.len();
+    stmts.extend_from_slice(&b.body.stmts);
+    let var = Expr::var(a.var.clone(), b.span);
+    for s in &mut stmts[first..] {
+        crate::subst::subst_var_stmt(s, &b.var, &var);
+    }
     CanonLoop {
         body: Block {
             stmts,

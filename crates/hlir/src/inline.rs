@@ -7,7 +7,7 @@
 //! become initialized locals and `return e` becomes an assignment to a
 //! result temporary.
 
-use crate::subst::rename_vars_block;
+use crate::subst::{for_each_block_expr, rename_vars_block};
 use roccc_cparse::ast::intrinsics;
 use roccc_cparse::ast::*;
 use roccc_cparse::types::CType;
@@ -16,32 +16,35 @@ use std::collections::HashMap;
 /// Inlines all calls to defined functions in every function of `p`.
 /// Intrinsic calls (`ROCCC_*`) are left untouched.
 pub fn inline_program(p: &Program) -> Program {
-    let functions: HashMap<String, Function> = p
+    let functions: HashMap<&str, &Function> = p
         .items
         .iter()
         .filter_map(|i| match i {
-            Item::Function(f) => Some((f.name.clone(), f.clone())),
+            Item::Function(f) => Some((f.name.as_str(), f)),
             _ => None,
         })
         .collect();
     let mut done: HashMap<String, Function> = HashMap::new();
     // Inline bottom-up: repeatedly process functions whose callees are done.
-    let mut remaining: Vec<&Function> = functions.values().collect();
+    let mut remaining: Vec<&Function> = functions.values().copied().collect();
     while !remaining.is_empty() {
         let mut progressed = false;
         remaining.retain(|f| {
             let callees = callee_names(&f.body);
             let ready = callees
                 .iter()
-                .all(|c| !functions.contains_key(c) || done.contains_key(c));
+                .all(|c| !functions.contains_key(c.as_str()) || done.contains_key(c));
             if ready {
                 let mut ctx = Inliner {
                     functions: &done,
                     counter: 0,
                 };
                 let inlined = Function {
+                    name: f.name.clone(),
+                    ret: f.ret.clone(),
+                    params: f.params.clone(),
                     body: ctx.block(&f.body),
-                    ..(*f).clone()
+                    span: f.span,
                 };
                 done.insert(f.name.clone(), inlined);
                 progressed = true;
@@ -68,108 +71,17 @@ pub fn inline_program(p: &Program) -> Program {
     }
 }
 
-fn callee_names(b: &Block) -> Vec<String> {
+/// The names of the non-intrinsic functions called anywhere in `b`, in
+/// visiting order (a name repeats once per call site).
+pub fn callee_names(b: &Block) -> Vec<String> {
     let mut out = Vec::new();
-    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
-        match &e.kind {
-            ExprKind::Call { name, args } => {
-                if !intrinsics::is_intrinsic(name) {
-                    out.push(name.clone());
-                }
-                for a in args {
-                    walk_expr(a, out);
-                }
+    for_each_block_expr(b, &mut |e| {
+        if let ExprKind::Call { name, .. } = &e.kind {
+            if !intrinsics::is_intrinsic(name) {
+                out.push(name.clone());
             }
-            ExprKind::Unary { operand, .. } => walk_expr(operand, out),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
-            }
-            ExprKind::Cond {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                walk_expr(cond, out);
-                walk_expr(then_e, out);
-                walk_expr(else_e, out);
-            }
-            ExprKind::ArrayIndex { indices, .. } => {
-                for i in indices {
-                    walk_expr(i, out);
-                }
-            }
-            _ => {}
         }
-    }
-    fn walk_stmt(s: &Stmt, out: &mut Vec<String>) {
-        match &s.kind {
-            StmtKind::Decl { init, .. } => {
-                if let Some(e) = init {
-                    walk_expr(e, out);
-                }
-            }
-            StmtKind::Assign { value, target, .. } => {
-                walk_expr(value, out);
-                if let LValue::ArrayElem { indices, .. } = target {
-                    for i in indices {
-                        walk_expr(i, out);
-                    }
-                }
-            }
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                walk_expr(cond, out);
-                for st in &then_blk.stmts {
-                    walk_stmt(st, out);
-                }
-                if let Some(e) = else_blk {
-                    for st in &e.stmts {
-                        walk_stmt(st, out);
-                    }
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    walk_stmt(i, out);
-                }
-                if let Some(c) = cond {
-                    walk_expr(c, out);
-                }
-                if let Some(st) = step {
-                    walk_stmt(st, out);
-                }
-                for st in &body.stmts {
-                    walk_stmt(st, out);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                walk_expr(cond, out);
-                for st in &body.stmts {
-                    walk_stmt(st, out);
-                }
-            }
-            StmtKind::Return(Some(e)) => walk_expr(e, out),
-            StmtKind::Return(None) => {}
-            StmtKind::Block(b) => {
-                for st in &b.stmts {
-                    walk_stmt(st, out);
-                }
-            }
-            StmtKind::Expr(e) => walk_expr(e, out),
-        }
-    }
-    for s in &b.stmts {
-        walk_stmt(s, &mut out);
-    }
+    });
     out
 }
 
@@ -258,9 +170,8 @@ impl<'a> Inliner<'a> {
         match &e.kind {
             ExprKind::Call { name, args } if self.functions.contains_key(name) => {
                 let args: Vec<Expr> = args.iter().map(|a| self.expr(a, out)).collect();
-                let callee = self.functions[name].clone();
-
-                self.inline_call(&callee, &args, e.span, out)
+                let functions = self.functions;
+                self.inline_call(&functions[name], &args, e.span, out)
             }
             ExprKind::Call { name, args } => Expr {
                 kind: ExprKind::Call {
@@ -366,7 +277,8 @@ impl<'a> Inliner<'a> {
         // Splice the body with renames, converting `return e` into
         // `ret = e` (callees in the subset return at the tail, enforced by
         // construction: a mid-body return would need control-flow splitting).
-        let renamed = rename_vars_block(&callee.body, &rename);
+        let mut renamed = callee.body.clone();
+        rename_vars_block(&mut renamed, &rename);
         for s in renamed.stmts {
             match s.kind {
                 StmtKind::Return(Some(e)) => out.push(Stmt {
@@ -479,6 +391,14 @@ mod tests {
           void f(int a, int b, int* o) { *o = absv(a - b) + absv(b - a); }";
         assert_equivalent_scalar(src, "f", &[3, 9]);
         assert_equivalent_scalar(src, "f", &[9, 3]);
+    }
+
+    #[test]
+    fn callee_store_indices_use_the_renamed_locals() {
+        // The caller's `j` must not leak into the callee's `t[j]`.
+        let src = "int pick(int x) { int t[2]; int j; j = 1; t[j] = x; return t[1]; }
+          int f(int a) { int j; j = 0; return pick(a) + j; }";
+        assert_equivalent_scalar(src, "f", &[5]);
     }
 
     #[test]

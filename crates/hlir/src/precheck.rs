@@ -19,9 +19,9 @@
 //! function reaching the gates has.
 
 use crate::deps::{find_blocking_dep, nested_loop_vars};
-use crate::extract::{check_epilogue_shape, flatten_top_blocks};
+use crate::extract::{check_epilogue_shape, top_level_stmts};
 use crate::loops::{contains_loop, recognize};
-use crate::subst::{map_block_exprs, map_expr};
+use crate::subst::for_each_block_expr;
 use roccc_cparse::ast::*;
 use roccc_cparse::error::CError;
 use roccc_cparse::sema::redeclaration_error;
@@ -58,16 +58,13 @@ fn predictable(f: &Function) -> bool {
     let mut loop_vars = Vec::new();
     nested_loop_vars(&f.body, &mut loop_vars);
     let mut ok = true;
-    let _ = map_block_exprs(&f.body, &mut |top| {
-        map_expr(&top, &mut |e| {
-            if let ExprKind::Call { name, args } = &e.kind {
-                ok &= intrinsics::is_intrinsic(name)
-                    && !args
-                        .iter()
-                        .any(|a| matches!(&a.kind, ExprKind::Var(v) if loop_vars.contains(v)));
-            }
-            e
-        })
+    for_each_block_expr(&f.body, &mut |e| {
+        if let ExprKind::Call { name, args } = &e.kind {
+            ok &= intrinsics::is_intrinsic(name)
+                && !args
+                    .iter()
+                    .any(|a| matches!(&a.kind, ExprKind::Var(v) if loop_vars.contains(v)));
+        }
     });
     ok
 }
@@ -189,18 +186,17 @@ fn first_declaration(b: &Block) -> Option<(&str, Span, bool)> {
 /// only inside loops and leaves each loop a loop (followed by its own
 /// remainder), so the first offending shape and its span carry over.
 fn epilogue_error(f: &Function, factor: u64) -> Option<CError> {
-    let top = flatten_top_blocks(&f.body).stmts;
+    let top = top_level_stmts(&f.body);
     let pos = top
         .iter()
         .position(|s| matches!(s.kind, StmtKind::For { .. }))?;
-    let mut after = match recognize(&top[pos]) {
-        Some(l) if l.trip_count().is_some_and(|t| t % factor != 0) => {
-            flatten_top_blocks(&l.body).stmts
-        }
+    let kernel_loop = recognize(top[pos]);
+    let mut after = match &kernel_loop {
+        Some(l) if l.trip_count().is_some_and(|t| t % factor != 0) => top_level_stmts(&l.body),
         _ => Vec::new(),
     };
     after.extend_from_slice(&top[pos + 1..]);
-    check_epilogue_shape(&after).err()
+    check_epilogue_shape(after).err()
 }
 
 #[cfg(test)]

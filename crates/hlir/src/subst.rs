@@ -1,45 +1,209 @@
 //! AST rewriting helpers shared by the loop transformations.
+//!
+//! The rewrites work in place on a tree the caller owns: a pass that needs
+//! a fresh copy clones first, so each tree is copied at most once, and a
+//! node that a rewrite leaves alone is moved, never copied. The `for_each`
+//! walks read without rewriting, in the same order.
 
 use roccc_cparse::ast::*;
+use std::collections::HashMap;
 
-/// Applies `f` bottom-up to every expression inside `e`, rebuilding the tree.
-pub fn map_expr(e: &Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-    let kind = match &e.kind {
-        ExprKind::IntLit(v) => ExprKind::IntLit(*v),
-        ExprKind::Var(n) => ExprKind::Var(n.clone()),
-        ExprKind::ArrayIndex { name, indices } => ExprKind::ArrayIndex {
-            name: name.clone(),
-            indices: indices.iter().map(|i| map_expr(i, f)).collect(),
-        },
-        ExprKind::Unary { op, operand } => ExprKind::Unary {
-            op: *op,
-            operand: Box::new(map_expr(operand, f)),
-        },
-        ExprKind::Binary { op, lhs, rhs } => ExprKind::Binary {
-            op: *op,
-            lhs: Box::new(map_expr(lhs, f)),
-            rhs: Box::new(map_expr(rhs, f)),
-        },
+/// Applies `f` bottom-up to every expression node inside `e`, in place:
+/// the children first, then `f` on the node taken by value, so the parts
+/// `f` hands back unchanged are moved rather than copied.
+pub fn map_expr_mut(e: &mut Expr, f: &mut impl FnMut(Expr) -> Expr) {
+    match &mut e.kind {
+        ExprKind::IntLit(_) | ExprKind::Var(_) => {}
+        ExprKind::ArrayIndex { indices: args, .. } | ExprKind::Call { args, .. } => {
+            for a in args {
+                map_expr_mut(a, f);
+            }
+        }
+        ExprKind::Unary { operand, .. } => map_expr_mut(operand, f),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            map_expr_mut(lhs, f);
+            map_expr_mut(rhs, f);
+        }
         ExprKind::Cond {
             cond,
             then_e,
             else_e,
-        } => ExprKind::Cond {
-            cond: Box::new(map_expr(cond, f)),
-            then_e: Box::new(map_expr(then_e, f)),
-            else_e: Box::new(map_expr(else_e, f)),
-        },
-        ExprKind::Call { name, args } => ExprKind::Call {
-            name: name.clone(),
-            args: args.iter().map(|a| map_expr(a, f)).collect(),
-        },
-    };
-    f(Expr { kind, span: e.span })
+        } => {
+            map_expr_mut(cond, f);
+            map_expr_mut(then_e, f);
+            map_expr_mut(else_e, f);
+        }
+    }
+    let span = e.span;
+    let node = std::mem::replace(e, Expr::int(0, span));
+    *e = f(node);
 }
 
-/// Replaces every read of variable `var` with `replacement`.
-pub fn subst_var(e: &Expr, var: &str, replacement: &Expr) -> Expr {
-    map_expr(e, &mut |x| match &x.kind {
+/// Applies `f` to every top-level expression of a statement tree
+/// (conditions, right-hand sides, store indices, initializers), recursing
+/// through nested blocks, in place.
+pub fn map_stmt_exprs_mut(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+    match &mut s.kind {
+        StmtKind::Decl { init, .. } => {
+            if let Some(e) = init {
+                f(e);
+            }
+        }
+        StmtKind::Assign { target, value, .. } => {
+            if let LValue::ArrayElem { indices, .. } = target {
+                indices.iter_mut().for_each(&mut *f);
+            }
+            f(value);
+        }
+        StmtKind::If {
+            cond,
+            then_blk,
+            else_blk,
+        } => {
+            f(cond);
+            map_block_exprs_mut(then_blk, f);
+            if let Some(b) = else_blk {
+                map_block_exprs_mut(b, f);
+            }
+        }
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        } => {
+            if let Some(st) = init {
+                map_stmt_exprs_mut(st, f);
+            }
+            if let Some(e) = cond {
+                f(e);
+            }
+            if let Some(st) = step {
+                map_stmt_exprs_mut(st, f);
+            }
+            map_block_exprs_mut(body, f);
+        }
+        StmtKind::While { cond, body } => {
+            f(cond);
+            map_block_exprs_mut(body, f);
+        }
+        StmtKind::Return(e) => {
+            if let Some(e) = e {
+                f(e);
+            }
+        }
+        StmtKind::Block(b) => map_block_exprs_mut(b, f),
+        StmtKind::Expr(e) => f(e),
+    }
+}
+
+/// Applies `f` to every top-level expression in a block, in place. See
+/// [`map_stmt_exprs_mut`].
+pub fn map_block_exprs_mut(b: &mut Block, f: &mut impl FnMut(&mut Expr)) {
+    for s in &mut b.stmts {
+        map_stmt_exprs_mut(s, f);
+    }
+}
+
+/// Calls `f` on every expression node inside `e`, children first: the
+/// order in which [`map_expr_mut`] rewrites them.
+fn for_each_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
+    match &e.kind {
+        ExprKind::IntLit(_) | ExprKind::Var(_) => {}
+        ExprKind::ArrayIndex { indices: args, .. } | ExprKind::Call { args, .. } => {
+            for a in args {
+                for_each_expr(a, f);
+            }
+        }
+        ExprKind::Unary { operand, .. } => for_each_expr(operand, f),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            for_each_expr(lhs, f);
+            for_each_expr(rhs, f);
+        }
+        ExprKind::Cond {
+            cond,
+            then_e,
+            else_e,
+        } => {
+            for_each_expr(cond, f);
+            for_each_expr(then_e, f);
+            for_each_expr(else_e, f);
+        }
+    }
+    f(e);
+}
+
+/// Calls `f` on every expression node of a statement tree, in the order
+/// [`map_stmt_exprs_mut`] visits its top-level expressions and
+/// [`for_each_expr`] their nodes.
+fn for_each_stmt_expr(s: &Stmt, f: &mut impl FnMut(&Expr)) {
+    match &s.kind {
+        StmtKind::Decl { init, .. } => {
+            if let Some(e) = init {
+                for_each_expr(e, f);
+            }
+        }
+        StmtKind::Assign { target, value, .. } => {
+            if let LValue::ArrayElem { indices, .. } = target {
+                for i in indices {
+                    for_each_expr(i, f);
+                }
+            }
+            for_each_expr(value, f);
+        }
+        StmtKind::If {
+            cond,
+            then_blk,
+            else_blk,
+        } => {
+            for_each_expr(cond, f);
+            for_each_block_expr(then_blk, f);
+            if let Some(b) = else_blk {
+                for_each_block_expr(b, f);
+            }
+        }
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        } => {
+            if let Some(st) = init {
+                for_each_stmt_expr(st, f);
+            }
+            if let Some(e) = cond {
+                for_each_expr(e, f);
+            }
+            if let Some(st) = step {
+                for_each_stmt_expr(st, f);
+            }
+            for_each_block_expr(body, f);
+        }
+        StmtKind::While { cond, body } => {
+            for_each_expr(cond, f);
+            for_each_block_expr(body, f);
+        }
+        StmtKind::Return(e) => {
+            if let Some(e) = e {
+                for_each_expr(e, f);
+            }
+        }
+        StmtKind::Block(b) => for_each_block_expr(b, f),
+        StmtKind::Expr(e) => for_each_expr(e, f),
+    }
+}
+
+/// Calls `f` on every expression node in a block. See
+/// [`for_each_stmt_expr`].
+pub(crate) fn for_each_block_expr(b: &Block, f: &mut impl FnMut(&Expr)) {
+    for s in &b.stmts {
+        for_each_stmt_expr(s, f);
+    }
+}
+
+/// Replaces every read of variable `var` with `replacement`, in place.
+pub fn subst_var(e: &mut Expr, var: &str, replacement: &Expr) {
+    map_expr_mut(e, &mut |x| match &x.kind {
         ExprKind::Var(n) if n == var => Expr {
             kind: replacement.kind.clone(),
             span: x.span,
@@ -48,73 +212,10 @@ pub fn subst_var(e: &Expr, var: &str, replacement: &Expr) -> Expr {
     })
 }
 
-/// Substitutes `var` in every expression position of a statement tree.
-pub fn subst_var_stmt(s: &Stmt, var: &str, replacement: &Expr) -> Stmt {
-    map_stmt_exprs(s, &mut |e| subst_var(&e, var, replacement))
-}
-
-/// Applies `f` to every top-level expression of a statement tree (conditions,
-/// right-hand sides, indices, initializers), recursing through blocks.
-pub fn map_stmt_exprs(s: &Stmt, f: &mut impl FnMut(Expr) -> Expr) -> Stmt {
-    let kind = match &s.kind {
-        StmtKind::Decl { name, ty, init } => StmtKind::Decl {
-            name: name.clone(),
-            ty: ty.clone(),
-            init: init.as_ref().map(|e| f(e.clone())),
-        },
-        StmtKind::Assign { target, op, value } => StmtKind::Assign {
-            target: map_lvalue(target, f),
-            op: *op,
-            value: f(value.clone()),
-        },
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => StmtKind::If {
-            cond: f(cond.clone()),
-            then_blk: map_block_exprs(then_blk, f),
-            else_blk: else_blk.as_ref().map(|b| map_block_exprs(b, f)),
-        },
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => StmtKind::For {
-            init: init.as_ref().map(|st| Box::new(map_stmt_exprs(st, f))),
-            cond: cond.as_ref().map(|e| f(e.clone())),
-            step: step.as_ref().map(|st| Box::new(map_stmt_exprs(st, f))),
-            body: map_block_exprs(body, f),
-        },
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond: f(cond.clone()),
-            body: map_block_exprs(body, f),
-        },
-        StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(|e| f(e.clone()))),
-        StmtKind::Block(b) => StmtKind::Block(map_block_exprs(b, f)),
-        StmtKind::Expr(e) => StmtKind::Expr(f(e.clone())),
-    };
-    Stmt { kind, span: s.span }
-}
-
-/// Applies `f` to every expression in a block.
-pub fn map_block_exprs(b: &Block, f: &mut impl FnMut(Expr) -> Expr) -> Block {
-    Block {
-        stmts: b.stmts.iter().map(|s| map_stmt_exprs(s, f)).collect(),
-        span: b.span,
-    }
-}
-
-fn map_lvalue(lv: &LValue, f: &mut impl FnMut(Expr) -> Expr) -> LValue {
-    match lv {
-        LValue::Var(n) => LValue::Var(n.clone()),
-        LValue::ArrayElem { name, indices } => LValue::ArrayElem {
-            name: name.clone(),
-            indices: indices.iter().map(|e| f(e.clone())).collect(),
-        },
-        LValue::Deref(n) => LValue::Deref(n.clone()),
-    }
+/// Substitutes `var` in every expression position of a statement tree, in
+/// place.
+pub fn subst_var_stmt(s: &mut Stmt, var: &str, replacement: &Expr) {
+    map_stmt_exprs_mut(s, &mut |e| subst_var(e, var, replacement))
 }
 
 /// Collects the names of all variables read anywhere in `e`.
@@ -157,7 +258,7 @@ pub fn collect_scalar_writes(b: &Block, out: &mut Vec<String>) {
     }
 }
 
-fn collect_scalar_writes_stmt(s: &Stmt, out: &mut Vec<String>) {
+pub(crate) fn collect_scalar_writes_stmt(s: &Stmt, out: &mut Vec<String>) {
     match &s.kind {
         StmtKind::Decl { name, init, .. } => {
             if init.is_some() {
@@ -194,93 +295,90 @@ fn collect_scalar_writes_stmt(s: &Stmt, out: &mut Vec<String>) {
     }
 }
 
-/// Renames every variable occurrence (reads, writes, declarations) using the
-/// provided mapping; names absent from the map are left unchanged.
-pub fn rename_vars_stmt(s: &Stmt, map: &std::collections::HashMap<String, String>) -> Stmt {
-    let rename = |n: &String| map.get(n).cloned().unwrap_or_else(|| n.clone());
-    let kind = match &s.kind {
-        StmtKind::Decl { name, ty, init } => StmtKind::Decl {
-            name: rename(name),
-            ty: ty.clone(),
-            init: init.as_ref().map(|e| rename_vars_expr(e, map)),
-        },
-        StmtKind::Assign { target, op, value } => StmtKind::Assign {
-            target: rename_lvalue(target, map),
-            op: *op,
-            value: rename_vars_expr(value, map),
-        },
+/// Renames every variable occurrence (reads, writes, declarations, store
+/// indices) in place using the provided mapping; names absent from the
+/// map are left unchanged.
+pub fn rename_vars_stmt(s: &mut Stmt, map: &HashMap<String, String>) {
+    match &mut s.kind {
+        StmtKind::Decl { name, init, .. } => {
+            rename(name, map);
+            if let Some(e) = init {
+                rename_vars_expr(e, map);
+            }
+        }
+        StmtKind::Assign { target, value, .. } => {
+            match target {
+                LValue::Var(n) | LValue::Deref(n) => rename(n, map),
+                LValue::ArrayElem { name, indices } => {
+                    rename(name, map);
+                    indices.iter_mut().for_each(|i| rename_vars_expr(i, map));
+                }
+            }
+            rename_vars_expr(value, map);
+        }
         StmtKind::If {
             cond,
             then_blk,
             else_blk,
-        } => StmtKind::If {
-            cond: rename_vars_expr(cond, map),
-            then_blk: rename_vars_block(then_blk, map),
-            else_blk: else_blk.as_ref().map(|b| rename_vars_block(b, map)),
-        },
+        } => {
+            rename_vars_expr(cond, map);
+            rename_vars_block(then_blk, map);
+            if let Some(b) = else_blk {
+                rename_vars_block(b, map);
+            }
+        }
         StmtKind::For {
             init,
             cond,
             step,
             body,
-        } => StmtKind::For {
-            init: init.as_ref().map(|st| Box::new(rename_vars_stmt(st, map))),
-            cond: cond.as_ref().map(|e| rename_vars_expr(e, map)),
-            step: step.as_ref().map(|st| Box::new(rename_vars_stmt(st, map))),
-            body: rename_vars_block(body, map),
-        },
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond: rename_vars_expr(cond, map),
-            body: rename_vars_block(body, map),
-        },
-        StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(|e| rename_vars_expr(e, map))),
-        StmtKind::Block(b) => StmtKind::Block(rename_vars_block(b, map)),
-        StmtKind::Expr(e) => StmtKind::Expr(rename_vars_expr(e, map)),
-    };
-    Stmt { kind, span: s.span }
-}
-
-/// Renames variables in a block. See [`rename_vars_stmt`].
-pub fn rename_vars_block(b: &Block, map: &std::collections::HashMap<String, String>) -> Block {
-    Block {
-        stmts: b.stmts.iter().map(|s| rename_vars_stmt(s, map)).collect(),
-        span: b.span,
+        } => {
+            if let Some(st) = init {
+                rename_vars_stmt(st, map);
+            }
+            if let Some(e) = cond {
+                rename_vars_expr(e, map);
+            }
+            if let Some(st) = step {
+                rename_vars_stmt(st, map);
+            }
+            rename_vars_block(body, map);
+        }
+        StmtKind::While { cond, body } => {
+            rename_vars_expr(cond, map);
+            rename_vars_block(body, map);
+        }
+        StmtKind::Return(e) => {
+            if let Some(e) = e {
+                rename_vars_expr(e, map);
+            }
+        }
+        StmtKind::Block(b) => rename_vars_block(b, map),
+        StmtKind::Expr(e) => rename_vars_expr(e, map),
     }
 }
 
-/// Renames variables in an expression. See [`rename_vars_stmt`].
-pub fn rename_vars_expr(e: &Expr, map: &std::collections::HashMap<String, String>) -> Expr {
-    map_expr(e, &mut |x| match &x.kind {
-        ExprKind::Var(n) => match map.get(n) {
-            Some(new) => Expr {
-                kind: ExprKind::Var(new.clone()),
-                span: x.span,
-            },
-            None => x,
-        },
-        ExprKind::ArrayIndex { name, indices } => match map.get(name) {
-            Some(new) => Expr {
-                kind: ExprKind::ArrayIndex {
-                    name: new.clone(),
-                    indices: indices.clone(),
-                },
-                span: x.span,
-            },
-            None => x,
-        },
-        _ => x,
+/// Renames variables in a block, in place. See [`rename_vars_stmt`].
+pub fn rename_vars_block(b: &mut Block, map: &HashMap<String, String>) {
+    for s in &mut b.stmts {
+        rename_vars_stmt(s, map);
+    }
+}
+
+/// Renames variables and array names in an expression, in place. See
+/// [`rename_vars_stmt`].
+pub fn rename_vars_expr(e: &mut Expr, map: &HashMap<String, String>) {
+    map_expr_mut(e, &mut |mut x| {
+        if let ExprKind::Var(n) | ExprKind::ArrayIndex { name: n, .. } = &mut x.kind {
+            rename(n, map);
+        }
+        x
     })
 }
 
-fn rename_lvalue(lv: &LValue, map: &std::collections::HashMap<String, String>) -> LValue {
-    let rename = |n: &String| map.get(n).cloned().unwrap_or_else(|| n.clone());
-    match lv {
-        LValue::Var(n) => LValue::Var(rename(n)),
-        LValue::ArrayElem { name, indices } => LValue::ArrayElem {
-            name: rename(name),
-            indices: indices.clone(),
-        },
-        LValue::Deref(n) => LValue::Deref(rename(n)),
+fn rename(name: &mut String, map: &HashMap<String, String>) {
+    if let Some(new) = map.get(name.as_str()) {
+        name.clone_from(new);
     }
 }
 
@@ -301,16 +399,17 @@ mod tests {
 
     #[test]
     fn subst_replaces_all_occurrences() {
-        let e = expr_of("a + a * b");
-        let replaced = subst_var(&e, "a", &Expr::int(7, Span::dummy()));
-        assert_eq!(replaced.to_c(), "(7 + (7 * b))");
+        let mut e = expr_of("a + a * b");
+        subst_var(&mut e, "a", &Expr::int(7, Span::dummy()));
+        assert_eq!(e.to_c(), "(7 + (7 * b))");
     }
 
     #[test]
     fn subst_reaches_array_indices() {
         let prog = parse("void f(int A[8], int i, int* o) { *o = A[i + 1]; }").unwrap();
         let f = prog.function("f").unwrap();
-        let s = subst_var_stmt(&f.body.stmts[0], "i", &Expr::int(3, Span::dummy()));
+        let mut s = f.body.stmts[0].clone();
+        subst_var_stmt(&mut s, "i", &Expr::int(3, Span::dummy()));
         match &s.kind {
             StmtKind::Assign { value, .. } => assert_eq!(value.to_c(), "A[(3 + 1)]"),
             _ => unreachable!(),
@@ -330,9 +429,10 @@ mod tests {
     fn rename_renames_decls_and_uses() {
         let prog = parse("void f() { int x = 1; int y = x + 2; }").unwrap();
         let f = prog.function("f").unwrap();
-        let mut map = std::collections::HashMap::new();
+        let mut map = HashMap::new();
         map.insert("x".to_string(), "x_1".to_string());
-        let renamed = rename_vars_block(&f.body, &map);
+        let mut renamed = f.body.clone();
+        rename_vars_block(&mut renamed, &map);
         let text: String = renamed.stmts.iter().map(|s| format!("{s:?}")).collect();
         assert!(text.contains("x_1"));
         assert!(!text.contains("\"x\""));

@@ -146,10 +146,17 @@ pub fn fully_unroll(l: &CanonLoop) -> Option<Vec<Stmt>> {
     for k in 0..trips {
         let value = Expr::int(l.iter_value(k), l.span);
         for stmt in &l.body.stmts {
-            out.push(subst_var_stmt(stmt, &l.var, &value));
+            out.push(substituted(stmt, &l.var, &value));
         }
     }
     Some(out)
+}
+
+/// A copy of `stmt` with `var` replaced by `value`.
+fn substituted(stmt: &Stmt, var: &str, value: &Expr) -> Stmt {
+    let mut s = stmt.clone();
+    subst_var_stmt(&mut s, var, value);
+    s
 }
 
 /// Unrolls a canonical loop by `factor`: the body is duplicated `factor`
@@ -176,7 +183,7 @@ pub fn partially_unroll(l: &CanonLoop, factor: u64) -> Stmt {
             span: sp,
         };
         for stmt in &l.body.stmts {
-            body_stmts.push(subst_var_stmt(stmt, &l.var, &offset));
+            body_stmts.push(substituted(stmt, &l.var, &offset));
         }
     }
 
@@ -201,7 +208,7 @@ pub fn partially_unroll(l: &CanonLoop, factor: u64) -> Stmt {
         for k in main_trips..trips {
             let value = Expr::int(l.iter_value(k), sp);
             for stmt in &l.body.stmts {
-                stmts.push(subst_var_stmt(stmt, &l.var, &value));
+                stmts.push(substituted(stmt, &l.var, &value));
             }
         }
         Stmt {

@@ -40,7 +40,6 @@ use roccc_netlist::cells::{CellKind, Netlist};
 use roccc_suifvm::ir::{FunctionIr, Opcode};
 
 use crate::term::{TOp, Term, TermId, TermStore};
-use crate::timing::LagSet;
 
 /// Result of symbolically executing one netlist period.
 pub struct NlSymbols {
@@ -51,30 +50,17 @@ pub struct NlSymbols {
     pub next_state: Vec<TermId>,
     /// `(netlist init, IR init)` per feedback slot, both wrapped.
     pub init_vals: Vec<(i64, i64)>,
-    /// `(cell, term)` for every cell whose wrap was dropped only because a
-    /// compiler range fact proved the value fits the cell type; `term` is
-    /// the unwrapped value the cell stands for.
-    pub fact_elided: Vec<(u32, TermId)>,
+    /// The unwrapped term of every cell whose wrap was dropped only
+    /// because a compiler range fact proved the value fits the cell type.
+    pub fact_elided: HashSet<TermId>,
 }
 
 impl NlSymbols {
-    /// True when a fact-elided term of a cell at `lag` (the obligation's
-    /// own cone lag, from [`crate::timing::cell_lags`]) lies in `t`'s
-    /// cone. Only the cone's last stage counts: an elision behind a later
-    /// register is not reported as range assistance.
-    pub fn range_assisted(
-        &self,
-        store: &TermStore,
-        t: TermId,
-        cell_lags: &[LagSet],
-        lag: LagSet,
-    ) -> bool {
-        let facts: HashSet<TermId> = self
-            .fact_elided
-            .iter()
-            .filter(|&&(c, _)| cell_lags.get(c as usize) == Some(&lag))
-            .map(|&(_, t)| t)
-            .collect();
+    /// True when a fact-elided term lies in `t`'s cone, at any lag: the
+    /// obligation leans on a compiler range fact wherever in the cone the
+    /// elided wrap sits, behind a register or not.
+    pub fn range_assisted(&self, store: &TermStore, t: TermId) -> bool {
+        let facts = &self.fact_elided;
         if facts.is_empty() {
             return false;
         }
@@ -126,7 +112,7 @@ pub fn eval_nl(store: &mut TermStore, nl: &Netlist, f: &FunctionIr) -> Result<Nl
     }
 
     let mut terms: Vec<Option<TermId>> = vec![None; nl.cells.len()];
-    let mut fact_elided: Vec<(u32, TermId)> = Vec::new();
+    let mut fact_elided = HashSet::new();
 
     // Only registers may be forward-referenced, so each pass resolves at
     // least the next unresolved non-register cell; bound passes anyway.
@@ -237,7 +223,7 @@ fn cell_wrap(
     nl: &Netlist,
     ci: usize,
     t: TermId,
-    fact_elided: &mut Vec<(u32, TermId)>,
+    fact_elided: &mut HashSet<TermId>,
 ) -> TermId {
     let ty = nl.cells[ci].ty();
     let wrapped = store.wrap(ty, t);
@@ -246,7 +232,7 @@ fn cell_wrap(
     }
     if let Some(r) = nl.range_of(roccc_netlist::cells::CellId(ci as u32)) {
         if r.lo >= ty.min_value() && r.hi <= ty.max_value() {
-            fact_elided.push((ci as u32, t));
+            fact_elided.insert(t);
             return t;
         }
     }

@@ -706,7 +706,7 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
                 });
             }
             for (k, (&it, &nt)) in ir.outputs.iter().zip(nls.outputs.iter()).enumerate() {
-                let range_assisted = nls.range_assisted(&prover.store, nt, &lags, cones[k].lags);
+                let range_assisted = nls.range_assisted(&prover.store, nt);
                 let bits = f.outputs[k].1.bits;
                 let (ob, cex) = prover.discharge(
                     format!("output {}", f.outputs[k].0),
@@ -724,7 +724,7 @@ pub fn prove(f: &FunctionIr, nl: &Netlist, kernel: &str, opts: &ProveOptions) ->
             }
             for (s, (&it, &nt)) in ir.next_state.iter().zip(nls.next_state.iter()).enumerate() {
                 let cone = &cones[nls.outputs.len() + s];
-                let range_assisted = nls.range_assisted(&prover.store, nt, &lags, cone.lags);
+                let range_assisted = nls.range_assisted(&prover.store, nt);
                 let bits = f.feedback[s].ty.bits;
                 let (ob, cex) = prover.discharge(
                     format!("next {}", f.feedback[s].name),

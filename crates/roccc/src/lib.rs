@@ -521,8 +521,6 @@ pub fn compile_with_model_timed(
         optimize(&mut ir);
     }
     roccc_suifvm::verify_ssa(&ir).map_err(CompileError::Backend)?;
-    let mut diags = Vec::new();
-    gate_phase(opts, &mut diags, || verify_ir(&ir))?;
 
     // Value-range analysis: seed input ports that carry counted-loop
     // indices with their trip bounds, analyze, fold range-proven
@@ -539,8 +537,14 @@ pub fn compile_with_model_timed(
             roccc_suifvm::verify_ssa(&ir).map_err(CompileError::Backend)?;
             map = roccc_suifvm::analyze_with_inputs(&ir, &input_ranges);
         }
-        gate_phase(opts, &mut diags, || verify_ranges(&ir, &map))?;
         ranges = Some(map);
+    }
+    // The S and W families check the IR the artifact ships, after any
+    // range fold.
+    let mut diags = Vec::new();
+    gate_phase(opts, &mut diags, || verify_ir(&ir))?;
+    if let Some(map) = &ranges {
+        gate_phase(opts, &mut diags, || verify_ranges(&ir, map))?;
     }
 
     // Dependence graph + MinII lower bounds (the modulo-scheduling

@@ -434,12 +434,13 @@ rm -f "${pipe_src}" "${pipe_spec}" "${ii_spec}" "${ii2_src}" "${ii2_spec}" "${ba
 echo "==> batched-sim differential smoke"
 cargo test --release -q --test batched_sim
 
-echo "==> perfbench count gate (compile-table1 IR sizes and hardware quality, simulated cycles)"
-# A short traced run of the compile benchmark and a short run of the
-# simulation benchmark. Their count and quality metrics repeat exactly
-# from run to run and seed to seed, so any drift is a change in what the
-# compiler generates or in how many cycles the system driver and the
-# co-simulator take, not in how fast either runs.
+echo "==> perfbench count gate (compile-table1 IR sizes and hardware quality, simulated cycles, explore-sweep candidates)"
+# A short traced run of the compile benchmark, a short run of the
+# simulation benchmark and a short traced run of the explore sweep. Their
+# count and quality metrics repeat exactly from run to run and seed to
+# seed, so any drift is a change in what the compiler generates, in which
+# sweep candidates it accepts, or in how many cycles the system driver and
+# the co-simulator take, not in how fast any of them runs.
 pb_out="$(mktemp -t perfbench_counts.XXXXXX.txt)"
 cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
   --bin bench -- --workload compile-table1 --seed 1 --seconds 2 --trace 1 \
@@ -447,10 +448,24 @@ cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
 cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
   --bin bench -- --workload simulate-system --seed 1 --seconds 1 \
   >>"${pb_out}"
-if ! diff scripts/perfbench_counts.txt \
-    <(awk 'NR == FNR { want[$1 " " $2]; next } ($1 " " $2) in want' \
-      scripts/perfbench_counts.txt "${pb_out}") >&2; then
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
+  --bin bench -- --workload explore-sweep --seed 1 --seconds 2 --trace 1 \
+  >>"${pb_out}"
+pinned_lines() {
+  awk 'NR == FNR { want[$1 " " $2]; next } ($1 " " $2) in want' \
+    scripts/perfbench_counts.txt "$1"
+}
+if ! diff scripts/perfbench_counts.txt <(pinned_lines "${pb_out}") >&2; then
   echo "perfbench count gate: counts drifted from scripts/perfbench_counts.txt" >&2
+  exit 1
+fi
+# The sweep's candidate counts do not depend on the seed either.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
+  --bin bench -- --workload explore-sweep --seed 2 --seconds 2 --trace 1 \
+  >"${pb_out}"
+if ! diff <(grep '^explore-sweep ' scripts/perfbench_counts.txt) \
+    <(pinned_lines "${pb_out}") >&2; then
+  echo "perfbench count gate: explore-sweep counts differ at --seed 2" >&2
   exit 1
 fi
 rm -f "${pb_out}"

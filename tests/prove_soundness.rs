@@ -370,8 +370,9 @@ fn planted_mutations_are_refuted_with_replaying_counterexamples() {
     }
 }
 
-/// Six recurrence kernels, `(seed, distance, kernel)`, at distances 1–4.
-/// Seeds 4–9: seed 3 draws a body the backend refuses.
+/// Six recurrence kernels, `(seed, distance, kernel)`, at distances 1–4,
+/// from seeds 4–9. Seed 3 (a delay line whose slot `s0` latches in a
+/// second stage) is covered in `tests/schedule.rs`.
 fn recurrence_kernels() -> impl Iterator<Item = (u64, u64, RecurrenceKernel)> {
     (4..10u64).map(|seed| {
         let distance = 1 + seed % 4;
@@ -781,13 +782,13 @@ grid q | valid-grid | proved-rewrite | 8 | cone uniform at lag 8
 output q | output | proved-rewrite | 8 | normal forms coincide
 == udiv/full: equal
 grid q | valid-grid | proved-rewrite | 8 | cone uniform at lag 8
-output q | output | proved-rewrite | 8 | normal forms coincide
+output q | output | proved-range | 8 | normal forms coincide (range-fact assisted)
 == square_root/default: equal
 grid r | valid-grid | proved-rewrite | 12 | cone uniform at lag 12
 output r | output | proved-rewrite | 12 | normal forms coincide
 == square_root/full: equal
 grid r | valid-grid | proved-rewrite | 12 | cone uniform at lag 12
-output r | output | proved-rewrite | 12 | normal forms coincide
+output r | output | proved-range | 12 | normal forms coincide (range-fact assisted)
 == cos/default: equal
 grid c | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
 output c | output | proved-rewrite | 1 | normal forms coincide
@@ -860,8 +861,8 @@ grid Tmp2 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
 grid Tmp3 | valid-grid | proved-rewrite | 3 | cone uniform at lag 3
 output Tmp0 | output | proved-rewrite | 3 | normal forms coincide
 output Tmp1 | output | proved-rewrite | 3 | normal forms coincide
-output Tmp2 | output | proved-rewrite | 3 | normal forms coincide
-output Tmp3 | output | proved-rewrite | 3 | normal forms coincide
+output Tmp2 | output | proved-range | 3 | normal forms coincide (range-fact assisted)
+output Tmp3 | output | proved-range | 3 | normal forms coincide (range-fact assisted)
 == rec4/d1: equal
 grid Tmp0 | valid-grid | proved-rewrite | 1 | cone uniform at lag 1
 grid next s0 | valid-grid | proved-rewrite | 0 | cone uniform at lag 0

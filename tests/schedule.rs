@@ -5,17 +5,22 @@
 //! bit-exact against the per-cycle reference interpreter across all
 //! engines and lane counts (bubbles and misaligned launches included),
 //! and exprgen-seeded recurrence loops at planted feedback distances
-//! 1–4 must run bit-exact scheduled vs unscheduled.
+//! 1–4 must run bit-exact scheduled vs unscheduled; delay-line feedback
+//! slots (a slot whose next value does not read its own previous one)
+//! stage with their SNX and certify.
 
+use roccc_suite::cparse::{frontend, interp::Interpreter};
 use roccc_suite::datapath::{DelayModel, ResourceBudget};
 use roccc_suite::ipcores::table::{benchmarks, compile_benchmark};
 use roccc_suite::netlist::{BatchedSim, Netlist, NetlistSim, SimPlan};
+use roccc_suite::prove::Verdict;
 use roccc_suite::roccc::{
     compile, compile_with_model, verify_compiled, CompileOptions, VerifyLevel,
 };
 use roccc_suite::suifvm::ir::Opcode;
 use roccc_suite::testrand::exprgen::gen_recurrence_kernel;
 use roccc_suite::testrand::XorShift64;
+use std::collections::HashMap;
 
 /// The default delay model with a hard multiplier-block budget, to force
 /// a resource-constrained II on kernels with several variable multiplies.
@@ -284,13 +289,10 @@ fn recurrence_kernels_scheduled_differential() {
             let k = gen_recurrence_kernel(&mut rng, 2, distance, false);
             let name = format!("rec_d{distance}_{case}");
             let base = CompileOptions::default();
-            let golden = match compile(&k.source, "k", &base) {
-                Ok(c) => c,
-                // A generated body can exceed the supported subset (e.g.
-                // a dynamic shift amount wider than the target); skip —
-                // the seeds below still cover every distance.
-                Err(_) => continue,
-            };
+            // The generator draws constant shifts and the window reads
+            // only, all inside the subset: every body must compile.
+            let golden = compile(&k.source, "k", &base)
+                .unwrap_or_else(|e| panic!("{name}: {e}\n{}", k.source));
             let opts = CompileOptions {
                 pipeline_ii: Some(0),
                 verify: VerifyLevel::Deny,
@@ -308,6 +310,45 @@ fn recurrence_kernels_scheduled_differential() {
             let scheduled = assert_engines_agree(&hw.netlist, &iters, &name);
             let unscheduled = assert_engines_agree(&golden.netlist, &iters, &name);
             assert_eq!(scheduled, unscheduled, "{name}: schedule changed the math");
+        }
+    }
+}
+
+/// Recurrence kernels whose slot `s0` takes `s{d-1} + e` while each other
+/// slot shifts its neighbour: no slot's next value reads its own LPR, and
+/// `s0`'s next value needs a second stage. Each slot's LPRs must move to
+/// the stage where its SNX latches (D005 refused these seeds before).
+/// Under the default options and under `pipeline-ii auto` every seed
+/// compiles, certifies EQUAL, and runs bit-exact against the interpreter.
+#[test]
+fn delay_line_feedback_slots_stage_with_their_snx() {
+    for seed in [3u64, 17, 23, 30] {
+        let distance = 1 + seed % 4;
+        let mut rng = XorShift64::new(0x9e0 + seed);
+        let k = gen_recurrence_kernel(&mut rng, 2, distance, false);
+        let program = frontend(&k.source).unwrap();
+        let mut inputs = XorShift64::new(0x5eed + seed);
+        let a: Vec<i64> = (0..k.a_len).map(|_| inputs.gen_range(-500, 500)).collect();
+        let mut golden = HashMap::from([("A".to_string(), a), ("B".to_string(), vec![0; k.b_len])]);
+        let arrays = golden.clone();
+        Interpreter::new(&program)
+            .call("k", &[], &mut golden)
+            .unwrap();
+        for (set, ii) in [("default", None), ("auto", Some(0))] {
+            let name = format!("seed {seed} (distance {distance}) {set}");
+            let opts = CompileOptions {
+                pipeline_ii: ii,
+                prove: true,
+                verify: VerifyLevel::Deny,
+                ..CompileOptions::default()
+            };
+            let hw = compile(&k.source, "k", &opts)
+                .unwrap_or_else(|e| panic!("{name}: {e}\n{}", k.source));
+            let cert = hw.certificate.as_ref().expect("prove ran");
+            assert_eq!(cert.verdict, Verdict::Equal, "{name}");
+            let run = hw.run(&arrays, &HashMap::new()).unwrap();
+            assert_eq!(run.arrays["B"], golden["B"], "{name}\n{}", k.source);
+            assert_eq!(run.fired, k.trip, "{name}");
         }
     }
 }

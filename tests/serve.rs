@@ -106,6 +106,41 @@ fn concurrent_clients_get_byte_identical_artifacts() {
     handle.shutdown();
 }
 
+/// A cache miss counts every family's findings into
+/// `roccc_verify_findings_total` whether the compile ran the families
+/// (`verify warn`) or not (`verify off`): the same count as every check
+/// run afresh plus the VHDL lint, here the N007 warnings of unoptimized
+/// dead code.
+#[test]
+fn verify_findings_count_every_family_at_every_level() {
+    let src = "void k(int A[10], int B[8]) { int i;
+      for (i = 0; i < 8; i++) { int t; t = A[i] * 3; B[i] = A[i + 1] + 1; } }";
+    let off = CompileOptions {
+        optimize: false,
+        verify: roccc::VerifyLevel::Off,
+        ..CompileOptions::default()
+    };
+    let direct = roccc::compile(src, "k", &off).unwrap();
+    let expected = (roccc::verify_compiled(&direct).len()
+        + roccc_suite::vhdl::lint::lint(&direct.to_vhdl()).len()) as u64;
+    assert!(expected > 0, "dead cells are reported");
+
+    for level in [roccc::VerifyLevel::Warn, roccc::VerifyLevel::Off] {
+        let handle = start(ServerConfig::default()).expect("server starts");
+        let opts = CompileOptions {
+            verify: level,
+            ..off.clone()
+        };
+        let req = compile_req(src, "k", &opts, "vhdl");
+        let (_, cached) = expect_ok(roundtrip(handle.local_addr(), &req, IO_TIMEOUT).unwrap());
+        assert!(!cached, "{level:?}: first request misses");
+        let m = handle.metrics();
+        assert_eq!(m.cache_misses.get(), 1);
+        assert_eq!(m.verify_findings.get(), expected, "{level:?}");
+        handle.shutdown();
+    }
+}
+
 /// Different artifact kinds from the same cached entry must also match
 /// their direct-compile renderings byte for byte.
 #[test]

@@ -407,6 +407,59 @@ fn verify_compiled_reuses_the_compile_certificate_check() {
     }
 }
 
+/// The compile's S findings are those of the IR it ships: under
+/// `--range-narrow` at `warn` they equal `verify_ir` run afresh over the
+/// artifact's IR, which the range fold and the second optimize rewrote,
+/// on every Table 1 kernel and on a loop whose branch the ranges decide,
+/// optimized and not. (A correct pipeline leaves no S findings on these;
+/// the check guards against the gate reading an IR the artifact does not
+/// ship.)
+#[test]
+fn compile_s_findings_check_the_shipped_ir() {
+    let warn = |base: &CompileOptions, optimize: bool| CompileOptions {
+        optimize,
+        verify: VerifyLevel::Warn,
+        ..full(base)
+    };
+    let mut cases: Vec<(String, String, &str, CompileOptions)> = benchmarks()
+        .into_iter()
+        .map(|b| {
+            (
+                b.name.to_string(),
+                b.source.clone(),
+                b.func,
+                warn(&b.opts, true),
+            )
+        })
+        .collect();
+    // The ranges decide the branch (`A[i + 1]` is at most 255), so the
+    // range fold rewrites its condition to a constant.
+    let branchy_loop = "void k(unsigned char A[10], int B[8]) { int i; int x;
+      for (i = 0; i < 8; i = i + 1) {
+        x = A[i] * 3;
+        if (A[i + 1] < 300) { x = x + A[i + 2]; } else { x = x - 5; }
+        B[i] = x; } }";
+    for optimize in [true, false] {
+        let opts = warn(&CompileOptions::default(), optimize);
+        cases.push((
+            format!("branchy optimize={optimize}"),
+            branchy_loop.into(),
+            "k",
+            opts,
+        ));
+    }
+    for (name, src, func, opts) in cases {
+        let hw = compile(&src, func, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let compiled: Vec<&Diagnostic> = hw
+            .diagnostics
+            .iter()
+            .filter(|d| d.code.starts_with('S'))
+            .collect();
+        let fresh = verify_ir(&hw.ir);
+        assert_eq!(compiled, fresh.iter().collect::<Vec<_>>(), "{name}");
+    }
+}
+
 /// A proved grid obligation whose recorded lag disagrees with the timing
 /// re-derived from the netlist fires `E002`, on an output grid and on a
 /// next-state grid of the accumulator; the certificate re-check reports
