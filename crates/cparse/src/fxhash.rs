@@ -1,13 +1,14 @@
-//! A small multiplicative hasher for the prover's structural maps.
+//! A small multiplicative hasher for the compiler's structural maps.
 //!
-//! The term store interns nodes by structure, the rewriter memoizes
-//! `(term, care)` pairs and the IR evaluator maps virtual registers to
-//! terms. Every lookup hashes a few small integers, for which the std
-//! SipHash (keyed against hash flooding) is several times more work than
-//! needed. These keys are the prover's own ids and tags, never values
-//! from outside the program, so the FxHash-style rotate–xor–multiply
-//! round (as used inside rustc) is enough. Constant values, which come
-//! from the kernel source, are interned in a std map instead.
+//! The prover interns terms by structure, memoizes `(term, care)` pairs
+//! and maps virtual registers to terms; the scalar optimizer numbers
+//! `(opcode, operand registers)` keys. Every lookup hashes a few small
+//! integers, for which the std SipHash (keyed against hash flooding) is
+//! several times more work than needed. These keys are the compiler's own
+//! ids, opcodes and tags, never values from outside the program, so the
+//! FxHash-style rotate–xor–multiply round (as used inside rustc) is
+//! enough. Constant values, which come from the kernel source, are keyed
+//! in std maps instead: a kernel cannot choose Fx collisions through them.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

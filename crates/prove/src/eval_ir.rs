@@ -15,9 +15,9 @@
 //! certified *conditioned on fault-free IR runs*, which is also what the
 //! replay oracle enforces.
 
+use roccc_cparse::fxhash::FxHashMap;
 use roccc_suifvm::ir::{FunctionIr, Opcode, Terminator};
 
-use crate::hash::FxHashMap;
 use crate::term::{TOp, TermId, TermStore};
 
 /// Result of symbolically executing one IR window.

@@ -43,7 +43,6 @@
 pub mod blast;
 pub mod eval_ir;
 pub mod eval_nl;
-pub mod hash;
 pub mod rewrite;
 pub mod sat;
 pub mod term;

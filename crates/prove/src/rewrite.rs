@@ -26,9 +26,9 @@
 //! Constants are canonicalized to their sign-extended `care`-bit image, so
 //! coefficients that vanish mod 2^care drop out of sums and products.
 
+use roccc_cparse::fxhash::FxHashMap;
 use roccc_cparse::types::IntType;
 
-use crate::hash::FxHashMap;
 use crate::term::{TOp, Term, TermId, TermStore};
 
 /// Memo table for [`normalize`] — keyed by `(term, care)`.

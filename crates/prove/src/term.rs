@@ -25,9 +25,8 @@
 
 use std::collections::HashMap;
 
+use roccc_cparse::fxhash::FxHashMap;
 use roccc_cparse::types::IntType;
-
-use crate::hash::FxHashMap;
 
 /// Index of a term in its [`TermStore`].
 pub type TermId = u32;

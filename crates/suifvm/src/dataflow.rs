@@ -109,39 +109,40 @@ pub fn liveness(f: &FunctionIr) -> Liveness {
 /// All registers used anywhere (sources, phi args, branch conditions,
 /// outputs). Complements defs for dead-code analysis.
 pub fn all_uses(f: &FunctionIr) -> HashSet<VReg> {
-    let marks = use_marks(f);
-    marks
+    let counts = use_counts(f);
+    counts
         .iter()
         .enumerate()
-        .filter(|&(_, &u)| u)
+        .filter(|&(_, &n)| n > 0)
         .map(|(i, _)| VReg(i as u32))
         .collect()
 }
 
-/// Dense variant of [`all_uses`]: `use_marks(f)[r.0]` is true iff `r` is
-/// used anywhere. Registers are dense ids, so the optimizer's DCE loop
-/// probes this flat vec instead of hashing each candidate.
-pub fn use_marks(f: &FunctionIr) -> Vec<bool> {
-    let mut used = vec![false; f.vreg_types.len()];
+/// Dense count behind [`all_uses`]: `use_counts(f)[r.0]` is how many
+/// sources, phi arguments, branch conditions and outputs read `r`.
+/// Registers are dense ids, so the optimizer's DCE sweep decrements this
+/// flat vec instead of hashing each candidate.
+pub fn use_counts(f: &FunctionIr) -> Vec<u32> {
+    let mut uses = vec![0u32; f.vreg_types.len()];
     for b in &f.blocks {
         for p in &b.phis {
             for (_, a) in &p.args {
-                used[a.0 as usize] = true;
+                uses[a.0 as usize] += 1;
             }
         }
         for i in &b.instrs {
             for s in &i.srcs {
-                used[s.0 as usize] = true;
+                uses[s.0 as usize] += 1;
             }
         }
         if let Terminator::Branch { cond, .. } = &b.term {
-            used[cond.0 as usize] = true;
+            uses[cond.0 as usize] += 1;
         }
     }
     for r in &f.output_srcs {
-        used[r.0 as usize] = true;
+        uses[r.0 as usize] += 1;
     }
-    used
+    uses
 }
 
 #[cfg(test)]

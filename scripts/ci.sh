@@ -304,7 +304,7 @@ esac
 # render and a served one must be the same bytes.
 local_out="$(mktemp -t serve_smoke_local.XXXXXX)"
 served_out="$(mktemp -t serve_smoke_served.XXXXXX)"
-for kind in deps-json table-row; do
+for kind in deps-json table-row ir; do
   ./target/release/roccc "${smoke_src}" --function acc --emit "${kind}" >"${local_out}"
   ./target/release/roccc "${smoke_src}" --function acc --connect "${addr}" \
     --emit "${kind}" >"${served_out}" 2>/dev/null
