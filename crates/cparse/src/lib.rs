@@ -33,7 +33,7 @@
 
 pub mod ast;
 pub mod error;
-pub mod fxhash;
+pub mod hash;
 pub mod inline_vec;
 pub mod intern;
 pub mod interp;

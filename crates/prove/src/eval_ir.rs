@@ -15,7 +15,7 @@
 //! certified *conditioned on fault-free IR runs*, which is also what the
 //! replay oracle enforces.
 
-use roccc_cparse::fxhash::FxHashMap;
+use roccc_cparse::hash::FxHashMap;
 use roccc_suifvm::ir::{FunctionIr, Opcode, Terminator};
 
 use crate::term::{TOp, TermId, TermStore};

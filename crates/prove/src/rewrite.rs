@@ -26,7 +26,7 @@
 //! Constants are canonicalized to their sign-extended `care`-bit image, so
 //! coefficients that vanish mod 2^care drop out of sums and products.
 
-use roccc_cparse::fxhash::FxHashMap;
+use roccc_cparse::hash::FxHashMap;
 use roccc_cparse::types::IntType;
 
 use crate::term::{TOp, Term, TermId, TermStore};

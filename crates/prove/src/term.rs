@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use roccc_cparse::fxhash::FxHashMap;
+use roccc_cparse::hash::FxHashMap;
 use roccc_cparse::types::IntType;
 
 /// Index of a term in its [`TermStore`].

@@ -18,7 +18,7 @@
 use crate::dataflow::use_counts;
 use crate::dom::DomInfo;
 use crate::ir::*;
-use roccc_cparse::fxhash::FxHashMap;
+use roccc_cparse::hash::FxHashMap;
 use roccc_cparse::types::IntType;
 use std::collections::HashMap;
 
