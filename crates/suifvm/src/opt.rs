@@ -145,16 +145,26 @@ impl Walk {
         for (rank, &j) in order.iter().enumerate() {
             id[j as usize] = base + rank as u32;
         }
+        // Every use is renamed: phi arguments, branch conditions and
+        // outputs may already read one of these registers through a value
+        // number.
         let rename = |r: &mut VReg| {
             if let Some(k) = r.0.checked_sub(base) {
                 r.0 = id[k as usize];
             }
         };
         for b in &mut f.blocks {
+            for p in &mut b.phis {
+                p.args.iter_mut().map(|(_, a)| a).for_each(rename);
+            }
             for i in &mut b.instrs {
                 i.dst.iter_mut().chain(&mut i.srcs).for_each(rename);
             }
+            if let Terminator::Branch { cond, .. } = &mut b.term {
+                rename(cond);
+            }
         }
+        f.output_srcs.iter_mut().for_each(rename);
         let types = f.vreg_types.split_off(base as usize);
         f.vreg_types
             .extend(order.iter().map(|&j| types[j as usize]));
@@ -721,6 +731,21 @@ mod tests {
         optimize(&mut ir);
         assert_eq!(blocks_with(&ir, Opcode::Mul), vec![0], "{}", ir.dump());
         assert_preserves(src, "f", &BRANCH_ARGS.map(Vec::from));
+    }
+
+    /// Strength reduction allocates a shift amount in the nested arm
+    /// (bb4) before a mask in the else arm (bb2), so the two registers are
+    /// renumbered into block order. The else arm's `x = 255` merges into
+    /// the mask, and the phi argument that reads it must follow the
+    /// renumbering.
+    #[test]
+    fn renumbered_reduction_registers_keep_phi_and_output_uses() {
+        let src = "void f(uint8 a, int c, int d, uint8* o, uint8* p) { uint8 x;
+           if (c > 0) { if (d > 0) { x = a * 4; } else { x = a; } }
+           else { *p = a % 256; x = 255; }
+           *o = x; }";
+        let args = [[7, 1, 1], [7, 1, -1], [7, -1, 1], [200, 0, 0], [63, 2, 5]];
+        assert_preserves(src, "f", &args.map(Vec::from));
     }
 
     /// Thousands of distinct constants stay linear: each gets its own
