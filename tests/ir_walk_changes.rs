@@ -9,8 +9,9 @@
 //! constant in the value-number table (see `Walk::block` in
 //! `crates/suifvm/src/opt.rs`). The fixpoint merged the duplicate once
 //! the shadowing constant was gone; the walks keep it. So the IR holds
-//! one or two more `LDC`s, or in typed1673 keeps the other of two equal
-//! constants. The outputs are unchanged, which
+//! one duplicate `LDC` (in typed1439 and typed2784 also the shift or mask
+//! that reads it, a duplicate of a dominating one), or in typed1673 keeps
+//! the other of two equal constants. The outputs are unchanged, which
 //! `outputs_match_the_golden_model` checks. Under `full` the range fold
 //! and its re-optimization remove the extra constant in typed1439 and
 //! typed2784.
